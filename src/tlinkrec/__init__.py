@@ -41,7 +41,6 @@ from .timeml import (
 )
 from .model import (
     BinaryProgram,
-    TriangleIndex,
     VoteTable,
     build_ip,
     collect_arcs,

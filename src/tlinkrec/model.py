@@ -10,7 +10,7 @@ all-NONE assignment keeps every instance feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +21,6 @@ from .relations import (
     RelSet,
     RelType,
     TABLE,
-    invert,
     synonyms,
 )
 from .timeml import CanonicalArc, ClassifierRun, canonical_votes
@@ -61,25 +60,16 @@ def collect_arcs(runs: Iterable[ClassifierRun], document: str) -> VoteTable:
 class Triangle:
     """Arc indices of one node triple p < q < r, traversed p -> q -> r.
 
-    Orientation flags are True when the stored arc direction matches the
-    traversal; with canonical arcs and sorted traversal they always are, but
-    constraint generation honours them regardless.
+    Arcs are canonical and the traversal is sorted, so every stored arc
+    direction matches the traversal.
     """
 
     pq: int
     qr: int
     pr: int
-    pq_forward: bool = True
-    qr_forward: bool = True
-    pr_forward: bool = True
 
 
-@dataclass
-class TriangleIndex:
-    triples: List[Triangle] = field(default_factory=list)
-
-
-def enumerate_triangles(arcs: Sequence[CanonicalArc]) -> TriangleIndex:
+def enumerate_triangles(arcs: Sequence[CanonicalArc]) -> List[Triangle]:
     """Every unordered node triple whose three pairwise arcs are all present."""
     arc_at: Dict[Tuple, int] = {}
     nodes = {}
@@ -100,7 +90,7 @@ def enumerate_triangles(arcs: Sequence[CanonicalArc]) -> TriangleIndex:
             if i_qr is None or i_pr is None:
                 continue
             triples.append(Triangle(i_pq, i_qr, i_pr))
-    return TriangleIndex(triples)
+    return triples
 
 
 @dataclass(frozen=True)
@@ -138,20 +128,19 @@ class BinaryProgram:
         return int(arc) * N_LABELS + ordinal - 1
 
 
-def _expanded_minus(cstar: RelSet, arc: int, forward: bool,
+def _expanded_minus(cstar: RelSet, arc: int,
                     include_none: bool) -> Tuple[int, ...]:
     base = arc * N_LABELS
     labels = set()
     for c in cstar:
-        stored = c if forward else invert(c)
-        labels.update(synonyms(stored))
+        labels.update(synonyms(c))
     out = sorted(base + lab.value - 1 for lab in labels)
     if include_none:
         out.append(base + RelType.NONE.value - 1)
     return tuple(out)
 
 
-def build_ip(votes: VoteTable, triangles: Optional[TriangleIndex] = None,
+def build_ip(votes: VoteTable, triangles: Optional[List[Triangle]] = None,
              table: CompositionTable = TABLE, *,
              none_breaks_triangles: bool = False) -> BinaryProgram:
     """Assemble objective, partition rows, and triangle rows for one document.
@@ -172,19 +161,17 @@ def build_ip(votes: VoteTable, triangles: Optional[TriangleIndex] = None,
 
     canonical_full = RelSet.canonical_full()
     rows: List[TriangleRow] = []
-    for k, tri in enumerate(triangles.triples):
+    for k, tri in enumerate(triangles):
         for a in NON_NONE:
-            a_eff = a if tri.pq_forward else invert(a)
             for b in NON_NONE:
-                b_eff = b if tri.qr_forward else invert(b)
-                cstar = table.compose(a_eff, b_eff)
+                cstar = table.compose(a, b)
                 if cstar == canonical_full and not none_breaks_triangles:
                     continue
                 rows.append(TriangleRow(
                     name=f"t{k}_{a.value}_{b.value}",
                     plus=(tri.pq * N_LABELS + a.value - 1,
                           tri.qr * N_LABELS + b.value - 1),
-                    minus=_expanded_minus(cstar, tri.pr, tri.pr_forward,
+                    minus=_expanded_minus(cstar, tri.pr,
                                           include_none=not none_breaks_triangles),
                 ))
     return BinaryProgram(num_vars, objective, partition_rows, rows)

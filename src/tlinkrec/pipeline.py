@@ -100,6 +100,10 @@ def reconcile(corpus: Corpus, members: Sequence[str],
         program = build_ip(votes, enumerate_triangles(votes.arcs),
                            none_breaks_triangles=none_breaks_triangles)
         solution = solve(program, time_limit=time_limit)
+        if not solution.proven_optimal:
+            log.warning("%s: optimality not proven within the time limit; "
+                        "writing the best incumbent (objective %.6f)",
+                        doc, solution.objective_value)
         links = [
             TLink(arc.lo, arc.hi, solution.assignment[i])
             for i, arc in enumerate(votes.arcs)

@@ -1,9 +1,11 @@
 """Exact solvers for the binary reconciliation program.
 
-solve() runs LP-relaxation-based branch and bound (relaxations via
-scipy/HiGHS): branch on the most fractional variable, lowest index on ties,
-round-up child first.  brute_force_solve() is the validation oracle for tiny
-instances; it never touches an LP.
+solve() hands the whole program to the HiGHS MIP solver through
+scipy.optimize.milp.  The relative gap is set to 0, so a solution reported as
+proven optimal is exact (up to HiGHS's absolute gap of 1e-6, which milp does
+not expose).  HiGHS enforces the time limit inside the solve.  Among equal
+optima the one returned is HiGHS's choice.  brute_force_solve() is the
+validation oracle for tiny instances; it never touches a solver.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
 from .errors import DataError, Infeasible
@@ -21,12 +23,13 @@ from .model import N_LABELS, BinaryProgram
 from .relations import RelType
 
 FEAS_TOL = 1e-7
-INT_TOL = 1e-6
 OBJ_TOL = 1e-9
 
 
 @dataclass
 class SolverStats:
+    """Effort of one solve; solve() leaves lp_iterations 0 (milp omits it)."""
+
     nodes_explored: int = 0
     lp_iterations: int = 0
     wall_time: float = 0.0
@@ -80,8 +83,9 @@ def _constraint_matrices(program: BinaryProgram):
 def solve(program: BinaryProgram, time_limit: float = 300.0) -> Solution:
     """Optimal solution (proven_optimal=True) or best incumbent on timeout.
 
-    Raises Infeasible when the search space is exhausted without a feasible
-    assignment (possible only for hand-built programs or strict mode).
+    Raises Infeasible when no feasible assignment exists (possible only for
+    hand-built programs or strict mode), and RuntimeError when the time limit
+    passes before any incumbent is found or HiGHS fails.
     """
     if time_limit <= 0:
         raise ValueError("time_limit must be positive")
@@ -91,81 +95,26 @@ def solve(program: BinaryProgram, time_limit: float = 300.0) -> Solution:
         stats.wall_time = time.monotonic() - t0
         return Solution({}, 0.0, True, stats)
 
-    n = program.num_vars
     a_eq, a_ub = _constraint_matrices(program)
-    b_eq = np.ones(a_eq.shape[0])
-    b_ub = np.ones(a_ub.shape[0])
-    c = -program.objective
-
-    partitions_of_var: Dict[int, List[int]] = {}
-    for i, row in enumerate(program.partition_rows):
-        for v in row:
-            partitions_of_var.setdefault(v, []).append(i)
-
-    best_val = -np.inf
-    best_chosen: Optional[List[int]] = None
-
-    # The all-NONE assignment is feasible whenever every partition row offers
-    # its arc's NONE variable, which the generated model always does.
-    none_vars = [i * N_LABELS + N_LABELS - 1 for i in range(n // N_LABELS)]
-    seed = Solution(_assignment_from_vars(none_vars),
-                    _objective_of(program, none_vars), False)
-    if not violations(program, seed):
-        best_chosen = none_vars
-        best_val = seed.objective_value
-
-    lb0 = np.zeros(n)
-    ub0 = np.ones(n)
-    stack: List[Tuple[np.ndarray, np.ndarray]] = [(lb0, ub0)]
-    timed_out = False
-
-    while stack:
-        if time.monotonic() - t0 > time_limit:
-            timed_out = True
-            break
-        lb, ub = stack.pop()
-        stats.nodes_explored += 1
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=np.column_stack([lb, ub]), method="highs")
-        stats.lp_iterations += int(getattr(res, "nit", 0) or 0)
-        if res.status == 2:  # node infeasible
-            continue
-        if res.status != 0:
-            raise RuntimeError(f"LP relaxation failed: {res.message}")
-        bound = -res.fun
-        if bound <= best_val + FEAS_TOL:
-            continue
-        x = res.x
-        dist = np.abs(x - np.round(x))
-        if dist.max() <= INT_TOL:
-            chosen = sorted(np.nonzero(x > 0.5)[0].tolist())
-            val = _objective_of(program, chosen)
-            if val > best_val:
-                best_val = val
-                best_chosen = chosen
-            continue
-        # most fractional variable, ties by lowest index (argmax -> first max)
-        branch = int(np.argmax(dist))
-        lb_dn, ub_dn = lb.copy(), ub.copy()
-        ub_dn[branch] = 0.0
-        lb_up, ub_up = lb.copy(), ub.copy()
-        lb_up[branch] = 1.0
-        for p in partitions_of_var.get(branch, ()):
-            for v in program.partition_rows[p]:
-                if v != branch:
-                    ub_up[v] = 0.0
-        stack.append((lb_dn, ub_dn))
-        stack.append((lb_up, ub_up))  # round-up explored first (LIFO)
-
+    constraints = [LinearConstraint(a_eq, 1, 1)]
+    if a_ub.shape[0]:
+        constraints.append(LinearConstraint(a_ub, -np.inf, 1))
+    res = milp(-program.objective, integrality=1, bounds=Bounds(0, 1),
+               constraints=constraints,
+               options={"mip_rel_gap": 0.0, "time_limit": time_limit})
+    stats.nodes_explored = res.mip_node_count
     stats.wall_time = time.monotonic() - t0
-    if best_chosen is None:
-        if timed_out:
-            raise RuntimeError("time limit reached before any incumbent was found")
+    if res.status == 2:
         raise Infeasible("no feasible assignment exists")
+    if res.status == 1 and res.x is None:
+        raise RuntimeError("time limit reached before any incumbent was found")
+    if res.status not in (0, 1):
+        raise RuntimeError(f"MIP solve failed: {res.message}")
+    chosen = np.flatnonzero(res.x > 0.5).tolist()
     return Solution(
-        assignment=_assignment_from_vars(best_chosen),
-        objective_value=best_val,
-        proven_optimal=not timed_out,
+        assignment=_assignment_from_vars(chosen),
+        objective_value=_objective_of(program, chosen),
+        proven_optimal=res.status == 0,
         stats=stats,
     )
 

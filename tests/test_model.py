@@ -74,23 +74,18 @@ class TestCollectArcs:
 class TestEnumerateTriangles:
     def test_single_triangle(self):
         tri = enumerate_triangles([arc(1, 2), arc(2, 3), arc(1, 3)])
-        assert len(tri.triples) == 1
-        t = tri.triples[0]
+        assert len(tri) == 1
+        t = tri[0]
         assert (t.pq, t.qr, t.pr) == (0, 1, 2)
 
     def test_open_path_has_no_triangle(self):
         tri = enumerate_triangles([arc(1, 2), arc(2, 3)])
-        assert tri.triples == []
+        assert tri == []
 
     def test_four_clique(self):
         arcs = [arc(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
         tri = enumerate_triangles(arcs)
-        assert len(tri.triples) == 4
-
-    def test_orientations_forward_for_canonical_arcs(self):
-        arcs = [arc(1, 2), arc(2, 3), arc(1, 3)]
-        for t in enumerate_triangles(arcs).triples:
-            assert t.pq_forward and t.qr_forward and t.pr_forward
+        assert len(tri) == 4
 
 
 def simple_votes(n_arcs=3, triangle=True):

@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
+import logging
 from pathlib import Path
 
 import pytest
 
+import tlinkrec.pipeline as pipeline
 from tlinkrec.errors import ConfigurationError
 from tlinkrec.pipeline import (
     EnsembleSpec,
@@ -113,6 +116,28 @@ class TestReconcile:
         docs = corpus.documents[:2]
         result = reconcile(corpus, ["alpha"], doc_filter=set(docs))
         assert sorted(result.run.documents) == docs
+
+    def test_warns_once_per_unproven_document(self, corpus, monkeypatch,
+                                              caplog):
+        docs = corpus.documents[:2]
+        caplog.set_level(logging.WARNING, logger="tlinkrec.pipeline")
+        reconcile(corpus, ["alpha"], doc_filter=set(docs))
+        assert not caplog.records
+
+        real_solve = pipeline.solve
+
+        def time_limited_solve(program, time_limit):
+            sol = real_solve(program, time_limit=time_limit)
+            return dataclasses.replace(sol, proven_optimal=False)
+
+        monkeypatch.setattr(pipeline, "solve", time_limited_solve)
+        result = reconcile(corpus, ["alpha"], doc_filter=set(docs))
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == len(docs)
+        for doc, message in zip(docs, messages):
+            assert message.startswith(f"{doc}: optimality not proven")
+            objective = result.solutions[doc].objective_value
+            assert f"objective {objective:.6f}" in message
 
     def test_write_reconciled_roundtrip(self, corpus, tmp_path):
         result = reconcile(corpus, ["alpha", "beta"], doc_filter={corpus.documents[0]})

@@ -3,10 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
+import tlinkrec.solver as solver
 from tlinkrec.errors import DataError, Infeasible
 from tlinkrec.model import N_LABELS, BinaryProgram, VoteTable, build_ip
-from tlinkrec.relations import RelType
+from tlinkrec.relations import NON_NONE, RelType
 from tlinkrec.solver import (
     Solution,
     brute_force_solve,
@@ -100,8 +104,93 @@ class TestSolveBasics:
         sol = solve(program)
         assert sol.stats.cols == 15
         assert sol.stats.rows == 1
-        assert sol.stats.nodes_explored >= 1
         assert sol.stats.wall_time >= 0
+
+
+class TestMilpStatusMapping:
+    """solve() against a stand-in for scipy's milp returning a fixed result."""
+
+    def program(self):
+        return build_ip(votes_of([arc(1, 2)], {0: {RelType.BEFORE: 0.5}}))
+
+    def fake_milp(self, monkeypatch, status, x, nodes=7):
+        calls = []
+
+        def fake(c, **kwargs):
+            calls.append(kwargs)
+            return OptimizeResult(status=status, x=x, mip_node_count=nodes,
+                                  message=f"fake status {status}")
+
+        monkeypatch.setattr(solver, "milp", fake)
+        return calls
+
+    def after_incumbent(self):
+        x = np.zeros(N_LABELS)
+        x[RelType.AFTER.value - 1] = 1.0
+        return x
+
+    def test_time_limit_with_incumbent_is_unproven(self, monkeypatch):
+        self.fake_milp(monkeypatch, 1, self.after_incumbent())
+        sol = solve(self.program())
+        assert not sol.proven_optimal
+        assert sol.assignment == {0: RelType.AFTER}
+        assert sol.objective_value == 0.0
+
+    def test_time_limit_without_incumbent_raises(self, monkeypatch):
+        self.fake_milp(monkeypatch, 1, None)
+        with pytest.raises(RuntimeError, match="before any incumbent"):
+            solve(self.program())
+
+    def test_other_status_raises_with_message(self, monkeypatch):
+        self.fake_milp(monkeypatch, 4, None)
+        with pytest.raises(RuntimeError, match="fake status 4"):
+            solve(self.program())
+
+    def test_one_exact_call_with_caller_time_limit(self, monkeypatch):
+        calls = self.fake_milp(monkeypatch, 0, self.after_incumbent(), nodes=7)
+        sol = solve(self.program(), time_limit=12.5)
+        assert sol.proven_optimal
+        assert sol.stats.nodes_explored == 7
+        assert len(calls) == 1
+        assert calls[0]["options"]["mip_rel_gap"] == 0
+        assert calls[0]["options"]["time_limit"] == 12.5
+        solve(build_ip(votes_of([], {})))
+        assert len(calls) == 1
+
+
+@st.composite
+def vote_tables(draw):
+    """Small document-shaped vote tables with dyadic weights, so that sums
+    of weights are exact in floating point whatever their order."""
+    n_nodes = draw(st.integers(3, 5))
+    pairs = [(i, j) for i in range(1, n_nodes + 1)
+             for j in range(i + 1, n_nodes + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8,
+                           unique=True))
+    arcs = [arc(i, j) for i, j in sorted(chosen)]
+    weights = {}
+    for i in range(len(arcs)):
+        labels = draw(st.lists(st.sampled_from(NON_NONE), min_size=1,
+                               max_size=3, unique=True))
+        weights[i] = {rel: draw(st.integers(1, 63)) / 64.0 for rel in labels}
+    return votes_of(arcs, weights)
+
+
+class TestMetamorphic:
+    @settings(max_examples=40, deadline=None)
+    @given(vote_tables())
+    def test_doubling_weights_doubles_objective(self, votes):
+        doubled = VoteTable(votes.document, votes.arcs, votes.alpha * 2)
+        assert solve(build_ip(doubled)).objective_value == \
+            2 * solve(build_ip(votes)).objective_value
+
+    @settings(max_examples=40, deadline=None)
+    @given(vote_tables())
+    def test_reversed_arc_order_keeps_objective(self, votes):
+        reversed_votes = VoteTable(votes.document, votes.arcs[::-1],
+                                   votes.alpha[::-1].copy())
+        assert solve(build_ip(reversed_votes)).objective_value == \
+            solve(build_ip(votes)).objective_value
 
 
 class TestBruteForce:
