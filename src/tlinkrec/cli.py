@@ -13,11 +13,12 @@ from typing import Dict, List, Optional, Tuple
 import click
 
 from .errors import ConfigurationError, DataError
-from .model import build_ip, collect_arcs, enumerate_triangles, export_lp
+from .model import build_ip, collect_arcs, export_lp
 from .pipeline import (
     EnsembleSpec,
     ExperimentConfig,
     WeightsSource,
+    check_members,
     format_experiment_table,
     reconcile,
     run_procedure_one,
@@ -163,14 +164,11 @@ def export_lp_cmd(corpus_root, members, weights_path, doc_id, out_path, strict):
     """Export one document's integer program in CPLEX LP format."""
     corpus = load_corpus(corpus_root, weights_path)
     names = _members(members)
-    unknown = sorted(set(names) - set(corpus.runs))
-    if unknown:
-        raise ConfigurationError(f"unknown classifier name(s): {', '.join(unknown)}")
+    check_members(corpus, names)
     votes = collect_arcs([corpus.runs[n] for n in names], doc_id)
     if not votes.arcs:
         raise DataError(f"no classifier annotates document {doc_id!r}")
-    program = build_ip(votes, enumerate_triangles(votes.arcs),
-                       none_breaks_triangles=strict)
+    program = build_ip(votes, none_breaks_triangles=strict)
     with open(out_path, "wb") as fh:
         export_lp(program, fh)
     click.echo(f"{doc_id}: {program.num_vars} variables, {program.num_rows} rows")

@@ -6,23 +6,22 @@ ordered non-NONE label pair (a, b): choosing a on pq and b on qr forces the pr
 label into the composition set of (a, b).  By default NONE is added to the
 conclusion side, so labeling pr as NONE never violates a triangle row and the
 all-NONE assignment keeps every instance feasible.
+
+The program is built directly as two scipy sparse matrices, one for the
+partition rows and one for the triangle rows; row names exist only in the
+exported LP text and in violation messages.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .relations import (
-    NON_NONE,
-    CompositionTable,
-    RelSet,
-    RelType,
-    TABLE,
-    synonyms,
-)
+from .relations import NON_NONE, RelSet, RelType, TABLE, synonyms
 from .timeml import CanonicalArc, ClassifierRun, canonical_votes
 
 N_LABELS = len(RelType)  # 15
@@ -35,9 +34,6 @@ class VoteTable:
     document: str
     arcs: List[CanonicalArc]
     alpha: np.ndarray  # shape (|A|, 15); column ordinal-1
-
-    def arc_index(self) -> Dict[CanonicalArc, int]:
-        return {arc: i for i, arc in enumerate(self.arcs)}
 
 
 def collect_arcs(runs: Iterable[ClassifierRun], document: str) -> VoteTable:
@@ -56,21 +52,13 @@ def collect_arcs(runs: Iterable[ClassifierRun], document: str) -> VoteTable:
     return VoteTable(document, arcs, alpha)
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Arc indices of one node triple p < q < r, traversed p -> q -> r.
+def enumerate_triangles(arcs: Sequence[CanonicalArc]) -> np.ndarray:
+    """Every node triple p < q < r whose three pairwise arcs are all present.
 
-    Arcs are canonical and the traversal is sorted, so every stored arc
-    direction matches the traversal.
+    Returns a (T, 3) int array of arc indices (pq, qr, pr), traversed
+    p -> q -> r.  Arcs are canonical and the traversal is sorted, so every
+    stored arc direction matches the traversal.
     """
-
-    pq: int
-    qr: int
-    pr: int
-
-
-def enumerate_triangles(arcs: Sequence[CanonicalArc]) -> List[Triangle]:
-    """Every unordered node triple whose three pairwise arcs are all present."""
     arc_at: Dict[Tuple, int] = {}
     nodes = {}
     for i, arc in enumerate(arcs):
@@ -89,29 +77,35 @@ def enumerate_triangles(arcs: Sequence[CanonicalArc]) -> List[Triangle]:
             i_pr = arc_at.get((p, r))
             if i_qr is None or i_pr is None:
                 continue
-            triples.append(Triangle(i_pq, i_qr, i_pr))
-    return triples
-
-
-@dataclass(frozen=True)
-class TriangleRow:
-    """x_pq,a + x_qr,b - sum over the minus variables <= 1."""
-
-    name: str
-    plus: Tuple[int, int]
-    minus: Tuple[int, ...]
+            triples.append((i_pq, i_qr, i_pr))
+    return np.array(triples, dtype=np.int64).reshape(-1, 3)
 
 
 @dataclass
 class BinaryProgram:
-    num_vars: int
+    """maximise objective @ x  s.t.  a_eq @ x = 1,  a_ub @ x <= 1,  x binary.
+
+    a_eq holds one partition row per arc.  a_ub holds the triangle rows;
+    row i of a_ub is named t{k}_{a}_{b} from row_keys[i] = (k, a, b): the
+    triangle index and the ordinals of its two +1 labels.
+    """
+
     objective: np.ndarray
-    partition_rows: List[Tuple[int, ...]]
-    triangle_rows: List[TriangleRow]
+    a_eq: csr_matrix
+    a_ub: csr_matrix
+    row_keys: np.ndarray  # shape (a_ub rows, 3)
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
 
     @property
     def num_rows(self) -> int:
-        return len(self.partition_rows) + len(self.triangle_rows)
+        return self.a_eq.shape[0] + self.a_ub.shape[0]
+
+    def row_name(self, i: int) -> str:
+        k, a, b = self.row_keys[i]
+        return f"t{k}_{a}_{b}"
 
     @staticmethod
     def var_name(v: int) -> str:
@@ -128,20 +122,34 @@ class BinaryProgram:
         return int(arc) * N_LABELS + ordinal - 1
 
 
-def _expanded_minus(cstar: RelSet, arc: int,
-                    include_none: bool) -> Tuple[int, ...]:
-    base = arc * N_LABELS
-    labels = set()
-    for c in cstar:
-        labels.update(synonyms(c))
-    out = sorted(base + lab.value - 1 for lab in labels)
-    if include_none:
-        out.append(base + RelType.NONE.value - 1)
-    return tuple(out)
+@functools.cache
+def _row_template(none_breaks_triangles: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """The triangle rows every present triangle gets, in a-outer/b-inner order.
+
+    Returns the rows' (a, b) ordinal pairs and their coefficients over the
+    triangle's 45 variables: the 15 labels of pq, then of qr, then of pr.
+    """
+    canonical_full = RelSet.canonical_full()
+    pairs, coeffs = [], []
+    for a in NON_NONE:
+        for b in NON_NONE:
+            cstar = TABLE.compose(a, b)
+            if cstar == canonical_full and not none_breaks_triangles:
+                continue
+            minus = {s for c in cstar for s in synonyms(c)}
+            if not none_breaks_triangles:
+                minus.add(RelType.NONE)
+            row = np.zeros(3 * N_LABELS)
+            row[[a.value - 1, N_LABELS + b.value - 1]] = 1.0
+            row[[2 * N_LABELS + s.value - 1 for s in minus]] = -1.0
+            pairs.append((a.value, b.value))
+            coeffs.append(row)
+    pairs, coeffs = np.array(pairs), np.array(coeffs)
+    pairs.flags.writeable = coeffs.flags.writeable = False  # shared by callers
+    return pairs, coeffs
 
 
-def build_ip(votes: VoteTable, triangles: Optional[List[Triangle]] = None,
-             table: CompositionTable = TABLE, *,
+def build_ip(votes: VoteTable, *,
              none_breaks_triangles: bool = False) -> BinaryProgram:
     """Assemble objective, partition rows, and triangle rows for one document.
 
@@ -150,31 +158,28 @@ def build_ip(votes: VoteTable, triangles: Optional[List[Triangle]] = None,
     (none_breaks_triangles=True) they still forbid a NONE conclusion, so they
     are kept.
     """
-    if triangles is None:
-        triangles = enumerate_triangles(votes.arcs)
+    triangles = enumerate_triangles(votes.arcs)
     n_arcs = len(votes.arcs)
     num_vars = n_arcs * N_LABELS
     objective = votes.alpha.reshape(-1).astype(float).copy()
-    partition_rows = [
-        tuple(range(i * N_LABELS, (i + 1) * N_LABELS)) for i in range(n_arcs)
-    ]
+    a_eq = csr_matrix(
+        (np.ones(num_vars), np.arange(num_vars),
+         np.arange(0, num_vars + 1, N_LABELS)),
+        shape=(n_arcs, num_vars),
+    )
 
-    canonical_full = RelSet.canonical_full()
-    rows: List[TriangleRow] = []
-    for k, tri in enumerate(triangles):
-        for a in NON_NONE:
-            for b in NON_NONE:
-                cstar = table.compose(a, b)
-                if cstar == canonical_full and not none_breaks_triangles:
-                    continue
-                rows.append(TriangleRow(
-                    name=f"t{k}_{a.value}_{b.value}",
-                    plus=(tri.pq * N_LABELS + a.value - 1,
-                          tri.qr * N_LABELS + b.value - 1),
-                    minus=_expanded_minus(cstar, tri.pr,
-                                          include_none=not none_breaks_triangles),
-                ))
-    return BinaryProgram(num_vars, objective, partition_rows, rows)
+    # Broadcast the template's nonzeros over all triangles: nonzero j of a
+    # template row sits on label j % 15 of the triangle's arc j // 15.
+    pairs, coeffs = _row_template(none_breaks_triangles)
+    n_tri, per_tri = len(triangles), len(pairs)
+    r, j = np.nonzero(coeffs)
+    rows = (np.arange(n_tri)[:, None] * per_tri + r).ravel()
+    cols = (triangles[:, j // N_LABELS] * N_LABELS + j % N_LABELS).ravel()
+    a_ub = csr_matrix((np.tile(coeffs[r, j], n_tri), (rows, cols)),
+                      shape=(n_tri * per_tri, num_vars))
+    row_keys = np.column_stack((np.repeat(np.arange(n_tri), per_tri),
+                                np.tile(pairs, (n_tri, 1))))
+    return BinaryProgram(objective, a_eq, a_ub, row_keys)
 
 
 def _format_terms(pairs: Iterable[Tuple[float, str]]) -> List[str]:
@@ -202,6 +207,20 @@ def _wrap(prefix: str, terms: List[str], suffix: str = "") -> List[str]:
     return lines
 
 
+def _constraint_lines(matrix: csr_matrix, names: Iterable[str],
+                      sense: str) -> List[str]:
+    """One constraint per row: + terms first, each sign in column order."""
+    lines = []
+    rows = matrix.tolil()
+    for name, cols, coeffs in zip(names, rows.rows, rows.data):
+        terms = _format_terms(sorted(
+            ((c, BinaryProgram.var_name(v)) for v, c in zip(cols, coeffs)),
+            key=lambda term: term[0] < 0,
+        ))
+        lines.extend(_wrap(f" {name}:", terms, sense))
+    return lines
+
+
 def export_lp(program: BinaryProgram, sink: BinaryIO) -> None:
     """Write the program as solver-neutral CPLEX-LP text (LF line endings)."""
     lines: List[str] = ["Maximize"]
@@ -212,15 +231,11 @@ def export_lp(program: BinaryProgram, sink: BinaryIO) -> None:
     )
     lines.extend(_wrap(" obj:", obj_terms))
     lines.append("Subject To")
-    for i, row in enumerate(program.partition_rows):
-        terms = _format_terms((1.0, BinaryProgram.var_name(v)) for v in row)
-        lines.extend(_wrap(f" p{i}:", terms, "= 1"))
-    for row in program.triangle_rows:
-        terms = _format_terms(
-            [(1.0, BinaryProgram.var_name(v)) for v in row.plus]
-            + [(-1.0, BinaryProgram.var_name(v)) for v in row.minus]
-        )
-        lines.extend(_wrap(f" {row.name}:", terms, "<= 1"))
+    lines.extend(_constraint_lines(
+        program.a_eq, (f"p{i}" for i in range(program.a_eq.shape[0])), "= 1"))
+    lines.extend(_constraint_lines(
+        program.a_ub, map(program.row_name, range(program.a_ub.shape[0])),
+        "<= 1"))
     lines.append("Binaries")
     for v in range(program.num_vars):
         lines.append(f" {BinaryProgram.var_name(v)}")

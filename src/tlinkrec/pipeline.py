@@ -16,10 +16,10 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigurationError
-from .model import VoteTable, build_ip, collect_arcs, enumerate_triangles
+from .model import VoteTable, build_ip, collect_arcs
 from .relations import RelType
 from .scoring import ScoreReport, format_score_table, score_run
-from .solver import Solution, solve
+from .solver import Solution, solve, violations
 from .timeml import ClassifierRun, Corpus, EntityRef, TLink, write_timeml
 
 log = logging.getLogger(__name__)
@@ -79,7 +79,11 @@ def reconcile(corpus: Corpus, members: Sequence[str],
               time_limit: float = 300.0,
               none_breaks_triangles: bool = False,
               label: str = "") -> ReconcileResult:
-    """Solve the per-document assignment program over the members' votes."""
+    """Solve the per-document assignment program over the members' votes.
+
+    Every solution is checked against the document's full program before it
+    is recorded; a violated row raises RuntimeError.
+    """
     check_members(corpus, members)
     member_runs = []
     for name in members:
@@ -97,9 +101,11 @@ def reconcile(corpus: Corpus, members: Sequence[str],
     result = ReconcileResult(ClassifierRun(label or "+".join(members), 1.0))
     for doc in docs:
         votes = collect_arcs(member_runs, doc)
-        program = build_ip(votes, enumerate_triangles(votes.arcs),
-                           none_breaks_triangles=none_breaks_triangles)
+        program = build_ip(votes, none_breaks_triangles=none_breaks_triangles)
         solution = solve(program, time_limit=time_limit)
+        problems = violations(program, solution)
+        if problems:
+            raise RuntimeError(f"{doc}: solution fails verification: {problems[0]}")
         if not solution.proven_optimal:
             log.warning("%s: optimality not proven within the time limit; "
                         "writing the best incumbent (objective %.6f)",

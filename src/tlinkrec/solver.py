@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_matrix
 
 from .errors import DataError, Infeasible
 from .model import N_LABELS, BinaryProgram
@@ -57,29 +56,6 @@ def _assignment_from_vars(chosen: Sequence[int]) -> Dict[int, RelType]:
     return assignment
 
 
-def _constraint_matrices(program: BinaryProgram):
-    n = program.num_vars
-    rows, cols, data = [], [], []
-    for i, row in enumerate(program.partition_rows):
-        for v in row:
-            rows.append(i)
-            cols.append(v)
-            data.append(1.0)
-    a_eq = csr_matrix((data, (rows, cols)), shape=(len(program.partition_rows), n))
-    rows, cols, data = [], [], []
-    for i, row in enumerate(program.triangle_rows):
-        for v in row.plus:
-            rows.append(i)
-            cols.append(v)
-            data.append(1.0)
-        for v in row.minus:
-            rows.append(i)
-            cols.append(v)
-            data.append(-1.0)
-    a_ub = csr_matrix((data, (rows, cols)), shape=(len(program.triangle_rows), n))
-    return a_eq, a_ub
-
-
 def solve(program: BinaryProgram, time_limit: float = 300.0) -> Solution:
     """Optimal solution (proven_optimal=True) or best incumbent on timeout.
 
@@ -95,10 +71,9 @@ def solve(program: BinaryProgram, time_limit: float = 300.0) -> Solution:
         stats.wall_time = time.monotonic() - t0
         return Solution({}, 0.0, True, stats)
 
-    a_eq, a_ub = _constraint_matrices(program)
-    constraints = [LinearConstraint(a_eq, 1, 1)]
-    if a_ub.shape[0]:
-        constraints.append(LinearConstraint(a_ub, -np.inf, 1))
+    constraints = [LinearConstraint(program.a_eq, 1, 1)]
+    if program.a_ub.shape[0]:
+        constraints.append(LinearConstraint(program.a_ub, -np.inf, 1))
     res = milp(-program.objective, integrality=1, bounds=Bounds(0, 1),
                constraints=constraints,
                options={"mip_rel_gap": 0.0, "time_limit": time_limit})
@@ -123,7 +98,7 @@ def _arc_candidates(program: BinaryProgram) -> List[List[int]]:
     """Allowed variables per arc, taken from the partition rows."""
     n_arcs = program.num_vars // N_LABELS
     per_arc: List[Optional[Tuple[int, ...]]] = [None] * n_arcs
-    for row in program.partition_rows:
+    for row in program.a_eq.tolil().rows:
         arcs = {v // N_LABELS for v in row}
         if len(arcs) != 1:
             raise ValueError("brute force requires one partition row per arc")
@@ -163,9 +138,15 @@ def brute_force_solve(program: BinaryProgram) -> Solution:
     # violated exactly when both plus variables are chosen and none of its
     # minus variables is.
     groups: Dict[Tuple[int, int], Dict[Tuple[int, int], frozenset]] = {}
-    for row in program.triangle_rows:
-        key = (row.plus[0] // N_LABELS, row.plus[1] // N_LABELS)
-        groups.setdefault(key, {})[row.plus] = frozenset(row.minus)
+    rows = program.a_ub.tolil()
+    for cols, coeffs in zip(rows.rows, rows.data):
+        plus = tuple(v for v, c in zip(cols, coeffs) if c == 1.0)
+        minus = frozenset(v for v, c in zip(cols, coeffs) if c == -1.0)
+        if len(plus) != 2 or len(plus) + len(minus) != len(cols):
+            raise ValueError("brute force requires triangle rows with two +1 "
+                             "entries and otherwise -1 entries")
+        key = (plus[0] // N_LABELS, plus[1] // N_LABELS)
+        groups.setdefault(key, {})[plus] = minus
     groups_by_arc: List[List] = [[] for _ in range(n_arcs)]
     for (a0, a1), table in groups.items():
         last = max((a0, a1) + tuple(v // N_LABELS
@@ -235,14 +216,14 @@ def violations(program: BinaryProgram, solution: Solution) -> List[str]:
         for arc, rel in solution.assignment.items():
             x[arc * N_LABELS + rel.value - 1] = 1.0
     problems = []
-    for i, row in enumerate(program.partition_rows):
-        total = x[list(row)].sum()
-        if abs(total - 1.0) > FEAS_TOL:
-            problems.append(f"partition row p{i} sums to {total:g}, expected 1")
-    for row in program.triangle_rows:
-        lhs = x[list(row.plus)].sum() - x[list(row.minus)].sum()
-        if lhs > 1.0 + FEAS_TOL:
-            problems.append(f"triangle row {row.name} violated: lhs {lhs:g} > 1")
+    totals = program.a_eq @ x
+    for i in np.flatnonzero(np.abs(totals - 1.0) > FEAS_TOL):
+        problems.append(
+            f"partition row p{i} sums to {totals[i]:g}, expected 1")
+    lhs = program.a_ub @ x
+    for i in np.flatnonzero(lhs > 1.0 + FEAS_TOL):
+        problems.append(
+            f"triangle row {program.row_name(i)} violated: lhs {lhs[i]:g} > 1")
     recomputed = float(program.objective @ x)
     if abs(recomputed - solution.objective_value) > OBJ_TOL:
         problems.append(

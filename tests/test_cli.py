@@ -87,6 +87,15 @@ class TestExportLpCommand:
         ])
         assert result.exit_code != 0
 
+    def test_unknown_member_exits_1(self, corpus_root, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["export-lp", "--corpus", str(corpus_root),
+                  "--members", "nosuch", "--doc", "synth_000",
+                  "--out", str(tmp_path / "x.lp")])
+        assert err.value.code == 1
+        assert "unknown classifier" in capsys.readouterr().err
+        assert not (tmp_path / "x.lp").exists()
+
 
 class TestExperimentCommand:
     def test_procedure_one(self, runner, corpus_root, tmp_path):

@@ -1,7 +1,11 @@
+import hashlib
 import io
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tlinkrec.model import (
     N_LABELS,
@@ -12,7 +16,8 @@ from tlinkrec.model import (
     enumerate_triangles,
     export_lp,
 )
-from tlinkrec.relations import RelSet, RelType, compose, synonyms
+from tlinkrec.relations import RelType, compose, synonyms
+from tlinkrec.solver import Solution, violations
 from tlinkrec.timeml import CanonicalArc, ClassifierRun, EntityKind, EntityRef, TLink
 
 
@@ -74,13 +79,11 @@ class TestCollectArcs:
 class TestEnumerateTriangles:
     def test_single_triangle(self):
         tri = enumerate_triangles([arc(1, 2), arc(2, 3), arc(1, 3)])
-        assert len(tri) == 1
-        t = tri[0]
-        assert (t.pq, t.qr, t.pr) == (0, 1, 2)
+        assert tri.tolist() == [[0, 1, 2]]  # (pq, qr, pr) arc indices
 
     def test_open_path_has_no_triangle(self):
         tri = enumerate_triangles([arc(1, 2), arc(2, 3)])
-        assert tri == []
+        assert tri.shape == (0, 3)
 
     def test_four_clique(self):
         arcs = [arc(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
@@ -96,6 +99,20 @@ def simple_votes(n_arcs=3, triangle=True):
     alpha = np.zeros((len(arcs), N_LABELS))
     alpha[:, 0] = 0.5
     return VoteTable("doc", arcs, alpha)
+
+
+def rows_of(program):
+    """{row name: (plus columns, minus columns)} read back from a_ub."""
+    rows = program.a_ub.tolil()
+    out = {}
+    for i, (cols, coeffs) in enumerate(zip(rows.rows, rows.data)):
+        assert set(coeffs) <= {1.0, -1.0}
+        out[program.row_name(i)] = (
+            tuple(v for v, c in zip(cols, coeffs) if c == 1.0),
+            tuple(v for v, c in zip(cols, coeffs) if c == -1.0),
+        )
+    assert len(out) == len(rows.rows)  # row names are unique
+    return out
 
 
 class TestBuildIp:
@@ -115,9 +132,8 @@ class TestBuildIp:
 
     def test_partition_rows_cover_arc_blocks(self):
         program = build_ip(simple_votes(3))
-        assert program.partition_rows == [
-            tuple(range(i * 15, (i + 1) * 15)) for i in range(3)
-        ]
+        assert np.array_equal(program.a_eq.toarray(),
+                              np.kron(np.eye(3), np.ones(15)))
 
     def test_objective_is_flattened_alpha(self):
         votes = simple_votes(2)
@@ -127,46 +143,90 @@ class TestBuildIp:
     def test_before_before_row(self):
         program = build_ip(simple_votes(3))
         b = RelType.BEFORE.value
-        row = next(r for r in program.triangle_rows if r.name == f"t0_{b}_{b}")
+        plus, minus = rows_of(program)[f"t0_{b}_{b}"]
         # arcs sorted: (1,2)=0, (1,3)=1, (2,3)=2; traversal 1->2->3, pr = arc 1
-        assert row.plus == (0 * 15 + b - 1, 2 * 15 + b - 1)
-        assert row.minus == (15 + b - 1, 15 + RelType.NONE.value - 1)
+        assert plus == (0 * 15 + b - 1, 2 * 15 + b - 1)
+        assert minus == (15 + b - 1, 15 + RelType.NONE.value - 1)
 
     def test_synonyms_expanded_in_minus(self):
         program = build_ip(simple_votes(3))
         ib = RelType.IS_INCLUDED.value
-        row = next(r for r in program.triangle_rows if r.name == f"t0_{ib}_{ib}")
-        minus_labels = {RelType(v % 15 + 1) for v in row.minus}
+        _, minus = rows_of(program)[f"t0_{ib}_{ib}"]
+        minus_labels = {RelType(v % 15 + 1) for v in minus}
         assert {RelType.IS_INCLUDED, RelType.DURING, RelType.NONE} <= minus_labels
         assert RelType.BEFORE not in minus_labels
 
     def test_vacuous_rows_suppressed_by_default(self):
         program = build_ip(simple_votes(3))
-        names = {r.name for r in program.triangle_rows}
+        names = set(rows_of(program))
         b, a = RelType.BEFORE.value, RelType.AFTER.value
         assert f"t0_{b}_{a}" not in names  # compose(BEFORE, AFTER) is the full set
         assert f"t0_{b}_{b}" in names
 
     def test_strict_mode_keeps_vacuous_rows_and_drops_none(self):
         program = build_ip(simple_votes(3), none_breaks_triangles=True)
-        assert len(program.triangle_rows) == 14 * 14
-        for row in program.triangle_rows:
-            assert all(RelType(v % 15 + 1) is not RelType.NONE for v in row.minus)
+        rows = rows_of(program)
+        assert len(rows) == 14 * 14
+        for _, minus in rows.values():
+            assert all(RelType(v % 15 + 1) is not RelType.NONE for v in minus)
 
     def test_default_rows_match_composition(self):
         program = build_ip(simple_votes(3))
-        for row in program.triangle_rows:
-            a = RelType(row.plus[0] % 15 + 1)
-            b = RelType(row.plus[1] % 15 + 1)
+        for name, (plus, minus) in rows_of(program).items():
+            a = RelType(plus[0] % 15 + 1)
+            b = RelType(plus[1] % 15 + 1)
+            assert name == f"t0_{a.value}_{b.value}"
             expected = set()
             for c in compose(a, b):
                 expected.update(synonyms(c))
             expected.add(RelType.NONE)
-            assert {RelType(v % 15 + 1) for v in row.minus} == expected
+            assert {RelType(v % 15 + 1) for v in minus} == expected
 
     def test_no_triangles_no_rows(self):
         program = build_ip(simple_votes(2, triangle=False))
-        assert program.triangle_rows == []
+        assert program.a_ub.shape == (0, 30)
+        assert program.row_keys.shape == (0, 3)
+
+
+@st.composite
+def labeled_documents(draw):
+    """Arcs on 4-5 nodes with at least two triangles, plus one label per arc."""
+    n_nodes = draw(st.integers(4, 5))
+    pairs = list(combinations(range(1, n_nodes + 1), 2))
+    chosen = sorted(draw(st.lists(st.sampled_from(pairs), min_size=5,
+                                  unique=True)))
+    triangles = [t for t in combinations(range(1, n_nodes + 1), 3)
+                 if {(t[0], t[1]), (t[1], t[2]), (t[0], t[2])} <= set(chosen)]
+    assume(len(triangles) >= 2)
+    labels = draw(st.lists(st.sampled_from(list(RelType)),
+                           min_size=len(chosen), max_size=len(chosen)))
+    return chosen, triangles, labels
+
+
+class TestTriangleRowsProperty:
+    """Each triangle's rows sit on that triangle's own arcs, at every k."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(labeled_documents(), st.booleans())
+    def test_violated_rows_are_the_inconsistent_triangles(self, doc, strict):
+        pairs, triangles, labels = doc
+        votes = VoteTable("doc", [arc(i, j) for i, j in pairs],
+                          np.zeros((len(pairs), N_LABELS)))
+        program = build_ip(votes, none_breaks_triangles=strict)
+        label_of = dict(zip(pairs, labels))
+        expected = []
+        for k, (p, q, r) in enumerate(triangles):  # enumeration order
+            a, b, c = label_of[p, q], label_of[q, r], label_of[p, r]
+            if RelType.NONE in (a, b):
+                continue
+            allowed = {s for rel in compose(a, b) for s in synonyms(rel)}
+            if not strict:
+                allowed.add(RelType.NONE)
+            if c not in allowed:
+                expected.append(f"triangle row t{k}_{a.value}_{b.value} "
+                                "violated: lhs 2 > 1")
+        solution = Solution(dict(enumerate(labels)), 0.0, False)
+        assert violations(program, solution) == expected
 
 
 class TestExportLp:
@@ -197,6 +257,17 @@ class TestExportLp:
     def test_deterministic(self):
         program = build_ip(simple_votes(3))
         assert self.rendered(program) == self.rendered(program)
+
+    @pytest.mark.parametrize("strict, digest", [
+        (False, "671e99f5abe02f38530ef5a5ef937bc1329c1ecc33327c3824bcae0f042aed4e"),
+        (True, "fa88487bee02e3e0c3c0ac62e5b6f27fb38f659823a23f273c78ce05ee47f89a"),
+    ], ids=["default", "strict"])
+    def test_pinned_bytes(self, strict, digest):
+        # Row order, row names and term order are part of the interchange
+        # format; any change to them shows up here.
+        program = build_ip(simple_votes(3), none_breaks_triangles=strict)
+        text = self.rendered(program).encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == digest
 
 
 class TestVarNames:

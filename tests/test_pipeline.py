@@ -7,6 +7,7 @@ import pytest
 
 import tlinkrec.pipeline as pipeline
 from tlinkrec.errors import ConfigurationError
+from tlinkrec.model import N_LABELS
 from tlinkrec.pipeline import (
     EnsembleSpec,
     ExperimentConfig,
@@ -22,6 +23,7 @@ from tlinkrec.pipeline import (
 )
 from tlinkrec.relations import EventGraph, RelType, closure, INCONSISTENT
 from tlinkrec.scoring import build_graph, score_run
+from tlinkrec.solver import Solution
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
 from tlinkrec.timeml import load_corpus
 
@@ -138,6 +140,25 @@ class TestReconcile:
             assert message.startswith(f"{doc}: optimality not proven")
             objective = result.solutions[doc].objective_value
             assert f"objective {objective:.6f}" in message
+
+    def test_inconsistent_solution_is_never_recorded(self, corpus, monkeypatch):
+        def inconsistent_solve(program, time_limit):
+            # Row 0 is t0_1_1: BEFORE on pq and qr forces BEFORE or NONE on pr.
+            row = program.a_ub[0]
+            pq, qr = row.indices[row.data > 0] // N_LABELS
+            pr = row.indices[row.data < 0][0] // N_LABELS
+            labels = {i: RelType.NONE for i in range(program.a_eq.shape[0])}
+            labels.update({pq: RelType.BEFORE, qr: RelType.BEFORE,
+                           pr: RelType.AFTER})
+            chosen = [i * N_LABELS + rel.value - 1 for i, rel in labels.items()]
+            return Solution(labels, float(program.objective[chosen].sum()), True)
+
+        monkeypatch.setattr(pipeline, "solve", inconsistent_solve)
+        doc = corpus.documents[0]
+        with pytest.raises(RuntimeError, match=(
+                rf"^{doc}: solution fails verification: "
+                r"triangle row t0_1_1 violated: lhs 2 > 1$")):
+            reconcile(corpus, ["alpha", "beta", "gamma"], doc_filter={doc})
 
     def test_write_reconciled_roundtrip(self, corpus, tmp_path):
         result = reconcile(corpus, ["alpha", "beta"], doc_filter={corpus.documents[0]})

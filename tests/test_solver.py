@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
+from scipy.sparse import csr_matrix
 
 import tlinkrec.solver as solver
 from tlinkrec.errors import DataError, Infeasible
@@ -211,19 +212,27 @@ class TestBruteForce:
         sol = brute_force_solve(program)
         assert sol.assignment == {0: RelType.BEFORE}
 
+    def test_rejects_rows_not_made_of_unit_entries(self):
+        program = infeasible_program()
+        program.a_ub = program.a_ub * 2.0
+        with pytest.raises(ValueError, match="two \\+1 entries"):
+            brute_force_solve(program)
+
 
 def infeasible_program():
-    """One arc that must take BEFORE or AFTER, with rows forbidding both."""
+    """Arc 0 must take BEFORE or AFTER and arc 1 BEFORE, with rows forbidding
+    both choices for arc 0."""
     program = build_ip(votes_of(
-        [arc(1, 2)], {0: {RelType.BEFORE: 0.5, RelType.AFTER: 0.25}}))
+        [arc(1, 2), arc(1, 3)],
+        {0: {RelType.BEFORE: 0.5, RelType.AFTER: 0.25}, 1: {RelType.BEFORE: 0.5}}))
     b = RelType.BEFORE.value - 1
     a = RelType.AFTER.value - 1
-    program.partition_rows = [(b, a)]
-    from tlinkrec.model import TriangleRow
-    program.triangle_rows = [
-        TriangleRow("kill_b", (b, b), ()),
-        TriangleRow("kill_a", (a, a), ()),
-    ]
+    program.a_eq = csr_matrix(([1.0, 1.0, 1.0], ([0, 0, 1], [b, a, 15 + b])),
+                              shape=(2, 30))
+    program.a_ub = csr_matrix(([1.0, 1.0, 1.0, 1.0], ([0, 0, 1, 1],
+                                                      [b, 15 + b, a, 15 + b])),
+                              shape=(2, 30))
+    program.row_keys = np.array([[0, b + 1, b + 1], [0, a + 1, b + 1]])
     return program
 
 
