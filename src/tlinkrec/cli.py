@@ -28,7 +28,7 @@ from .pipeline import (
 from .relations import TABLE
 from .scoring import score_run, write_csv
 from .synthetic import SyntheticClassifier, generate_corpus
-from .timeml import ClassifierRun, load_corpus, parse_timeml, write_skipped_report
+from .timeml import load_corpus, load_run_dir, write_skipped_report
 
 
 def _read_config(path: str) -> Dict[str, str]:
@@ -92,6 +92,26 @@ def _split_from_file(path: Optional[str]) -> Optional[Tuple[List[str], List[str]
     return s1, s2
 
 
+def _read_ensembles(path: str) -> Dict[str, EnsembleSpec]:
+    """'label: name,name,...' or 'name,name' lines, keyed by the ensemble's CSV stem."""
+    ensembles: Dict[str, EnsembleSpec] = {}
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        label, _, members = line.rpartition(":")
+        spec = EnsembleSpec(_members(members), label.strip())
+        stem = spec.display().replace(", ", "_")
+        problem = ("repeats an earlier one" if stem in ensembles else
+                   "contains a path separator" if "/" in stem or "\\" in stem else None)
+        if problem:
+            raise ConfigurationError(f"{path}:{lineno}: ensemble name {spec.display()!r} {problem}")
+        ensembles[stem] = spec
+    if not ensembles:
+        raise ConfigurationError(f"no ensembles defined in {path}")
+    return ensembles
+
+
 @cli.command("reconcile")
 @click.option("--corpus", "corpus_root", required=True,
               type=click.Path(exists=True, file_okay=False))
@@ -132,16 +152,17 @@ def reconcile_cmd(corpus_root, members, weights_path, out_dir, strict, time_limi
               help="Treat IDENTITY as SIMULTANEOUS when scoring.")
 def score_cmd(system_dir, reference_dir, out_path, average, collapse_identity):
     """Score a system annotation directory against a reference directory."""
+    skipped = []
+
     def load_dir(directory, name):
-        run = ClassifierRun(name, 1.0)
-        for path in sorted(Path(directory).glob("*.tml")):
-            run.documents[path.stem] = parse_timeml(path.read_bytes(), path.stem).links
+        run = load_run_dir(Path(directory), name, 1.0, skipped)
         if not run.documents:
             raise DataError(f"no .tml files in {directory}")
         return run
 
     reference = load_dir(reference_dir, "reference")
     system = load_dir(system_dir, "system")
+    write_skipped_report(skipped, click.get_text_stream("stderr"))
     report = score_run(reference, system, average=average,
                        collapse_identity=collapse_identity)
     if out_path:
@@ -186,44 +207,33 @@ def export_lp_cmd(corpus_root, members, weights_path, doc_id, out_path, strict):
 @click.option("--split", "split_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Doc-id split file ('s1 <doc>' / 's2 <doc>' lines).")
 @click.option("--weights-source", type=click.Choice([s.value for s in WeightsSource]),
-              default=None, help="Override the weight derivation per procedure.")
+              default=None, help="Where member weights come from "
+              "(default: full for procedure 1, s1 for procedure 2).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--strict/--no-strict", "strict", default=False)
 @click.option("--time-limit", type=float, default=300.0, show_default=True)
 def experiment_cmd(corpus_root, procedure, ensembles_path, weights_path, split_path,
                    weights_source, out_dir, strict, time_limit):
     """Run experiment procedure 1 or 2 over a file of ensembles."""
-    default_source = (WeightsSource(weights_source) if weights_source
-                      else (WeightsSource.FULL_REFERENCE if procedure == "1"
-                            else WeightsSource.S1))
-    ensembles = []
-    for raw in Path(ensembles_path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        label, _, members = line.rpartition(":")
-        ensembles.append(EnsembleSpec(_members(members), default_source, label.strip()))
-    if not ensembles:
-        raise ConfigurationError(f"no ensembles defined in {ensembles_path}")
-
+    ensembles = _read_ensembles(ensembles_path)
     config = ExperimentConfig(
         corpus_root=Path(corpus_root),
         split=_split_from_file(split_path),
         time_limit=time_limit,
         none_breaks_triangles=strict,
         weights_path=Path(weights_path) if weights_path else None,
+        weights_source=WeightsSource(weights_source) if weights_source else None,
     )
     runner = run_procedure_one if procedure == "1" else run_procedure_two
-    rows = runner(config, ensembles)
+    rows = runner(config, list(ensembles.values()))
     table = format_experiment_table(rows)
     click.echo(table, nl=False)
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / f"procedure{procedure}.txt").write_text(table, encoding="utf-8")
-        for row in rows:
-            with open(out / f"{row.spec.display().replace(', ', '_')}.csv",
-                      "w", encoding="utf-8") as fh:
+        for stem, row in zip(ensembles, rows):
+            with open(out / f"{stem}.csv", "w", encoding="utf-8") as fh:
                 write_csv(row.report, fh)
 
 

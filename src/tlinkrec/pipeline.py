@@ -3,7 +3,8 @@
 Procedure one weighs ensemble members by their F1 on the full reference set
 and scores the reconciled output on the same set.  Procedure two splits the
 corpus in half, derives weights from the first half, and reconciles/scores on
-the second half only.
+the second half only.  A member's weight depends on the classifier and the
+weighing documents, not the ensemble, so each experiment weighs each one once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class WeightsSource(enum.Enum):
 @dataclass(frozen=True)
 class EnsembleSpec:
     members: Tuple[str, ...]
-    weights_source: WeightsSource = WeightsSource.FULL_REFERENCE
     label: str = ""
 
     def display(self) -> str:
@@ -47,10 +47,9 @@ class ExperimentConfig:
     split: Optional[Tuple[List[str], List[str]]] = None
     time_limit: float = 300.0
     none_breaks_triangles: bool = False
-    collapse_identity: bool = True
-    average: str = "micro"
-    output_dir: Optional[Path] = None
     weights_path: Optional[Path] = None
+    # None: the procedure's own source (FULL_REFERENCE for one, S1 for two).
+    weights_source: Optional[WeightsSource] = None
 
 
 def default_split(doc_ids: Sequence[str]) -> Tuple[List[str], List[str]]:
@@ -122,31 +121,13 @@ def reconcile(corpus: Corpus, members: Sequence[str],
 
 
 def compute_f1_weights(corpus: Corpus, names: Iterable[str],
-                       doc_filter: Optional[Set[str]] = None, *,
-                       collapse_identity: bool = True,
-                       average: str = "micro") -> Dict[str, float]:
+                       doc_filter: Optional[Set[str]] = None) -> Dict[str, float]:
     """Temporal-awareness F1 of each classifier against the reference."""
     check_members(corpus, names)
     return {
-        name: score_run(corpus.reference, corpus.runs[name], doc_filter,
-                        collapse_identity=collapse_identity, average=average).f1
+        name: score_run(corpus.reference, corpus.runs[name], doc_filter).f1
         for name in names
     }
-
-
-def resolve_weights(corpus: Corpus, spec: EnsembleSpec,
-                    config: ExperimentConfig) -> Optional[Dict[str, float]]:
-    if spec.weights_source is WeightsSource.FILE:
-        return None  # keep the f1_weight loaded from the weights file
-    if spec.weights_source is WeightsSource.FULL_REFERENCE:
-        doc_filter = None
-    else:
-        if config.split is None:
-            raise ConfigurationError("S1 weights requested but no split configured")
-        doc_filter = set(config.split[0])
-    return compute_f1_weights(corpus, spec.members, doc_filter,
-                              collapse_identity=config.collapse_identity,
-                              average=config.average)
 
 
 @dataclass
@@ -157,11 +138,17 @@ class ExperimentRow:
 
 
 def _run_ensembles(corpus: Corpus, config: ExperimentConfig,
-                   ensembles: Sequence[EnsembleSpec],
+                   ensembles: Sequence[EnsembleSpec], source: WeightsSource,
                    score_docs: Optional[Set[str]]) -> List[ExperimentRow]:
+    weights = None  # FILE: every run keeps the f1_weight read from the weights file
+    if source is not WeightsSource.FILE:
+        if source is WeightsSource.S1 and config.split is None:
+            raise ConfigurationError("S1 weights requested but no split configured")
+        weigh_docs = set(config.split[0]) if source is WeightsSource.S1 else None
+        names = sorted({name for spec in ensembles for name in spec.members})
+        weights = compute_f1_weights(corpus, names, weigh_docs)
     rows = []
     for spec in ensembles:
-        weights = resolve_weights(corpus, spec, config)
         result = reconcile(
             corpus, spec.members, weights,
             doc_filter=score_docs,
@@ -169,12 +156,7 @@ def _run_ensembles(corpus: Corpus, config: ExperimentConfig,
             none_breaks_triangles=config.none_breaks_triangles,
             label=spec.display(),
         )
-        report = score_run(
-            corpus.reference, result.run,
-            score_docs if score_docs is not None else None,
-            collapse_identity=config.collapse_identity,
-            average=config.average,
-        )
+        report = score_run(corpus.reference, result.run, score_docs)
         rows.append(ExperimentRow(spec, report, result))
         log.info("ensemble %s: F1 %.4f P %.4f R %.4f", spec.display(),
                  report.f1, report.precision, report.recall)
@@ -187,7 +169,8 @@ def run_procedure_one(config: ExperimentConfig,
     from .timeml import load_corpus
 
     corpus = load_corpus(config.corpus_root, config.weights_path)
-    return _run_ensembles(corpus, config, ensembles, None)
+    source = config.weights_source or WeightsSource.FULL_REFERENCE
+    return _run_ensembles(corpus, config, ensembles, source, None)
 
 
 def run_procedure_two(config: ExperimentConfig,
@@ -195,6 +178,10 @@ def run_procedure_two(config: ExperimentConfig,
     """Weights measured on S1; reconciliation and scoring restricted to S2."""
     from .timeml import load_corpus
 
+    if config.weights_source is WeightsSource.FULL_REFERENCE:
+        raise ConfigurationError(
+            "procedure 2 weighs on S1 and scores on S2; full-reference weights "
+            "would include S2's reference (use s1 or file)")
     corpus = load_corpus(config.corpus_root, config.weights_path)
     if config.split is None:
         config.split = default_split(corpus.documents)
@@ -202,12 +189,8 @@ def run_procedure_two(config: ExperimentConfig,
     s1, s2 = config.split
     if set(s1) & set(s2):
         raise ConfigurationError("S1 and S2 overlap")
-    ensembles = [
-        replace(spec, weights_source=WeightsSource.S1)
-        if spec.weights_source is not WeightsSource.FILE else spec
-        for spec in ensembles
-    ]
-    return _run_ensembles(corpus, config, ensembles, set(s2))
+    source = config.weights_source or WeightsSource.S1
+    return _run_ensembles(corpus, config, ensembles, source, set(s2))
 
 
 def format_experiment_table(rows: Sequence[ExperimentRow]) -> str:

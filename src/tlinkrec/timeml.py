@@ -223,8 +223,9 @@ class Corpus:
         return sorted(self.reference.documents)
 
 
-def _load_run_dir(directory: Path, name: str, weight: float,
-                  skipped: List[SkippedItem]) -> ClassifierRun:
+def load_run_dir(directory: Path, name: str, weight: float,
+                 skipped: List[SkippedItem]) -> ClassifierRun:
+    """Every `<doc>.tml` in `directory`; skipped TLINKs are appended to `skipped`."""
     run = ClassifierRun(name, weight)
     for path in sorted(directory.glob("*.tml")):
         parsed = parse_timeml(path.read_bytes(), path.stem)
@@ -248,13 +249,13 @@ def load_corpus(root: Union[str, Path],
     weights = read_weights(weights_path or root / "weights.txt")
 
     skipped: List[SkippedItem] = []
-    reference = _load_run_dir(ref_dir, "reference", 1.0, skipped)
+    reference = load_run_dir(ref_dir, "reference", 1.0, skipped)
     runs: Dict[str, ClassifierRun] = {}
     if runs_dir.is_dir():
         for sub in sorted(p for p in runs_dir.iterdir() if p.is_dir()):
             if sub.name not in weights:
                 raise ConfigurationError(f"no weights entry for classifier {sub.name!r}")
-            runs[sub.name] = _load_run_dir(sub, sub.name, weights[sub.name], skipped)
+            runs[sub.name] = load_run_dir(sub, sub.name, weights[sub.name], skipped)
 
     ref_docs = set(reference.documents)
     for run in runs.values():

@@ -1,6 +1,10 @@
+import re
+import shutil
+
 import pytest
 from click.testing import CliRunner
 
+import tlinkrec.cli as cli_module
 from tlinkrec.cli import cli, main
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
 
@@ -66,6 +70,22 @@ class TestScoreCommand:
         ])
         assert result.exit_code != 0
 
+    def test_skipped_tlinks_reported_on_stderr(self, corpus_root, tmp_path, capsys):
+        ref = corpus_root / "reference"
+        system = tmp_path / "system"
+        shutil.copytree(ref, system)
+        doc = system / "synth_000.tml"
+        doc.write_text(re.sub(r'relType="[A-Z_]+"', 'relType="BOGUS"',
+                              doc.read_text(), count=1))
+        main(["score", "--system", str(system), "--reference", str(ref)])
+        captured = capsys.readouterr()
+        skipped = captured.err.splitlines()
+        assert len(skipped) == 1
+        assert skipped[0].startswith("synth_000 ")
+        assert skipped[0].endswith(" unknown relType BOGUS")
+        assert captured.out.startswith("doc_id,precision")
+        assert "BOGUS" not in captured.out
+
 
 class TestExportLpCommand:
     def test_export(self, runner, corpus_root, tmp_path):
@@ -121,6 +141,39 @@ class TestExperimentCommand:
             "--ensembles", str(ens), "--split", str(split),
         ])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("lines, message", [
+        ("x: alpha\nx: alpha,beta\n", "ens.txt:2: ensemble name 'x' repeats"),
+        ("alpha,beta\nalpha_beta: alpha\n",
+         "ens.txt:2: ensemble name 'alpha_beta' repeats"),
+        ("a/b: alpha\n", "ens.txt:1: ensemble name 'a/b' contains a path separator"),
+    ])
+    def test_bad_ensemble_names_exit_1(self, corpus_root, tmp_path, capsys,
+                                       monkeypatch, lines, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("ensemble names must be checked before any solve")
+
+        monkeypatch.setattr(cli_module, "run_procedure_one", no_solve)
+        ens = tmp_path / "ens.txt"
+        ens.write_text(lines)
+        out = tmp_path / "exp"
+        with pytest.raises(SystemExit) as err:
+            main(["experiment", "--corpus", str(corpus_root), "--procedure", "1",
+                  "--ensembles", str(ens), "--out", str(out)])
+        assert err.value.code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_procedure_two_rejects_full_reference_weights(self, corpus_root,
+                                                          tmp_path, capsys):
+        ens = tmp_path / "ens.txt"
+        ens.write_text("alpha,beta\n")
+        with pytest.raises(SystemExit) as err:
+            main(["experiment", "--corpus", str(corpus_root), "--procedure", "2",
+                  "--ensembles", str(ens), "--weights-source", "full"])
+        assert err.value.code == 1
+        message = capsys.readouterr().err
+        assert "procedure 2" in message and "full-reference weights" in message
 
     def test_bad_split_line(self, runner, corpus_root, tmp_path):
         ens = tmp_path / "ens.txt"

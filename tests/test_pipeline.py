@@ -184,12 +184,27 @@ class TestWeightsAndSplit:
         assert weights["alpha"] > weights["gamma"]
         assert all(0.0 <= w <= 1.0 for w in weights.values())
 
-    def test_s1_weights_need_split(self, corpus_root, corpus):
-        spec = EnsembleSpec(("alpha",), WeightsSource.S1)
-        config = ExperimentConfig(corpus_root)
-        from tlinkrec.pipeline import resolve_weights
+    def test_s1_weights_need_split(self, corpus_root):
+        config = ExperimentConfig(corpus_root, weights_source=WeightsSource.S1)
         with pytest.raises(ConfigurationError, match="no split"):
-            resolve_weights(corpus, spec, config)
+            run_procedure_one(config, [EnsembleSpec(("alpha",))])
+
+    def test_each_classifier_weighed_once_per_experiment(self, corpus_root,
+                                                         monkeypatch):
+        scored = []
+        real_score_run = pipeline.score_run
+
+        def counting_score_run(reference, system, *args, **kwargs):
+            scored.append(system.name)
+            return real_score_run(reference, system, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "score_run", counting_score_run)
+        sweep = enumerate_ensembles(EnsembleSpec(("alpha",)),
+                                    {"alpha", "beta", "gamma"})
+        rows = run_procedure_two(ExperimentConfig(corpus_root), sweep)
+        assert len(rows) == 4
+        # One weighing per distinct member, then one score per ensemble.
+        assert scored == ["alpha", "beta", "gamma"] + [r.result.run.name for r in rows]
 
 
 class TestEnumerateEnsembles:
@@ -248,6 +263,18 @@ class TestProcedures:
         allowed = {round(expected["alpha"], 12), round(expected["beta"], 12),
                    round(expected["alpha"] + expected["beta"], 12)}
         assert {round(v, 12) for v in per_arc} <= allowed
+
+    def test_procedure_two_file_weights(self, corpus_root, corpus, monkeypatch):
+        def no_weighing(*args, **kwargs):
+            raise AssertionError("FILE weights must not be measured")
+
+        monkeypatch.setattr(pipeline, "compute_f1_weights", no_weighing)
+        config = ExperimentConfig(corpus_root, weights_source=WeightsSource.FILE)
+        rows = run_procedure_two(config, [EnsembleSpec(("alpha", "beta"))])
+        alpha, beta = corpus.runs["alpha"].f1_weight, corpus.runs["beta"].f1_weight
+        allowed = {round(alpha, 12), round(beta, 12), round(alpha + beta, 12)}
+        for votes in rows[0].result.votes.values():
+            assert {round(v, 12) for v in votes.alpha.sum(axis=1)} <= allowed
 
     def test_overlapping_split_rejected(self, corpus_root, corpus):
         config = ExperimentConfig(corpus_root,
