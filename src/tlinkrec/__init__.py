@@ -10,21 +10,17 @@ from .errors import (
     ConfigurationError,
     DataError,
     Infeasible,
-    InconsistentNetworkError,
     ReconciliationError,
     TimeMLParseError,
 )
 from .relations import (
     INCONSISTENT,
-    CompositionTable,
     EventGraph,
     RelSet,
     RelType,
-    TABLE,
     closure,
     collapse,
     compose,
-    compose_sets,
     invert,
     is_consistent_labeling,
 )

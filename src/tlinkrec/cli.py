@@ -25,7 +25,7 @@ from .pipeline import (
     run_procedure_two,
     write_reconciled,
 )
-from .relations import TABLE
+from .relations import dump_table
 from .scoring import score_run, write_csv
 from .synthetic import SyntheticClassifier, generate_corpus
 from .timeml import load_corpus, load_run_dir, write_skipped_report
@@ -121,7 +121,8 @@ def _read_ensembles(path: str) -> Dict[str, EnsembleSpec]:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--strict/--no-strict", "strict", default=False,
               help="Exclude NONE from triangle conclusions (ablation mode).")
-@click.option("--time-limit", type=float, default=300.0, show_default=True)
+@click.option("--time-limit", type=click.FloatRange(0, min_open=True), default=300.0,
+              show_default=True)
 def reconcile_cmd(corpus_root, members, weights_path, out_dir, strict, time_limit):
     """Reconcile an ensemble and write TimeML output plus a score CSV."""
     corpus = load_corpus(corpus_root, weights_path)
@@ -211,7 +212,8 @@ def export_lp_cmd(corpus_root, members, weights_path, doc_id, out_path, strict):
               "(default: full for procedure 1, s1 for procedure 2).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--strict/--no-strict", "strict", default=False)
-@click.option("--time-limit", type=float, default=300.0, show_default=True)
+@click.option("--time-limit", type=click.FloatRange(0, min_open=True), default=300.0,
+              show_default=True)
 def experiment_cmd(corpus_root, procedure, ensembles_path, weights_path, split_path,
                    weights_source, out_dir, strict, time_limit):
     """Run experiment procedure 1 or 2 over a file of ensembles."""
@@ -265,7 +267,7 @@ def gen_synthetic_cmd(out_dir, seed, docs, classifiers, density):
 @cli.command("dump-composition-table")
 def dump_table_cmd():
     """Print the 14x14 composition table grid."""
-    click.echo(TABLE.dump(), nl=False)
+    click.echo(dump_table(), nl=False)
 
 
 def main(argv=None):

@@ -20,9 +20,5 @@ class TimeMLParseError(DataError):
     """Malformed TimeML input; carries file/line/column context in the message."""
 
 
-class InconsistentNetworkError(ReconciliationError):
-    """An operation was applied to an already-inconsistent relation network."""
-
-
 class Infeasible(ReconciliationError):
     """The integer program admits no feasible assignment."""

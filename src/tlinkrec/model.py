@@ -21,7 +21,7 @@ from typing import BinaryIO, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .relations import NON_NONE, RelSet, RelType, TABLE, synonyms
+from .relations import NON_NONE, RelSet, RelType, compose, synonyms
 from .timeml import CanonicalArc, ClassifierRun, canonical_votes
 
 N_LABELS = len(RelType)  # 15
@@ -133,7 +133,7 @@ def _row_template(none_breaks_triangles: bool) -> Tuple[np.ndarray, np.ndarray]:
     pairs, coeffs = [], []
     for a in NON_NONE:
         for b in NON_NONE:
-            cstar = TABLE.compose(a, b)
+            cstar = compose(a, b)
             if cstar == canonical_full and not none_breaks_triangles:
                 continue
             minus = {s for c in cstar for s in synonyms(c)}

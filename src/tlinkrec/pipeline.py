@@ -140,6 +140,12 @@ class ExperimentRow:
 def _run_ensembles(corpus: Corpus, config: ExperimentConfig,
                    ensembles: Sequence[EnsembleSpec], source: WeightsSource,
                    score_docs: Optional[Set[str]]) -> List[ExperimentRow]:
+    if config.split is not None:
+        unknown = sorted(set(config.split[0]).union(config.split[1])
+                         - set(corpus.documents))
+        if unknown:
+            raise ConfigurationError(
+                f"split names document(s) not in the corpus: {', '.join(unknown)}")
     weights = None  # FILE: every run keeps the f1_weight read from the weights file
     if source is not WeightsSource.FILE:
         if source is WeightsSource.S1 and config.split is None:
@@ -184,7 +190,7 @@ def run_procedure_two(config: ExperimentConfig,
             "would include S2's reference (use s1 or file)")
     corpus = load_corpus(config.corpus_root, config.weights_path)
     if config.split is None:
-        config.split = default_split(corpus.documents)
+        config = replace(config, split=default_split(corpus.documents))
         log.info("no split configured; defaulting to first half -> S1")
     s1, s2 = config.split
     if set(s1) & set(s2):

@@ -3,11 +3,12 @@
 The 14 TimeML relation labels (plus an artificial NONE) are grounded in the
 interval algebra: every label maps to a basic interval relation, expressed as
 order constraints between the four interval endpoints.  The composition table
-is generated from those endpoint constraints at import time, so no entry is
-hand-typed.  SIMULTANEOUS/IDENTITY and IS_INCLUDED/DURING (and their inverses)
-denote the same interval relation; composition results are emitted in
-canonical form (SIMULTANEOUS, IS_INCLUDED, INCLUDES), and consistency checks
-collapse the synonyms before testing membership.
+is generated from those endpoint constraints once, at import, as one dict of
+(a, b) -> label mask that every reader shares, so no entry is hand-typed.
+SIMULTANEOUS/IDENTITY and IS_INCLUDED/DURING (and their inverses) denote the
+same interval relation; composition results are emitted in canonical form
+(SIMULTANEOUS, IS_INCLUDED, INCLUDES), and consistency checks collapse the
+synonyms before testing membership.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 
@@ -109,23 +109,6 @@ _ALLEN_ENDPOINTS: Dict[str, Tuple[Tuple[str, str], Tuple[str, str]]] = {
     "eq": (("=", "<"), (">", "=")),
 }
 
-_TIMEML_TO_ALLEN = {
-    RelType.BEFORE: "b",
-    RelType.AFTER: "bi",
-    RelType.IBEFORE: "m",
-    RelType.IAFTER: "mi",
-    RelType.INCLUDES: "di",
-    RelType.IS_INCLUDED: "d",
-    RelType.DURING: "d",
-    RelType.DURING_INV: "di",
-    RelType.BEGINS: "s",
-    RelType.BEGUN_BY: "si",
-    RelType.ENDS: "f",
-    RelType.ENDED_BY: "fi",
-    RelType.SIMULTANEOUS: "eq",
-    RelType.IDENTITY: "eq",
-}
-
 # Interval relations with no TimeML label (overlap and its converse) simply
 # contribute nothing when a composition result is decoded back to labels.
 _ALLEN_TO_TIMEML = {
@@ -142,17 +125,18 @@ _ALLEN_TO_TIMEML = {
     "eq": RelType.SIMULTANEOUS,
 }
 
-_POINT_COMP = {
-    ("<", "<"): frozenset("<"),
-    ("<", "="): frozenset("<"),
-    ("<", ">"): frozenset("<=>"),
-    ("=", "<"): frozenset("<"),
-    ("=", "="): frozenset("="),
-    ("=", ">"): frozenset(">"),
-    (">", "<"): frozenset("<=>"),
-    (">", "="): frozenset(">"),
-    (">", ">"): frozenset(">"),
+_TIMEML_TO_ALLEN = {
+    r: name for name, canon in _ALLEN_TO_TIMEML.items() for r in synonyms(canon)
 }
+
+
+def _point_compose(x: str, y: str) -> frozenset:
+    """Relations possible between points u, w given u x v and v y w."""
+    if x == "=":
+        return frozenset(y)
+    if y in ("=", x):
+        return frozenset(x)
+    return frozenset("<=>")
 
 
 def _allen_compose(a: str, b: str) -> frozenset:
@@ -168,7 +152,7 @@ def _allen_compose(a: str, b: str) -> frozenset:
         for k in range(2):
             allowed = frozenset("<=>")
             for j in range(2):
-                allowed &= _POINT_COMP[(ga[i][j], gb[j][k])]
+                allowed &= _point_compose(ga[i][j], gb[j][k])
             grid[i][k] = allowed
     out = set()
     for cand, gc in _ALLEN_ENDPOINTS.items():
@@ -225,10 +209,6 @@ class RelSet:
         return cls(m)
 
     @classmethod
-    def full(cls) -> "RelSet":
-        return cls(_FULL_MASK)
-
-    @classmethod
     def canonical_full(cls) -> "RelSet":
         return cls(_CANONICAL_MASK)
 
@@ -245,9 +225,6 @@ class RelSet:
 
     def __and__(self, other: "RelSet") -> "RelSet":
         return RelSet(self.mask & other.mask)
-
-    def __or__(self, other: "RelSet") -> "RelSet":
-        return RelSet(self.mask | other.mask)
 
     @property
     def is_empty(self) -> bool:
@@ -282,55 +259,26 @@ def _collapse_mask(mask: int) -> int:
 
 
 # --- composition table ------------------------------------------------------
+#
+# Entries hold canonical labels only; synonym arguments share the entry of
+# their canonical label.
 
-
-class CompositionTable:
-    """Total composition map over the 14x14 non-NONE label pairs.
-
-    Entries hold canonical labels only; synonym arguments share the entry of
-    their canonical label.
-    """
-
-    def __init__(self, entries: Dict[Tuple[RelType, RelType], RelSet]):
-        self._entries = entries
-
-    @classmethod
-    def build(cls) -> "CompositionTable":
-        entries = {}
-        for a, b in product(NON_NONE, NON_NONE):
-            allen = _allen_compose(_TIMEML_TO_ALLEN[a], _TIMEML_TO_ALLEN[b])
-            rs = RelSet.of(*(
-                _ALLEN_TO_TIMEML[name] for name in allen if name in _ALLEN_TO_TIMEML
-            ))
-            entries[(a, b)] = rs
-        return cls(entries)
-
-    def compose(self, a: RelType, b: RelType) -> RelSet:
-        if a is RelType.NONE or b is RelType.NONE:
-            raise ValueError("composition with NONE is undefined")
-        return self._entries[(a, b)]
-
-    def dump(self) -> str:
-        """Hand-auditable 14x14 grid, rows/cols in ordinal order.
-
-        Cells are comma-separated label names; '-' marks an empty cell.
-        """
-        lines = ["\t".join(["."] + [r.name for r in NON_NONE])]
-        for a in NON_NONE:
-            cells = []
-            for b in NON_NONE:
-                rs = self._entries[(a, b)]
-                cells.append(",".join(r.name for r in rs) if not rs.is_empty else "-")
-            lines.append("\t".join([a.name] + cells))
-        return "\n".join(lines) + "\n"
-
-
-TABLE = CompositionTable.build()
+_COMPOSITION: Dict[Tuple[RelType, RelType], int] = {
+    (a, b): RelSet.of(*(
+        _ALLEN_TO_TIMEML[name]
+        for name in _allen_compose(_TIMEML_TO_ALLEN[a], _TIMEML_TO_ALLEN[b])
+        if name in _ALLEN_TO_TIMEML
+    )).mask
+    for a in NON_NONE
+    for b in NON_NONE
+}
 
 
 def compose(a: RelType, b: RelType) -> RelSet:
     """Set of labels consistent with a(p,q) and b(q,r); canonical labels only."""
-    return TABLE.compose(a, b)
+    if a is RelType.NONE or b is RelType.NONE:
+        raise ValueError("composition with NONE is undefined")
+    return RelSet(_COMPOSITION[(a, b)])
 
 
 @lru_cache(maxsize=None)
@@ -341,35 +289,31 @@ def _compose_masks(mask_a: int, mask_b: int) -> int:
             continue
         for b in NON_NONE:
             if mask_b & _BIT[b]:
-                out |= TABLE.compose(a, b).mask
+                out |= _COMPOSITION[(a, b)]
     return out
 
 
-def compose_sets(sa: RelSet, sb: RelSet) -> RelSet:
-    """Union of compose(a, b) over all a in sa, b in sb."""
-    from .errors import InconsistentNetworkError
+def dump_table() -> str:
+    """Hand-auditable 14x14 grid, rows/cols in ordinal order.
 
-    if sa.is_empty or sb.is_empty:
-        raise InconsistentNetworkError("composition over an empty relation set")
-    return RelSet(_compose_masks(sa.mask, sb.mask))
+    Cells are comma-separated label names; '-' marks an empty cell.
+    """
+    lines = ["\t".join(["."] + [r.name for r in NON_NONE])]
+    for a in NON_NONE:
+        cells = [",".join(r.name for r in RelSet(_COMPOSITION[(a, b)])) or "-"
+                 for b in NON_NONE]
+        lines.append("\t".join([a.name] + cells))
+    return "\n".join(lines) + "\n"
 
 
 # --- event graphs -----------------------------------------------------------
 
 
 class _Inconsistent:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Type of the INCONSISTENT sentinel that closure returns; compare with `is`."""
 
     def __repr__(self):
         return "INCONSISTENT"
-
-    def __bool__(self):
-        return False
 
 
 INCONSISTENT = _Inconsistent()
@@ -387,9 +331,6 @@ class EventGraph:
     def __init__(self, nodes: Iterable[str] = ()):
         self.nodes = set(nodes)
         self._edges: Dict[Tuple[str, str], EdgeLabel] = {}
-
-    def add_node(self, node: str) -> None:
-        self.nodes.add(node)
 
     def set_relation(self, p: str, q: str, rel: EdgeLabel) -> None:
         if p == q:
@@ -423,21 +364,6 @@ class EventGraph:
             and self.nodes == other.nodes
             and self._edges == other._edges
         )
-
-    def copy(self) -> "EventGraph":
-        g = EventGraph(self.nodes)
-        g._edges = dict(self._edges)
-        return g
-
-    def to_dot(self, name: str = "events") -> str:
-        lines = [f"digraph {name} {{"]
-        for node in sorted(self.nodes):
-            lines.append(f'  "{node}";')
-        for p, q, rel in self.edges():
-            label = rel.name if isinstance(rel, RelType) else ",".join(r.name for r in rel)
-            lines.append(f'  "{p}" -> "{q}" [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def _seed_mask(label: EdgeLabel) -> Optional[int]:

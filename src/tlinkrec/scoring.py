@@ -75,10 +75,7 @@ def _verifiable(closed: EventGraph, raw: Optional[EventGraph],
     if raw is not None:  # inconsistent side: fall back to stored labels
         stored = raw.get(p, q)
         return isinstance(stored, RelType) and collapse(stored) is target
-    label_set = closed.get(p, q) if p in closed.nodes and q in closed.nodes else None
-    if not isinstance(label_set, RelSet) or label_set.is_empty:
-        return False
-    return all(r is target for r in label_set)
+    return target is not RelType.NONE and closed.get(p, q) == RelSet.of(target)
 
 
 def temporal_awareness(reference: EventGraph, system: EventGraph, *,

@@ -257,6 +257,8 @@ def load_corpus(root: Union[str, Path],
                 raise ConfigurationError(f"no weights entry for classifier {sub.name!r}")
             runs[sub.name] = load_run_dir(sub, sub.name, weights[sub.name], skipped)
 
+    for item in skipped:
+        log.warning("%s: skipped TLINK %s: %s", item.document, item.ref, item.reason)
     ref_docs = set(reference.documents)
     for run in runs.values():
         for doc in sorted(ref_docs - set(run.documents)):

@@ -175,6 +175,17 @@ class TestExperimentCommand:
         message = capsys.readouterr().err
         assert "procedure 2" in message and "full-reference weights" in message
 
+    def test_split_with_unknown_document_exits_1(self, corpus_root, tmp_path, capsys):
+        ens = tmp_path / "ens.txt"
+        ens.write_text("alpha,beta\n")
+        split = tmp_path / "split.txt"
+        split.write_text("s1 nosuchdoc\ns2 synth_002\n")
+        with pytest.raises(SystemExit) as err:
+            main(["experiment", "--corpus", str(corpus_root), "--procedure", "2",
+                  "--ensembles", str(ens), "--split", str(split)])
+        assert err.value.code == 1
+        assert "not in the corpus: nosuchdoc" in capsys.readouterr().err
+
     def test_bad_split_line(self, runner, corpus_root, tmp_path):
         ens = tmp_path / "ens.txt"
         ens.write_text("alpha\n")
@@ -234,6 +245,24 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["reconcile", "--no-such-flag"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("command", ["reconcile", "experiment"])
+    def test_time_limit_must_be_positive(self, corpus_root, tmp_path, capsys,
+                                         monkeypatch, command):
+        def no_load(*args, **kwargs):
+            raise AssertionError("--time-limit must be checked before loading")
+
+        monkeypatch.setattr(cli_module, "load_corpus", no_load)
+        monkeypatch.setattr(cli_module, "run_procedure_one", no_load)
+        ens = tmp_path / "ens.txt"
+        ens.write_text("alpha\n")
+        extra = {"reconcile": ["--members", "alpha", "--out", str(tmp_path / "o")],
+                 "experiment": ["--procedure", "1", "--ensembles", str(ens)]}
+        with pytest.raises(SystemExit) as err:
+            main([command, "--corpus", str(corpus_root), *extra[command],
+                  "--time-limit", "0"])
+        assert err.value.code == 1
+        assert "--time-limit" in capsys.readouterr().err
 
     def test_success_returns(self, corpus_root, capsys):
         main(["dump-composition-table"])

@@ -25,7 +25,7 @@ from tlinkrec.relations import EventGraph, RelType, closure, INCONSISTENT
 from tlinkrec.scoring import build_graph, score_run
 from tlinkrec.solver import Solution
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
-from tlinkrec.timeml import load_corpus
+from tlinkrec.timeml import canonical_votes, load_corpus
 
 
 CLASSIFIERS = [
@@ -88,6 +88,10 @@ class TestReconcile:
         result = reconcile(corpus, ["p1", "p2"])
         report = score_run(corpus.reference, result.run)
         assert report.f1 == pytest.approx(1.0)
+        assert sorted(result.run.documents) == corpus.documents
+        for doc, links in corpus.reference.documents.items():
+            assert canonical_votes(result.run.documents[doc]) == \
+                canonical_votes(links), doc
 
     def test_noisy_ensemble_beats_worst_member(self, corpus):
         result = reconcile(corpus, ["alpha", "beta", "gamma"])
@@ -165,7 +169,7 @@ class TestReconcile:
         write_reconciled(result, tmp_path / "out")
         files = list((tmp_path / "out").glob("*.tml"))
         assert len(files) == 1
-        from tlinkrec.timeml import canonical_votes, parse_timeml
+        from tlinkrec.timeml import parse_timeml
         parsed = parse_timeml(files[0].read_bytes(), files[0].stem)
         assert canonical_votes(parsed.links) == \
             canonical_votes(result.run.documents[corpus.documents[0]])
@@ -245,15 +249,15 @@ class TestProcedures:
     def test_procedure_two_scores_s2_only(self, corpus_root, corpus):
         config = ExperimentConfig(corpus_root)
         rows = run_procedure_two(config, self.specs())
-        s1, s2 = config.split
-        assert (s1, s2) == default_split(corpus.documents)
+        assert config.split is None  # the default split stays the procedure's own
+        s2 = default_split(corpus.documents)[1]
         for row in rows:
             assert set(row.report.per_document) == set(s2)
 
     def test_procedure_two_weights_measured_on_s1(self, corpus_root, corpus):
         config = ExperimentConfig(corpus_root)
         rows = run_procedure_two(config, [EnsembleSpec(("alpha", "beta"))])
-        s1 = set(config.split[0])
+        s1 = set(default_split(corpus.documents)[0])
         expected = compute_f1_weights(corpus, ["alpha", "beta"], s1)
         # Reconciliation used exactly the S1-measured weights.
         row = rows[0]
@@ -281,6 +285,19 @@ class TestProcedures:
                                   split=([corpus.documents[0]], corpus.documents))
         with pytest.raises(ConfigurationError, match="overlap"):
             run_procedure_two(config, self.specs())
+
+    @pytest.mark.parametrize("runner", [run_procedure_one, run_procedure_two])
+    def test_split_names_unknown_documents(self, corpus_root, corpus, monkeypatch,
+                                           runner):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the split must be checked before any solve")
+
+        monkeypatch.setattr(pipeline, "reconcile", no_solve)
+        config = ExperimentConfig(corpus_root, split=(
+            [corpus.documents[0], "nosuchdoc"], [corpus.documents[1], "alsomissing"]))
+        with pytest.raises(ConfigurationError,
+                           match="not in the corpus: alsomissing, nosuchdoc$"):
+            runner(config, self.specs())
 
     def test_table_format(self, corpus_root):
         rows = run_procedure_one(ExperimentConfig(corpus_root),

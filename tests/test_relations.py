@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlinkrec.errors import InconsistentNetworkError
 from tlinkrec.relations import (
     CANONICAL_LABELS,
     EventGraph,
@@ -13,11 +12,10 @@ from tlinkrec.relations import (
     NON_NONE,
     RelSet,
     RelType,
-    TABLE,
     closure,
     collapse,
     compose,
-    compose_sets,
+    dump_table,
     invert,
     is_consistent_labeling,
     relation_from_intervals,
@@ -77,7 +75,7 @@ class TestCompose:
         for a in NON_NONE:
             for b in NON_NONE:
                 expected = oracle[collapse(a).name][collapse(b).name]
-                assert to_names(TABLE.compose(a, b)) == expected, (a, b)
+                assert to_names(compose(a, b)) == expected, (a, b)
 
     def test_converse_composition_duality(self):
         for a in NON_NONE:
@@ -93,34 +91,13 @@ class TestCompose:
             compose(RelType.BEFORE, RelType.INCLUDES)
 
 
-class TestComposeSets:
-    def test_singletons(self):
-        sa = RelSet.of(RelType.BEFORE)
-        assert compose_sets(sa, sa) == RelSet.of(RelType.BEFORE)
-
-    def test_union_of_pairs(self):
-        sa = RelSet.of(RelType.BEFORE, RelType.IBEFORE)
-        sb = RelSet.of(RelType.BEFORE)
-        expected = compose(RelType.BEFORE, RelType.BEFORE) | \
-            compose(RelType.IBEFORE, RelType.BEFORE)
-        assert compose_sets(sa, sb) == expected
-
-    def test_identity_neutral_on_canonical_sets(self):
-        s = RelSet.of(RelType.BEFORE, RelType.INCLUDES, RelType.SIMULTANEOUS)
-        assert compose_sets(RelSet.of(RelType.IDENTITY), s) == s
-
-    def test_empty_input_is_error(self):
-        with pytest.raises(InconsistentNetworkError):
-            compose_sets(RelSet(), RelSet.of(RelType.BEFORE))
-
-
 class TestRelSet:
     def test_none_excluded(self):
         with pytest.raises(ValueError):
             RelSet.of(RelType.NONE)
 
     def test_full_and_empty(self):
-        assert len(RelSet.full()) == 14
+        assert len(RelSet((1 << 14) - 1)) == 14
         assert RelSet().is_empty
 
     @given(st.sets(st.sampled_from(NON_NONE)))
@@ -181,6 +158,33 @@ class TestClosure:
         g.set_relation("n0", "n2", RelType.NONE)
         closed = closure(g)
         assert closed.get("n0", "n2") == RelSet.of(RelType.BEFORE)
+
+
+class TestSetLabelledClosure:
+    """Closure composes set-labelled edges as the union over their members."""
+
+    def test_singletons(self):
+        closed = closure(chain_graph(RelSet.of(RelType.BEFORE),
+                                     RelSet.of(RelType.BEFORE)))
+        assert closed.get("n0", "n2") == RelSet.of(RelType.BEFORE)
+
+    def test_union_of_pairs(self):
+        closed = closure(chain_graph(RelSet.of(RelType.AFTER, RelType.BEGINS),
+                                     RelSet.of(RelType.IAFTER)))
+        after, begins = (compose(r, RelType.IAFTER)
+                         for r in (RelType.AFTER, RelType.BEGINS))
+        expected = RelSet(after.mask | begins.mask)
+        assert len(expected) > max(len(after), len(begins))
+        assert closed.get("n0", "n2") == expected
+
+    def test_identity_neutral_on_canonical_sets(self):
+        s = RelSet.of(RelType.BEFORE, RelType.INCLUDES, RelType.SIMULTANEOUS)
+        closed = closure(chain_graph(RelSet.of(RelType.IDENTITY), s))
+        assert closed.get("n0", "n2") == s
+
+    def test_empty_set_label_is_inconsistent(self):
+        assert closure(chain_graph(RelSet(), RelSet.of(RelType.BEFORE))) \
+            is INCONSISTENT
 
 
 def random_model_graph(rng, n_nodes, density=0.6, avoid_overlap=True):
@@ -252,7 +256,7 @@ class TestConsistentLabeling:
 
 class TestDumpAndDot:
     def test_dump_is_total_grid(self):
-        lines = TABLE.dump().splitlines()
+        lines = dump_table().splitlines()
         assert len(lines) == 15
         header = lines[0].split("\t")
         assert header[1:] == [r.name for r in NON_NONE]
@@ -260,18 +264,12 @@ class TestDumpAndDot:
             assert len(line.split("\t")) == 15
 
     def test_dump_known_cells(self):
-        lines = TABLE.dump().splitlines()
+        lines = dump_table().splitlines()
         before_row = lines[1].split("\t")
         assert before_row[0] == "BEFORE"
         assert before_row[1] == "BEFORE"
         begun_by_row = lines[RelType.BEGUN_BY.value].split("\t")
         assert begun_by_row[RelType.ENDS.value] == "-"
-
-    def test_dot_export(self):
-        g = chain_graph(RelType.BEFORE)
-        dot = g.to_dot()
-        assert dot.startswith("digraph")
-        assert '"n0" -> "n1" [label="BEFORE"];' in dot
 
 
 class TestEventGraph:
@@ -304,7 +302,7 @@ class TestGoldenDump:
     GOLDEN = Path(__file__).parent / "data" / "composition_table.txt"
 
     def test_matches_frozen_grid(self):
-        assert TABLE.dump() == self.GOLDEN.read_text()
+        assert dump_table() == self.GOLDEN.read_text()
 
     def test_frozen_grid_matches_point_oracle(self):
         # The frozen artifact itself is re-derived from endpoint semantics,

@@ -115,6 +115,12 @@ class TestTemporalAwareness:
         counts = temporal_awareness(graph_of(("a", "b", RelType.BEFORE)), sys)
         assert counts.inconsistent_sys
 
+    def test_none_edge_counts_but_never_verifies(self):
+        g = graph_of(("a", "b", RelType.BEFORE), ("b", "c", RelType.NONE))
+        counts = temporal_awareness(g, g)
+        assert (counts.verified_sys, counts.total_sys) == (1, 2)
+        assert (counts.verified_ref, counts.total_ref) == (1, 2)
+
     def test_empty_system(self):
         ref = graph_of(("a", "b", RelType.BEFORE))
         counts = temporal_awareness(ref, EventGraph())

@@ -167,6 +167,18 @@ class TestLoadCorpus:
         assert sorted(corpus.runs["c1"].documents) == ["d1"]
         assert "no output for document d2" in caplog.text
 
+    def test_skipped_tlink_warned(self, tmp_path, caplog):
+        docs = {"d1": doc_payload("d1")}
+        make_corpus(tmp_path, {"c1": docs}, docs, ["c1 0.5"])
+        run_file = tmp_path / "runs" / "c1" / "d1.tml"
+        run_file.write_text(run_file.read_text().replace(
+            'relType="BEFORE"', 'relType="BOGUS"'))
+        with caplog.at_level(logging.WARNING):
+            corpus = load_corpus(tmp_path)
+        assert len(corpus.skipped) == 1
+        warnings = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert warnings == ["d1: skipped TLINK l1: unknown relType BOGUS"]
+
     def test_missing_weight_is_fatal(self, tmp_path):
         docs = {"d1": doc_payload("d1")}
         make_corpus(tmp_path, {"c1": docs}, docs, ["other 0.5"])
