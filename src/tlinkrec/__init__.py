@@ -22,7 +22,6 @@ from .relations import (
     collapse,
     compose,
     invert,
-    is_consistent_labeling,
 )
 from .timeml import (
     CanonicalArc,
@@ -43,7 +42,7 @@ from .model import (
     enumerate_triangles,
     export_lp,
 )
-from .solver import Solution, SolverStats, brute_force_solve, solve, verify
+from .solver import Solution, SolverStats, solve, verify
 from .scoring import ScoreReport, score_run, temporal_awareness
 from .pipeline import (
     EnsembleSpec,

@@ -8,7 +8,7 @@ from __future__ import annotations
 import logging
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import click
 
@@ -31,7 +31,7 @@ from .synthetic import SyntheticClassifier, generate_corpus
 from .timeml import load_corpus, load_run_dir, write_skipped_report
 
 
-def _read_config(path: str) -> Dict[str, str]:
+def _read_config(path: str, known: Set[str]) -> Dict[str, str]:
     values = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -40,7 +40,10 @@ def _read_config(path: str) -> Dict[str, str]:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise ConfigurationError(f"{path}:{lineno}: {key!r} names no option of any command")
+        values[key] = value.strip()
     return values
 
 
@@ -56,17 +59,14 @@ def cli(ctx, config_path, verbose):
         format="%(levelname)s %(name)s: %(message)s",
     )
     if config_path:
-        defaults = _read_config(config_path)
-        default_map = {}
-        for cmd_name, cmd in cli.commands.items():  # noqa: F821
-            per_cmd = {}
-            for param in cmd.params:
-                for opt in param.opts:
-                    key = opt.lstrip("-").replace("-", "_")
-                    if key in defaults:
-                        per_cmd[param.name] = defaults[key]
-            default_map[cmd_name] = per_cmd
-        ctx.default_map = default_map
+        # config key -> parameter name, per command
+        options = {cmd_name: {opt.lstrip("-").replace("-", "_"): param.name
+                              for param in cmd.params for opt in param.opts}
+                   for cmd_name, cmd in cli.commands.items()}  # noqa: F821
+        defaults = _read_config(config_path, set().union(*options.values()))
+        ctx.default_map = {cmd_name: {name: defaults[key] for key, name in keys.items()
+                                      if key in defaults}
+                           for cmd_name, keys in options.items()}
 
 
 def _members(text: str) -> Tuple[str, ...]:
@@ -164,6 +164,8 @@ def score_cmd(system_dir, reference_dir, out_path, average, collapse_identity):
     reference = load_dir(reference_dir, "reference")
     system = load_dir(system_dir, "system")
     write_skipped_report(skipped, click.get_text_stream("stderr"))
+    for doc in sorted(system.documents.keys() - reference.documents.keys()):
+        click.echo(f"system/{doc}: no reference document, not scored", err=True)
     report = score_run(reference, system, average=average,
                        collapse_identity=collapse_identity)
     if out_path:

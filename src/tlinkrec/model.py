@@ -111,16 +111,6 @@ class BinaryProgram:
     def var_name(v: int) -> str:
         return f"x_{v // N_LABELS}_{v % N_LABELS + 1}"
 
-    @staticmethod
-    def var_index(name: str) -> int:
-        prefix, arc, ordinal = name.split("_")
-        if prefix != "x":
-            raise ValueError(f"bad variable name {name!r}")
-        ordinal = int(ordinal)
-        if not 1 <= ordinal <= N_LABELS:
-            raise ValueError(f"bad ordinal in variable name {name!r}")
-        return int(arc) * N_LABELS + ordinal - 1
-
 
 @functools.cache
 def _row_template(none_breaks_triangles: bool) -> Tuple[np.ndarray, np.ndarray]:

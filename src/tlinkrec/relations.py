@@ -226,15 +226,8 @@ class RelSet:
     def __and__(self, other: "RelSet") -> "RelSet":
         return RelSet(self.mask & other.mask)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
     def invert(self) -> "RelSet":
         return RelSet(_invert_mask(self.mask))
-
-    def collapse(self) -> "RelSet":
-        return RelSet(_collapse_mask(self.mask))
 
     def __repr__(self):
         return "{" + ",".join(r.name for r in self) + "}"
@@ -422,36 +415,3 @@ def closure(g: EventGraph) -> Union[EventGraph, _Inconsistent]:
             if m[i][j] != _CANONICAL_MASK:
                 out.set_relation(nodes[i], nodes[j], RelSet(m[i][j]))
     return out
-
-
-def is_consistent_labeling(g: EventGraph) -> bool:
-    """True iff every fully labeled triangle satisfies the composition table.
-
-    Edges must carry single labels; NONE-labeled edges (and triangles touching
-    them) are exempt.  IDENTITY/SIMULTANEOUS and DURING synonyms are collapsed
-    before the membership test.
-    """
-    adj: Dict[str, set] = {}
-    for p, q, rel in g.edges():
-        if not isinstance(rel, RelType):
-            raise ValueError("is_consistent_labeling requires single-label edges")
-        if rel is RelType.NONE:
-            continue
-        adj.setdefault(p, set()).add(q)
-        adj.setdefault(q, set()).add(p)
-
-    for p in sorted(adj):
-        for q in sorted(adj[p]):
-            if q <= p:
-                continue
-            for r in sorted(adj[p] & adj[q]):
-                if r <= q:
-                    continue
-                lab_pq = g.get(p, q)
-                lab_qr = g.get(q, r)
-                lab_pr = g.get(p, r)
-                if RelType.NONE in (lab_pq, lab_qr, lab_pr):
-                    continue
-                if collapse(lab_pr) not in compose(lab_pq, lab_qr):
-                    return False
-    return True

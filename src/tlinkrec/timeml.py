@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import logging
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
 
@@ -77,6 +77,12 @@ class SkippedItem:
     document: str
     ref: str  # lid, or #<element index> when the TLINK carries no lid
     reason: str
+    run: str = ""  # set by load_run_dir
+
+    @property
+    def where(self) -> str:
+        """`<run>/<document>`, or the document alone outside a run."""
+        return f"{self.run}/{self.document}" if self.run else self.document
 
 
 @dataclass
@@ -230,7 +236,7 @@ def load_run_dir(directory: Path, name: str, weight: float,
     for path in sorted(directory.glob("*.tml")):
         parsed = parse_timeml(path.read_bytes(), path.stem)
         run.documents[path.stem] = parsed.links
-        skipped.extend(parsed.skipped)
+        skipped.extend(replace(item, run=name) for item in parsed.skipped)
     return run
 
 
@@ -258,7 +264,7 @@ def load_corpus(root: Union[str, Path],
             runs[sub.name] = load_run_dir(sub, sub.name, weights[sub.name], skipped)
 
     for item in skipped:
-        log.warning("%s: skipped TLINK %s: %s", item.document, item.ref, item.reason)
+        log.warning("%s: skipped TLINK %s: %s", item.where, item.ref, item.reason)
     ref_docs = set(reference.documents)
     for run in runs.values():
         for doc in sorted(ref_docs - set(run.documents)):
@@ -268,7 +274,7 @@ def load_corpus(root: Union[str, Path],
 
 def write_skipped_report(skipped: Iterable[SkippedItem], sink: TextIO) -> None:
     for item in skipped:
-        sink.write(f"{item.document} {item.ref} {item.reason}\n")
+        sink.write(f"{item.where} {item.ref} {item.reason}\n")
 
 
 def write_timeml(entities: Iterable[EntityRef], links: Iterable[TLink],

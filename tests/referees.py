@@ -1,0 +1,170 @@
+"""Test referees for the solver and for reconciled labellings.
+
+brute_force_solve() is the exhaustive optimum for tiny programs; it never
+touches a solver, so it can referee solve().  is_consistent_labeling() checks
+every fully labelled triangle of a single-label graph against the composition
+table.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+
+from tlinkrec.errors import Infeasible
+from tlinkrec.model import N_LABELS, BinaryProgram
+from tlinkrec.relations import EventGraph, RelType, collapse, compose
+from tlinkrec.solver import (
+    Solution,
+    SolverStats,
+    _assignment_from_vars,
+    _objective_of,
+)
+
+
+def _arc_candidates(program: BinaryProgram) -> List[List[int]]:
+    """Allowed variables per arc, taken from the partition rows."""
+    n_arcs = program.num_vars // N_LABELS
+    per_arc: List[Optional[Tuple[int, ...]]] = [None] * n_arcs
+    for row in program.a_eq.tolil().rows:
+        arcs = {v // N_LABELS for v in row}
+        if len(arcs) != 1:
+            raise ValueError("brute force requires one partition row per arc")
+        arc = arcs.pop()
+        if per_arc[arc] is not None:
+            raise ValueError(f"multiple partition rows for arc {arc}")
+        per_arc[arc] = tuple(sorted(row))
+    if any(c is None for c in per_arc):
+        raise ValueError("every arc needs a partition row")
+    return [list(c) for c in per_arc]
+
+
+def brute_force_solve(program: BinaryProgram) -> Solution:
+    """Exhaustive optimum for instances with at most 8 arcs.
+
+    Depth-first over per-arc label choices with an admissible remaining-weight
+    bound; among equal optima the lexicographically smallest assignment vector
+    (arc order, then ordinal) wins.
+    """
+    t0 = time.monotonic()
+    stats = SolverStats(rows=program.num_rows, cols=program.num_vars)
+    n_arcs = program.num_vars // N_LABELS
+    if n_arcs > 8:
+        raise ValueError(f"instance too large for brute force: {n_arcs} arcs")
+    if n_arcs == 0:
+        stats.wall_time = time.monotonic() - t0
+        return Solution({}, 0.0, True, stats)
+
+    candidates = _arc_candidates(program)
+    obj = program.objective
+    suffix_max = [0.0] * (n_arcs + 1)
+    for arc in range(n_arcs - 1, -1, -1):
+        suffix_max[arc] = suffix_max[arc + 1] + max(obj[v] for v in candidates[arc])
+
+    # Group rows by their pair of plus arcs so that feasibility at a node is
+    # one dict lookup per triangle instead of a scan over every row: a row is
+    # violated exactly when both plus variables are chosen and none of its
+    # minus variables is.
+    groups: Dict[Tuple[int, int], Dict[Tuple[int, int], frozenset]] = {}
+    rows = program.a_ub.tolil()
+    for cols, coeffs in zip(rows.rows, rows.data):
+        plus = tuple(v for v, c in zip(cols, coeffs) if c == 1.0)
+        minus = frozenset(v for v, c in zip(cols, coeffs) if c == -1.0)
+        if len(plus) != 2 or len(plus) + len(minus) != len(cols):
+            raise ValueError("brute force requires triangle rows with two +1 "
+                             "entries and otherwise -1 entries")
+        key = (plus[0] // N_LABELS, plus[1] // N_LABELS)
+        groups.setdefault(key, {})[plus] = minus
+    groups_by_arc: List[List] = [[] for _ in range(n_arcs)]
+    for (a0, a1), table in groups.items():
+        last = max((a0, a1) + tuple(v // N_LABELS
+                                    for minus in table.values() for v in minus))
+        groups_by_arc[last].append((a0, a1, table))
+
+    chosen = [-1] * n_arcs  # var index per arc
+
+    def node_ok(arc: int) -> bool:
+        for a0, a1, table in groups_by_arc[arc]:
+            minus = table.get((chosen[a0], chosen[a1]))
+            if minus is not None and not any(
+                chosen[v // N_LABELS] == v for v in minus
+            ):
+                return False
+        return True
+
+    best = {"val": -np.inf, "vars": None}
+
+    def find_value(arc: int, acc: float) -> None:
+        """Best-first pass: establishes the optimal objective value."""
+        if acc + suffix_max[arc] <= best["val"] + 1e-12 and best["vars"] is not None:
+            return
+        if arc == n_arcs:
+            if acc > best["val"] or best["vars"] is None:
+                best["val"] = acc
+                best["vars"] = list(chosen)
+            return
+        for v in sorted(candidates[arc], key=lambda u: (-obj[u], u)):
+            chosen[arc] = v
+            if node_ok(arc):
+                find_value(arc + 1, acc + obj[v])
+            chosen[arc] = -1
+
+    def find_lex(arc: int, acc: float) -> Optional[List[int]]:
+        """Ordinal-order pass: first completion hitting the optimum is the
+        lexicographically smallest optimal assignment."""
+        if acc + suffix_max[arc] < best["val"] - 1e-12:
+            return None
+        if arc == n_arcs:
+            return list(chosen) if abs(acc - best["val"]) <= 1e-12 else None
+        for v in candidates[arc]:
+            chosen[arc] = v
+            if node_ok(arc):
+                hit = find_lex(arc + 1, acc + obj[v])
+                if hit is not None:
+                    chosen[arc] = -1
+                    return hit
+            chosen[arc] = -1
+        return None
+
+    find_value(0, 0.0)
+    if best["vars"] is None:
+        raise Infeasible("no feasible assignment exists")
+    final_vars = find_lex(0, 0.0) or best["vars"]
+    val = _objective_of(program, final_vars)
+    stats.wall_time = time.monotonic() - t0
+    return Solution(_assignment_from_vars(final_vars), val, True, stats)
+
+
+def is_consistent_labeling(g: EventGraph) -> bool:
+    """True iff every fully labeled triangle satisfies the composition table.
+
+    Edges must carry single labels; NONE-labeled edges (and triangles touching
+    them) are exempt.  IDENTITY/SIMULTANEOUS and DURING synonyms are collapsed
+    before the membership test.
+    """
+    adj: Dict[str, set] = {}
+    for p, q, rel in g.edges():
+        if not isinstance(rel, RelType):
+            raise ValueError("is_consistent_labeling requires single-label edges")
+        if rel is RelType.NONE:
+            continue
+        adj.setdefault(p, set()).add(q)
+        adj.setdefault(q, set()).add(p)
+
+    for p in sorted(adj):
+        for q in sorted(adj[p]):
+            if q <= p:
+                continue
+            for r in sorted(adj[p] & adj[q]):
+                if r <= q:
+                    continue
+                lab_pq = g.get(p, q)
+                lab_qr = g.get(q, r)
+                lab_pr = g.get(p, r)
+                if RelType.NONE in (lab_pq, lab_qr, lab_pr):
+                    continue
+                if collapse(lab_pr) not in compose(lab_pq, lab_qr):
+                    return False
+    return True

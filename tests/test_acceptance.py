@@ -20,16 +20,16 @@ from tlinkrec.relations import (
     collapse,
     compose,
     invert,
-    is_consistent_labeling,
     relation_from_intervals,
 )
 from tlinkrec.scoring import temporal_awareness
-from tlinkrec.solver import brute_force_solve, solve, verify, violations
+from tlinkrec.solver import solve, verify, violations
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
 from tlinkrec.timeml import CanonicalArc, EntityKind, EntityRef, load_corpus
 
 from lp_reader import read_lp
 from point_oracle import oracle_composition_table, oracle_inverse_table
+from referees import brute_force_solve, is_consistent_labeling
 from test_relations import random_model_graph
 
 

@@ -81,10 +81,25 @@ class TestScoreCommand:
         captured = capsys.readouterr()
         skipped = captured.err.splitlines()
         assert len(skipped) == 1
-        assert skipped[0].startswith("synth_000 ")
+        assert skipped[0].startswith("system/synth_000 ")
         assert skipped[0].endswith(" unknown relType BOGUS")
         assert captured.out.startswith("doc_id,precision")
         assert "BOGUS" not in captured.out
+
+    def test_system_document_without_reference_reported(self, corpus_root,
+                                                        tmp_path, capsys):
+        ref = corpus_root / "reference"
+        system = tmp_path / "system"
+        shutil.copytree(ref, system)
+        (system / "synth_001.tml").rename(system / "synth_01x.tml")
+        main(["score", "--system", str(system), "--reference", str(ref)])
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "system/synth_01x: no reference document, not scored"]
+        rows = {line.split(",")[0]: line.split(",")
+                for line in captured.out.splitlines()}
+        assert "synth_01x" not in rows
+        assert rows["synth_001"][2] == "0.0000"  # recall
 
 
 class TestExportLpCommand:
@@ -279,6 +294,21 @@ class TestConfigFile:
         ])
         assert result.exit_code == 0, result.output
         assert (out / "scores.csv").exists()
+
+    def test_unknown_config_key_exits_1(self, corpus_root, tmp_path, capsys,
+                                        monkeypatch):
+        def no_load(*args, **kwargs):
+            raise AssertionError("the config file must be checked before loading")
+
+        monkeypatch.setattr(cli_module, "load_corpus", no_load)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# limits\nstrict = false\ntime_limt = 0.5\n")
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg), "reconcile", "--corpus", str(corpus_root),
+                  "--members", "alpha", "--out", str(tmp_path / "o")])
+        assert err.value.code == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}:3: 'time_limt' names no option of any command\n")
 
     def test_bad_config_line(self, runner, tmp_path):
         cfg = tmp_path / "cfg.txt"

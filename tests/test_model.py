@@ -271,14 +271,6 @@ class TestExportLp:
 
 
 class TestVarNames:
-    def test_roundtrip(self):
-        for v in (0, 14, 15, 44):
-            assert BinaryProgram.var_index(BinaryProgram.var_name(v)) == v
-
     def test_format(self):
         assert BinaryProgram.var_name(0) == "x_0_1"
         assert BinaryProgram.var_name(29) == "x_1_15"
-
-    def test_bad_ordinal(self):
-        with pytest.raises(ValueError):
-            BinaryProgram.var_index("x_0_16")

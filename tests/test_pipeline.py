@@ -27,6 +27,8 @@ from tlinkrec.solver import Solution
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
 from tlinkrec.timeml import canonical_votes, load_corpus
 
+from referees import is_consistent_labeling
+
 
 CLASSIFIERS = [
     SyntheticClassifier("alpha", flip_rate=0.1),
@@ -105,7 +107,6 @@ class TestReconcile:
             g = EventGraph()
             for link in links:
                 g.set_relation(link.source.id, link.target.id, link.rel)
-            from tlinkrec.relations import is_consistent_labeling
             assert is_consistent_labeling(g), doc
 
     def test_unknown_member_rejected(self, corpus):

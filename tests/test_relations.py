@@ -17,11 +17,11 @@ from tlinkrec.relations import (
     compose,
     dump_table,
     invert,
-    is_consistent_labeling,
     relation_from_intervals,
 )
 
 from point_oracle import oracle_composition_table, oracle_inverse_table
+from referees import is_consistent_labeling
 
 
 def to_names(rs):
@@ -98,7 +98,7 @@ class TestRelSet:
 
     def test_full_and_empty(self):
         assert len(RelSet((1 << 14) - 1)) == 14
-        assert RelSet().is_empty
+        assert len(RelSet()) == 0
 
     @given(st.sets(st.sampled_from(NON_NONE)))
     def test_invert_involutive(self, rels):

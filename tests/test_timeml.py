@@ -1,3 +1,4 @@
+import io
 import logging
 
 import pytest
@@ -177,7 +178,25 @@ class TestLoadCorpus:
             corpus = load_corpus(tmp_path)
         assert len(corpus.skipped) == 1
         warnings = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
-        assert warnings == ["d1: skipped TLINK l1: unknown relType BOGUS"]
+        assert warnings == ["c1/d1: skipped TLINK l1: unknown relType BOGUS"]
+
+    def test_skipped_tlink_names_its_run(self, tmp_path, caplog):
+        docs = {"d1": doc_payload("d1")}
+        make_corpus(tmp_path, {"c1": docs}, docs, ["c1 0.5"])
+        for path in (tmp_path / "reference" / "d1.tml",
+                     tmp_path / "runs" / "c1" / "d1.tml"):
+            path.write_text(path.read_text().replace(
+                'relType="BEFORE"', 'relType="BOGUS"'))
+        with caplog.at_level(logging.WARNING):
+            corpus = load_corpus(tmp_path)
+        warnings = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert warnings == ["reference/d1: skipped TLINK l1: unknown relType BOGUS",
+                            "c1/d1: skipped TLINK l1: unknown relType BOGUS"]
+        report = io.StringIO()
+        write_skipped_report(corpus.skipped, report)
+        assert report.getvalue().splitlines() == [
+            "reference/d1 l1 unknown relType BOGUS",
+            "c1/d1 l1 unknown relType BOGUS"]
 
     def test_missing_weight_is_fatal(self, tmp_path):
         docs = {"d1": doc_payload("d1")}
