@@ -16,7 +16,6 @@ from .errors import (
 from .relations import (
     INCONSISTENT,
     EventGraph,
-    RelSet,
     RelType,
     closure,
     collapse,

@@ -166,6 +166,8 @@ def score_cmd(system_dir, reference_dir, out_path, average, collapse_identity):
     write_skipped_report(skipped, click.get_text_stream("stderr"))
     for doc in sorted(system.documents.keys() - reference.documents.keys()):
         click.echo(f"system/{doc}: no reference document, not scored", err=True)
+    for doc in sorted(reference.documents.keys() - system.documents.keys()):
+        click.echo(f"reference/{doc}: no system document, scored as empty", err=True)
     report = score_run(reference, system, average=average,
                        collapse_identity=collapse_identity)
     if out_path:

@@ -21,7 +21,7 @@ from typing import BinaryIO, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .relations import NON_NONE, RelSet, RelType, compose, synonyms
+from .relations import CANONICAL_LABELS, NON_NONE, RelType, compose, synonyms
 from .timeml import CanonicalArc, ClassifierRun, canonical_votes
 
 N_LABELS = len(RelType)  # 15
@@ -119,12 +119,11 @@ def _row_template(none_breaks_triangles: bool) -> Tuple[np.ndarray, np.ndarray]:
     Returns the rows' (a, b) ordinal pairs and their coefficients over the
     triangle's 45 variables: the 15 labels of pq, then of qr, then of pr.
     """
-    canonical_full = RelSet.canonical_full()
     pairs, coeffs = [], []
     for a in NON_NONE:
         for b in NON_NONE:
             cstar = compose(a, b)
-            if cstar == canonical_full and not none_breaks_triangles:
+            if cstar == set(CANONICAL_LABELS) and not none_breaks_triangles:
                 continue
             minus = {s for c in cstar for s in synonyms(c)}
             if not none_breaks_triangles:

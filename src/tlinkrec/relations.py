@@ -14,9 +14,8 @@ synonyms before testing membership.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple, Union
 
 
 class RelType(enum.IntEnum):
@@ -180,74 +179,28 @@ def relation_from_intervals(x: Tuple[int, int], y: Tuple[int, int]) -> Optional[
     raise AssertionError("unreachable: endpoint grid matches no basic relation")
 
 
-# --- relation sets ----------------------------------------------------------
+# --- label masks -----------------------------------------------------------
+#
+# Closure works on sets of canonical labels held as 14-bit masks
+# (bit = ordinal - 1); they never leave this module.
 
 _BIT = {r: 1 << (r.value - 1) for r in NON_NONE}
-_FULL_MASK = (1 << 14) - 1
 _CANONICAL_MASK = 0
 for _r in CANONICAL_LABELS:
     _CANONICAL_MASK |= _BIT[_r]
+_SINGLE = {_BIT[r]: r for r in CANONICAL_LABELS}
 
 
-@dataclass(frozen=True)
-class RelSet:
-    """Subset of the 14 non-NONE labels as a 14-bit mask (bit = ordinal - 1)."""
-
-    mask: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.mask <= _FULL_MASK:
-            raise ValueError(f"mask out of range: {self.mask:#x}")
-
-    @classmethod
-    def of(cls, *rels: RelType) -> "RelSet":
-        m = 0
-        for r in rels:
-            if r is RelType.NONE:
-                raise ValueError("RelSet never contains NONE")
-            m |= _BIT[r]
-        return cls(m)
-
-    @classmethod
-    def canonical_full(cls) -> "RelSet":
-        return cls(_CANONICAL_MASK)
-
-    def __contains__(self, r: RelType) -> bool:
-        return r is not RelType.NONE and bool(self.mask & _BIT[r])
-
-    def __iter__(self) -> Iterator[RelType]:
-        for r in NON_NONE:
-            if self.mask & _BIT[r]:
-                yield r
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
-
-    def __and__(self, other: "RelSet") -> "RelSet":
-        return RelSet(self.mask & other.mask)
-
-    def invert(self) -> "RelSet":
-        return RelSet(_invert_mask(self.mask))
-
-    def __repr__(self):
-        return "{" + ",".join(r.name for r in self) + "}"
+def _labels(mask: int) -> Tuple[RelType, ...]:
+    """The labels of a mask, in ordinal order."""
+    return tuple(r for r in NON_NONE if mask & _BIT[r])
 
 
 @lru_cache(maxsize=None)
 def _invert_mask(mask: int) -> int:
     out = 0
-    for r in NON_NONE:
-        if mask & _BIT[r]:
-            out |= _BIT[_INVERSE[r]]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _collapse_mask(mask: int) -> int:
-    out = 0
-    for r in NON_NONE:
-        if mask & _BIT[r]:
-            out |= _BIT[collapse(r)]
+    for r in _labels(mask):
+        out |= _BIT[_INVERSE[r]]
     return out
 
 
@@ -257,32 +210,29 @@ def _collapse_mask(mask: int) -> int:
 # their canonical label.
 
 _COMPOSITION: Dict[Tuple[RelType, RelType], int] = {
-    (a, b): RelSet.of(*(
-        _ALLEN_TO_TIMEML[name]
+    (a, b): sum(
+        _BIT[_ALLEN_TO_TIMEML[name]]
         for name in _allen_compose(_TIMEML_TO_ALLEN[a], _TIMEML_TO_ALLEN[b])
         if name in _ALLEN_TO_TIMEML
-    )).mask
+    )
     for a in NON_NONE
     for b in NON_NONE
 }
 
 
-def compose(a: RelType, b: RelType) -> RelSet:
+def compose(a: RelType, b: RelType) -> FrozenSet[RelType]:
     """Set of labels consistent with a(p,q) and b(q,r); canonical labels only."""
     if a is RelType.NONE or b is RelType.NONE:
         raise ValueError("composition with NONE is undefined")
-    return RelSet(_COMPOSITION[(a, b)])
+    return frozenset(_labels(_COMPOSITION[(a, b)]))
 
 
 @lru_cache(maxsize=None)
 def _compose_masks(mask_a: int, mask_b: int) -> int:
     out = 0
-    for a in NON_NONE:
-        if not mask_a & _BIT[a]:
-            continue
-        for b in NON_NONE:
-            if mask_b & _BIT[b]:
-                out |= _COMPOSITION[(a, b)]
+    for a in _labels(mask_a):
+        for b in _labels(mask_b):
+            out |= _COMPOSITION[(a, b)]
     return out
 
 
@@ -293,7 +243,7 @@ def dump_table() -> str:
     """
     lines = ["\t".join(["."] + [r.name for r in NON_NONE])]
     for a in NON_NONE:
-        cells = [",".join(r.name for r in RelSet(_COMPOSITION[(a, b)])) or "-"
+        cells = [",".join(r.name for r in _labels(_COMPOSITION[(a, b)])) or "-"
                  for b in NON_NONE]
         lines.append("\t".join([a.name] + cells))
     return "\n".join(lines) + "\n"
@@ -311,8 +261,6 @@ class _Inconsistent:
 
 INCONSISTENT = _Inconsistent()
 
-EdgeLabel = Union[RelType, RelSet]
-
 
 class EventGraph:
     """Undirected storage of labeled entity pairs, one edge per unordered pair.
@@ -323,9 +271,9 @@ class EventGraph:
 
     def __init__(self, nodes: Iterable[str] = ()):
         self.nodes = set(nodes)
-        self._edges: Dict[Tuple[str, str], EdgeLabel] = {}
+        self._edges: Dict[Tuple[str, str], RelType] = {}
 
-    def set_relation(self, p: str, q: str, rel: EdgeLabel) -> None:
+    def set_relation(self, p: str, q: str, rel: RelType) -> None:
         if p == q:
             raise ValueError(f"self-loop on {p!r}")
         self.nodes.add(p)
@@ -333,18 +281,16 @@ class EventGraph:
         if p < q:
             self._edges[(p, q)] = rel
         else:
-            self._edges[(q, p)] = rel.invert() if isinstance(rel, RelSet) else invert(rel)
+            self._edges[(q, p)] = invert(rel)
 
-    def get(self, p: str, q: str) -> Optional[EdgeLabel]:
+    def get(self, p: str, q: str) -> Optional[RelType]:
         """Label read in direction p -> q, or None if the pair is unlabeled."""
         if p < q:
             return self._edges.get((p, q))
         rel = self._edges.get((q, p))
-        if rel is None:
-            return None
-        return rel.invert() if isinstance(rel, RelSet) else invert(rel)
+        return None if rel is None else invert(rel)
 
-    def edges(self) -> Iterator[Tuple[str, str, EdgeLabel]]:
+    def edges(self) -> Iterator[Tuple[str, str, RelType]]:
         for (p, q), rel in sorted(self._edges.items()):
             yield p, q, rel
 
@@ -359,37 +305,25 @@ class EventGraph:
         )
 
 
-def _seed_mask(label: EdgeLabel) -> Optional[int]:
-    if isinstance(label, RelSet):
-        return _collapse_mask(label.mask)
-    if label is RelType.NONE:
-        return None
-    return _BIT[collapse(label)]
-
-
 def closure(g: EventGraph) -> Union[EventGraph, _Inconsistent]:
-    """Path-consistent refinement of g, or INCONSISTENT.
+    """The labels g entails, or INCONSISTENT.
 
-    Unknown pairs start at the full canonical set; every pair is repeatedly
-    intersected with the composition along each two-edge path until fixpoint.
-    Naive triple iteration; documents here have at most a few hundred nodes.
+    Every pair starts at the full canonical set, or at its collapsed label if
+    g labels it (NONE labels nothing); every pair is then repeatedly
+    intersected with the composition along each two-edge path until
+    fixpoint.  The result holds each pair the fixpoint pins to one canonical
+    label.  Naive triple iteration; documents here have at most a few
+    hundred nodes.
     """
     nodes = sorted(g.nodes)
     n = len(nodes)
-    eq_bit = _BIT[RelType.SIMULTANEOUS]
     m = [[_CANONICAL_MASK] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = eq_bit
     index = {node: i for i, node in enumerate(nodes)}
     for p, q, rel in g.edges():
-        seed = _seed_mask(rel)
-        if seed is None:
-            continue
-        i, j = index[p], index[q]
-        m[i][j] &= seed
-        m[j][i] = _invert_mask(m[i][j])
-        if m[i][j] == 0:
-            return INCONSISTENT
+        if rel is not RelType.NONE:
+            i, j = index[p], index[q]
+            m[i][j] = _BIT[collapse(rel)]
+            m[j][i] = _invert_mask(m[i][j])
 
     changed = True
     while changed:
@@ -412,6 +346,6 @@ def closure(g: EventGraph) -> Union[EventGraph, _Inconsistent]:
     out = EventGraph(g.nodes)
     for i in range(n):
         for j in range(i + 1, n):
-            if m[i][j] != _CANONICAL_MASK:
-                out.set_relation(nodes[i], nodes[j], RelSet(m[i][j]))
+            if m[i][j] in _SINGLE:
+                out.set_relation(nodes[i], nodes[j], _SINGLE[m[i][j]])
     return out

@@ -1,10 +1,10 @@
 """Closure-based temporal-awareness precision/recall/F1.
 
-A predicted relation counts as correct when it is entailed by the closure of
-the reference annotation, and symmetrically for recall.  Verification goes
-through the interval-algebra closure; plain relation counts are used (no
-reduced-graph weighting).  Documents whose graph is inconsistent are scored
-against the raw, unclosed graph on that side and flagged.
+A predicted relation counts as correct when the closure of the reference
+annotation entails exactly that label, and symmetrically for recall; NONE
+never counts as correct.  Plain relation counts are used (no reduced-graph
+weighting).  An inconsistent side has no closure: it entails only its own
+stored labels, and it is flagged.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Dict, Iterable, List, Optional, Set, TextIO, Tuple
 from .relations import (
     EventGraph,
     INCONSISTENT,
-    RelSet,
     RelType,
     closure,
     collapse,
@@ -61,21 +60,17 @@ class AwarenessCounts:
         return f1_score(self.precision, self.recall)
 
 
-def _verifiable(closed: EventGraph, raw: Optional[EventGraph],
-                stored: EventGraph, p: str, q: str, rel: RelType,
-                collapse_identity: bool) -> bool:
-    """A relation is verifiable when the closed graph pins the pair to it.
+def _verifiable(entailed: EventGraph, stored: EventGraph, p: str, q: str,
+                rel: RelType, collapse_identity: bool) -> bool:
+    """A relation is verifiable when the other side entails exactly it.
 
-    With collapse_identity off, IDENTITY only matches a stored IDENTITY edge
-    (the closure cannot keep the synonyms apart).
+    NONE never verifies.  With collapse_identity off, IDENTITY only matches a
+    stored IDENTITY edge (the closure cannot keep the synonyms apart).
     """
     if not collapse_identity and rel is RelType.IDENTITY:
         return stored.get(p, q) is RelType.IDENTITY
-    target = collapse(rel)
-    if raw is not None:  # inconsistent side: fall back to stored labels
-        stored = raw.get(p, q)
-        return isinstance(stored, RelType) and collapse(stored) is target
-    return target is not RelType.NONE and closed.get(p, q) == RelSet.of(target)
+    return (rel is not RelType.NONE
+            and collapse(entailed.get(p, q)) is collapse(rel))
 
 
 def temporal_awareness(reference: EventGraph, system: EventGraph, *,
@@ -83,26 +78,22 @@ def temporal_awareness(reference: EventGraph, system: EventGraph, *,
     """Precision/recall counts of a system graph against a reference graph."""
     counts = AwarenessCounts()
 
-    closed_ref = closure(reference)
-    raw_ref = None
-    if closed_ref is INCONSISTENT:
+    entailed_ref = closure(reference)
+    if entailed_ref is INCONSISTENT:
         counts.inconsistent_ref = True
-        closed_ref, raw_ref = reference, reference
-    closed_sys = closure(system)
-    raw_sys = None
-    if closed_sys is INCONSISTENT:
+        entailed_ref = reference
+    entailed_sys = closure(system)
+    if entailed_sys is INCONSISTENT:
         counts.inconsistent_sys = True
-        closed_sys, raw_sys = system, system
+        entailed_sys = system
 
     for p, q, rel in system.edges():
         counts.total_sys += 1
-        if _verifiable(closed_ref, raw_ref, reference, p, q, rel,
-                       collapse_identity):
+        if _verifiable(entailed_ref, reference, p, q, rel, collapse_identity):
             counts.verified_sys += 1
     for p, q, rel in reference.edges():
         counts.total_ref += 1
-        if _verifiable(closed_sys, raw_sys, system, p, q, rel,
-                       collapse_identity):
+        if _verifiable(entailed_sys, system, p, q, rel, collapse_identity):
             counts.verified_ref += 1
     return counts
 

@@ -95,11 +95,26 @@ class TestScoreCommand:
         main(["score", "--system", str(system), "--reference", str(ref)])
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "system/synth_01x: no reference document, not scored"]
+            "system/synth_01x: no reference document, not scored",
+            "reference/synth_001: no system document, scored as empty"]
         rows = {line.split(",")[0]: line.split(",")
                 for line in captured.out.splitlines()}
         assert "synth_01x" not in rows
         assert rows["synth_001"][2] == "0.0000"  # recall
+
+    def test_reference_document_without_system_reported(self, corpus_root,
+                                                        tmp_path, capsys):
+        ref = corpus_root / "reference"
+        system = tmp_path / "system"
+        shutil.copytree(ref, system)
+        (system / "synth_001.tml").unlink()
+        main(["score", "--system", str(system), "--reference", str(ref)])  # exit 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "reference/synth_001: no system document, scored as empty"]
+        rows = {line.split(",")[0]: line.split(",")
+                for line in captured.out.splitlines()}
+        assert rows["synth_001"][1:4] == ["0.0000", "0.0000", "0.0000"]
 
 
 class TestExportLpCommand:

@@ -120,6 +120,13 @@ class TestTemporalAwareness:
         counts = temporal_awareness(g, g)
         assert (counts.verified_sys, counts.total_sys) == (1, 2)
         assert (counts.verified_ref, counts.total_ref) == (1, 2)
+        # An inconsistent side entails its stored labels, but still not NONE.
+        g = graph_of(("a", "b", RelType.BEFORE), ("b", "c", RelType.BEFORE),
+                     ("c", "a", RelType.BEFORE), ("c", "d", RelType.NONE))
+        counts = temporal_awareness(g, g)
+        assert counts.inconsistent_sys and counts.inconsistent_ref
+        assert (counts.verified_sys, counts.total_sys) == (3, 4)
+        assert (counts.verified_ref, counts.total_ref) == (3, 4)
 
     def test_empty_system(self):
         ref = graph_of(("a", "b", RelType.BEFORE))
