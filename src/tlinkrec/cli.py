@@ -59,9 +59,12 @@ def cli(ctx, config_path, verbose):
         format="%(levelname)s %(name)s: %(message)s",
     )
     if config_path:
-        # config key -> parameter name, per command
+        # config key -> parameter name, per command.  `out` names a directory
+        # for some commands and a single file (out_path) for score and
+        # export-lp; the file ones are taken from the command line only.
         options = {cmd_name: {opt.lstrip("-").replace("-", "_"): param.name
-                              for param in cmd.params for opt in param.opts}
+                              for param in cmd.params if param.name != "out_path"
+                              for opt in param.opts}
                    for cmd_name, cmd in cli.commands.items()}  # noqa: F821
         defaults = _read_config(config_path, set().union(*options.values()))
         ctx.default_map = {cmd_name: {name: defaults[key] for key, name in keys.items()

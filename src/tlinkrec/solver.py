@@ -1,10 +1,20 @@
 """Exact solver for the binary reconciliation program.
 
-solve() hands the whole program to the HiGHS MIP solver through
-scipy.optimize.milp.  The relative gap is set to 0, so a solution reported as
-proven optimal is exact (up to HiGHS's absolute gap of 1e-6, which milp does
-not expose).  HiGHS enforces the time limit inside the solve.  Among equal
-optima the one returned is HiGHS's choice.
+solve() separates the triangle rows lazily (cutting-plane inference).  Round 1
+keeps only the partition rows, whose optimum is each arc's highest-weighted
+label; among equal weights it takes the lowest ordinal, and no MIP solver is
+called.  Each later round finds the triangle rows the current answer violates
+(one product with a_ub), activates every triangle that owns one, and re-solves
+with the HiGHS MIP solver through scipy.optimize.milp over the partition rows
+plus all rows of the active triangles.  The loop stops at the first answer
+that violates no row of the full program: it is feasible for the full program
+and optimal for a relaxation of it, so it is optimal.  Among equal optima of a
+re-solve the one returned is HiGHS's choice.
+
+Every re-solve sets the relative gap to 0, so a solution reported as proven
+optimal is exact (up to HiGHS's absolute gap of 1e-6, which milp does not
+expose).  The time limit bounds the whole loop: each re-solve gets the time
+that is left, and HiGHS enforces it inside the solve.
 """
 
 from __future__ import annotations
@@ -22,17 +32,24 @@ from .relations import RelType
 
 FEAS_TOL = 1e-7
 OBJ_TOL = 1e-9
+NO_INCUMBENT = "time limit reached before any incumbent was found"
 
 
 @dataclass
 class SolverStats:
-    """Effort of one solve; solve() leaves lp_iterations 0 (milp omits it)."""
+    """Effort of one solve; solve() leaves lp_iterations 0 (milp omits it).
+
+    rounds counts the argmax round plus one per milp re-solve, and
+    active_triangles the triangles whose rows reached the last re-solve.
+    """
 
     nodes_explored: int = 0
     lp_iterations: int = 0
     wall_time: float = 0.0
     rows: int = 0
     cols: int = 0
+    rounds: int = 0
+    active_triangles: int = 0
 
 
 @dataclass
@@ -59,7 +76,8 @@ def solve(program: BinaryProgram, time_limit: float = 300.0) -> Solution:
 
     Raises Infeasible when no feasible assignment exists (possible only for
     hand-built programs or strict mode), and RuntimeError when the time limit
-    passes before any incumbent is found or HiGHS fails.
+    passes before an incumbent that satisfies the full program is found, when
+    HiGHS fails, or when it returns a point that breaks one of its own rows.
     """
     if time_limit <= 0:
         raise ValueError("time_limit must be positive")
@@ -69,25 +87,52 @@ def solve(program: BinaryProgram, time_limit: float = 300.0) -> Solution:
         stats.wall_time = time.monotonic() - t0
         return Solution({}, 0.0, True, stats)
 
-    constraints = [LinearConstraint(program.a_eq, 1, 1)]
-    if program.a_ub.shape[0]:
-        constraints.append(LinearConstraint(program.a_ub, -np.inf, 1))
-    res = milp(-program.objective, integrality=1, bounds=Bounds(0, 1),
-               constraints=constraints,
-               options={"mip_rel_gap": 0.0, "time_limit": time_limit})
-    stats.nodes_explored = res.mip_node_count
+    # Round 1: the partition rows alone; argmax takes the lowest ordinal among
+    # an arc's equal maximal weights.
+    best = program.objective.reshape(-1, N_LABELS).argmax(axis=1)
+    x = np.zeros(program.num_vars)
+    x[np.arange(len(best)) * N_LABELS + best] = 1.0
+    stats.rounds = 1
+    triangle_of_row = program.row_keys[:, 0]
+    active = np.zeros(triangle_of_row.max(initial=-1) + 1, dtype=bool)
+    proven = True
+    while True:
+        violated = np.flatnonzero(program.a_ub @ x > 1.0 + FEAS_TOL)
+        if not violated.size:
+            break
+        if not proven:  # the last re-solve hit the time limit
+            raise RuntimeError(NO_INCUMBENT)
+        new = np.unique(triangle_of_row[violated])
+        new = new[~active[new]]
+        if not new.size:
+            raise RuntimeError("MIP solve returned a point that violates its "
+                               f"own row {program.row_name(violated[0])}")
+        active[new] = True
+        remaining = time_limit - (time.monotonic() - t0)
+        if remaining <= 0:
+            raise RuntimeError(NO_INCUMBENT)
+        rows = np.flatnonzero(active[triangle_of_row])
+        res = milp(-program.objective, integrality=1, bounds=Bounds(0, 1),
+                   constraints=[LinearConstraint(program.a_eq, 1, 1),
+                                LinearConstraint(program.a_ub[rows], -np.inf, 1)],
+                   options={"mip_rel_gap": 0.0, "time_limit": remaining})
+        stats.rounds += 1
+        if res.status == 2:
+            raise Infeasible("no feasible assignment exists")
+        if res.status == 1 and res.x is None:
+            raise RuntimeError(NO_INCUMBENT)
+        if res.status not in (0, 1):
+            raise RuntimeError(f"MIP solve failed: {res.message}")
+        stats.nodes_explored += res.mip_node_count
+        proven = res.status == 0
+        x = (res.x > 0.5).astype(float)
+    stats.active_triangles = int(active.sum())
     stats.wall_time = time.monotonic() - t0
-    if res.status == 2:
-        raise Infeasible("no feasible assignment exists")
-    if res.status == 1 and res.x is None:
-        raise RuntimeError("time limit reached before any incumbent was found")
-    if res.status not in (0, 1):
-        raise RuntimeError(f"MIP solve failed: {res.message}")
-    chosen = np.flatnonzero(res.x > 0.5).tolist()
+    chosen = np.flatnonzero(x).tolist()
     return Solution(
         assignment=_assignment_from_vars(chosen),
         objective_value=_objective_of(program, chosen),
-        proven_optimal=res.status == 0,
+        proven_optimal=proven,
         stats=stats,
     )
 

@@ -1,9 +1,11 @@
 """Test referees for the solver and for reconciled labellings.
 
 brute_force_solve() is the exhaustive optimum for tiny programs; it never
-touches a solver, so it can referee solve().  is_consistent_labeling() checks
-every fully labelled triangle of a single-label graph against the composition
-table.
+touches a solver, so it can referee solve().  full_milp_solve() hands the
+whole program, every triangle row included, to HiGHS in one call, so it
+referees solve()'s lazy separation on programs of any size.
+is_consistent_labeling() checks every fully labelled triangle of a
+single-label graph against the composition table.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from tlinkrec.errors import Infeasible
 from tlinkrec.model import N_LABELS, BinaryProgram
@@ -135,6 +138,44 @@ def brute_force_solve(program: BinaryProgram) -> Solution:
     val = _objective_of(program, final_vars)
     stats.wall_time = time.monotonic() - t0
     return Solution(_assignment_from_vars(final_vars), val, True, stats)
+
+
+def full_milp_solve(program: BinaryProgram, time_limit: float = 300.0) -> Solution:
+    """Optimal solution (proven_optimal=True) or best incumbent on timeout.
+
+    One milp call on the full program.  Raises Infeasible when no feasible
+    assignment exists, and RuntimeError when the time limit passes before any
+    incumbent is found or HiGHS fails.
+    """
+    if time_limit <= 0:
+        raise ValueError("time_limit must be positive")
+    t0 = time.monotonic()
+    stats = SolverStats(rows=program.num_rows, cols=program.num_vars)
+    if program.num_vars == 0:
+        stats.wall_time = time.monotonic() - t0
+        return Solution({}, 0.0, True, stats)
+
+    constraints = [LinearConstraint(program.a_eq, 1, 1)]
+    if program.a_ub.shape[0]:
+        constraints.append(LinearConstraint(program.a_ub, -np.inf, 1))
+    res = milp(-program.objective, integrality=1, bounds=Bounds(0, 1),
+               constraints=constraints,
+               options={"mip_rel_gap": 0.0, "time_limit": time_limit})
+    stats.nodes_explored = res.mip_node_count
+    stats.wall_time = time.monotonic() - t0
+    if res.status == 2:
+        raise Infeasible("no feasible assignment exists")
+    if res.status == 1 and res.x is None:
+        raise RuntimeError("time limit reached before any incumbent was found")
+    if res.status not in (0, 1):
+        raise RuntimeError(f"MIP solve failed: {res.message}")
+    chosen = np.flatnonzero(res.x > 0.5).tolist()
+    return Solution(
+        assignment=_assignment_from_vars(chosen),
+        objective_value=_objective_of(program, chosen),
+        proven_optimal=res.status == 0,
+        stats=stats,
+    )
 
 
 def is_consistent_labeling(g: EventGraph) -> bool:

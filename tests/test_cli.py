@@ -325,6 +325,23 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             f"configuration error: {cfg}:3: 'time_limt' names no option of any command\n")
 
+    def test_out_fills_only_directory_options(self, runner, corpus_root, tmp_path,
+                                              monkeypatch):
+        # `out` names reconcile's output directory; score must keep writing
+        # its CSV to stdout instead of to a file named by the config.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"corpus = {corpus_root}\nmembers = alpha\nout = o1\n")
+        ref = str(corpus_root / "reference")
+        result = runner.invoke(cli, ["--config", str(cfg), "score",
+                                     "--system", ref, "--reference", ref])
+        assert result.exit_code == 0, result.output
+        assert "ALL,1.0000,1.0000,1.0000" in result.output
+        assert not (tmp_path / "o1").exists()
+        result = runner.invoke(cli, ["--config", str(cfg), "reconcile"])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "o1" / "scores.csv").exists()
+
     def test_bad_config_line(self, runner, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("just-a-word\n")

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from tlinkrec.relations import NON_NONE, RelType
 from tlinkrec.solver import Solution, solve, verify, violations
 from tlinkrec.timeml import CanonicalArc, EntityKind, EntityRef
 
-from referees import brute_force_solve
+from referees import brute_force_solve, full_milp_solve
 
 
 def ev(i):
@@ -51,6 +52,29 @@ def random_instance(rng):
     return build_ip(votes_of(arcs, weights), none_breaks_triangles=strict)
 
 
+def triangle_program():
+    """Arcs 0 = (1, 2), 1 = (1, 3), 2 = (2, 3): one triangle (pq, qr, pr) =
+    (0, 2, 1), which the per-arc argmax GREEDY violates."""
+    return build_ip(votes_of(
+        [arc(1, 2), arc(1, 3), arc(2, 3)],
+        {0: {RelType.BEFORE: 0.5},
+         1: {RelType.AFTER: 0.25, RelType.BEFORE: 0.125},
+         2: {RelType.BEFORE: 0.5}},
+    ))
+
+
+GREEDY = {0: RelType.BEFORE, 1: RelType.AFTER, 2: RelType.BEFORE}
+OPTIMUM = {0: RelType.BEFORE, 1: RelType.BEFORE, 2: RelType.BEFORE}
+FEASIBLE_NOT_OPTIMAL = {0: RelType.BEFORE, 1: RelType.AFTER, 2: RelType.NONE}
+
+
+def point_of(assignment):
+    x = np.zeros(len(assignment) * N_LABELS)
+    for a, rel in assignment.items():
+        x[a * N_LABELS + rel.value - 1] = 1.0
+    return x
+
+
 class TestSolveBasics:
     def test_single_arc_argmax(self):
         program = build_ip(votes_of([arc(1, 2)], {0: {RelType.BEFORE: 0.5}}))
@@ -68,12 +92,7 @@ class TestSolveBasics:
     def test_triangle_overrides_greedy(self):
         # Greedy argmax picks BEFORE/BEFORE/AFTER, violating the composition
         # {BEFORE}; the optimum must back off to a consistent labeling.
-        program = build_ip(votes_of(
-            [arc(1, 2), arc(1, 3), arc(2, 3)],
-            {0: {RelType.BEFORE: 0.5},
-             1: {RelType.AFTER: 0.25, RelType.BEFORE: 0.125},
-             2: {RelType.BEFORE: 0.5}},
-        ))
+        program = triangle_program()
         sol = solve(program)
         assert sol.assignment[1] is RelType.BEFORE
         assert sol.objective_value == 1.125
@@ -103,65 +122,120 @@ class TestSolveBasics:
 
 
 class TestMilpStatusMapping:
-    """solve() against a stand-in for scipy's milp returning a fixed result."""
+    """solve() against a stand-in for scipy's milp returning fixed results.
+
+    The program is test_triangle_overrides_greedy's: its argmax violates the
+    one triangle, so solve() reaches milp in its second round.
+    """
 
     def program(self):
-        return build_ip(votes_of([arc(1, 2)], {0: {RelType.BEFORE: 0.5}}))
+        return triangle_program()
 
-    def fake_milp(self, monkeypatch, status, x, nodes=7):
+    def fake_milp(self, monkeypatch, *results):
+        """results: one (status, x, nodes) per call, in call order."""
         calls = []
+        pending = iter(results)
 
         def fake(c, **kwargs):
             calls.append(kwargs)
+            status, x, nodes = next(pending)
             return OptimizeResult(status=status, x=x, mip_node_count=nodes,
                                   message=f"fake status {status}")
 
         monkeypatch.setattr(solver, "milp", fake)
         return calls
 
-    def after_incumbent(self):
-        x = np.zeros(N_LABELS)
-        x[RelType.AFTER.value - 1] = 1.0
-        return x
-
     def test_time_limit_with_incumbent_is_unproven(self, monkeypatch):
-        self.fake_milp(monkeypatch, 1, self.after_incumbent())
+        # Feasible but not optimal: NONE on arc 2 leaves no row to break.
+        self.fake_milp(monkeypatch, (1, point_of(FEASIBLE_NOT_OPTIMAL), 7))
         sol = solve(self.program())
         assert not sol.proven_optimal
-        assert sol.assignment == {0: RelType.AFTER}
-        assert sol.objective_value == 0.0
+        assert sol.assignment == FEASIBLE_NOT_OPTIMAL
+        assert sol.objective_value == 0.75
+        assert verify(self.program(), sol)
 
     def test_time_limit_without_incumbent_raises(self, monkeypatch):
-        self.fake_milp(monkeypatch, 1, None)
+        self.fake_milp(monkeypatch, (1, None, 7))
         with pytest.raises(RuntimeError, match="before any incumbent"):
             solve(self.program())
 
+    def test_time_limit_with_violating_incumbent_raises(self, monkeypatch):
+        self.fake_milp(monkeypatch, (1, point_of(GREEDY), 7))
+        with pytest.raises(RuntimeError, match="before any incumbent"):
+            solve(self.program())
+
+    def test_budget_spent_before_a_resolve_raises(self, monkeypatch):
+        calls = self.fake_milp(monkeypatch, (0, point_of(OPTIMUM), 7))
+        clock = iter([0.0, 12.5])
+        monkeypatch.setattr(solver, "time",
+                            SimpleNamespace(monotonic=lambda: next(clock)))
+        with pytest.raises(RuntimeError, match="before any incumbent"):
+            solve(self.program(), time_limit=12.5)
+        assert calls == []
+
     def test_other_status_raises_with_message(self, monkeypatch):
-        self.fake_milp(monkeypatch, 4, None)
+        self.fake_milp(monkeypatch, (4, None, 7))
         with pytest.raises(RuntimeError, match="fake status 4"):
             solve(self.program())
 
+    def test_point_violating_an_active_row_raises(self, monkeypatch):
+        # The greedy point breaks the triangle whose rows the call was given;
+        # solve() must raise rather than hand the same rows over again.
+        calls = self.fake_milp(monkeypatch, (0, point_of(GREEDY), 7),
+                               (0, point_of(GREEDY), 7))
+        with pytest.raises(RuntimeError, match="violates its own row t0_1_1"):
+            solve(self.program())
+        assert len(calls) == 1
+
     def test_one_exact_call_with_caller_time_limit(self, monkeypatch):
-        calls = self.fake_milp(monkeypatch, 0, self.after_incumbent(), nodes=7)
+        calls = self.fake_milp(monkeypatch, (0, point_of(OPTIMUM), 7))
         sol = solve(self.program(), time_limit=12.5)
         assert sol.proven_optimal
+        assert sol.assignment == OPTIMUM
         assert sol.stats.nodes_explored == 7
+        assert sol.stats.rounds == 2 and sol.stats.active_triangles == 1
         assert len(calls) == 1
-        assert calls[0]["options"]["mip_rel_gap"] == 0
-        assert calls[0]["options"]["time_limit"] == 12.5
+        for call in calls:
+            assert call["options"]["mip_rel_gap"] == 0
+            assert 0 < call["options"]["time_limit"] <= 12.5
         solve(build_ip(votes_of([], {})))
+        solve(build_ip(votes_of([arc(1, 2)], {0: {RelType.BEFORE: 0.5}})))
         assert len(calls) == 1
+
+    def test_nodes_summed_over_rounds(self, monkeypatch):
+        # Two triangles, (pq, qr, pr) = (0, 2, 1) and (2, 4, 3).  The argmax
+        # breaks only the first; the second call's point breaks the second.
+        program = build_ip(votes_of(
+            [arc(1, 2), arc(1, 3), arc(2, 3), arc(2, 4), arc(3, 4)],
+            {0: {RelType.BEFORE: 0.5},
+             1: {RelType.AFTER: 0.25, RelType.BEFORE: 0.125},
+             2: {RelType.BEFORE: 0.5},
+             3: {RelType.AFTER: 0.125, RelType.BEFORE: 0.25},
+             4: {RelType.BEFORE: 0.5}}))
+        fixes_first = {0: RelType.BEFORE, 1: RelType.BEFORE, 2: RelType.BEFORE,
+                       3: RelType.AFTER, 4: RelType.BEFORE}
+        optimum = {**fixes_first, 3: RelType.BEFORE}
+        calls = self.fake_milp(monkeypatch, (0, point_of(fixes_first), 7),
+                               (0, point_of(optimum), 5))
+        sol = solve(program, time_limit=12.5)
+        assert sol.proven_optimal and sol.assignment == optimum
+        assert sol.stats.nodes_explored == 12
+        assert sol.stats.rounds == 3 and sol.stats.active_triangles == 2
+        per_tri = program.a_ub.shape[0] // 2
+        assert [call["constraints"][1].A.shape[0] for call in calls] == [
+            per_tri, 2 * per_tri]
+        assert all(call["options"]["time_limit"] <= 12.5 for call in calls)
 
 
 @st.composite
-def vote_tables(draw):
+def vote_tables(draw, max_nodes=5, max_arcs=8):
     """Small document-shaped vote tables with dyadic weights, so that sums
     of weights are exact in floating point whatever their order."""
-    n_nodes = draw(st.integers(3, 5))
+    n_nodes = draw(st.integers(3, max_nodes))
     pairs = [(i, j) for i in range(1, n_nodes + 1)
              for j in range(i + 1, n_nodes + 1)]
-    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8,
-                           unique=True))
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                           max_size=max_arcs, unique=True))
     arcs = [arc(i, j) for i, j in sorted(chosen)]
     weights = {}
     for i in range(len(arcs)):
@@ -214,19 +288,17 @@ class TestBruteForce:
 
 
 def infeasible_program():
-    """Arc 0 must take BEFORE or AFTER and arc 1 BEFORE, with rows forbidding
-    both choices for arc 0."""
+    """build_ip's two partition rows plus a row x_0,l + x_1,m <= 1 for every
+    label pair (l, m), all keyed to triangle 0: no assignment satisfies them."""
     program = build_ip(votes_of(
         [arc(1, 2), arc(1, 3)],
         {0: {RelType.BEFORE: 0.5, RelType.AFTER: 0.25}, 1: {RelType.BEFORE: 0.5}}))
-    b = RelType.BEFORE.value - 1
-    a = RelType.AFTER.value - 1
-    program.a_eq = csr_matrix(([1.0, 1.0, 1.0], ([0, 0, 1], [b, a, 15 + b])),
-                              shape=(2, 30))
-    program.a_ub = csr_matrix(([1.0, 1.0, 1.0, 1.0], ([0, 0, 1, 1],
-                                                      [b, 15 + b, a, 15 + b])),
-                              shape=(2, 30))
-    program.row_keys = np.array([[0, b + 1, b + 1], [0, a + 1, b + 1]])
+    l, m = np.divmod(np.arange(N_LABELS * N_LABELS), N_LABELS)
+    rows = np.repeat(np.arange(len(l)), 2)
+    cols = np.column_stack((l, N_LABELS + m)).ravel()
+    program.a_ub = csr_matrix((np.ones(len(cols)), (rows, cols)),
+                              shape=(len(l), program.num_vars))
+    program.row_keys = np.column_stack((np.zeros_like(l), l + 1, m + 1))
     return program
 
 
@@ -275,6 +347,24 @@ class TestVerify:
         sol = solve(program)
         bad = Solution(sol.assignment, sol.objective_value + 0.5, True)
         assert any("objective mismatch" in v for v in violations(program, bad))
+
+
+class TestLazySeparationProperty:
+    """solve() against the full program's referees, on tables up to 7 nodes
+    and 12 arcs, where separation can take several rounds."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(votes=vote_tables(max_nodes=7, max_arcs=12))
+    def test_matches_full_program(self, votes, strict):
+        program = build_ip(votes, none_breaks_triangles=strict)
+        sol = solve(program)
+        assert sol.proven_optimal
+        assert verify(program, sol)
+        assert sol.objective_value == full_milp_solve(program).objective_value
+        if len(votes.arcs) <= 8:
+            assert sol.objective_value == \
+                brute_force_solve(program).objective_value
 
 
 class TestOracleEquivalence:
