@@ -27,22 +27,20 @@ from .pipeline import (
 )
 from .relations import dump_table
 from .scoring import score_run, write_csv
+from .solver import DEFAULT_TIME_LIMIT
 from .synthetic import SyntheticClassifier, generate_corpus
-from .timeml import load_corpus, load_run_dir, write_skipped_report
+from .timeml import load_corpus, load_run_dir, read_lines, write_skipped_report
 
 
 def _read_config(path: str, known: Set[str]) -> Dict[str, str]:
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for where, line in read_lines(path):
         if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected key=value")
+            raise ConfigurationError(f"{where}: expected key=value")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
         if key not in known:
-            raise ConfigurationError(f"{path}:{lineno}: {key!r} names no option of any command")
+            raise ConfigurationError(f"{where}: {key!r} names no option of any command")
         values[key] = value.strip()
     return values
 
@@ -84,13 +82,10 @@ def _split_from_file(path: Optional[str]) -> Optional[Tuple[List[str], List[str]
     if path is None:
         return None
     s1, s2 = [], []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for where, line in read_lines(path):
         parts = line.split()
         if len(parts) != 2 or parts[0] not in ("s1", "s2"):
-            raise ConfigurationError(f"{path}:{lineno}: expected 's1|s2 <doc-id>'")
+            raise ConfigurationError(f"{where}: expected 's1|s2 <doc-id>'")
         (s1 if parts[0] == "s1" else s2).append(parts[1])
     return s1, s2
 
@@ -98,17 +93,14 @@ def _split_from_file(path: Optional[str]) -> Optional[Tuple[List[str], List[str]
 def _read_ensembles(path: str) -> Dict[str, EnsembleSpec]:
     """'label: name,name,...' or 'name,name' lines, keyed by the ensemble's CSV stem."""
     ensembles: Dict[str, EnsembleSpec] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for where, line in read_lines(path):
         label, _, members = line.rpartition(":")
         spec = EnsembleSpec(_members(members), label.strip())
         stem = spec.display().replace(", ", "_")
         problem = ("repeats an earlier one" if stem in ensembles else
                    "contains a path separator" if "/" in stem or "\\" in stem else None)
         if problem:
-            raise ConfigurationError(f"{path}:{lineno}: ensemble name {spec.display()!r} {problem}")
+            raise ConfigurationError(f"{where}: ensemble name {spec.display()!r} {problem}")
         ensembles[stem] = spec
     if not ensembles:
         raise ConfigurationError(f"no ensembles defined in {path}")
@@ -124,8 +116,8 @@ def _read_ensembles(path: str) -> Dict[str, EnsembleSpec]:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--strict/--no-strict", "strict", default=False,
               help="Exclude NONE from triangle conclusions (ablation mode).")
-@click.option("--time-limit", type=click.FloatRange(0, min_open=True), default=300.0,
-              show_default=True)
+@click.option("--time-limit", type=click.FloatRange(0, min_open=True),
+              default=DEFAULT_TIME_LIMIT, show_default=True)
 def reconcile_cmd(corpus_root, members, weights_path, out_dir, strict, time_limit):
     """Reconcile an ensemble and write TimeML output plus a score CSV."""
     corpus = load_corpus(corpus_root, weights_path)
@@ -219,8 +211,8 @@ def export_lp_cmd(corpus_root, members, weights_path, doc_id, out_path, strict):
               "(default: full for procedure 1, s1 for procedure 2).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--strict/--no-strict", "strict", default=False)
-@click.option("--time-limit", type=click.FloatRange(0, min_open=True), default=300.0,
-              show_default=True)
+@click.option("--time-limit", type=click.FloatRange(0, min_open=True),
+              default=DEFAULT_TIME_LIMIT, show_default=True)
 def experiment_cmd(corpus_root, procedure, ensembles_path, weights_path, split_path,
                    weights_source, out_dir, strict, time_limit):
     """Run experiment procedure 1 or 2 over a file of ensembles."""

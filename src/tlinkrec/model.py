@@ -4,8 +4,9 @@ Variables x_<arc>_<ordinal> are binary; each arc carries exactly one of the 15
 labels (partition rows), and every fully present arc triangle gets one row per
 ordered non-NONE label pair (a, b): choosing a on pq and b on qr forces the pr
 label into the composition set of (a, b).  By default NONE is added to the
-conclusion side, so labeling pr as NONE never violates a triangle row and the
-all-NONE assignment keeps every instance feasible.
+conclusion side, so labeling pr as NONE never violates a triangle row.  In
+either mode every +1 entry sits on a non-NONE label, so the all-NONE
+assignment satisfies every row and keeps every instance feasible.
 
 The program is built directly as two scipy sparse matrices, one for the
 partition rows and one for the triangle rows; row names exist only in the

@@ -14,13 +14,13 @@ import logging
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigurationError
 from .model import VoteTable, build_ip, collect_arcs
 from .relations import RelType
 from .scoring import ScoreReport, format_score_table, score_run
-from .solver import Solution, solve, violations
+from .solver import DEFAULT_TIME_LIMIT, Solution, solve, violations
 from .timeml import ClassifierRun, Corpus, EntityRef, TLink, write_timeml
 
 log = logging.getLogger(__name__)
@@ -45,7 +45,7 @@ class EnsembleSpec:
 class ExperimentConfig:
     corpus_root: Path
     split: Optional[Tuple[List[str], List[str]]] = None
-    time_limit: float = 300.0
+    time_limit: float = DEFAULT_TIME_LIMIT
     none_breaks_triangles: bool = False
     weights_path: Optional[Path] = None
     # None: the procedure's own source (FULL_REFERENCE for one, S1 for two).
@@ -59,10 +59,14 @@ def default_split(doc_ids: Sequence[str]) -> Tuple[List[str], List[str]]:
     return docs[:half], docs[half:]
 
 
-def check_members(corpus: Corpus, members: Iterable[str]) -> None:
+def check_members(corpus: Corpus, members: Sequence[str]) -> None:
+    """Every member names a classifier of the corpus, and none is named twice."""
     unknown = sorted(set(members) - set(corpus.runs))
     if unknown:
         raise ConfigurationError(f"unknown classifier name(s): {', '.join(unknown)}")
+    repeated = sorted({name for name in members if members.count(name) > 1})
+    if repeated:
+        raise ConfigurationError(f"repeated ensemble member(s): {', '.join(repeated)}")
 
 
 @dataclass
@@ -75,7 +79,7 @@ class ReconcileResult:
 def reconcile(corpus: Corpus, members: Sequence[str],
               weights: Optional[Dict[str, float]] = None, *,
               doc_filter: Optional[Set[str]] = None,
-              time_limit: float = 300.0,
+              time_limit: float = DEFAULT_TIME_LIMIT,
               none_breaks_triangles: bool = False,
               label: str = "") -> ReconcileResult:
     """Solve the per-document assignment program over the members' votes.
@@ -120,7 +124,7 @@ def reconcile(corpus: Corpus, members: Sequence[str],
     return result
 
 
-def compute_f1_weights(corpus: Corpus, names: Iterable[str],
+def compute_f1_weights(corpus: Corpus, names: Sequence[str],
                        doc_filter: Optional[Set[str]] = None) -> Dict[str, float]:
     """Temporal-awareness F1 of each classifier against the reference."""
     check_members(corpus, names)
@@ -140,6 +144,8 @@ class ExperimentRow:
 def _run_ensembles(corpus: Corpus, config: ExperimentConfig,
                    ensembles: Sequence[EnsembleSpec], source: WeightsSource,
                    score_docs: Optional[Set[str]]) -> List[ExperimentRow]:
+    for spec in ensembles:
+        check_members(corpus, spec.members)
     if config.split is not None:
         unknown = sorted(set(config.split[0]).union(config.split[1])
                          - set(corpus.documents))
@@ -150,6 +156,8 @@ def _run_ensembles(corpus: Corpus, config: ExperimentConfig,
     if source is not WeightsSource.FILE:
         if source is WeightsSource.S1 and config.split is None:
             raise ConfigurationError("S1 weights requested but no split configured")
+        if source is WeightsSource.S1 and not config.split[0]:
+            raise ConfigurationError("S1 weights requested but S1 has no documents")
         weigh_docs = set(config.split[0]) if source is WeightsSource.S1 else None
         names = sorted({name for spec in ensembles for name in spec.members})
         weights = compute_f1_weights(corpus, names, weigh_docs)
@@ -195,6 +203,8 @@ def run_procedure_two(config: ExperimentConfig,
     s1, s2 = config.split
     if set(s1) & set(s2):
         raise ConfigurationError("S1 and S2 overlap")
+    if not s2:
+        raise ConfigurationError("S2 has no documents to reconcile and score")
     source = config.weights_source or WeightsSource.S1
     return _run_ensembles(corpus, config, ensembles, source, set(s2))
 

@@ -10,7 +10,8 @@ stored labels, and it is flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, TextIO, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Optional, Set, TextIO, Tuple
 
 from .relations import (
     EventGraph,
@@ -60,42 +61,39 @@ class AwarenessCounts:
         return f1_score(self.precision, self.recall)
 
 
-def _verifiable(entailed: EventGraph, stored: EventGraph, p: str, q: str,
-                rel: RelType, collapse_identity: bool) -> bool:
-    """A relation is verifiable when the other side entails exactly it.
+def _verified(graph: EventGraph, other: EventGraph,
+              collapse_identity: bool) -> Tuple[int, int, bool]:
+    """(verified, total) relations of `graph` against `other`, and whether
+    `other` is inconsistent.
 
-    NONE never verifies.  With collapse_identity off, IDENTITY only matches a
-    stored IDENTITY edge (the closure cannot keep the synonyms apart).
+    A relation verifies when `other` entails exactly it; NONE never verifies.
+    With collapse_identity off, IDENTITY only matches a stored IDENTITY edge
+    (the closure cannot keep the synonyms apart).
     """
-    if not collapse_identity and rel is RelType.IDENTITY:
-        return stored.get(p, q) is RelType.IDENTITY
-    return (rel is not RelType.NONE
-            and collapse(entailed.get(p, q)) is collapse(rel))
+    entailed = closure(other)
+    inconsistent = entailed is INCONSISTENT
+    if inconsistent:
+        entailed = other
+    verified = total = 0
+    for p, q, rel in graph.edges():
+        total += 1
+        if not collapse_identity and rel is RelType.IDENTITY:
+            verified += other.get(p, q) is RelType.IDENTITY
+        else:
+            verified += (rel is not RelType.NONE
+                         and collapse(entailed.get(p, q)) is collapse(rel))
+    return verified, total, inconsistent
 
 
 def temporal_awareness(reference: EventGraph, system: EventGraph, *,
                        collapse_identity: bool = True) -> AwarenessCounts:
     """Precision/recall counts of a system graph against a reference graph."""
-    counts = AwarenessCounts()
-
-    entailed_ref = closure(reference)
-    if entailed_ref is INCONSISTENT:
-        counts.inconsistent_ref = True
-        entailed_ref = reference
-    entailed_sys = closure(system)
-    if entailed_sys is INCONSISTENT:
-        counts.inconsistent_sys = True
-        entailed_sys = system
-
-    for p, q, rel in system.edges():
-        counts.total_sys += 1
-        if _verifiable(entailed_ref, reference, p, q, rel, collapse_identity):
-            counts.verified_sys += 1
-    for p, q, rel in reference.edges():
-        counts.total_ref += 1
-        if _verifiable(entailed_sys, system, p, q, rel, collapse_identity):
-            counts.verified_ref += 1
-    return counts
+    verified_sys, total_sys, inconsistent_ref = _verified(
+        system, reference, collapse_identity)
+    verified_ref, total_ref, inconsistent_sys = _verified(
+        reference, system, collapse_identity)
+    return AwarenessCounts(verified_sys, total_sys, verified_ref, total_ref,
+                           inconsistent_ref, inconsistent_sys)
 
 
 @dataclass
@@ -103,28 +101,23 @@ class ScoreReport:
     per_document: Dict[str, AwarenessCounts] = field(default_factory=dict)
     average: str = "micro"
 
-    def _totals(self) -> AwarenessCounts:
-        total = AwarenessCounts()
-        for c in self.per_document.values():
-            total.verified_sys += c.verified_sys
-            total.total_sys += c.total_sys
-            total.verified_ref += c.verified_ref
-            total.total_ref += c.total_ref
-        return total
+    def _mean(self, measure: Callable[[AwarenessCounts], float]) -> float:
+        """Macro: the mean of the per-document values.  Micro: the value of
+        the summed counts, i.e. the mean over those counts pooled as one."""
+        docs = list(self.per_document.values())
+        if self.average == "micro":
+            docs = [AwarenessCounts(
+                sum(c.verified_sys for c in docs), sum(c.total_sys for c in docs),
+                sum(c.verified_ref for c in docs), sum(c.total_ref for c in docs))]
+        return sum(map(measure, docs)) / len(docs) if docs else 0.0
 
     @property
     def precision(self) -> float:
-        if self.average == "macro":
-            docs = self.per_document
-            return sum(c.precision for c in docs.values()) / len(docs) if docs else 0.0
-        return self._totals().precision
+        return self._mean(attrgetter("precision"))
 
     @property
     def recall(self) -> float:
-        if self.average == "macro":
-            docs = self.per_document
-            return sum(c.recall for c in docs.values()) / len(docs) if docs else 0.0
-        return self._totals().recall
+        return self._mean(attrgetter("recall"))
 
     @property
     def f1(self) -> float:

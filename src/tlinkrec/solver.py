@@ -33,6 +33,7 @@ from .relations import RelType
 FEAS_TOL = 1e-7
 OBJ_TOL = 1e-9
 NO_INCUMBENT = "time limit reached before any incumbent was found"
+DEFAULT_TIME_LIMIT = 300.0  # seconds per document
 
 
 @dataclass
@@ -71,22 +72,18 @@ def _assignment_from_vars(chosen: Sequence[int]) -> Dict[int, RelType]:
     return assignment
 
 
-def solve(program: BinaryProgram, time_limit: float = 300.0) -> Solution:
+def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Solution:
     """Optimal solution (proven_optimal=True) or best incumbent on timeout.
 
     Raises Infeasible when no feasible assignment exists (possible only for
-    hand-built programs or strict mode), and RuntimeError when the time limit
-    passes before an incumbent that satisfies the full program is found, when
-    HiGHS fails, or when it returns a point that breaks one of its own rows.
+    hand-built programs), and RuntimeError when the time limit passes before
+    an incumbent that satisfies the full program is found, when HiGHS fails,
+    or when it returns a point that breaks one of its own rows.
     """
     if time_limit <= 0:
         raise ValueError("time_limit must be positive")
     t0 = time.monotonic()
     stats = SolverStats(rows=program.num_rows, cols=program.num_vars)
-    if program.num_vars == 0:
-        stats.wall_time = time.monotonic() - t0
-        return Solution({}, 0.0, True, stats)
-
     # Round 1: the partition rows alone; argmax takes the lowest ordinal among
     # an arc's equal maximal weights.
     best = program.objective.reshape(-1, N_LABELS).argmax(axis=1)

@@ -12,7 +12,7 @@ import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .errors import ConfigurationError, TimeMLParseError
 from .relations import RelType, invert
@@ -53,10 +53,6 @@ class CanonicalArc:
 
     lo: EntityRef
     hi: EntityRef
-
-    @property
-    def document(self) -> str:
-        return self.lo.document
 
     @property
     def key(self):
@@ -185,16 +181,16 @@ class ClassifierRun:
 
 def canonical_votes(links: Iterable[TLink]) -> Dict[CanonicalArc, RelType]:
     """One prediction per arc; duplicates keep the last occurrence."""
-    votes: Dict[CanonicalArc, RelType] = {}
-    for link in links:
-        arc, rel = canonicalize(link)
-        if arc in votes and votes[arc] is not rel:
-            log.warning(
-                "%s: duplicate prediction on %s-%s, keeping %s",
-                arc.document, arc.lo.id, arc.hi.id, rel.name,
-            )
-        votes[arc] = rel
-    return votes
+    return dict(map(canonicalize, links))
+
+
+def read_lines(path: Union[str, Path]) -> Iterator[Tuple[str, str]]:
+    """`(path:line, content)` for each line of a UTF-8 file that is not blank
+    once its `#` comment is stripped."""
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield f"{path}:{lineno}", line
 
 
 def read_weights(path: Union[str, Path]) -> Dict[str, float]:
@@ -203,17 +199,14 @@ def read_weights(path: Union[str, Path]) -> Dict[str, float]:
     if not path.is_file():
         raise ConfigurationError(f"weights file not found: {path}")
     weights: Dict[str, float] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for where, line in read_lines(path):
         parts = line.split()
         if len(parts) != 2:
-            raise ConfigurationError(f"{path}:{lineno}: expected '<name> <weight>'")
+            raise ConfigurationError(f"{where}: expected '<name> <weight>'")
         try:
             weights[parts[0]] = float(parts[1])
         except ValueError:
-            raise ConfigurationError(f"{path}:{lineno}: bad weight {parts[1]!r}")
+            raise ConfigurationError(f"{where}: bad weight {parts[1]!r}")
     return weights
 
 
@@ -231,12 +224,22 @@ class Corpus:
 
 def load_run_dir(directory: Path, name: str, weight: float,
                  skipped: List[SkippedItem]) -> ClassifierRun:
-    """Every `<doc>.tml` in `directory`; skipped TLINKs are appended to `skipped`."""
+    """Every `<doc>.tml` in `directory`; skipped TLINKs are appended to `skipped`.
+
+    Logs one warning per TLINK that gives an already predicted pair another
+    label; the last label is the one canonical_votes keeps.
+    """
     run = ClassifierRun(name, weight)
     for path in sorted(directory.glob("*.tml")):
         parsed = parse_timeml(path.read_bytes(), path.stem)
         run.documents[path.stem] = parsed.links
         skipped.extend(replace(item, run=name) for item in parsed.skipped)
+        votes: Dict[CanonicalArc, RelType] = {}
+        for arc, rel in map(canonicalize, parsed.links):
+            if votes.setdefault(arc, rel) is not rel:
+                log.warning("%s/%s: duplicate prediction on %s-%s, keeping %s",
+                            name, path.stem, arc.lo.id, arc.hi.id, rel.name)
+                votes[arc] = rel
     return run
 
 

@@ -227,6 +227,36 @@ class TestExperimentCommand:
         ])
         assert result.exit_code != 0
 
+    def test_split_without_s1_documents_exits_1(self, corpus_root, tmp_path,
+                                                capsys):
+        ens = tmp_path / "ens.txt"
+        ens.write_text("alpha,beta\n")
+        split = tmp_path / "split.txt"
+        split.write_text("s2 synth_002\ns2 synth_003\n")
+        with pytest.raises(SystemExit) as err:
+            main(["experiment", "--corpus", str(corpus_root), "--procedure", "2",
+                  "--ensembles", str(ens), "--split", str(split)])
+        assert err.value.code == 1
+        assert "S1 has no documents" in capsys.readouterr().err
+
+
+class TestRepeatedMembers:
+    @pytest.mark.parametrize("command", ["reconcile", "export-lp", "experiment"])
+    def test_repeated_member_exits_1(self, corpus_root, tmp_path, capsys, command):
+        ens = tmp_path / "ens.txt"
+        ens.write_text("x: alpha,alpha\n")
+        out = tmp_path / "out"
+        args = {"reconcile": ["--members", "alpha,alpha,beta", "--out", str(out)],
+                "export-lp": ["--members", "alpha,alpha", "--doc", "synth_000",
+                              "--out", str(out)],
+                "experiment": ["--procedure", "1", "--ensembles", str(ens),
+                               "--out", str(out)]}
+        with pytest.raises(SystemExit) as err:
+            main([command, "--corpus", str(corpus_root), *args[command]])
+        assert err.value.code == 1
+        assert "repeated ensemble member(s): alpha" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGenSyntheticCommand:
     def test_generates(self, runner, tmp_path):

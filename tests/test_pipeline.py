@@ -212,6 +212,24 @@ class TestWeightsAndSplit:
         assert scored == ["alpha", "beta", "gamma"] + [r.result.run.name for r in rows]
 
 
+class TestRepeatedMembers:
+    def test_reconcile_rejects_a_repeated_member(self, corpus):
+        with pytest.raises(ConfigurationError,
+                           match=r"repeated ensemble member\(s\): alpha$"):
+            reconcile(corpus, ["alpha", "alpha", "beta"])
+
+    def test_every_ensemble_checked_before_weighing(self, corpus_root,
+                                                    monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("members must be checked before any work")
+
+        monkeypatch.setattr(pipeline, "compute_f1_weights", no_work)
+        monkeypatch.setattr(pipeline, "reconcile", no_work)
+        ensembles = [EnsembleSpec(("alpha", "beta")), EnsembleSpec(("gamma", "gamma"))]
+        with pytest.raises(ConfigurationError, match=r"member\(s\): gamma$"):
+            run_procedure_one(ExperimentConfig(corpus_root), ensembles)
+
+
 class TestEnumerateEnsembles:
     def test_counts(self):
         base = EnsembleSpec(("a", "b", "c"))
@@ -299,6 +317,25 @@ class TestProcedures:
         with pytest.raises(ConfigurationError,
                            match="not in the corpus: alsomissing, nosuchdoc$"):
             runner(config, self.specs())
+
+    def test_one_document_default_split_rejected(self, tmp_path, monkeypatch):
+        # Half of one document is none: S1 is empty, so S1 weights would all be 0.
+        def no_weighing(*args, **kwargs):
+            raise AssertionError("an empty S1 must be rejected before weighing")
+
+        monkeypatch.setattr(pipeline, "compute_f1_weights", no_weighing)
+        generate_corpus(tmp_path, seed=7, n_docs=1, classifiers=CLASSIFIERS)
+        with pytest.raises(ConfigurationError, match="S1 has no documents"):
+            run_procedure_two(ExperimentConfig(tmp_path), self.specs())
+
+    def test_empty_s2_rejected(self, corpus_root, corpus, monkeypatch):
+        def no_weighing(*args, **kwargs):
+            raise AssertionError("an empty S2 must be rejected before weighing")
+
+        monkeypatch.setattr(pipeline, "compute_f1_weights", no_weighing)
+        config = ExperimentConfig(corpus_root, split=(corpus.documents, []))
+        with pytest.raises(ConfigurationError, match="S2 has no documents"):
+            run_procedure_two(config, self.specs())
 
     def test_table_format(self, corpus_root):
         rows = run_procedure_one(ExperimentConfig(corpus_root),

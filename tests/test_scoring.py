@@ -141,6 +141,47 @@ class TestTemporalAwareness:
             counts = temporal_awareness(g, g)
             assert counts.precision == 1.0 and counts.recall == 1.0
 
+    def test_swapping_sides_swaps_counts(self):
+        # One rule scores both sides, so scoring the reference against the
+        # system mirrors every count and flag of the system against the
+        # reference.  Half the first graphs carry arbitrary labels, so many
+        # are inconsistent; the second graph relabels some of the first's
+        # pairs, often to IDENTITY or SIMULTANEOUS, so both identity modes
+        # decide some counts.
+        rng = random.Random(12)
+        labels = list(RelType) + [RelType.IDENTITY, RelType.SIMULTANEOUS] * 3
+
+        def any_graph(n):
+            if rng.random() < 0.5:
+                return random_model_graph(rng, n, density=0.7)
+            g = EventGraph(f"n{i}" for i in range(n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.6:
+                        g.set_relation(f"n{i}", f"n{j}", rng.choice(labels))
+            return g
+
+        def relabel(g):
+            h = EventGraph(g.nodes)
+            for p, q, rel in g.edges():
+                if rng.random() < 0.8:
+                    h.set_relation(p, q, rel if rng.random() < 0.6 else rng.choice(labels))
+            return h
+
+        inconsistent = 0
+        for _ in range(200):
+            a = any_graph(rng.randint(3, 6))
+            b = relabel(a)
+            collapse_identity = rng.random() < 0.5
+            ab = temporal_awareness(a, b, collapse_identity=collapse_identity)
+            ba = temporal_awareness(b, a, collapse_identity=collapse_identity)
+            assert (ab.verified_sys, ab.total_sys, ab.inconsistent_sys) == \
+                (ba.verified_ref, ba.total_ref, ba.inconsistent_ref)
+            assert (ab.verified_ref, ab.total_ref, ab.inconsistent_ref) == \
+                (ba.verified_sys, ba.total_sys, ba.inconsistent_sys)
+            inconsistent += ab.inconsistent_ref + ab.inconsistent_sys
+        assert inconsistent > 50
+
 
 def run_of(name, docs):
     return ClassifierRun(name, 1.0, docs)

@@ -367,6 +367,21 @@ class TestLazySeparationProperty:
                 brute_force_solve(program).objective_value
 
 
+class TestAllNoneFeasible:
+    """In either mode every +1 entry of a triangle row sits on a non-NONE
+    label, so labelling every arc NONE satisfies every row: a program that
+    build_ip makes is never infeasible."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(votes=vote_tables(max_nodes=7, max_arcs=12))
+    def test_all_none_violates_no_row(self, votes, strict):
+        program = build_ip(votes, none_breaks_triangles=strict)
+        all_none = {i: RelType.NONE for i in range(len(votes.arcs))}
+        objective = float(votes.alpha[:, RelType.NONE.value - 1].sum())
+        assert violations(program, Solution(all_none, objective, True)) == []
+
+
 class TestOracleEquivalence:
     def test_random_instances(self):
         rng = random.Random(2024)

@@ -4,6 +4,7 @@ import logging
 import pytest
 
 from tlinkrec.errors import ConfigurationError, TimeMLParseError
+from tlinkrec.model import collect_arcs
 from tlinkrec.relations import RelType
 from tlinkrec.timeml import (
     CanonicalArc,
@@ -127,7 +128,7 @@ class TestCanonicalize:
         with caplog.at_level(logging.WARNING):
             votes = canonical_votes(links)
         assert votes == {CanonicalArc(ev(1), ev(2)): RelType.AFTER}
-        assert "duplicate" in caplog.text
+        assert caplog.text == ""  # load_run_dir warns, once per load
 
 
 def make_corpus(tmp_path, runs, reference, weights_lines):
@@ -197,6 +198,18 @@ class TestLoadCorpus:
         assert report.getvalue().splitlines() == [
             "reference/d1 l1 unknown relType BOGUS",
             "c1/d1 l1 unknown relType BOGUS"]
+
+    def test_duplicate_prediction_warned_once_at_load(self, tmp_path, caplog):
+        entities, links = doc_payload("d1")
+        links.append(TLink(ev(2, "d1"), ev(1, "d1"), RelType.BEFORE, "l2"))
+        make_corpus(tmp_path, {"c1": {"d1": (entities, links)}},
+                    {"d1": doc_payload("d1")}, ["c1 0.5"])
+        with caplog.at_level(logging.WARNING):
+            corpus = load_corpus(tmp_path)
+            for _ in range(3):
+                collect_arcs(corpus.runs.values(), "d1")
+        assert [r.getMessage() for r in caplog.records] == [
+            "c1/d1: duplicate prediction on ei1-ei2, keeping AFTER"]
 
     def test_missing_weight_is_fatal(self, tmp_path):
         docs = {"d1": doc_payload("d1")}
