@@ -32,6 +32,12 @@ from .synthetic import SyntheticClassifier, generate_corpus
 from .timeml import load_corpus, load_run_dir, read_lines, write_skipped_report
 
 
+def _positive(ctx, param, value: float) -> float:
+    if not value > 0:  # also rejects NaN
+        raise click.BadParameter(f"{value} is not a positive number")
+    return value
+
+
 def _read_config(path: str, known: Set[str]) -> Dict[str, str]:
     values = {}
     for where, line in read_lines(path):
@@ -116,7 +122,7 @@ def _read_ensembles(path: str) -> Dict[str, EnsembleSpec]:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--strict/--no-strict", "strict", default=False,
               help="Exclude NONE from triangle conclusions (ablation mode).")
-@click.option("--time-limit", type=click.FloatRange(0, min_open=True),
+@click.option("--time-limit", type=float, callback=_positive,
               default=DEFAULT_TIME_LIMIT, show_default=True)
 def reconcile_cmd(corpus_root, members, weights_path, out_dir, strict, time_limit):
     """Reconcile an ensemble and write TimeML output plus a score CSV."""
@@ -149,15 +155,8 @@ def reconcile_cmd(corpus_root, members, weights_path, out_dir, strict, time_limi
 def score_cmd(system_dir, reference_dir, out_path, average, collapse_identity):
     """Score a system annotation directory against a reference directory."""
     skipped = []
-
-    def load_dir(directory, name):
-        run = load_run_dir(Path(directory), name, 1.0, skipped)
-        if not run.documents:
-            raise DataError(f"no .tml files in {directory}")
-        return run
-
-    reference = load_dir(reference_dir, "reference")
-    system = load_dir(system_dir, "system")
+    reference = load_run_dir(Path(reference_dir), "reference", 1.0, skipped)
+    system = load_run_dir(Path(system_dir), "system", 1.0, skipped)
     write_skipped_report(skipped, click.get_text_stream("stderr"))
     for doc in sorted(system.documents.keys() - reference.documents.keys()):
         click.echo(f"system/{doc}: no reference document, not scored", err=True)
@@ -211,7 +210,7 @@ def export_lp_cmd(corpus_root, members, weights_path, doc_id, out_path, strict):
               "(default: full for procedure 1, s1 for procedure 2).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--strict/--no-strict", "strict", default=False)
-@click.option("--time-limit", type=click.FloatRange(0, min_open=True),
+@click.option("--time-limit", type=float, callback=_positive,
               default=DEFAULT_TIME_LIMIT, show_default=True)
 def experiment_cmd(corpus_root, procedure, ensembles_path, weights_path, split_path,
                    weights_source, out_dir, strict, time_limit):

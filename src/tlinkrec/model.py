@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, Iterable, List, Sequence, Tuple
+from typing import BinaryIO, Iterable, List, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -56,30 +56,19 @@ def collect_arcs(runs: Iterable[ClassifierRun], document: str) -> VoteTable:
 def enumerate_triangles(arcs: Sequence[CanonicalArc]) -> np.ndarray:
     """Every node triple p < q < r whose three pairwise arcs are all present.
 
-    Returns a (T, 3) int array of arc indices (pq, qr, pr), traversed
-    p -> q -> r.  Arcs are canonical and the traversal is sorted, so every
-    stored arc direction matches the traversal.
+    Returns a (T, 3) int array of arc indices (pq, qr, pr) in (p, q, r)
+    order.  arc_at[p, q] is the index of arc pq, or -1 for no arc; arcs are
+    canonical, so only cells with p < q are filled, and every stored arc
+    direction matches the traversal.
     """
-    arc_at: Dict[Tuple, int] = {}
-    nodes = {}
+    node = {key: i for i, key in enumerate(sorted(
+        {key for arc in arcs for key in (arc.lo.key, arc.hi.key)}))}
+    arc_at = np.full((len(node), len(node)), -1, dtype=np.int64)
     for i, arc in enumerate(arcs):
-        arc_at[(arc.lo.key, arc.hi.key)] = i
-        nodes.setdefault(arc.lo.key, set())
-        nodes.setdefault(arc.hi.key, set())
-        nodes[arc.lo.key].add(arc.hi.key)
-        nodes[arc.hi.key].add(arc.lo.key)
-
-    triples = []
-    for (p, q), i_pq in sorted(arc_at.items()):
-        for r in sorted(nodes[p] & nodes[q]):
-            if r <= q:
-                continue
-            i_qr = arc_at.get((q, r))
-            i_pr = arc_at.get((p, r))
-            if i_qr is None or i_pr is None:
-                continue
-            triples.append((i_pq, i_qr, i_pr))
-    return np.array(triples, dtype=np.int64).reshape(-1, 3)
+        arc_at[node[arc.lo.key], node[arc.hi.key]] = i
+    p, q = np.nonzero(arc_at >= 0)
+    t, r = np.nonzero((arc_at[p] >= 0) & (arc_at[q] >= 0))
+    return np.column_stack((arc_at[p[t], q[t]], arc_at[q[t], r], arc_at[p[t], r]))
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .model import VoteTable, build_ip, collect_arcs
 from .relations import RelType
 from .scoring import ScoreReport, format_score_table, score_run
 from .solver import DEFAULT_TIME_LIMIT, Solution, solve, violations
-from .timeml import ClassifierRun, Corpus, EntityRef, TLink, write_timeml
+from .timeml import ClassifierRun, Corpus, EntityRef, TLink, load_corpus, write_timeml
 
 log = logging.getLogger(__name__)
 
@@ -80,8 +80,7 @@ def reconcile(corpus: Corpus, members: Sequence[str],
               weights: Optional[Dict[str, float]] = None, *,
               doc_filter: Optional[Set[str]] = None,
               time_limit: float = DEFAULT_TIME_LIMIT,
-              none_breaks_triangles: bool = False,
-              label: str = "") -> ReconcileResult:
+              none_breaks_triangles: bool = False) -> ReconcileResult:
     """Solve the per-document assignment program over the members' votes.
 
     Every solution is checked against the document's full program before it
@@ -101,7 +100,7 @@ def reconcile(corpus: Corpus, members: Sequence[str],
     if doc_filter is not None:
         docs = [d for d in docs if d in doc_filter]
 
-    result = ReconcileResult(ClassifierRun(label or "+".join(members), 1.0))
+    result = ReconcileResult(ClassifierRun("+".join(members), 1.0))
     for doc in docs:
         votes = collect_arcs(member_runs, doc)
         program = build_ip(votes, none_breaks_triangles=none_breaks_triangles)
@@ -168,7 +167,6 @@ def _run_ensembles(corpus: Corpus, config: ExperimentConfig,
             doc_filter=score_docs,
             time_limit=config.time_limit,
             none_breaks_triangles=config.none_breaks_triangles,
-            label=spec.display(),
         )
         report = score_run(corpus.reference, result.run, score_docs)
         rows.append(ExperimentRow(spec, report, result))
@@ -180,8 +178,6 @@ def _run_ensembles(corpus: Corpus, config: ExperimentConfig,
 def run_procedure_one(config: ExperimentConfig,
                       ensembles: Sequence[EnsembleSpec]) -> List[ExperimentRow]:
     """Weights from the full reference set; scored on the full reference set."""
-    from .timeml import load_corpus
-
     corpus = load_corpus(config.corpus_root, config.weights_path)
     source = config.weights_source or WeightsSource.FULL_REFERENCE
     return _run_ensembles(corpus, config, ensembles, source, None)
@@ -190,8 +186,6 @@ def run_procedure_one(config: ExperimentConfig,
 def run_procedure_two(config: ExperimentConfig,
                       ensembles: Sequence[EnsembleSpec]) -> List[ExperimentRow]:
     """Weights measured on S1; reconciliation and scoring restricted to S2."""
-    from .timeml import load_corpus
-
     if config.weights_source is WeightsSource.FULL_REFERENCE:
         raise ConfigurationError(
             "procedure 2 weighs on S1 and scores on S2; full-reference weights "

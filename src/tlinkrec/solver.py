@@ -80,7 +80,7 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
     an incumbent that satisfies the full program is found, when HiGHS fails,
     or when it returns a point that breaks one of its own rows.
     """
-    if time_limit <= 0:
+    if not time_limit > 0:  # also rejects NaN
         raise ValueError("time_limit must be positive")
     t0 = time.monotonic()
     stats = SolverStats(rows=program.num_rows, cols=program.num_vars)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .relations import NON_NONE, RelType, invert, relation_from_intervals
+from .relations import NON_NONE, invert, relation_from_intervals
 from .timeml import EntityKind, EntityRef, TLink, write_timeml
 
 
@@ -34,11 +34,10 @@ def _strictly_overlaps(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
     return (x[0] < y[0] < x[1] < y[1]) or (y[0] < x[0] < y[1] < x[1])
 
 
-def _draw_intervals(rng: random.Random, n: int,
-                    horizon: int = 40) -> List[Tuple[int, int]]:
+def _draw_intervals(rng: random.Random, n: int) -> List[Tuple[int, int]]:
     intervals: List[Tuple[int, int]] = []
     while len(intervals) < n:
-        start = rng.randrange(horizon)
+        start = rng.randrange(40)
         cand = (start, start + rng.randrange(1, 9))
         if any(_strictly_overlaps(cand, other) for other in intervals):
             continue
@@ -98,9 +97,7 @@ def perturb_links(rng: random.Random, entities: Sequence[EntityRef],
 def generate_corpus(root: Path, *, seed: int, n_docs: int,
                     classifiers: Sequence[SyntheticClassifier],
                     n_events: Tuple[int, int] = (4, 8),
-                    n_timexes: Tuple[int, int] = (1, 3),
-                    arc_density: float = 0.6,
-                    weights: Optional[Dict[str, float]] = None) -> List[str]:
+                    arc_density: float = 0.6) -> List[str]:
     """Write a reference/runs/weights corpus layout; returns the doc ids."""
     root = Path(root)
     ref_dir = root / "reference"
@@ -109,7 +106,7 @@ def generate_corpus(root: Path, *, seed: int, n_docs: int,
     doc_ids = [f"synth_{d:03d}" for d in range(n_docs)]
 
     for doc in doc_ids:
-        entities = _entities(doc, rng.randint(*n_events), rng.randint(*n_timexes))
+        entities = _entities(doc, rng.randint(*n_events), rng.randint(1, 3))
         reference = reference_links(rng, entities, arc_density)
         write_timeml(entities, reference, ref_dir / f"{doc}.tml")
         for spec in classifiers:
@@ -121,6 +118,5 @@ def generate_corpus(root: Path, *, seed: int, n_docs: int,
     with open(root / "weights.txt", "w", encoding="utf-8") as fh:
         fh.write("# synthetic classifier weights\n")
         for spec in classifiers:
-            w = (weights or {}).get(spec.name, spec.default_weight)
-            fh.write(f"{spec.name} {w}\n")
+            fh.write(f"{spec.name} {spec.default_weight}\n")
     return doc_ids

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
-from .errors import ConfigurationError, TimeMLParseError
+from .errors import ConfigurationError, DataError, TimeMLParseError
 from .relations import RelType, invert
 
 log = logging.getLogger(__name__)
@@ -83,18 +84,15 @@ class SkippedItem:
 
 @dataclass
 class ParsedDocument:
-    document: str
-    entities: List[EntityRef]
     links: List[TLink]
     skipped: List[SkippedItem]
-    tlink_count: int = 0
 
 
 _INPUT_LABELS = {r.name: r for r in RelType if r is not RelType.NONE}
 
 
 def parse_timeml(data: Union[bytes, str], document: str = "") -> ParsedDocument:
-    """Parse one TimeML document into entities and TLinks.
+    """Parse one TimeML document into its TLinks.
 
     TLINKs with an unknown relType or an unresolvable endpoint are recorded in
     the skipped list rather than failing the parse; malformed XML raises
@@ -166,10 +164,7 @@ def parse_timeml(data: Union[bytes, str], document: str = "") -> ParsedDocument:
             skip("self-loop")
             continue
         links.append(TLink(source, target, rel, elem.get("lid", "")))
-
-    entities = sorted(timexes.values(), key=lambda e: e.key)
-    entities += sorted(events.values(), key=lambda e: e.key)
-    return ParsedDocument(document, entities, links, skipped, tlink_count)
+    return ParsedDocument(links, skipped)
 
 
 @dataclass
@@ -194,7 +189,10 @@ def read_lines(path: Union[str, Path]) -> Iterator[Tuple[str, str]]:
 
 
 def read_weights(path: Union[str, Path]) -> Dict[str, float]:
-    """Weights file: `<classifier-name> <f1-as-decimal>` per line, '#' comments."""
+    """Weights file: `<classifier-name> <f1-as-decimal>` per line, '#' comments.
+
+    Each name appears once, with a finite weight >= 0.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"weights file not found: {path}")
@@ -203,16 +201,22 @@ def read_weights(path: Union[str, Path]) -> Dict[str, float]:
         parts = line.split()
         if len(parts) != 2:
             raise ConfigurationError(f"{where}: expected '<name> <weight>'")
+        name, text = parts
         try:
-            weights[parts[0]] = float(parts[1])
+            weight = float(text)
         except ValueError:
-            raise ConfigurationError(f"{where}: bad weight {parts[1]!r}")
+            raise ConfigurationError(f"{where}: bad weight {text!r}")
+        if not 0 <= weight < math.inf:
+            raise ConfigurationError(
+                f"{where}: bad weight {text!r} (expected a finite number >= 0)")
+        if name in weights:
+            raise ConfigurationError(f"{where}: weight for {name!r} given twice")
+        weights[name] = weight
     return weights
 
 
 @dataclass
 class Corpus:
-    root: Path
     runs: Dict[str, ClassifierRun]
     reference: ClassifierRun
     skipped: List[SkippedItem] = field(default_factory=list)
@@ -226,11 +230,15 @@ def load_run_dir(directory: Path, name: str, weight: float,
                  skipped: List[SkippedItem]) -> ClassifierRun:
     """Every `<doc>.tml` in `directory`; skipped TLINKs are appended to `skipped`.
 
-    Logs one warning per TLINK that gives an already predicted pair another
-    label; the last label is the one canonical_votes keeps.
+    Raises DataError when the directory holds no `.tml` file.  Logs one
+    warning per TLINK that gives an already predicted pair another label; the
+    last label is the one canonical_votes keeps.
     """
+    paths = sorted(directory.glob("*.tml"))
+    if not paths:
+        raise DataError(f"no .tml files in {directory}")
     run = ClassifierRun(name, weight)
-    for path in sorted(directory.glob("*.tml")):
+    for path in paths:
         parsed = parse_timeml(path.read_bytes(), path.stem)
         run.documents[path.stem] = parsed.links
         skipped.extend(replace(item, run=name) for item in parsed.skipped)
@@ -272,7 +280,7 @@ def load_corpus(root: Union[str, Path],
     for run in runs.values():
         for doc in sorted(ref_docs - set(run.documents)):
             log.warning("classifier %s has no output for document %s", run.name, doc)
-    return Corpus(root, runs, reference, skipped)
+    return Corpus(runs, reference, skipped)
 
 
 def write_skipped_report(skipped: Iterable[SkippedItem], sink: TextIO) -> None:

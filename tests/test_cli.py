@@ -301,6 +301,32 @@ class TestMainExitCodes:
                   "--reference", str(corpus_root / "reference")])
         assert err.value.code == 2
 
+    def test_empty_reference_exits_2(self, corpus_root, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_root, corpus)
+        for path in (corpus / "reference").glob("*.tml"):
+            path.unlink()
+        with pytest.raises(SystemExit) as err:
+            main(["reconcile", "--corpus", str(corpus), "--members", "alpha",
+                  "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert f"no .tml files in {corpus / 'reference'}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_classifier_dir_exits_2(self, corpus_root, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_root, corpus)
+        for path in (corpus / "runs" / "alpha").glob("*.tml"):
+            path.unlink()
+        ens = tmp_path / "ens.txt"
+        ens.write_text("beta\n")
+        with pytest.raises(SystemExit) as err:
+            main(["experiment", "--corpus", str(corpus), "--procedure", "1",
+                  "--ensembles", str(ens)])
+        assert err.value.code == 2
+        assert (f"no .tml files in {corpus / 'runs' / 'alpha'}"
+                in capsys.readouterr().err)
+
     def test_bad_option_exits_1(self):
         with pytest.raises(SystemExit) as err:
             main(["reconcile", "--no-such-flag"])
@@ -323,6 +349,19 @@ class TestMainExitCodes:
                   "--time-limit", "0"])
         assert err.value.code == 1
         assert "--time-limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reconcile", "experiment"])
+    def test_nan_time_limit_exits_1(self, corpus_root, tmp_path, capsys, command):
+        ens = tmp_path / "ens.txt"
+        ens.write_text("alpha\n")
+        extra = {"reconcile": ["--members", "alpha", "--out", str(tmp_path / "o")],
+                 "experiment": ["--procedure", "1", "--ensembles", str(ens)]}
+        with pytest.raises(SystemExit) as err:
+            main([command, "--corpus", str(corpus_root), *extra[command],
+                  "--time-limit", "nan"])
+        assert err.value.code == 1
+        assert "--time-limit" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_success_returns(self, corpus_root, capsys):
         main(["dump-composition-table"])

@@ -90,6 +90,28 @@ class TestEnumerateTriangles:
         tri = enumerate_triangles(arcs)
         assert len(tri) == 4
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from(list(EntityKind)), min_size=n, max_size=n),
+        st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True)
+        if n >= 2 else st.just([]),
+    )), st.randoms(use_true_random=False))
+    def test_matches_the_triple_loop(self, drawn, rnd):
+        """Every p < q < r in entity-key order with all three arcs present, as
+        (pq, qr, pr) rows in (p, q, r) order, whatever the order of the arcs."""
+        kinds, pairs = drawn
+        entities = sorted((EntityRef(kind, f"x{i}", "doc")
+                           for i, kind in enumerate(kinds)), key=lambda e: e.key)
+        arcs = [CanonicalArc(entities[i], entities[j]) for i, j in pairs]
+        rnd.shuffle(arcs)
+        index = {(a.lo, a.hi): k for k, a in enumerate(arcs)}
+        expected = [(index[p, q], index[q, r], index[p, r])
+                    for p, q, r in combinations(entities, 3)
+                    if {(p, q), (q, r), (p, r)} <= index.keys()]
+        tri = enumerate_triangles(arcs)
+        assert tri.dtype == np.int64 and tri.shape == (len(expected), 3)
+        assert tri.tolist() == [list(t) for t in expected]
+
 
 def simple_votes(n_arcs=3, triangle=True):
     if triangle:

@@ -104,6 +104,11 @@ class TestSolveBasics:
         with pytest.raises(ValueError):
             solve(program, time_limit=0)
 
+    def test_nan_time_limit(self):
+        assert solve(triangle_program(), time_limit=float("inf")).proven_optimal
+        with pytest.raises(ValueError):
+            solve(triangle_program(), time_limit=float("nan"))
+
     def test_determinism(self):
         rng = random.Random(99)
         for _ in range(10):

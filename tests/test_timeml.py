@@ -51,8 +51,10 @@ class TestParse:
         assert link.rel is RelType.BEFORE
 
     def test_dct_tagged(self):
-        parsed = parse_timeml(SAMPLE, "doc1")
-        kinds = {e.id: e.kind for e in parsed.entities}
+        # l2 names t1; with a known relType it parses, so t1 reaches a link.
+        parsed = parse_timeml(SAMPLE.replace(b'"OVERLAP"', b'"BEFORE"'), "doc1")
+        kinds = {e.id: e.kind for link in parsed.links
+                 for e in (link.source, link.target)}
         assert kinds["t0"] is EntityKind.DCT
         assert kinds["t1"] is EntityKind.TIMEX
         assert kinds["ei1"] is EntityKind.EVENT_INSTANCE
@@ -69,12 +71,13 @@ class TestParse:
 
     def test_conservation(self):
         parsed = parse_timeml(SAMPLE, "doc1")
-        assert len(parsed.links) + len(parsed.skipped) == parsed.tlink_count == 4
+        assert SAMPLE.count(b"<TLINK ") == 4
+        assert len(parsed.links) + len(parsed.skipped) == 4
+        assert [link.lid for link in parsed.links] == ["l1", "l4"]
 
     def test_no_tlinks(self):
         parsed = parse_timeml(b"<TimeML><TIMEX3 tid='t0'/></TimeML>", "d")
-        assert parsed.links == []
-        assert len(parsed.entities) == 1
+        assert parsed.links == [] and parsed.skipped == []
 
     def test_malformed_xml(self):
         with pytest.raises(TimeMLParseError) as err:
@@ -84,7 +87,7 @@ class TestParse:
     def test_determinism(self):
         a = parse_timeml(SAMPLE, "doc1")
         b = parse_timeml(SAMPLE, "doc1")
-        assert a.links == b.links and a.entities == b.entities
+        assert a.links == b.links and a.skipped == b.skipped
 
     def test_skipped_report_format(self, tmp_path):
         parsed = parse_timeml(SAMPLE, "doc1")
@@ -222,9 +225,24 @@ class TestLoadCorpus:
         with pytest.raises(ConfigurationError):
             read_weights(tmp_path / "w.txt")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "-0.5"])
+    def test_unusable_weight_rejected(self, tmp_path, weight):
+        # A weight of 0 is usable: the error names line 3, not line 2.
+        (tmp_path / "w.txt").write_text(f"# weights\nc1 0\nc2 {weight}\n")
+        with pytest.raises(ConfigurationError, match=rf"w\.txt:3: bad weight '{weight}'"):
+            read_weights(tmp_path / "w.txt")
+
+    def test_repeated_name_rejected(self, tmp_path):
+        (tmp_path / "w.txt").write_text("c1 0.9\nc2 0.5\nc1 0.1\n")
+        with pytest.raises(ConfigurationError, match=r"w\.txt:3: .*'c1' given twice"):
+            read_weights(tmp_path / "w.txt")
+
     def test_roundtrip_through_writer(self, tmp_path):
         entities, links = doc_payload("d1")
+        dct = entities[0]
+        links.append(TLink(ev(2, "d1"), dct, RelType.AFTER))
         write_timeml(entities, links, tmp_path / "d1.tml")
         parsed = parse_timeml((tmp_path / "d1.tml").read_bytes(), "d1")
-        assert parsed.links == [TLink(ev(1, "d1"), ev(2, "d1"), RelType.BEFORE, "l1")]
-        assert {e.id: e.kind for e in parsed.entities}["t0"] is EntityKind.DCT
+        assert parsed.links == [TLink(ev(1, "d1"), ev(2, "d1"), RelType.BEFORE, "l1"),
+                                TLink(ev(2, "d1"), dct, RelType.AFTER, "l2")]
+        assert parsed.links[1].target.kind is EntityKind.DCT
