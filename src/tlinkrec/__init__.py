@@ -9,7 +9,6 @@ closure-based temporal-awareness metric.
 from .errors import (
     ConfigurationError,
     DataError,
-    Infeasible,
     ReconciliationError,
     TimeMLParseError,
 )

@@ -76,10 +76,10 @@ def cli(ctx, config_path, verbose):
                            for cmd_name, keys in options.items()}
 
 
-def _members(text: str) -> Tuple[str, ...]:
+def _members(text: str, where: str = "--members") -> Tuple[str, ...]:
     members = tuple(m.strip() for m in text.split(",") if m.strip())
     if not members:
-        raise ConfigurationError("ensemble member list is empty")
+        raise ConfigurationError(f"{where}: ensemble member list is empty")
     return members
 
 
@@ -101,7 +101,7 @@ def _read_ensembles(path: str) -> Dict[str, EnsembleSpec]:
     ensembles: Dict[str, EnsembleSpec] = {}
     for where, line in read_lines(path):
         label, _, members = line.rpartition(":")
-        spec = EnsembleSpec(_members(members), label.strip())
+        spec = EnsembleSpec(_members(members, where), label.strip())
         stem = spec.display().replace(", ", "_")
         problem = ("repeats an earlier one" if stem in ensembles else
                    "contains a path separator" if "/" in stem or "\\" in stem else None)

@@ -18,7 +18,3 @@ class DataError(ReconciliationError):
 
 class TimeMLParseError(DataError):
     """Malformed TimeML input; carries file/line/column context in the message."""
-
-
-class Infeasible(ReconciliationError):
-    """The integer program admits no feasible assignment."""

@@ -8,9 +8,9 @@ conclusion side, so labeling pr as NONE never violates a triangle row.  In
 either mode every +1 entry sits on a non-NONE label, so the all-NONE
 assignment satisfies every row and keeps every instance feasible.
 
-The program is built directly as two scipy sparse matrices, one for the
-partition rows and one for the triangle rows; row names exist only in the
-exported LP text and in violation messages.
+A program is its triangle array: separation and verification read the table
+allowed[a, b, c] of label triples, and the rows of all triangles become a matrix
+only for the LP export and the test referees (solve builds the active ones).
 """
 
 from __future__ import annotations
@@ -71,45 +71,22 @@ def enumerate_triangles(arcs: Sequence[CanonicalArc]) -> np.ndarray:
     return np.column_stack((arc_at[p[t], q[t]], arc_at[q[t], r], arc_at[p[t], r]))
 
 
-@dataclass
-class BinaryProgram:
-    """maximise objective @ x  s.t.  a_eq @ x = 1,  a_ub @ x <= 1,  x binary.
-
-    a_eq holds one partition row per arc.  a_ub holds the triangle rows;
-    row i of a_ub is named t{k}_{a}_{b} from row_keys[i] = (k, a, b): the
-    triangle index and the ordinals of its two +1 labels.
-    """
-
-    objective: np.ndarray
-    a_eq: csr_matrix
-    a_ub: csr_matrix
-    row_keys: np.ndarray  # shape (a_ub rows, 3)
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.objective)
-
-    @property
-    def num_rows(self) -> int:
-        return self.a_eq.shape[0] + self.a_ub.shape[0]
-
-    def row_name(self, i: int) -> str:
-        k, a, b = self.row_keys[i]
-        return f"t{k}_{a}_{b}"
-
-    @staticmethod
-    def var_name(v: int) -> str:
-        return f"x_{v // N_LABELS}_{v % N_LABELS + 1}"
+def row_name(k: int, a: int, b: int) -> str:
+    """Name of triangle k's row for ordinals a on pq and b on qr."""
+    return f"t{k}_{a}_{b}"
 
 
 @functools.cache
-def _row_template(none_breaks_triangles: bool) -> Tuple[np.ndarray, np.ndarray]:
+def _row_template(none_breaks_triangles: bool) -> Tuple[np.ndarray, ...]:
     """The triangle rows every present triangle gets, in a-outer/b-inner order.
 
-    Returns the rows' (a, b) ordinal pairs and their coefficients over the
-    triangle's 45 variables: the 15 labels of pq, then of qr, then of pr.
+    Returns the rows' (a, b) ordinal pairs, their coefficients over the
+    triangle's 45 variables (the 15 labels of pq, then of qr, then of pr), and
+    allowed[a, b, c] (ordinals - 1): labels a on pq, b on qr and c on pr break
+    no row; a pair whose row is suppressed allows every c.
     """
     pairs, coeffs = [], []
+    allowed = np.ones((N_LABELS,) * 3, dtype=bool)
     for a in NON_NONE:
         for b in NON_NONE:
             cstar = compose(a, b)
@@ -121,44 +98,79 @@ def _row_template(none_breaks_triangles: bool) -> Tuple[np.ndarray, np.ndarray]:
             row = np.zeros(3 * N_LABELS)
             row[[a.value - 1, N_LABELS + b.value - 1]] = 1.0
             row[[2 * N_LABELS + s.value - 1 for s in minus]] = -1.0
+            allowed[a.value - 1, b.value - 1] = row[2 * N_LABELS:] < 0
             pairs.append((a.value, b.value))
             coeffs.append(row)
     pairs, coeffs = np.array(pairs), np.array(coeffs)
-    pairs.flags.writeable = coeffs.flags.writeable = False  # shared by callers
-    return pairs, coeffs
+    for shared in (pairs, coeffs, allowed):
+        shared.flags.writeable = False  # one copy for every caller
+    return pairs, coeffs, allowed
+
+
+@dataclass
+class BinaryProgram:
+    """maximise objective @ x  s.t.  a_eq @ x = 1,  every triangle row,  x binary.
+
+    a_eq holds one partition row per arc; triangle k, a (pq, qr, pr) row of
+    triangles, gets the mode's template rows, row (a, b) named row_name(k, a, b).
+    """
+
+    objective: np.ndarray
+    triangles: np.ndarray  # shape (T, 3), from enumerate_triangles
+    none_breaks_triangles: bool = False
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
+
+    @property
+    def num_rows(self) -> int:
+        per_tri = len(_row_template(self.none_breaks_triangles)[0])
+        return self.num_vars // N_LABELS + len(self.triangles) * per_tri
+
+    @property
+    def a_eq(self) -> csr_matrix:
+        n = self.num_vars
+        return csr_matrix((np.ones(n), np.arange(n), np.arange(0, n + 1, N_LABELS)),
+                          shape=(n // N_LABELS, n))
+
+    def triangle_rows(self, ks: np.ndarray) -> csr_matrix:
+        """The rows of triangles ks, triangle-major in template order."""
+        # Broadcast the template's nonzeros over the triangles: nonzero j of a
+        # template row sits on label j % 15 of the triangle's arc j // 15.
+        coeffs = _row_template(self.none_breaks_triangles)[1]
+        triangles = self.triangles[ks]
+        n_tri, per_tri = len(triangles), len(coeffs)
+        r, j = np.nonzero(coeffs)
+        rows = (np.arange(n_tri)[:, None] * per_tri + r).ravel()
+        cols = (triangles[:, j // N_LABELS] * N_LABELS + j % N_LABELS).ravel()
+        return csr_matrix((np.tile(coeffs[r, j], n_tri), (rows, cols)),
+                          shape=(n_tri * per_tri, self.num_vars))
+
+    def broken_rows(self, labels: np.ndarray) -> np.ndarray:
+        """(k, a, b) of each triangle k whose row (a, b) per-arc labels
+        (ordinal - 1) break; a triangle breaks at most one row."""
+        lab = labels[self.triangles]
+        k = np.flatnonzero(~_row_template(self.none_breaks_triangles)[2][tuple(lab.T)])
+        return np.column_stack((k, lab[k, :2] + 1))
+
+    @staticmethod
+    def var_name(v: int) -> str:
+        return f"x_{v // N_LABELS}_{v % N_LABELS + 1}"
 
 
 def build_ip(votes: VoteTable, *,
              none_breaks_triangles: bool = False) -> BinaryProgram:
-    """Assemble objective, partition rows, and triangle rows for one document.
+    """The objective and triangle array of one document's program.
 
     Rows whose composition set places no restriction (all 14 labels once
     synonyms are expanded) are suppressed in the default mode; in strict mode
     (none_breaks_triangles=True) they still forbid a NONE conclusion, so they
     are kept.
     """
-    triangles = enumerate_triangles(votes.arcs)
-    n_arcs = len(votes.arcs)
-    num_vars = n_arcs * N_LABELS
     objective = votes.alpha.reshape(-1).astype(float).copy()
-    a_eq = csr_matrix(
-        (np.ones(num_vars), np.arange(num_vars),
-         np.arange(0, num_vars + 1, N_LABELS)),
-        shape=(n_arcs, num_vars),
-    )
-
-    # Broadcast the template's nonzeros over all triangles: nonzero j of a
-    # template row sits on label j % 15 of the triangle's arc j // 15.
-    pairs, coeffs = _row_template(none_breaks_triangles)
-    n_tri, per_tri = len(triangles), len(pairs)
-    r, j = np.nonzero(coeffs)
-    rows = (np.arange(n_tri)[:, None] * per_tri + r).ravel()
-    cols = (triangles[:, j // N_LABELS] * N_LABELS + j % N_LABELS).ravel()
-    a_ub = csr_matrix((np.tile(coeffs[r, j], n_tri), (rows, cols)),
-                      shape=(n_tri * per_tri, num_vars))
-    row_keys = np.column_stack((np.repeat(np.arange(n_tri), per_tri),
-                                np.tile(pairs, (n_tri, 1))))
-    return BinaryProgram(objective, a_eq, a_ub, row_keys)
+    return BinaryProgram(objective, enumerate_triangles(votes.arcs),
+                         none_breaks_triangles)
 
 
 def _format_terms(pairs: Iterable[Tuple[float, str]]) -> List[str]:
@@ -211,10 +223,11 @@ def export_lp(program: BinaryProgram, sink: BinaryIO) -> None:
     lines.extend(_wrap(" obj:", obj_terms))
     lines.append("Subject To")
     lines.extend(_constraint_lines(
-        program.a_eq, (f"p{i}" for i in range(program.a_eq.shape[0])), "= 1"))
-    lines.extend(_constraint_lines(
-        program.a_ub, map(program.row_name, range(program.a_ub.shape[0])),
-        "<= 1"))
+        program.a_eq, (f"p{i}" for i in range(program.num_vars // N_LABELS)), "= 1"))
+    ks = np.arange(len(program.triangles))
+    pairs = _row_template(program.none_breaks_triangles)[0]
+    lines.extend(_constraint_lines(program.triangle_rows(ks), (
+        row_name(k, a, b) for k in ks for a, b in pairs), "<= 1"))
     lines.append("Binaries")
     for v in range(program.num_vars):
         lines.append(f" {BinaryProgram.var_name(v)}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
+from .errors import ConfigurationError
 from .relations import NON_NONE, invert, relation_from_intervals
 from .timeml import EntityKind, EntityRef, TLink, write_timeml
 
@@ -99,6 +100,16 @@ def generate_corpus(root: Path, *, seed: int, n_docs: int,
                     n_events: Tuple[int, int] = (4, 8),
                     arc_density: float = 0.6) -> List[str]:
     """Write a reference/runs/weights corpus layout; returns the doc ids."""
+    if n_docs < 1:
+        raise ConfigurationError(f"document count {n_docs} is less than 1")
+    names = [spec.name for spec in classifiers]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigurationError(f"repeated classifier name(s): {', '.join(repeated)}")
+    for what, value in [(f"flip rate of {spec.name!r}", spec.flip_rate)
+                        for spec in classifiers] + [("arc density", arc_density)]:
+        if not 0 <= value <= 1:  # also rejects NaN
+            raise ConfigurationError(f"{what} {value} is not in [0, 1]")
     root = Path(root)
     ref_dir = root / "reference"
     ref_dir.mkdir(parents=True, exist_ok=True)

@@ -1,9 +1,12 @@
 """Test referees for the solver and for reconciled labellings.
 
-brute_force_solve() is the exhaustive optimum for tiny programs; it never
-touches a solver, so it can referee solve().  full_milp_solve() hands the
-whole program, every triangle row included, to HiGHS in one call, so it
-referees solve()'s lazy separation on programs of any size.
+solve() separates and verify() checks with the program's label table and never
+builds the whole triangle matrix; both referees do, with the row builder called
+for every triangle.  brute_force_solve() is the exhaustive optimum for tiny
+programs; it never touches a solver, so it can referee solve().
+full_milp_solve() hands the whole program, every triangle row included, to
+HiGHS in one call, so it referees solve()'s lazy separation on programs of any
+size.
 is_consistent_labeling() checks every fully labelled triangle of a
 single-label graph against the composition table.
 """
@@ -16,15 +19,16 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from tlinkrec.errors import Infeasible
 from tlinkrec.model import N_LABELS, BinaryProgram
 from tlinkrec.relations import EventGraph, RelType, collapse, compose
-from tlinkrec.solver import (
-    Solution,
-    SolverStats,
-    _assignment_from_vars,
-    _objective_of,
-)
+from tlinkrec.solver import Solution, SolverStats
+
+
+def _solution_of(program: BinaryProgram, chosen: List[int], proven: bool,
+                 stats: SolverStats) -> Solution:
+    """The Solution that sets exactly the variables chosen."""
+    assignment = {v // N_LABELS: RelType(v % N_LABELS + 1) for v in chosen}
+    return Solution(assignment, float(program.objective[chosen].sum()), proven, stats)
 
 
 def _arc_candidates(program: BinaryProgram) -> List[List[int]]:
@@ -71,7 +75,7 @@ def brute_force_solve(program: BinaryProgram) -> Solution:
     # violated exactly when both plus variables are chosen and none of its
     # minus variables is.
     groups: Dict[Tuple[int, int], Dict[Tuple[int, int], frozenset]] = {}
-    rows = program.a_ub.tolil()
+    rows = program.triangle_rows(np.arange(len(program.triangles))).tolil()
     for cols, coeffs in zip(rows.rows, rows.data):
         plus = tuple(v for v, c in zip(cols, coeffs) if c == 1.0)
         minus = frozenset(v for v, c in zip(cols, coeffs) if c == -1.0)
@@ -131,21 +135,17 @@ def brute_force_solve(program: BinaryProgram) -> Solution:
             chosen[arc] = -1
         return None
 
-    find_value(0, 0.0)
-    if best["vars"] is None:
-        raise Infeasible("no feasible assignment exists")
+    find_value(0, 0.0)  # all-NONE satisfies every row, so an optimum exists
     final_vars = find_lex(0, 0.0) or best["vars"]
-    val = _objective_of(program, final_vars)
     stats.wall_time = time.monotonic() - t0
-    return Solution(_assignment_from_vars(final_vars), val, True, stats)
+    return _solution_of(program, final_vars, True, stats)
 
 
 def full_milp_solve(program: BinaryProgram, time_limit: float = 300.0) -> Solution:
     """Optimal solution (proven_optimal=True) or best incumbent on timeout.
 
-    One milp call on the full program.  Raises Infeasible when no feasible
-    assignment exists, and RuntimeError when the time limit passes before any
-    incumbent is found or HiGHS fails.
+    One milp call on the full program.  Raises RuntimeError when the time
+    limit passes before any incumbent is found or HiGHS fails.
     """
     if time_limit <= 0:
         raise ValueError("time_limit must be positive")
@@ -156,26 +156,20 @@ def full_milp_solve(program: BinaryProgram, time_limit: float = 300.0) -> Soluti
         return Solution({}, 0.0, True, stats)
 
     constraints = [LinearConstraint(program.a_eq, 1, 1)]
-    if program.a_ub.shape[0]:
-        constraints.append(LinearConstraint(program.a_ub, -np.inf, 1))
+    if len(program.triangles):
+        constraints.append(LinearConstraint(
+            program.triangle_rows(np.arange(len(program.triangles))), -np.inf, 1))
     res = milp(-program.objective, integrality=1, bounds=Bounds(0, 1),
                constraints=constraints,
                options={"mip_rel_gap": 0.0, "time_limit": time_limit})
     stats.nodes_explored = res.mip_node_count
     stats.wall_time = time.monotonic() - t0
-    if res.status == 2:
-        raise Infeasible("no feasible assignment exists")
     if res.status == 1 and res.x is None:
         raise RuntimeError("time limit reached before any incumbent was found")
     if res.status not in (0, 1):
         raise RuntimeError(f"MIP solve failed: {res.message}")
     chosen = np.flatnonzero(res.x > 0.5).tolist()
-    return Solution(
-        assignment=_assignment_from_vars(chosen),
-        objective_value=_objective_of(program, chosen),
-        proven_optimal=res.status == 0,
-        stats=stats,
-    )
+    return _solution_of(program, chosen, res.status == 0, stats)
 
 
 def is_consistent_labeling(g: EventGraph) -> bool:

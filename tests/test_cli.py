@@ -177,6 +177,7 @@ class TestExperimentCommand:
         ("alpha,beta\nalpha_beta: alpha\n",
          "ens.txt:2: ensemble name 'alpha_beta' repeats"),
         ("a/b: alpha\n", "ens.txt:1: ensemble name 'a/b' contains a path separator"),
+        ("alpha\nbad: \n", "ens.txt:2: ensemble member list is empty"),
     ])
     def test_bad_ensemble_names_exit_1(self, corpus_root, tmp_path, capsys,
                                        monkeypatch, lines, message):
@@ -275,6 +276,24 @@ class TestGenSyntheticCommand:
             "--classifiers", "a:notafloat",
         ])
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("args, message", [
+        (["--docs", "-3"], "document count -3 is less than 1"),
+        (["--docs", "0"], "document count 0 is less than 1"),
+        (["--classifiers", "beta:-1"], "flip rate of 'beta' -1.0 is not in [0, 1]"),
+        (["--classifiers", "beta:1.5"], "flip rate of 'beta' 1.5 is not in [0, 1]"),
+        (["--classifiers", "beta:nan"], "flip rate of 'beta' nan is not in [0, 1]"),
+        (["--density", "1.5"], "arc density 1.5 is not in [0, 1]"),
+        (["--density", "-0.2"], "arc density -0.2 is not in [0, 1]"),
+        (["--classifiers", "alpha:0.1,alpha:0.2"], "repeated classifier name(s): alpha"),
+    ])
+    def test_bad_input_exits_1(self, tmp_path, capsys, args, message):
+        out = tmp_path / "s"
+        with pytest.raises(SystemExit) as err:
+            main(["gen-synthetic", "--out", str(out), *args])
+        assert err.value.code == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
 
 
 class TestDumpTable:

@@ -11,10 +11,12 @@ from tlinkrec.model import (
     N_LABELS,
     BinaryProgram,
     VoteTable,
+    _row_template,
     build_ip,
     collect_arcs,
     enumerate_triangles,
     export_lp,
+    row_name,
 )
 from tlinkrec.relations import RelType, compose, synonyms
 from tlinkrec.solver import Solution, violations
@@ -123,13 +125,23 @@ def simple_votes(n_arcs=3, triangle=True):
     return VoteTable("doc", arcs, alpha)
 
 
+def full_rows(program):
+    """Every triangle's rows, as the LP export and the referees build them."""
+    return program.triangle_rows(np.arange(len(program.triangles)))
+
+
 def rows_of(program):
-    """{row name: (plus columns, minus columns)} read back from a_ub."""
-    rows = program.a_ub.tolil()
+    """{row name: (plus columns, minus columns)} of the full triangle matrix,
+    named as the LP export names them."""
+    rows = full_rows(program).tolil()
+    pairs = _row_template(program.none_breaks_triangles)[0]
+    names = [row_name(k, a, b) for k in range(len(program.triangles))
+             for a, b in pairs]
+    assert len(names) == len(rows.rows)
     out = {}
-    for i, (cols, coeffs) in enumerate(zip(rows.rows, rows.data)):
+    for name, cols, coeffs in zip(names, rows.rows, rows.data):
         assert set(coeffs) <= {1.0, -1.0}
-        out[program.row_name(i)] = (
+        out[name] = (
             tuple(v for v, c in zip(cols, coeffs) if c == 1.0),
             tuple(v for v, c in zip(cols, coeffs) if c == -1.0),
         )
@@ -206,8 +218,58 @@ class TestBuildIp:
 
     def test_no_triangles_no_rows(self):
         program = build_ip(simple_votes(2, triangle=False))
-        assert program.a_ub.shape == (0, 30)
-        assert program.row_keys.shape == (0, 3)
+        assert program.triangles.shape == (0, 3)
+        assert full_rows(program).shape == (0, 30)
+        assert program.num_rows == 2
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_num_rows_counts_every_row(self, strict):
+        program = build_ip(simple_votes(3), none_breaks_triangles=strict)
+        assert program.num_rows == 3 + full_rows(program).shape[0]
+
+
+class TestLabelTable:
+    """The label table that separation and verification read, against the
+    rows that the LP export, the referees and HiGHS are given."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_table_is_the_rows(self, strict):
+        # One triangle: arcs (1, 2) = 0, (1, 3) = 1, (2, 3) = 2, so
+        # (pq, qr, pr) = (0, 2, 1).  Column (a, b, c) of x is the 0/1 point
+        # with a on pq, b on qr and c on pr.
+        program = build_ip(simple_votes(3), none_breaks_triangles=strict)
+        a, b, c = np.indices((N_LABELS,) * 3).reshape(3, -1)
+        x = np.zeros((3 * N_LABELS, len(a)))
+        cols = np.arange(len(a))
+        x[a, cols] = x[2 * N_LABELS + b, cols] = x[N_LABELS + c, cols] = 1.0
+        satisfies_every_row = (full_rows(program) @ x <= 1.0).all(axis=0)
+        allowed = _row_template(strict)[2]
+        assert allowed.shape == (N_LABELS,) * 3
+        assert np.array_equal(allowed.reshape(-1), satisfies_every_row)
+        # The same table, read through the helper that solve and verify call.
+        broken = [len(program.broken_rows(np.array([a[i], c[i], b[i]]))) > 0
+                  for i in range(len(a))]
+        assert broken == list(~satisfies_every_row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 6).flatmap(lambda n: st.lists(
+        st.sampled_from(list(combinations(range(1, n + 1), 2))),
+        min_size=3, unique=True)), st.booleans(), st.data())
+    def test_rows_of_a_subset_are_a_slice_of_the_full_matrix(self, pairs, strict,
+                                                             data):
+        votes = VoteTable("doc", [arc(i, j) for i, j in sorted(pairs)],
+                          np.zeros((len(pairs), N_LABELS)))
+        program = build_ip(votes, none_breaks_triangles=strict)
+        n_tri = len(program.triangles)
+        ks = np.array(sorted(data.draw(st.sets(st.integers(0, n_tri - 1)))
+                             if n_tri else []), dtype=np.int64)
+        per_tri = len(_row_template(strict)[0])
+        sub = program.triangle_rows(ks)
+        full = full_rows(program)[(ks[:, None] * per_tri
+                                   + np.arange(per_tri)).ravel()]
+        assert sub.shape == full.shape == (len(ks) * per_tri, program.num_vars)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(sub, attr), getattr(full, attr))
 
 
 @st.composite

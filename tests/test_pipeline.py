@@ -148,11 +148,9 @@ class TestReconcile:
 
     def test_inconsistent_solution_is_never_recorded(self, corpus, monkeypatch):
         def inconsistent_solve(program, time_limit):
-            # Row 0 is t0_1_1: BEFORE on pq and qr forces BEFORE or NONE on pr.
-            row = program.a_ub[0]
-            pq, qr = row.indices[row.data > 0] // N_LABELS
-            pr = row.indices[row.data < 0][0] // N_LABELS
-            labels = {i: RelType.NONE for i in range(program.a_eq.shape[0])}
+            # Row t0_1_1: BEFORE on pq and qr forces BEFORE or NONE on pr.
+            pq, qr, pr = program.triangles[0]
+            labels = {i: RelType.NONE for i in range(program.num_vars // N_LABELS)}
             labels.update({pq: RelType.BEFORE, qr: RelType.BEFORE,
                            pr: RelType.AFTER})
             chosen = [i * N_LABELS + rel.value - 1 for i, rel in labels.items()]

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
-from scipy.sparse import csr_matrix
 
 import tlinkrec.solver as solver
-from tlinkrec.errors import Infeasible
-from tlinkrec.model import N_LABELS, VoteTable, build_ip
+from tlinkrec.model import N_LABELS, BinaryProgram, VoteTable, build_ip
 from tlinkrec.relations import NON_NONE, RelType
 from tlinkrec.solver import Solution, solve, verify, violations
 from tlinkrec.timeml import CanonicalArc, EntityKind, EntityRef
@@ -226,9 +224,11 @@ class TestMilpStatusMapping:
         assert sol.proven_optimal and sol.assignment == optimum
         assert sol.stats.nodes_explored == 12
         assert sol.stats.rounds == 3 and sol.stats.active_triangles == 2
-        per_tri = program.a_ub.shape[0] // 2
-        assert [call["constraints"][1].A.shape[0] for call in calls] == [
-            per_tri, 2 * per_tri]
+        # Each call gets exactly the rows of the triangles active by then.
+        for call, ks in zip(calls, ([0], [0, 1])):
+            got, expected = call["constraints"][1].A, program.triangle_rows(ks)
+            assert got.shape == expected.shape
+            assert (got != expected).nnz == 0
         assert all(call["options"]["time_limit"] <= 12.5 for call in calls)
 
 
@@ -286,33 +286,9 @@ class TestBruteForce:
         assert sol.assignment == {0: RelType.BEFORE}
 
     def test_rejects_rows_not_made_of_unit_entries(self):
-        program = infeasible_program()
-        program.a_ub = program.a_ub * 2.0
+        program = triangle_program()
+        program.triangle_rows = lambda ks: BinaryProgram.triangle_rows(program, ks) * 2.0
         with pytest.raises(ValueError, match="two \\+1 entries"):
-            brute_force_solve(program)
-
-
-def infeasible_program():
-    """build_ip's two partition rows plus a row x_0,l + x_1,m <= 1 for every
-    label pair (l, m), all keyed to triangle 0: no assignment satisfies them."""
-    program = build_ip(votes_of(
-        [arc(1, 2), arc(1, 3)],
-        {0: {RelType.BEFORE: 0.5, RelType.AFTER: 0.25}, 1: {RelType.BEFORE: 0.5}}))
-    l, m = np.divmod(np.arange(N_LABELS * N_LABELS), N_LABELS)
-    rows = np.repeat(np.arange(len(l)), 2)
-    cols = np.column_stack((l, N_LABELS + m)).ravel()
-    program.a_ub = csr_matrix((np.ones(len(cols)), (rows, cols)),
-                              shape=(len(l), program.num_vars))
-    program.row_keys = np.column_stack((np.zeros_like(l), l + 1, m + 1))
-    return program
-
-
-class TestInfeasible:
-    def test_both_solvers_agree(self):
-        program = infeasible_program()
-        with pytest.raises(Infeasible):
-            solve(program)
-        with pytest.raises(Infeasible):
             brute_force_solve(program)
 
 
@@ -392,12 +368,7 @@ class TestOracleEquivalence:
         rng = random.Random(2024)
         for trial in range(60):
             program = random_instance(rng)
-            try:
-                exact = brute_force_solve(program)
-            except Infeasible:
-                with pytest.raises(Infeasible):
-                    solve(program)
-                continue
+            exact = brute_force_solve(program)
             sol = solve(program)
             assert sol.objective_value == exact.objective_value, trial
             assert verify(program, sol)
