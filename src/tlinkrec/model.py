@@ -201,15 +201,14 @@ def _wrap(prefix: str, terms: List[str], suffix: str = "") -> List[str]:
 def _constraint_lines(matrix: csr_matrix, names: Iterable[str],
                       sense: str) -> List[str]:
     """One constraint per row: + terms first, each sign in column order."""
-    lines = []
-    rows = matrix.tolil()
-    for name, cols, coeffs in zip(names, rows.rows, rows.data):
-        terms = _format_terms(sorted(
-            ((c, BinaryProgram.var_name(v)) for v, c in zip(cols, coeffs)),
-            key=lambda term: term[0] < 0,
-        ))
-        lines.extend(_wrap(f" {name}:", terms, sense))
-    return lines
+    matrix = matrix.sorted_indices()
+    row = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    order = np.lexsort((matrix.data < 0, row))  # stable, so rows stay in place
+    var_names = map(BinaryProgram.var_name, matrix.indices[order].tolist())
+    terms = _format_terms(zip(matrix.data[order].tolist(), var_names))
+    bounds = zip(names, matrix.indptr[:-1], matrix.indptr[1:])
+    return [line for name, lo, hi in bounds
+            for line in _wrap(f" {name}:", terms[lo:hi], sense)]
 
 
 def export_lp(program: BinaryProgram, sink: BinaryIO) -> None:

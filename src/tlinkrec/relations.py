@@ -14,8 +14,10 @@ synonyms before testing membership.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple, Union
+import functools
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+
+import numpy as np
 
 
 class RelType(enum.IntEnum):
@@ -182,26 +184,20 @@ def relation_from_intervals(x: Tuple[int, int], y: Tuple[int, int]) -> Optional[
 # --- label masks -----------------------------------------------------------
 #
 # Closure works on sets of canonical labels held as 14-bit masks
-# (bit = ordinal - 1); they never leave this module.
+# (bit = ordinal - 1); they never leave this module except to the test
+# referee.
 
 _BIT = {r: 1 << (r.value - 1) for r in NON_NONE}
 _CANONICAL_MASK = 0
 for _r in CANONICAL_LABELS:
     _CANONICAL_MASK |= _BIT[_r]
 _SINGLE = {_BIT[r]: r for r in CANONICAL_LABELS}
+_CANONICAL_BITS = np.array([_BIT[r] for r in CANONICAL_LABELS], dtype=np.uint16)
 
 
 def _labels(mask: int) -> Tuple[RelType, ...]:
     """The labels of a mask, in ordinal order."""
     return tuple(r for r in NON_NONE if mask & _BIT[r])
-
-
-@lru_cache(maxsize=None)
-def _invert_mask(mask: int) -> int:
-    out = 0
-    for r in _labels(mask):
-        out |= _BIT[_INVERSE[r]]
-    return out
 
 
 # --- composition table ------------------------------------------------------
@@ -227,13 +223,20 @@ def compose(a: RelType, b: RelType) -> FrozenSet[RelType]:
     return frozenset(_labels(_COMPOSITION[(a, b)]))
 
 
-@lru_cache(maxsize=None)
-def _compose_masks(mask_a: int, mask_b: int) -> int:
-    out = 0
-    for a in _labels(mask_a):
-        for b in _labels(mask_b):
-            out |= _COMPOSITION[(a, b)]
-    return out
+_BLOCK_CELLS = 1 << 16  # cells a closure sweep builds or gathers at a time
+
+
+@functools.cache
+def _label_rows() -> np.ndarray:
+    """rows[a, y]: the mask of compose over CANONICAL_LABELS[a] and every label
+    of mask y, for all 2**14 masks y."""
+    rows = np.zeros((len(CANONICAL_LABELS), 1 << 14), dtype=np.uint16)
+    for b, label in enumerate(NON_NONE):  # masks y < 2**b are done: add bit b
+        composed = np.array([_COMPOSITION[(a, label)] for a in CANONICAL_LABELS],
+                            dtype=np.uint16)
+        rows[:, 1 << b:2 << b] = rows[:, :1 << b] | composed[:, None]
+    rows.flags.writeable = False
+    return rows
 
 
 def dump_table() -> str:
@@ -305,47 +308,68 @@ class EventGraph:
         )
 
 
-def closure(g: EventGraph) -> Union[EventGraph, _Inconsistent]:
+# What closure returns.  Not typing.Union: typing caches that object for the
+# process, and it would keep this module's globals alive after a re-import.
+Closure = EventGraph | _Inconsistent
+
+
+def closure(g: EventGraph) -> Closure:
     """The labels g entails, or INCONSISTENT.
 
     Every pair starts at the full canonical set, or at its collapsed label if
-    g labels it (NONE labels nothing); every pair is then repeatedly
-    intersected with the composition along each two-edge path until
-    fixpoint.  The result holds each pair the fixpoint pins to one canonical
-    label.  Naive triple iteration; documents here have at most a few
-    hundred nodes.
+    g labels it (NONE labels nothing), and each node relates to itself by
+    SIMULTANEOUS, the identity of composition.  Whole-array sweeps then set
+    every pair (i, j) to the intersection over all nodes k of the composition
+    along i -> k -> j, until a sweep changes nothing; any empty pair makes g
+    INCONSISTENT.  The sweep is monotone and never enlarges a pair, so it
+    reaches the same greatest fixpoint as revising one pair at a time in any
+    order.  The result holds each pair the fixpoint pins to one canonical
+    label.
+
+    A sweep composes the u distinct masks present into a u x u table and
+    gathers it for a block of rows i at a time, over all (k, j), before
+    reducing over k.  The table is built and gathered in blocks of at most
+    _BLOCK_CELLS cells (one row if a row alone has more), so besides a few
+    n x n arrays and the table a sweep holds at most 10 bytes per block cell:
+    a gather index and its uint16 masks.
     """
     nodes = sorted(g.nodes)
     n = len(nodes)
-    m = [[_CANONICAL_MASK] * n for _ in range(n)]
     index = {node: i for i, node in enumerate(nodes)}
+    m = np.full((n, n), _CANONICAL_MASK, dtype=np.uint16)
+    np.fill_diagonal(m, _BIT[RelType.SIMULTANEOUS])
     for p, q, rel in g.edges():
         if rel is not RelType.NONE:
-            i, j = index[p], index[q]
-            m[i][j] = _BIT[collapse(rel)]
-            m[j][i] = _invert_mask(m[i][j])
+            m[index[p], index[q]] = _BIT[collapse(rel)]
+            m[index[q], index[p]] = _BIT[invert(collapse(rel))]
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            mi = m[i]
-            for j in range(i + 1, n):
-                cur = mi[j]
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    cur &= _compose_masks(mi[k], m[k][j])
-                    if cur == 0:
-                        return INCONSISTENT
-                if cur != mi[j]:
-                    mi[j] = cur
-                    m[j][i] = _invert_mask(cur)
-                    changed = True
+    rows = _label_rows()
+    block = max(1, _BLOCK_CELLS // max(1, n * n))
+    while True:
+        masks = np.unique(m)
+        u, at = len(masks), np.searchsorted(masks, m)
+        # table[s, t] = compose(masks[s], masks[t]): over the labels a of
+        # masks[s], the union of rows[a, masks[t]]
+        labels_of = (masks[:, None, None] & _CANONICAL_BITS[:, None]) != 0
+        composed, table = rows[:, masks], np.empty((u, u), dtype=np.uint16)
+        step = max(1, _BLOCK_CELLS // max(1, composed.size))
+        for s in range(0, u, step):
+            table[s:s + step] = np.bitwise_or.reduce(
+                np.where(labels_of[s:s + step], composed, 0), axis=1)
+        flat, row_at = table.ravel(), at * u
+        swept = np.empty_like(m)
+        for r in range(0, n, block):
+            # cell [i, k, j] composes m[i, k] with m[k, j]
+            swept[r:r + block] = np.bitwise_and.reduce(
+                flat.take(row_at[r:r + block, :, None] + at[None]), axis=1)
+            if not swept[r:r + block].all():
+                return INCONSISTENT
+        if np.array_equal(swept, m):
+            break
+        m = swept
 
     out = EventGraph(g.nodes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] in _SINGLE:
-                out.set_relation(nodes[i], nodes[j], _SINGLE[m[i][j]])
+    i, j = np.nonzero((m & (m - 1)) == 0)  # pairs pinned to one label
+    for i, j in zip(i[i < j].tolist(), j[i < j].tolist()):
+        out.set_relation(nodes[i], nodes[j], _SINGLE[int(m[i, j])])
     return out

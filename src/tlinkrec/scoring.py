@@ -14,6 +14,7 @@ from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Set, TextIO, Tuple
 
 from .relations import (
+    Closure,
     EventGraph,
     INCONSISTENT,
     RelType,
@@ -61,16 +62,15 @@ class AwarenessCounts:
         return f1_score(self.precision, self.recall)
 
 
-def _verified(graph: EventGraph, other: EventGraph,
+def _verified(graph: EventGraph, other: EventGraph, entailed: Closure,
               collapse_identity: bool) -> Tuple[int, int, bool]:
-    """(verified, total) relations of `graph` against `other`, and whether
-    `other` is inconsistent.
+    """(verified, total) relations of `graph` against `other`, whose closure
+    is `entailed`, and whether `other` is inconsistent.
 
     A relation verifies when `other` entails exactly it; NONE never verifies.
     With collapse_identity off, IDENTITY only matches a stored IDENTITY edge
     (the closure cannot keep the synonyms apart).
     """
-    entailed = closure(other)
     inconsistent = entailed is INCONSISTENT
     if inconsistent:
         entailed = other
@@ -86,12 +86,19 @@ def _verified(graph: EventGraph, other: EventGraph,
 
 
 def temporal_awareness(reference: EventGraph, system: EventGraph, *,
-                       collapse_identity: bool = True) -> AwarenessCounts:
-    """Precision/recall counts of a system graph against a reference graph."""
+                       collapse_identity: bool = True,
+                       closed_reference: Optional[Closure] = None) -> AwarenessCounts:
+    """Precision/recall counts of a system graph against a reference graph.
+
+    closed_reference, if given, is closure(reference), which is then not
+    computed again.
+    """
+    if closed_reference is None:
+        closed_reference = closure(reference)
     verified_sys, total_sys, inconsistent_ref = _verified(
-        system, reference, collapse_identity)
+        system, reference, closed_reference, collapse_identity)
     verified_ref, total_ref, inconsistent_sys = _verified(
-        reference, system, collapse_identity)
+        reference, system, closure(system), collapse_identity)
     return AwarenessCounts(verified_sys, total_sys, verified_ref, total_ref,
                            inconsistent_ref, inconsistent_sys)
 
@@ -126,11 +133,15 @@ class ScoreReport:
 
 def score_run(reference_run: ClassifierRun, system_run: ClassifierRun,
               doc_filter: Optional[Set[str]] = None, *,
-              collapse_identity: bool = True, average: str = "micro") -> ScoreReport:
+              collapse_identity: bool = True, average: str = "micro",
+              closed_references: Optional[Dict[str, Closure]] = None) -> ScoreReport:
     """Per-document temporal awareness plus a corpus aggregate.
 
     Documents in the filter but missing from the system run score against an
-    empty system graph.
+    empty system graph.  closed_references maps a document to the closure of
+    its reference graph in reference_run; a document missing from it is
+    closed and added, so callers that score one reference run many times
+    close each document once.
     """
     if average not in ("micro", "macro"):
         raise ValueError(f"unknown averaging mode {average!r}")
@@ -138,13 +149,16 @@ def score_run(reference_run: ClassifierRun, system_run: ClassifierRun,
     missing = set(docs) - set(reference_run.documents)
     if missing:
         raise ValueError(f"documents not in reference run: {sorted(missing)}")
+    closed = {} if closed_references is None else closed_references
     report = ScoreReport(average=average)
     for doc in docs:
         ref_graph = build_graph(reference_run.documents[doc])
+        if doc not in closed:
+            closed[doc] = closure(ref_graph)
         sys_graph = build_graph(system_run.documents.get(doc, []))
         report.per_document[doc] = temporal_awareness(
-            ref_graph, sys_graph, collapse_identity=collapse_identity
-        )
+            ref_graph, sys_graph, collapse_identity=collapse_identity,
+            closed_reference=closed[doc])
     return report
 
 

@@ -9,18 +9,34 @@ HiGHS in one call, so it referees solve()'s lazy separation on programs of any
 size.
 is_consistent_labeling() checks every fully labelled triangle of a
 single-label graph against the composition table.
+naive_closure() is the triple-loop path-consistency closure that
+relations.closure's whole-array sweeps must agree with, INCONSISTENT included.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from tlinkrec.model import N_LABELS, BinaryProgram
-from tlinkrec.relations import EventGraph, RelType, collapse, compose
+from tlinkrec.relations import (
+    _BIT,
+    _CANONICAL_MASK,
+    _COMPOSITION,
+    _INVERSE,
+    _SINGLE,
+    INCONSISTENT,
+    EventGraph,
+    RelType,
+    _Inconsistent,
+    _labels,
+    collapse,
+    compose,
+)
 from tlinkrec.solver import Solution, SolverStats
 
 
@@ -203,3 +219,65 @@ def is_consistent_labeling(g: EventGraph) -> bool:
                 if collapse(lab_pr) not in compose(lab_pq, lab_qr):
                     return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _invert_mask(mask: int) -> int:
+    out = 0
+    for r in _labels(mask):
+        out |= _BIT[_INVERSE[r]]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _compose_masks(mask_a: int, mask_b: int) -> int:
+    out = 0
+    for a in _labels(mask_a):
+        for b in _labels(mask_b):
+            out |= _COMPOSITION[(a, b)]
+    return out
+
+
+def naive_closure(g: EventGraph) -> Union[EventGraph, _Inconsistent]:
+    """The labels g entails, or INCONSISTENT, by naive triple iteration.
+
+    Every pair starts at the full canonical set, or at its collapsed label if
+    g labels it (NONE labels nothing); every pair is then repeatedly
+    intersected, in place, with the composition along each two-edge path
+    until fixpoint.  The result holds each pair the fixpoint pins to one
+    canonical label.
+    """
+    nodes = sorted(g.nodes)
+    n = len(nodes)
+    m = [[_CANONICAL_MASK] * n for _ in range(n)]
+    index = {node: i for i, node in enumerate(nodes)}
+    for p, q, rel in g.edges():
+        if rel is not RelType.NONE:
+            i, j = index[p], index[q]
+            m[i][j] = _BIT[collapse(rel)]
+            m[j][i] = _invert_mask(m[i][j])
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            mi = m[i]
+            for j in range(i + 1, n):
+                cur = mi[j]
+                for k in range(n):
+                    if k == i or k == j:
+                        continue
+                    cur &= _compose_masks(mi[k], m[k][j])
+                    if cur == 0:
+                        return INCONSISTENT
+                if cur != mi[j]:
+                    mi[j] = cur
+                    m[j][i] = _invert_mask(cur)
+                    changed = True
+
+    out = EventGraph(g.nodes)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m[i][j] in _SINGLE:
+                out.set_relation(nodes[i], nodes[j], _SINGLE[m[i][j]])
+    return out

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import tlinkrec.pipeline as pipeline
+import tlinkrec.scoring as scoring
 from tlinkrec.errors import ConfigurationError
 from tlinkrec.model import N_LABELS
 from tlinkrec.pipeline import (
@@ -27,7 +28,7 @@ from tlinkrec.solver import Solution
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
 from tlinkrec.timeml import canonical_votes, load_corpus
 
-from referees import is_consistent_labeling
+from referees import is_consistent_labeling, naive_closure
 
 
 CLASSIFIERS = [
@@ -208,6 +209,64 @@ class TestWeightsAndSplit:
         assert len(rows) == 4
         # One weighing per distinct member, then one score per ensemble.
         assert scored == ["alpha", "beta", "gamma"] + [r.result.run.name for r in rows]
+
+
+@pytest.fixture
+def closed_graphs(monkeypatch):
+    """(links, graph) of every graph scoring closes, in call order; links is
+    the list scoring built the graph from."""
+    built, calls = {}, []
+
+    def recording_build_graph(links):
+        g = build_graph(links)
+        built[id(g)] = (links, g)  # keeps g, so no other graph takes its id
+        return g
+
+    def recording_closure(g):
+        calls.append((built[id(g)][0], g))
+        return closure(g)
+
+    monkeypatch.setattr(scoring, "build_graph", recording_build_graph)
+    monkeypatch.setattr(scoring, "closure", recording_closure)
+    return calls
+
+
+class TestReferenceClosures:
+    SWEEP = enumerate_ensembles(EnsembleSpec(("alpha",)), {"alpha", "beta", "gamma"})
+
+    @pytest.mark.parametrize("runner", [run_procedure_one, run_procedure_two])
+    def test_each_reference_closed_once_per_experiment(self, corpus_root, monkeypatch,
+                                                       closed_graphs, runner):
+        loaded = []
+
+        def recording_load_corpus(*args, **kwargs):
+            loaded.append(load_corpus(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(pipeline, "load_corpus", recording_load_corpus)
+        runner(ExperimentConfig(corpus_root), self.SWEEP)
+        for doc, links in loaded[0].reference.documents.items():
+            assert sum(source is links for source, _ in closed_graphs) == 1, doc
+
+    def test_plain_score_run_closes_each_reference_per_call(self, corpus,
+                                                            closed_graphs):
+        first = score_run(corpus.reference, corpus.runs["beta"])
+        second = score_run(corpus.reference, corpus.runs["beta"])
+        for links in corpus.reference.documents.values():
+            assert sum(source is links for source, _ in closed_graphs) == 2
+        shared = {}
+        for report in (first, second):
+            assert score_run(corpus.reference, corpus.runs["beta"],
+                             closed_references=shared) == report
+        assert set(shared) == set(corpus.documents)
+
+    def test_every_closure_of_an_experiment_matches_naive_closure(
+            self, corpus_root, closed_graphs):
+        run_procedure_two(ExperimentConfig(corpus_root), self.SWEEP)
+        # 6 references, 3 members on 3 S1 documents, 4 ensembles on 3 S2 documents
+        assert len(closed_graphs) == 6 + 3 * 3 + 4 * 3
+        for _, g in closed_graphs:
+            assert closure(g) == naive_closure(g)
 
 
 class TestRepeatedMembers:

@@ -1,11 +1,14 @@
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlinkrec.relations as relations
 from tlinkrec.relations import (
+    _BLOCK_CELLS,
     CANONICAL_LABELS,
     EventGraph,
     INCONSISTENT,
@@ -20,7 +23,7 @@ from tlinkrec.relations import (
 )
 
 from point_oracle import oracle_composition_table, oracle_inverse_table
-from referees import is_consistent_labeling
+from referees import is_consistent_labeling, naive_closure
 
 
 def to_names(rs):
@@ -138,6 +141,32 @@ class TestClosure:
         closed = closure(g)
         assert closed.get("n0", "n2") is RelType.BEFORE
 
+    def test_long_chain_spans_several_row_blocks(self):
+        n = 120
+        assert n ** 3 > 2 * _BLOCK_CELLS  # one sweep gathers several blocks
+        chain = chain_graph(*[RelType.BEFORE] * (n - 1))
+        closed = closure(chain)
+        assert closed is not INCONSISTENT
+        assert len(closed) == 7140
+        assert all(closed.get(f"n{i}", f"n{j}") is RelType.BEFORE
+                   for i, j in combinations(range(n), 2))
+
+    def test_one_row_blocks_give_the_same_closure(self, monkeypatch):
+        # Blocks smaller than one row: every table row and every gathered row
+        # is its own block.
+        monkeypatch.setattr(relations, "_BLOCK_CELLS", 8)
+        rng = random.Random(9)
+        for _ in range(40):
+            g = random_model_graph(rng, rng.randint(2, 12), density=0.5)
+            for p, q, _ in list(g.edges())[:rng.randint(0, 2)]:
+                g.set_relation(p, q, rng.choice(NON_NONE))
+            assert closure(g) == naive_closure(g)
+
+    def test_long_cycle_inconsistent(self):
+        cycle = chain_graph(*[RelType.BEFORE] * 119)
+        cycle.set_relation("n119", "n0", RelType.BEFORE)
+        assert closure(cycle) is INCONSISTENT
+
     def test_sound_on_interval_models(self):
         # Every entailed label is the relation the model's intervals have.
         rng = random.Random(8)
@@ -152,6 +181,35 @@ class TestClosure:
                 assert rel is relation_from_intervals(x, y), (p, q, rel)
                 entailed += 1
         assert entailed > 2000
+
+
+@st.composite
+def perturbed_model_graphs(draw):
+    """0-14 nodes over random intervals; some pairs labelled with the
+    intervals' relation, and up to three of those relabelled NONE, with a
+    synonym, or with any label, which may break consistency."""
+    n = draw(st.integers(0, 14))
+    intervals = [(s, s + d) for s, d in draw(st.lists(
+        st.tuples(st.integers(0, 19), st.integers(1, 6)), min_size=n, max_size=n))]
+    g = EventGraph(f"n{i}" for i in range(n))
+    for i, j in combinations(range(n), 2):
+        rel = relation_from_intervals(intervals[i], intervals[j])
+        if rel is not None and draw(st.booleans()):
+            g.set_relation(f"n{i}", f"n{j}", rel)
+    edges = list(g.edges())
+    if edges:
+        for k in draw(st.lists(st.integers(0, len(edges) - 1), max_size=3)):
+            p, q, _ = edges[k]
+            g.set_relation(p, q, draw(st.sampled_from(
+                (RelType.NONE, RelType.DURING, RelType.DURING_INV,
+                 RelType.IDENTITY) + NON_NONE)))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_model_graphs())
+def test_closure_matches_naive_closure(g):
+    assert closure(g) == naive_closure(g)  # INCONSISTENT equals only itself
 
 
 def random_model_graph(rng, n_nodes, density=0.6, avoid_overlap=True):
