@@ -9,8 +9,9 @@ either mode every +1 entry sits on a non-NONE label, so the all-NONE
 assignment satisfies every row and keeps every instance feasible.
 
 A program is its triangle array: separation and verification read the table
-allowed[a, b, c] of label triples, and the rows of all triangles become a matrix
-only for the LP export and the test referees (solve builds the active ones).
+allowed[a, b, c] of label triples, and rows become a matrix only by key (k, a,
+b): solve builds the rows it activates, and only the LP export and the test
+referees build every row.
 """
 
 from __future__ import annotations
@@ -77,15 +78,14 @@ def row_name(k: int, a: int, b: int) -> str:
 
 
 @functools.cache
-def _row_template(none_breaks_triangles: bool) -> Tuple[np.ndarray, ...]:
-    """The triangle rows every present triangle gets, in a-outer/b-inner order.
+def _allowed(none_breaks_triangles: bool) -> np.ndarray:
+    """allowed[a, b, c] (ordinals - 1): labels a on pq, b on qr and c on pr
+    break no triangle row of the mode.
 
-    Returns the rows' (a, b) ordinal pairs, their coefficients over the
-    triangle's 45 variables (the 15 labels of pq, then of qr, then of pr), and
-    allowed[a, b, c] (ordinals - 1): labels a on pq, b on qr and c on pr break
-    no row; a pair whose row is suppressed allows every c.
+    Row (a, b) has +1 on a of pq and on b of qr, and -1 on every c that
+    allowed[a, b, c] holds; a pair with NONE, or whose row is suppressed,
+    allows every c.
     """
-    pairs, coeffs = [], []
     allowed = np.ones((N_LABELS,) * 3, dtype=bool)
     for a in NON_NONE:
         for b in NON_NONE:
@@ -95,16 +95,16 @@ def _row_template(none_breaks_triangles: bool) -> Tuple[np.ndarray, ...]:
             minus = {s for c in cstar for s in synonyms(c)}
             if not none_breaks_triangles:
                 minus.add(RelType.NONE)
-            row = np.zeros(3 * N_LABELS)
-            row[[a.value - 1, N_LABELS + b.value - 1]] = 1.0
-            row[[2 * N_LABELS + s.value - 1 for s in minus]] = -1.0
-            allowed[a.value - 1, b.value - 1] = row[2 * N_LABELS:] < 0
-            pairs.append((a.value, b.value))
-            coeffs.append(row)
-    pairs, coeffs = np.array(pairs), np.array(coeffs)
-    for shared in (pairs, coeffs, allowed):
-        shared.flags.writeable = False  # one copy for every caller
-    return pairs, coeffs, allowed
+            allowed[a.value - 1, b.value - 1] = False
+            allowed[a.value - 1, b.value - 1, [s.value - 1 for s in minus]] = True
+    allowed.flags.writeable = False  # one copy for every caller
+    return allowed
+
+
+def row_pairs(none_breaks_triangles: bool) -> np.ndarray:
+    """The (a, b) ordinal pairs of the rows every present triangle gets, in
+    a-outer/b-inner order."""
+    return np.argwhere(~_allowed(none_breaks_triangles).all(axis=2)) + 1
 
 
 @dataclass
@@ -112,7 +112,8 @@ class BinaryProgram:
     """maximise objective @ x  s.t.  a_eq @ x = 1,  every triangle row,  x binary.
 
     a_eq holds one partition row per arc; triangle k, a (pq, qr, pr) row of
-    triangles, gets the mode's template rows, row (a, b) named row_name(k, a, b).
+    triangles, gets one row per pair of row_pairs, row (a, b) keyed (k, a, b)
+    and named row_name(k, a, b).
     """
 
     objective: np.ndarray
@@ -125,7 +126,7 @@ class BinaryProgram:
 
     @property
     def num_rows(self) -> int:
-        per_tri = len(_row_template(self.none_breaks_triangles)[0])
+        per_tri = len(row_pairs(self.none_breaks_triangles))
         return self.num_vars // N_LABELS + len(self.triangles) * per_tri
 
     @property
@@ -134,24 +135,31 @@ class BinaryProgram:
         return csr_matrix((np.ones(n), np.arange(n), np.arange(0, n + 1, N_LABELS)),
                           shape=(n // N_LABELS, n))
 
-    def triangle_rows(self, ks: np.ndarray) -> csr_matrix:
-        """The rows of triangles ks, triangle-major in template order."""
-        # Broadcast the template's nonzeros over the triangles: nonzero j of a
-        # template row sits on label j % 15 of the triangle's arc j // 15.
-        coeffs = _row_template(self.none_breaks_triangles)[1]
-        triangles = self.triangles[ks]
-        n_tri, per_tri = len(triangles), len(coeffs)
-        r, j = np.nonzero(coeffs)
-        rows = (np.arange(n_tri)[:, None] * per_tri + r).ravel()
-        cols = (triangles[:, j // N_LABELS] * N_LABELS + j % N_LABELS).ravel()
-        return csr_matrix((np.tile(coeffs[r, j], n_tri), (rows, cols)),
-                          shape=(n_tri * per_tri, self.num_vars))
+    def row_keys(self) -> np.ndarray:
+        """(k, a, b) of every triangle row, triangle-major in row_pairs order."""
+        pairs = row_pairs(self.none_breaks_triangles)
+        ks = np.repeat(np.arange(len(self.triangles)), len(pairs))
+        return np.column_stack((ks, np.tile(pairs, (len(self.triangles), 1))))
+
+    def rows(self, keys: np.ndarray) -> csr_matrix:
+        """The triangle rows keyed (k, a, b) by the (m, 3) int array keys, in
+        that order."""
+        arcs = self.triangles[keys[:, 0]]
+        i, c = np.nonzero(_allowed(self.none_breaks_triangles)[
+            keys[:, 1] - 1, keys[:, 2] - 1])
+        m = np.arange(len(keys))
+        rows = np.concatenate((m, m, i))
+        cols = np.concatenate((arcs[:, 0] * N_LABELS + keys[:, 1] - 1,
+                               arcs[:, 1] * N_LABELS + keys[:, 2] - 1,
+                               arcs[i, 2] * N_LABELS + c))
+        data = np.concatenate((np.ones(2 * len(keys)), -np.ones(len(i))))
+        return csr_matrix((data, (rows, cols)), shape=(len(keys), self.num_vars))
 
     def broken_rows(self, labels: np.ndarray) -> np.ndarray:
         """(k, a, b) of each triangle k whose row (a, b) per-arc labels
         (ordinal - 1) break; a triangle breaks at most one row."""
         lab = labels[self.triangles]
-        k = np.flatnonzero(~_row_template(self.none_breaks_triangles)[2][tuple(lab.T)])
+        k = np.flatnonzero(~_allowed(self.none_breaks_triangles)[tuple(lab.T)])
         return np.column_stack((k, lab[k, :2] + 1))
 
     @staticmethod
@@ -223,10 +231,9 @@ def export_lp(program: BinaryProgram, sink: BinaryIO) -> None:
     lines.append("Subject To")
     lines.extend(_constraint_lines(
         program.a_eq, (f"p{i}" for i in range(program.num_vars // N_LABELS)), "= 1"))
-    ks = np.arange(len(program.triangles))
-    pairs = _row_template(program.none_breaks_triangles)[0]
-    lines.extend(_constraint_lines(program.triangle_rows(ks), (
-        row_name(k, a, b) for k in ks for a, b in pairs), "<= 1"))
+    keys = program.row_keys()
+    lines.extend(_constraint_lines(program.rows(keys), (
+        row_name(*key) for key in keys.tolist()), "<= 1"))
     lines.append("Binaries")
     for v in range(program.num_vars):
         lines.append(f" {BinaryProgram.var_name(v)}")

@@ -1,17 +1,20 @@
 """Exact solver for the binary reconciliation program.
 
-solve() separates the triangle rows lazily (cutting-plane inference).  Round 1
-keeps only the partition rows, whose optimum is each arc's highest-weighted
-label; among equal weights it takes the lowest ordinal, and no MIP solver is
-called.  Each later round finds the triangles the current labels break (one
-lookup per triangle in the label table allowed), activates them, and
-re-solves with the HiGHS MIP solver through scipy.optimize.milp over the
-partition rows plus all rows of the active triangles, the only triangle rows
-ever built as a matrix.  The loop stops at the first answer that violates no
-row of the full program: it is feasible for the full program and optimal for a
+solve() separates the triangle rows lazily (cutting-plane inference), one row
+at a time.  Round 1 keeps only the partition rows, whose optimum is each arc's
+highest-weighted label; among equal weights it takes the lowest ordinal, and
+no MIP solver is called.  Each later round finds the one row (a, b) that the
+current labels break in each broken triangle (one lookup per triangle in the
+label table allowed), activates just that row, and re-solves with the HiGHS MIP
+solver through scipy.optimize.milp.  The re-solve gets only the coupled arcs:
+the arcs of the active rows' triangles, with their partition rows and the
+active rows.  Every other arc appears in no active row, so its optimum in the
+relaxation stays its round-1 label; the coupled set only grows, so that label
+is never stale.  The loop stops at the first answer that violates no row of
+the full program: it is feasible for the full program and optimal for a
 relaxation of it, so it is optimal.  Among equal optima of a re-solve the one
-returned is HiGHS's choice.  violations() checks a solution against every
-triangle through the same table.
+returned is HiGHS's choice on the coupled arcs.  violations() checks a
+solution against every triangle through the same table.
 
 Every re-solve sets the relative gap to 0, so a solution reported as proven
 optimal is exact (up to HiGHS's absolute gap of 1e-6, which milp does not
@@ -40,8 +43,9 @@ DEFAULT_TIME_LIMIT = 300.0  # seconds per document
 class SolverStats:
     """Effort of one solve; solve() leaves lp_iterations 0 (milp omits it).
 
-    rounds counts the argmax round plus one per milp re-solve, and
-    active_triangles the triangles whose rows reached the last re-solve.
+    rows and cols are the full program's; rounds counts the argmax round plus
+    one per milp re-solve; active_rows counts the triangle rows and
+    coupled_arcs the arcs (cols / 15 of them) that the last re-solve got.
     """
 
     nodes_explored: int = 0
@@ -50,7 +54,8 @@ class SolverStats:
     rows: int = 0
     cols: int = 0
     rounds: int = 0
-    active_triangles: int = 0
+    active_rows: int = 0
+    coupled_arcs: int = 0
 
 
 @dataclass
@@ -75,7 +80,7 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
     # Round 1: the partition rows alone; argmax takes the lowest ordinal among
     # an arc's equal maximal weights.
     labels = program.objective.reshape(-1, N_LABELS).argmax(axis=1)
-    active = np.zeros(len(program.triangles), dtype=bool)
+    keys = np.empty((0, 3), dtype=np.int64)  # active rows (k, a, b)
     proven = True
     while True:
         broken = program.broken_rows(labels)
@@ -83,17 +88,24 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
             break
         if not proven:  # the last re-solve hit the time limit
             raise RuntimeError(NO_INCUMBENT)
-        new = broken[~active[broken[:, 0]], 0]
-        if not new.size:
+        again = (broken[:, None] == keys).all(axis=2).any(axis=1)
+        if again.any():
             raise RuntimeError("MIP solve returned a point that violates its "
-                               f"own row {row_name(*broken[0])}")
-        active[new] = True
+                               f"own row {row_name(*broken[again][0])}")
+        keys = np.concatenate((keys, broken))
         remaining = time_limit - (time.monotonic() - t0)
         if remaining <= 0:
             raise RuntimeError(NO_INCUMBENT)
-        rows = program.triangle_rows(np.flatnonzero(active))
-        res = milp(-program.objective, integrality=1, bounds=Bounds(0, 1),
-                   constraints=[LinearConstraint(program.a_eq, 1, 1),
+        # The coupled arcs as a program of their own: one triangle per active
+        # row, renumbered over the coupled arcs.
+        tri = program.triangles[keys[:, 0]]
+        arcs = np.unique(tri)
+        cols = (arcs[:, None] * N_LABELS + np.arange(N_LABELS)).ravel()
+        coupled = BinaryProgram(program.objective[cols], np.searchsorted(arcs, tri),
+                                program.none_breaks_triangles)
+        rows = coupled.rows(np.column_stack((np.arange(len(keys)), keys[:, 1:])))
+        res = milp(-coupled.objective, integrality=1, bounds=Bounds(0, 1),
+                   constraints=[LinearConstraint(coupled.a_eq, 1, 1),
                                 LinearConstraint(rows, -np.inf, 1)],
                    options={"mip_rel_gap": 0.0, "time_limit": remaining})
         stats.rounds += 1
@@ -103,8 +115,8 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
             raise RuntimeError(f"MIP solve failed: {res.message}")
         stats.nodes_explored += res.mip_node_count
         proven = res.status == 0
-        labels = res.x.reshape(-1, N_LABELS).argmax(axis=1)
-    stats.active_triangles = int(active.sum())
+        labels[arcs] = res.x.reshape(-1, N_LABELS).argmax(axis=1)
+        stats.active_rows, stats.coupled_arcs = len(keys), len(arcs)
     stats.wall_time = time.monotonic() - t0
     chosen = np.arange(len(labels)) * N_LABELS + labels
     return Solution(

@@ -91,7 +91,7 @@ def brute_force_solve(program: BinaryProgram) -> Solution:
     # violated exactly when both plus variables are chosen and none of its
     # minus variables is.
     groups: Dict[Tuple[int, int], Dict[Tuple[int, int], frozenset]] = {}
-    rows = program.triangle_rows(np.arange(len(program.triangles))).tolil()
+    rows = program.rows(program.row_keys()).tolil()
     for cols, coeffs in zip(rows.rows, rows.data):
         plus = tuple(v for v, c in zip(cols, coeffs) if c == 1.0)
         minus = frozenset(v for v, c in zip(cols, coeffs) if c == -1.0)
@@ -174,7 +174,7 @@ def full_milp_solve(program: BinaryProgram, time_limit: float = 300.0) -> Soluti
     constraints = [LinearConstraint(program.a_eq, 1, 1)]
     if len(program.triangles):
         constraints.append(LinearConstraint(
-            program.triangle_rows(np.arange(len(program.triangles))), -np.inf, 1))
+            program.rows(program.row_keys()), -np.inf, 1))
     res = milp(-program.objective, integrality=1, bounds=Bounds(0, 1),
                constraints=constraints,
                options={"mip_rel_gap": 0.0, "time_limit": time_limit})

@@ -11,7 +11,7 @@ from tlinkrec.model import (
     N_LABELS,
     BinaryProgram,
     VoteTable,
-    _row_template,
+    _allowed,
     build_ip,
     collect_arcs,
     enumerate_triangles,
@@ -127,16 +127,14 @@ def simple_votes(n_arcs=3, triangle=True):
 
 def full_rows(program):
     """Every triangle's rows, as the LP export and the referees build them."""
-    return program.triangle_rows(np.arange(len(program.triangles)))
+    return program.rows(program.row_keys())
 
 
 def rows_of(program):
     """{row name: (plus columns, minus columns)} of the full triangle matrix,
     named as the LP export names them."""
     rows = full_rows(program).tolil()
-    pairs = _row_template(program.none_breaks_triangles)[0]
-    names = [row_name(k, a, b) for k in range(len(program.triangles))
-             for a, b in pairs]
+    names = [row_name(*key) for key in program.row_keys().tolist()]
     assert len(names) == len(rows.rows)
     out = {}
     for name, cols, coeffs in zip(names, rows.rows, rows.data):
@@ -243,7 +241,7 @@ class TestLabelTable:
         cols = np.arange(len(a))
         x[a, cols] = x[2 * N_LABELS + b, cols] = x[N_LABELS + c, cols] = 1.0
         satisfies_every_row = (full_rows(program) @ x <= 1.0).all(axis=0)
-        allowed = _row_template(strict)[2]
+        allowed = _allowed(strict)
         assert allowed.shape == (N_LABELS,) * 3
         assert np.array_equal(allowed.reshape(-1), satisfies_every_row)
         # The same table, read through the helper that solve and verify call.
@@ -255,19 +253,17 @@ class TestLabelTable:
     @given(st.integers(4, 6).flatmap(lambda n: st.lists(
         st.sampled_from(list(combinations(range(1, n + 1), 2))),
         min_size=3, unique=True)), st.booleans(), st.data())
-    def test_rows_of_a_subset_are_a_slice_of_the_full_matrix(self, pairs, strict,
-                                                             data):
+    def test_rows_of_any_keys_are_rows_of_the_full_matrix(self, pairs, strict,
+                                                          data):
         votes = VoteTable("doc", [arc(i, j) for i, j in sorted(pairs)],
                           np.zeros((len(pairs), N_LABELS)))
         program = build_ip(votes, none_breaks_triangles=strict)
-        n_tri = len(program.triangles)
-        ks = np.array(sorted(data.draw(st.sets(st.integers(0, n_tri - 1)))
-                             if n_tri else []), dtype=np.int64)
-        per_tri = len(_row_template(strict)[0])
-        sub = program.triangle_rows(ks)
-        full = full_rows(program)[(ks[:, None] * per_tri
-                                   + np.arange(per_tri)).ravel()]
-        assert sub.shape == full.shape == (len(ks) * per_tri, program.num_vars)
+        all_keys = program.row_keys()
+        picked = np.array(data.draw(st.lists(st.integers(0, len(all_keys) - 1)))
+                          if len(all_keys) else [], dtype=np.int64)
+        sub = program.rows(all_keys[picked])
+        full = full_rows(program)[picked]
+        assert sub.shape == full.shape == (len(picked), program.num_vars)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(sub, attr), getattr(full, attr))
 

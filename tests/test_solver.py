@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, milp
 
 import tlinkrec.solver as solver
 from tlinkrec.model import N_LABELS, BinaryProgram, VoteTable, build_ip
@@ -140,7 +140,7 @@ class TestMilpStatusMapping:
         pending = iter(results)
 
         def fake(c, **kwargs):
-            calls.append(kwargs)
+            calls.append({"c": c, **kwargs})
             status, x, nodes = next(pending)
             return OptimizeResult(status=status, x=x, mip_node_count=nodes,
                                   message=f"fake status {status}")
@@ -196,7 +196,8 @@ class TestMilpStatusMapping:
         assert sol.proven_optimal
         assert sol.assignment == OPTIMUM
         assert sol.stats.nodes_explored == 7
-        assert sol.stats.rounds == 2 and sol.stats.active_triangles == 1
+        assert sol.stats.rounds == 2 and sol.stats.active_rows == 1
+        assert sol.stats.coupled_arcs == 3
         assert len(calls) == 1
         for call in calls:
             assert call["options"]["mip_rel_gap"] == 0
@@ -206,30 +207,62 @@ class TestMilpStatusMapping:
         assert len(calls) == 1
 
     def test_nodes_summed_over_rounds(self, monkeypatch):
-        # Two triangles, (pq, qr, pr) = (0, 2, 1) and (2, 4, 3).  The argmax
-        # breaks only the first; the second call's point breaks the second.
+        # Arcs 0 = (1, 2), 1 = (1, 3), 2 = (2, 3), 3 = (2, 4), 4 = (3, 4): two
+        # triangles, (pq, qr, pr) = (0, 2, 1) and (2, 4, 3), sharing arc 2.
+        # The argmax breaks only row (BEFORE, BEFORE) of the first.  The first
+        # call's point, an equal optimum of its three arcs, moves arc 2 to
+        # AFTER, which breaks row (AFTER, AFTER) of the second.
+        b, a = RelType.BEFORE, RelType.AFTER
         program = build_ip(votes_of(
             [arc(1, 2), arc(1, 3), arc(2, 3), arc(2, 4), arc(3, 4)],
-            {0: {RelType.BEFORE: 0.5},
-             1: {RelType.AFTER: 0.25, RelType.BEFORE: 0.125},
-             2: {RelType.BEFORE: 0.5},
-             3: {RelType.AFTER: 0.125, RelType.BEFORE: 0.25},
-             4: {RelType.BEFORE: 0.5}}))
-        fixes_first = {0: RelType.BEFORE, 1: RelType.BEFORE, 2: RelType.BEFORE,
-                       3: RelType.AFTER, 4: RelType.BEFORE}
-        optimum = {**fixes_first, 3: RelType.BEFORE}
-        calls = self.fake_milp(monkeypatch, (0, point_of(fixes_first), 7),
+            {0: {b: 0.5}, 1: {a: 0.25, b: 0.125}, 2: {b: 0.5, a: 0.375},
+             3: {b: 0.5}, 4: {a: 0.5}}))
+        first = {0: b, 1: a, 2: a}
+        optimum = {0: b, 1: b, 2: b, 3: b, 4: a}
+        calls = self.fake_milp(monkeypatch, (0, point_of(first), 7),
                                (0, point_of(optimum), 5))
         sol = solve(program, time_limit=12.5)
         assert sol.proven_optimal and sol.assignment == optimum
         assert sol.stats.nodes_explored == 12
-        assert sol.stats.rounds == 3 and sol.stats.active_triangles == 2
-        # Each call gets exactly the rows of the triangles active by then.
-        for call, ks in zip(calls, ([0], [0, 1])):
-            got, expected = call["constraints"][1].A, program.triangle_rows(ks)
-            assert got.shape == expected.shape
+        assert sol.stats.rounds == 3 and sol.stats.active_rows == 2
+        assert sol.stats.coupled_arcs == 5
+        # Each call gets exactly the rows broken so far, on the columns of
+        # the arcs of their triangles.
+        keys = np.array([[0, b.value, b.value], [1, a.value, a.value]])
+        for call, n_keys, n_arcs in zip(calls, (1, 2), (3, 5)):
+            cols = np.arange(n_arcs * N_LABELS)
+            got = call["constraints"][1].A
+            expected = program.rows(keys[:n_keys])[:, cols]
+            assert got.shape == expected.shape == (n_keys, len(cols))
             assert (got != expected).nnz == 0
+            assert np.array_equal(call["constraints"][0].A.toarray(),
+                                  np.kron(np.eye(n_arcs), np.ones(N_LABELS)))
+            assert np.array_equal(call["c"], -program.objective[cols])
         assert all(call["options"]["time_limit"] <= 12.5 for call in calls)
+
+    def test_arc_outside_every_active_row_keeps_its_argmax(self, monkeypatch):
+        # triangle_program() plus arc 3 = (3, 4), which shares node 3 but
+        # lies in no triangle; its weights tie, so its label is the lowest
+        # ordinal, INCLUDES, and milp, run for real, never sees its columns.
+        program = build_ip(votes_of(
+            [arc(1, 2), arc(1, 3), arc(2, 3), arc(3, 4)],
+            {0: {RelType.BEFORE: 0.5},
+             1: {RelType.AFTER: 0.25, RelType.BEFORE: 0.125},
+             2: {RelType.BEFORE: 0.5},
+             3: {RelType.ENDED_BY: 0.5, RelType.INCLUDES: 0.5}}))
+        assert len(program.triangles) == 1
+        widths = []
+
+        def recording(c, **kwargs):
+            widths.append(len(c))
+            return milp(c, **kwargs)
+
+        monkeypatch.setattr(solver, "milp", recording)
+        sol = solve(program)
+        assert widths == [3 * N_LABELS]
+        assert sol.assignment == {**OPTIMUM, 3: RelType.INCLUDES}
+        assert sol.objective_value == 1.625
+        assert sol.objective_value == brute_force_solve(program).objective_value
 
 
 @st.composite
@@ -287,7 +320,7 @@ class TestBruteForce:
 
     def test_rejects_rows_not_made_of_unit_entries(self):
         program = triangle_program()
-        program.triangle_rows = lambda ks: BinaryProgram.triangle_rows(program, ks) * 2.0
+        program.rows = lambda keys: BinaryProgram.rows(program, keys) * 2.0
         with pytest.raises(ValueError, match="two \\+1 entries"):
             brute_force_solve(program)
 
