@@ -32,6 +32,11 @@ from .synthetic import SyntheticClassifier, generate_corpus
 from .timeml import load_corpus, load_run_dir, read_lines, write_skipped_report
 
 
+TIME_LIMIT_HELP = ("Solver time in seconds per document, pooled over the "
+                   "documents reconciled together (under experiment, each "
+                   "ensemble's); inf means no limit.")
+
+
 def _positive(ctx, param, value: float) -> float:
     if not value > 0:  # also rejects NaN
         raise click.BadParameter(f"{value} is not a positive number")
@@ -123,7 +128,7 @@ def _read_ensembles(path: str) -> Dict[str, EnsembleSpec]:
 @click.option("--strict/--no-strict", "strict", default=False,
               help="Exclude NONE from triangle conclusions (ablation mode).")
 @click.option("--time-limit", type=float, callback=_positive,
-              default=DEFAULT_TIME_LIMIT, show_default=True)
+              default=DEFAULT_TIME_LIMIT, show_default=True, help=TIME_LIMIT_HELP)
 def reconcile_cmd(corpus_root, members, weights_path, out_dir, strict, time_limit):
     """Reconcile an ensemble and write TimeML output plus a score CSV."""
     corpus = load_corpus(corpus_root, weights_path)
@@ -211,7 +216,7 @@ def export_lp_cmd(corpus_root, members, weights_path, doc_id, out_path, strict):
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--strict/--no-strict", "strict", default=False)
 @click.option("--time-limit", type=float, callback=_positive,
-              default=DEFAULT_TIME_LIMIT, show_default=True)
+              default=DEFAULT_TIME_LIMIT, show_default=True, help=TIME_LIMIT_HELP)
 def experiment_cmd(corpus_root, procedure, ensembles_path, weights_path, split_path,
                    weights_source, out_dir, strict, time_limit):
     """Run experiment procedure 1 or 2 over a file of ensembles."""

@@ -181,6 +181,22 @@ def build_ip(votes: VoteTable, *,
                          none_breaks_triangles)
 
 
+def stack_programs(programs: Sequence[BinaryProgram]) -> BinaryProgram:
+    """One program holding each program's arcs, in order: the objectives are
+    concatenated and each triangle array is offset by the arcs before it.
+
+    The programs share no arc, so no row of the stack couples two of them.
+    """
+    modes = {p.none_breaks_triangles for p in programs}
+    if len(modes) != 1:
+        raise ValueError("stack_programs needs one or more programs of one mode")
+    starts = np.cumsum([0] + [p.num_vars // N_LABELS for p in programs])
+    return BinaryProgram(
+        np.concatenate([p.objective for p in programs]),
+        np.concatenate([p.triangles + s for p, s in zip(programs, starts)]),
+        modes.pop())
+
+
 def _format_terms(pairs: Iterable[Tuple[float, str]]) -> List[str]:
     terms = []
     for coeff, name in pairs:

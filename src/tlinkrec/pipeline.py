@@ -17,10 +17,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigurationError
-from .model import VoteTable, build_ip, collect_arcs
+from .model import VoteTable, build_ip, collect_arcs, stack_programs
 from .relations import Closure, RelType
 from .scoring import ScoreReport, format_score_table, score_run
-from .solver import DEFAULT_TIME_LIMIT, Solution, solve, violations
+from .solver import DEFAULT_TIME_LIMIT, Solution, solve, split_solution, violations
 from .timeml import ClassifierRun, Corpus, EntityRef, TLink, load_corpus, write_timeml
 
 log = logging.getLogger(__name__)
@@ -83,8 +83,12 @@ def reconcile(corpus: Corpus, members: Sequence[str],
               none_breaks_triangles: bool = False) -> ReconcileResult:
     """Solve the per-document assignment program over the members' votes.
 
-    Every solution is checked against the document's full program before it
-    is recorded; a violated row raises RuntimeError.
+    The documents' programs are stacked and solved in one call, under the
+    pooled budget time_limit x the number of documents; a call with no
+    documents solves nothing.  Each document's Solution carries that call's
+    shared SolverStats and proven_optimal.  Every solution is checked against
+    the document's full program before it is recorded; a violated row raises
+    RuntimeError.
     """
     check_members(corpus, members)
     member_runs = []
@@ -101,10 +105,14 @@ def reconcile(corpus: Corpus, members: Sequence[str],
         docs = [d for d in docs if d in doc_filter]
 
     result = ReconcileResult(ClassifierRun("+".join(members), 1.0))
-    for doc in docs:
-        votes = collect_arcs(member_runs, doc)
-        program = build_ip(votes, none_breaks_triangles=none_breaks_triangles)
-        solution = solve(program, time_limit=time_limit)
+    if not docs:
+        return result
+    tables = [collect_arcs(member_runs, doc) for doc in docs]
+    programs = [build_ip(votes, none_breaks_triangles=none_breaks_triangles)
+                for votes in tables]
+    solutions = split_solution(
+        solve(stack_programs(programs), time_limit=time_limit * len(docs)), programs)
+    for doc, votes, program, solution in zip(docs, tables, programs, solutions):
         problems = violations(program, solution)
         if problems:
             raise RuntimeError(f"{doc}: solution fails verification: {problems[0]}")

@@ -6,15 +6,23 @@ highest-weighted label; among equal weights it takes the lowest ordinal, and
 no MIP solver is called.  Each later round finds the one row (a, b) that the
 current labels break in each broken triangle (one lookup per triangle in the
 label table allowed), activates just that row, and re-solves with the HiGHS MIP
-solver through scipy.optimize.milp.  The re-solve gets only the coupled arcs:
-the arcs of the active rows' triangles, with their partition rows and the
-active rows.  Every other arc appears in no active row, so its optimum in the
-relaxation stays its round-1 label; the coupled set only grows, so that label
-is never stale.  The loop stops at the first answer that violates no row of
-the full program: it is feasible for the full program and optimal for a
+solver through scipy.optimize.milp.  Two arcs are connected when they share an
+active row's triangle, and the relaxation separates into the connected
+components of the active rows' arcs.  A re-solve gets only the components
+that hold a newly broken row, all of them in one milp call: their arcs'
+columns and partition rows, and their active rows.  An untouched component
+has the same rows as when it was last solved, so its labels are still optimal
+for it; an arc in no active row keeps its round-1 label, its optimum in the
+relaxation.  The loop stops at the first answer that violates no row of the
+full program: it is feasible for the full program and optimal for a
 relaxation of it, so it is optimal.  Among equal optima of a re-solve the one
-returned is HiGHS's choice on the coupled arcs.  violations() checks a
-solution against every triangle through the same table.
+returned is HiGHS's choice on its components.  violations() checks a solution
+against every triangle through the same table.
+
+Several documents are solved in one call by stacking their programs
+(model.stack_programs) and splitting the answer (split_solution).  Documents
+share no arc, so their components never connect, and each part is optimal
+for its own program.
 
 Every re-solve sets the relative gap to 0, so a solution reported as proven
 optimal is exact (up to HiGHS's absolute gap of 1e-6, which milp does not
@@ -26,10 +34,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .model import N_LABELS, BinaryProgram, row_name
 from .relations import RelType
@@ -44,8 +54,9 @@ class SolverStats:
     """Effort of one solve; solve() leaves lp_iterations 0 (milp omits it).
 
     rows and cols are the full program's; rounds counts the argmax round plus
-    one per milp re-solve; active_rows counts the triangle rows and
-    coupled_arcs the arcs (cols / 15 of them) that the last re-solve got.
+    one per milp re-solve; active_rows counts the triangle rows active at the
+    end and coupled_arcs the arcs of their triangles, over every component.
+    For a stacked program these count every document of the stack.
     """
 
     nodes_explored: int = 0
@@ -64,6 +75,18 @@ class Solution:
     objective_value: float
     proven_optimal: bool
     stats: SolverStats = field(default_factory=SolverStats)
+
+
+def _solution(program: BinaryProgram, labels: np.ndarray, proven: bool,
+              stats: SolverStats) -> Solution:
+    """The Solution of per-arc labels (ordinal - 1), objective recomputed."""
+    chosen = np.arange(len(labels)) * N_LABELS + labels
+    return Solution(
+        assignment={arc: RelType(label + 1) for arc, label in enumerate(labels.tolist())},
+        objective_value=float(program.objective[chosen].sum()),
+        proven_optimal=proven,
+        stats=stats,
+    )
 
 
 def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Solution:
@@ -86,7 +109,10 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         broken = program.broken_rows(labels)
         if not broken.size:
             break
-        if not proven:  # the last re-solve hit the time limit
+        # A re-solve that hit the time limit was given all the time left, so
+        # no component is solved again after it: the answer stays unproven,
+        # and a row it still breaks cannot be mended.
+        if not proven:
             raise RuntimeError(NO_INCUMBENT)
         again = (broken[:, None] == keys).all(axis=2).any(axis=1)
         if again.any():
@@ -96,16 +122,26 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         remaining = time_limit - (time.monotonic() - t0)
         if remaining <= 0:
             raise RuntimeError(NO_INCUMBENT)
-        # The coupled arcs as a program of their own: one triangle per active
-        # row, renumbered over the coupled arcs.
-        tri = program.triangles[keys[:, 0]]
-        arcs = np.unique(tri)
+        # Components of the active rows' arcs, numbered over those arcs; the
+        # touched ones hold a newly broken row.
+        coupled, tri = np.unique(program.triangles[keys[:, 0]], return_inverse=True)
+        tri = tri.reshape(-1, 3)
+        graph = csr_matrix((np.ones(2 * len(tri)),
+                            (tri[:, :2].ravel(), tri[:, 1:].ravel())),
+                           shape=(len(coupled), len(coupled)))
+        component = connected_components(graph, directed=False)[1]
+        touched = np.isin(component, component[tri[-len(broken):, 0]])
+        resolve = touched[tri[:, 0]]
+        # The touched components as a program of their own: one triangle per
+        # active row in them, renumbered over their arcs.
+        arcs = coupled[touched]
         cols = (arcs[:, None] * N_LABELS + np.arange(N_LABELS)).ravel()
-        coupled = BinaryProgram(program.objective[cols], np.searchsorted(arcs, tri),
-                                program.none_breaks_triangles)
-        rows = coupled.rows(np.column_stack((np.arange(len(keys)), keys[:, 1:])))
-        res = milp(-coupled.objective, integrality=1, bounds=Bounds(0, 1),
-                   constraints=[LinearConstraint(coupled.a_eq, 1, 1),
+        sub = BinaryProgram(program.objective[cols],
+                            np.searchsorted(arcs, coupled[tri[resolve]]),
+                            program.none_breaks_triangles)
+        rows = sub.rows(np.column_stack((np.arange(resolve.sum()), keys[resolve, 1:])))
+        res = milp(-sub.objective, integrality=1, bounds=Bounds(0, 1),
+                   constraints=[LinearConstraint(sub.a_eq, 1, 1),
                                 LinearConstraint(rows, -np.inf, 1)],
                    options={"mip_rel_gap": 0.0, "time_limit": remaining})
         stats.rounds += 1
@@ -114,17 +150,27 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         if res.status not in (0, 1):
             raise RuntimeError(f"MIP solve failed: {res.message}")
         stats.nodes_explored += res.mip_node_count
-        proven = res.status == 0
+        proven = proven and res.status == 0
         labels[arcs] = res.x.reshape(-1, N_LABELS).argmax(axis=1)
-        stats.active_rows, stats.coupled_arcs = len(keys), len(arcs)
+        stats.active_rows, stats.coupled_arcs = len(keys), len(coupled)
     stats.wall_time = time.monotonic() - t0
-    chosen = np.arange(len(labels)) * N_LABELS + labels
-    return Solution(
-        assignment={arc: RelType(label + 1) for arc, label in enumerate(labels.tolist())},
-        objective_value=float(program.objective[chosen].sum()),
-        proven_optimal=proven,
-        stats=stats,
-    )
+    return _solution(program, labels, proven, stats)
+
+
+def split_solution(solution: Solution,
+                   programs: Sequence[BinaryProgram]) -> List[Solution]:
+    """The solution of model.stack_programs(programs) as one Solution per
+    program, with the program's arcs numbered from 0 and its own objective.
+
+    Every part carries the whole solve's proven_optimal and stats: the
+    pooled solve proves all parts optimal or none, and its effort is not
+    split by document.
+    """
+    labels = np.array([solution.assignment[arc].value - 1
+                       for arc in range(len(solution.assignment))], dtype=np.int64)
+    ends = np.cumsum([p.num_vars // N_LABELS for p in programs])[:-1]
+    return [_solution(p, part, solution.proven_optimal, solution.stats)
+            for p, part in zip(programs, np.split(labels, ends))]
 
 
 def violations(program: BinaryProgram, solution: Solution) -> List[str]:

@@ -8,7 +8,7 @@ import pytest
 import tlinkrec.pipeline as pipeline
 import tlinkrec.scoring as scoring
 from tlinkrec.errors import ConfigurationError
-from tlinkrec.model import N_LABELS
+from tlinkrec.model import N_LABELS, build_ip, collect_arcs
 from tlinkrec.pipeline import (
     EnsembleSpec,
     ExperimentConfig,
@@ -24,7 +24,7 @@ from tlinkrec.pipeline import (
 )
 from tlinkrec.relations import EventGraph, RelType, closure, INCONSISTENT
 from tlinkrec.scoring import build_graph, score_run
-from tlinkrec.solver import Solution
+from tlinkrec.solver import Solution, solve, violations
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
 from tlinkrec.timeml import canonical_votes, load_corpus
 
@@ -127,30 +127,42 @@ class TestReconcile:
 
     def test_warns_once_per_unproven_document(self, corpus, monkeypatch,
                                               caplog):
-        docs = corpus.documents[:2]
+        docs = corpus.documents[:3]
         caplog.set_level(logging.WARNING, logger="tlinkrec.pipeline")
         reconcile(corpus, ["alpha"], doc_filter=set(docs))
         assert not caplog.records
 
         real_solve = pipeline.solve
+        stacks = []
 
         def time_limited_solve(program, time_limit):
+            stacks.append(program)
             sol = real_solve(program, time_limit=time_limit)
             return dataclasses.replace(sol, proven_optimal=False)
 
         monkeypatch.setattr(pipeline, "solve", time_limited_solve)
         result = reconcile(corpus, ["alpha"], doc_filter=set(docs))
+        assert len(stacks) == 1
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == len(docs)
         for doc, message in zip(docs, messages):
             assert message.startswith(f"{doc}: optimality not proven")
             objective = result.solutions[doc].objective_value
             assert f"objective {objective:.6f}" in message
+            assert not result.solutions[doc].proven_optimal
 
     def test_inconsistent_solution_is_never_recorded(self, corpus, monkeypatch):
+        # The stacked solve breaks row (BEFORE, BEFORE) of the stack's last
+        # triangle, which is the last document's last triangle; every other
+        # arc is NONE, which breaks no row.
+        members = ["alpha", "beta", "gamma"]
+        docs = corpus.documents[:2]
+        last = build_ip(collect_arcs([corpus.runs[m] for m in members], docs[-1]))
+        k = len(last.triangles) - 1
+        assert k >= 0
+
         def inconsistent_solve(program, time_limit):
-            # Row t0_1_1: BEFORE on pq and qr forces BEFORE or NONE on pr.
-            pq, qr, pr = program.triangles[0]
+            pq, qr, pr = program.triangles[-1]
             labels = {i: RelType.NONE for i in range(program.num_vars // N_LABELS)}
             labels.update({pq: RelType.BEFORE, qr: RelType.BEFORE,
                            pr: RelType.AFTER})
@@ -158,11 +170,37 @@ class TestReconcile:
             return Solution(labels, float(program.objective[chosen].sum()), True)
 
         monkeypatch.setattr(pipeline, "solve", inconsistent_solve)
-        doc = corpus.documents[0]
         with pytest.raises(RuntimeError, match=(
-                rf"^{doc}: solution fails verification: "
-                r"triangle row t0_1_1 violated: lhs 2 > 1$")):
-            reconcile(corpus, ["alpha", "beta", "gamma"], doc_filter={doc})
+                rf"^{docs[-1]}: solution fails verification: "
+                rf"triangle row t{k}_1_1 violated: lhs 2 > 1$")):
+            reconcile(corpus, members, doc_filter=set(docs))
+
+    def test_one_solve_with_the_pooled_time_limit(self, corpus, monkeypatch):
+        docs = corpus.documents[:3]
+        real_solve = pipeline.solve
+        calls = []
+
+        def recording_solve(program, time_limit):
+            calls.append((program.num_vars, time_limit))
+            return real_solve(program, time_limit=time_limit)
+
+        monkeypatch.setattr(pipeline, "solve", recording_solve)
+        result = reconcile(corpus, ["alpha", "beta"], doc_filter=set(docs),
+                           time_limit=2.5)
+        arcs = sum(len(result.votes[doc].arcs) for doc in docs)
+        assert calls == [(arcs * N_LABELS, 7.5)]
+        for doc in docs:
+            program = build_ip(result.votes[doc])
+            assert violations(program, result.solutions[doc]) == []
+            assert result.solutions[doc].objective_value == \
+                pytest.approx(solve(program).objective_value, abs=1e-9)
+
+    def test_no_documents_no_solve(self, corpus, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "solve", lambda *args, **kw: calls.append(args))
+        result = reconcile(corpus, ["alpha"], doc_filter=set(),
+                           time_limit=float("inf"))
+        assert calls == [] and result.run.documents == {} and result.solutions == {}
 
     def test_write_reconciled_roundtrip(self, corpus, tmp_path):
         result = reconcile(corpus, ["alpha", "beta"], doc_filter={corpus.documents[0]})

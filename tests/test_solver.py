@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, milp
 
 import tlinkrec.solver as solver
-from tlinkrec.model import N_LABELS, BinaryProgram, VoteTable, build_ip
+from tlinkrec.model import N_LABELS, BinaryProgram, VoteTable, build_ip, stack_programs
 from tlinkrec.relations import NON_NONE, RelType
-from tlinkrec.solver import Solution, solve, verify, violations
+from tlinkrec.solver import Solution, solve, split_solution, verify, violations
 from tlinkrec.timeml import CanonicalArc, EntityKind, EntityRef
 
 from referees import brute_force_solve, full_milp_solve
@@ -122,6 +122,7 @@ class TestSolveBasics:
         assert sol.stats.cols == 15
         assert sol.stats.rows == 1
         assert sol.stats.wall_time >= 0
+        assert sol.stats.lp_iterations == 0  # milp omits it; perfbench reads it
 
 
 class TestMilpStatusMapping:
@@ -239,6 +240,40 @@ class TestMilpStatusMapping:
                                   np.kron(np.eye(n_arcs), np.ones(N_LABELS)))
             assert np.array_equal(call["c"], -program.objective[cols])
         assert all(call["options"]["time_limit"] <= 12.5 for call in calls)
+
+    def test_only_touched_components_resolved(self, monkeypatch):
+        # Two disjoint copies of triangle_program(): arcs 0-2 on nodes 1-3
+        # and arcs 3-5 on nodes 4-6, triangles (0, 2, 1) and (3, 5, 4).  The
+        # argmax breaks row (BEFORE, BEFORE) of both, so the first call gets
+        # both components.  Its point is feasible on the first and breaks row
+        # (AFTER, AFTER) of the second, so the second call gets only the
+        # second component.
+        b, a = RelType.BEFORE, RelType.AFTER
+        weights = {0: {b: 0.5}, 1: {a: 0.25, b: 0.125}, 2: {b: 0.5}}
+        program = build_ip(votes_of(
+            [arc(1, 2), arc(1, 3), arc(2, 3), arc(4, 5), arc(4, 6), arc(5, 6)],
+            {**weights, **{i + 3: w for i, w in weights.items()}}))
+        assert program.triangles.tolist() == [[0, 2, 1], [3, 5, 4]]
+        first = {**FEASIBLE_NOT_OPTIMAL, 3: a, 4: b, 5: a}
+        calls = self.fake_milp(monkeypatch, (0, point_of(first), 7),
+                               (0, point_of(OPTIMUM), 5))
+        sol = solve(program)
+        assert [len(call["c"]) for call in calls] == [6 * N_LABELS, 3 * N_LABELS]
+        cols = np.arange(3 * N_LABELS, 6 * N_LABELS)
+        keys = np.array([[1, b.value, b.value], [1, a.value, a.value]])
+        got = calls[1]["constraints"][1].A
+        expected = program.rows(keys)[:, cols]
+        assert got.shape == expected.shape == (2, len(cols))
+        assert (got != expected).nnz == 0
+        assert np.array_equal(calls[1]["constraints"][0].A.toarray(),
+                              np.kron(np.eye(3), np.ones(N_LABELS)))
+        assert np.array_equal(calls[1]["c"], -program.objective[cols])
+        # The untouched component keeps the first call's labels, not its
+        # argmax.
+        assert sol.assignment == {**FEASIBLE_NOT_OPTIMAL, 3: b, 4: b, 5: b}
+        assert sol.proven_optimal and sol.stats.nodes_explored == 12
+        assert sol.stats.rounds == 3 and sol.stats.active_rows == 3
+        assert sol.stats.coupled_arcs == 6
 
     def test_arc_outside_every_active_row_keeps_its_argmax(self, monkeypatch):
         # triangle_program() plus arc 3 = (3, 4), which shares node 3 but
@@ -379,6 +414,34 @@ class TestLazySeparationProperty:
         if len(votes.arcs) <= 8:
             assert sol.objective_value == \
                 brute_force_solve(program).objective_value
+
+
+class TestStackedPrograms:
+    """Several programs solved as one stack and split again: each part is
+    its own program's optimum."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(tables=st.lists(vote_tables(), min_size=1, max_size=4))
+    def test_each_part_is_its_programs_optimum(self, tables, strict):
+        programs = [build_ip(votes, none_breaks_triangles=strict) for votes in tables]
+        whole = solve(stack_programs(programs))
+        parts = split_solution(whole, programs)
+        assert len(parts) == len(programs)
+        for program, part in zip(programs, parts):
+            assert part.proven_optimal and part.stats is whole.stats
+            assert verify(program, part)
+            assert part.objective_value == full_milp_solve(program).objective_value
+            assert part.objective_value == brute_force_solve(program).objective_value
+        assert sum(part.objective_value for part in parts) == whole.objective_value
+
+    def test_programs_of_two_modes_are_not_stacked(self):
+        program = triangle_program()
+        strict = BinaryProgram(program.objective, program.triangles, True)
+        with pytest.raises(ValueError, match="one mode"):
+            stack_programs([program, strict])
+        with pytest.raises(ValueError, match="one mode"):
+            stack_programs([])
 
 
 class TestAllNoneFeasible:
