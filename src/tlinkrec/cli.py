@@ -35,6 +35,9 @@ from .timeml import load_corpus, load_run_dir, read_lines, write_skipped_report
 TIME_LIMIT_HELP = ("Solver time in seconds per document, pooled over the "
                    "documents reconciled together (under experiment, each "
                    "ensemble's); inf means no limit.")
+MEMBERS_HELP = "Comma-separated classifier names."
+WEIGHTS_HELP = "Weights file (default: <corpus>/weights.txt)."
+STRICT_HELP = "Exclude NONE from triangle conclusions (ablation mode)."
 
 
 def _positive(ctx, param, value: float) -> float:
@@ -121,12 +124,11 @@ def _read_ensembles(path: str) -> Dict[str, EnsembleSpec]:
 @cli.command("reconcile")
 @click.option("--corpus", "corpus_root", required=True,
               type=click.Path(exists=True, file_okay=False))
-@click.option("--members", required=True, help="Comma-separated classifier names.")
+@click.option("--members", required=True, help=MEMBERS_HELP)
 @click.option("--weights", "weights_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Weights file (default: <corpus>/weights.txt).")
+              default=None, help=WEIGHTS_HELP)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--strict/--no-strict", "strict", default=False,
-              help="Exclude NONE from triangle conclusions (ablation mode).")
+@click.option("--strict/--no-strict", "strict", default=False, help=STRICT_HELP)
 @click.option("--time-limit", type=float, callback=_positive,
               default=DEFAULT_TIME_LIMIT, show_default=True, help=TIME_LIMIT_HELP)
 def reconcile_cmd(corpus_root, members, weights_path, out_dir, strict, time_limit):
@@ -179,12 +181,12 @@ def score_cmd(system_dir, reference_dir, out_path, average, collapse_identity):
 @cli.command("export-lp")
 @click.option("--corpus", "corpus_root", required=True,
               type=click.Path(exists=True, file_okay=False))
-@click.option("--members", required=True)
+@click.option("--members", required=True, help=MEMBERS_HELP)
 @click.option("--weights", "weights_path", type=click.Path(exists=True, dir_okay=False),
-              default=None)
+              default=None, help=WEIGHTS_HELP)
 @click.option("--doc", "doc_id", required=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--strict/--no-strict", "strict", default=False)
+@click.option("--strict/--no-strict", "strict", default=False, help=STRICT_HELP)
 def export_lp_cmd(corpus_root, members, weights_path, doc_id, out_path, strict):
     """Export one document's integer program in CPLEX LP format."""
     corpus = load_corpus(corpus_root, weights_path)
@@ -207,14 +209,14 @@ def export_lp_cmd(corpus_root, members, weights_path, doc_id, out_path, strict):
               type=click.Path(exists=True, dir_okay=False),
               help="One ensemble per line: 'label: name,name,...' or 'name,name'.")
 @click.option("--weights", "weights_path", type=click.Path(exists=True, dir_okay=False),
-              default=None)
+              default=None, help=WEIGHTS_HELP)
 @click.option("--split", "split_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Doc-id split file ('s1 <doc>' / 's2 <doc>' lines).")
 @click.option("--weights-source", type=click.Choice([s.value for s in WeightsSource]),
               default=None, help="Where member weights come from "
               "(default: full for procedure 1, s1 for procedure 2).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
-@click.option("--strict/--no-strict", "strict", default=False)
+@click.option("--strict/--no-strict", "strict", default=False, help=STRICT_HELP)
 @click.option("--time-limit", type=float, callback=_positive,
               default=DEFAULT_TIME_LIMIT, show_default=True, help=TIME_LIMIT_HELP)
 def experiment_cmd(corpus_root, procedure, ensembles_path, weights_path, split_path,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, List, Sequence, Tuple
+from typing import BinaryIO, Iterable, List, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -107,6 +107,13 @@ def row_pairs(none_breaks_triangles: bool) -> np.ndarray:
     return np.argwhere(~_allowed(none_breaks_triangles).all(axis=2)) + 1
 
 
+def partition_rows(n_arcs: int) -> csr_matrix:
+    """One row per arc over its N_LABELS consecutive columns, all +1."""
+    n = n_arcs * N_LABELS
+    return csr_matrix((np.ones(n), np.arange(n), np.arange(0, n + 1, N_LABELS)),
+                      shape=(n_arcs, n))
+
+
 @dataclass
 class BinaryProgram:
     """maximise objective @ x  s.t.  a_eq @ x = 1,  every triangle row,  x binary.
@@ -131,9 +138,7 @@ class BinaryProgram:
 
     @property
     def a_eq(self) -> csr_matrix:
-        n = self.num_vars
-        return csr_matrix((np.ones(n), np.arange(n), np.arange(0, n + 1, N_LABELS)),
-                          shape=(n // N_LABELS, n))
+        return partition_rows(self.num_vars // N_LABELS)
 
     def row_keys(self) -> np.ndarray:
         """(k, a, b) of every triangle row, triangle-major in row_pairs order."""
@@ -176,7 +181,7 @@ def build_ip(votes: VoteTable, *,
     (none_breaks_triangles=True) they still forbid a NONE conclusion, so they
     are kept.
     """
-    objective = votes.alpha.reshape(-1).astype(float).copy()
+    objective = votes.alpha.reshape(-1).astype(float)
     return BinaryProgram(objective, enumerate_triangles(votes.arcs),
                          none_breaks_triangles)
 
@@ -197,14 +202,6 @@ def stack_programs(programs: Sequence[BinaryProgram]) -> BinaryProgram:
         modes.pop())
 
 
-def _format_terms(pairs: Iterable[Tuple[float, str]]) -> List[str]:
-    terms = []
-    for coeff, name in pairs:
-        sign = "-" if coeff < 0 else "+"
-        terms.append(f"{sign} {abs(coeff):.6f} {name}")
-    return terms
-
-
 def _wrap(prefix: str, terms: List[str], suffix: str = "") -> List[str]:
     if not terms:
         return [f"{prefix}{' ' + suffix if suffix else ''}"]
@@ -223,13 +220,14 @@ def _wrap(prefix: str, terms: List[str], suffix: str = "") -> List[str]:
 
 
 def _constraint_lines(matrix: csr_matrix, names: Iterable[str],
-                      sense: str) -> List[str]:
+                      sense: str = "") -> List[str]:
     """One constraint per row: + terms first, each sign in column order."""
     matrix = matrix.sorted_indices()
     row = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
     order = np.lexsort((matrix.data < 0, row))  # stable, so rows stay in place
-    var_names = map(BinaryProgram.var_name, matrix.indices[order].tolist())
-    terms = _format_terms(zip(matrix.data[order].tolist(), var_names))
+    terms = [f"{'-' if coeff < 0 else '+'} {abs(coeff):.6f} {BinaryProgram.var_name(v)}"
+             for coeff, v in zip(matrix.data[order].tolist(),
+                                 matrix.indices[order].tolist())]
     bounds = zip(names, matrix.indptr[:-1], matrix.indptr[1:])
     return [line for name, lo, hi in bounds
             for line in _wrap(f" {name}:", terms[lo:hi], sense)]
@@ -237,21 +235,14 @@ def _constraint_lines(matrix: csr_matrix, names: Iterable[str],
 
 def export_lp(program: BinaryProgram, sink: BinaryIO) -> None:
     """Write the program as solver-neutral CPLEX-LP text (LF line endings)."""
-    lines: List[str] = ["Maximize"]
-    obj_terms = _format_terms(
-        (program.objective[v], BinaryProgram.var_name(v))
-        for v in range(program.num_vars)
-        if program.objective[v] != 0.0
-    )
-    lines.extend(_wrap(" obj:", obj_terms))
-    lines.append("Subject To")
+    lines = ["Maximize", *_constraint_lines(csr_matrix(program.objective), ["obj"]),
+             "Subject To"]
     lines.extend(_constraint_lines(
         program.a_eq, (f"p{i}" for i in range(program.num_vars // N_LABELS)), "= 1"))
     keys = program.row_keys()
     lines.extend(_constraint_lines(program.rows(keys), (
         row_name(*key) for key in keys.tolist()), "<= 1"))
     lines.append("Binaries")
-    for v in range(program.num_vars):
-        lines.append(f" {BinaryProgram.var_name(v)}")
+    lines.extend(f" {BinaryProgram.var_name(v)}" for v in range(program.num_vars))
     lines.append("End")
     sink.write(("\n".join(lines) + "\n").encode("utf-8"))

@@ -8,11 +8,12 @@ current labels break in each broken triangle (one lookup per triangle in the
 label table allowed), activates just that row, and re-solves with the HiGHS MIP
 solver through scipy.optimize.milp.  Two arcs are connected when they share an
 active row's triangle, and the relaxation separates into the connected
-components of the active rows' arcs.  A re-solve gets only the components
-that hold a newly broken row, all of them in one milp call: their arcs'
-columns and partition rows, and their active rows.  An untouched component
-has the same rows as when it was last solved, so its labels are still optimal
-for it; an arc in no active row keeps its round-1 label, its optimum in the
+components of the program's arcs.  A re-solve gets only the components that
+hold a newly broken row, all of them in one milp call: the program's own
+columns, partition rows and active rows, restricted to the arcs of those
+components.  An untouched component has the same rows as when it was last
+solved, so its labels are still optimal for it; an arc in no active row is a
+component of its own and keeps its round-1 label, its optimum in the
 relaxation.  The loop stops at the first answer that violates no row of the
 full program: it is feasible for the full program and optimal for a
 relaxation of it, so it is optimal.  Among equal optima of a re-solve the one
@@ -41,7 +42,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .model import N_LABELS, BinaryProgram, row_name
+from .model import N_LABELS, BinaryProgram, partition_rows, row_name
 from .relations import RelType
 
 OBJ_TOL = 1e-9
@@ -122,26 +123,22 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         remaining = time_limit - (time.monotonic() - t0)
         if remaining <= 0:
             raise RuntimeError(NO_INCUMBENT)
-        # Components of the active rows' arcs, numbered over those arcs; the
+        # Components of the program's arcs joined by the active rows; an arc
+        # in no active row is a component of its own and never touched.  The
         # touched ones hold a newly broken row.
-        coupled, tri = np.unique(program.triangles[keys[:, 0]], return_inverse=True)
-        tri = tri.reshape(-1, 3)
+        tri = program.triangles[keys[:, 0]]
         graph = csr_matrix((np.ones(2 * len(tri)),
                             (tri[:, :2].ravel(), tri[:, 1:].ravel())),
-                           shape=(len(coupled), len(coupled)))
+                           shape=(len(labels),) * 2)
         component = connected_components(graph, directed=False)[1]
         touched = np.isin(component, component[tri[-len(broken):, 0]])
-        resolve = touched[tri[:, 0]]
-        # The touched components as a program of their own: one triangle per
-        # active row in them, renumbered over their arcs.
-        arcs = coupled[touched]
+        # The program restricted to the touched components' arcs: their
+        # columns, partition rows and active rows.
+        arcs = np.flatnonzero(touched)
         cols = (arcs[:, None] * N_LABELS + np.arange(N_LABELS)).ravel()
-        sub = BinaryProgram(program.objective[cols],
-                            np.searchsorted(arcs, coupled[tri[resolve]]),
-                            program.none_breaks_triangles)
-        rows = sub.rows(np.column_stack((np.arange(resolve.sum()), keys[resolve, 1:])))
-        res = milp(-sub.objective, integrality=1, bounds=Bounds(0, 1),
-                   constraints=[LinearConstraint(sub.a_eq, 1, 1),
+        rows = program.rows(keys[touched[tri[:, 0]]])[:, cols]
+        res = milp(-program.objective[cols], integrality=1, bounds=Bounds(0, 1),
+                   constraints=[LinearConstraint(partition_rows(len(arcs)), 1, 1),
                                 LinearConstraint(rows, -np.inf, 1)],
                    options={"mip_rel_gap": 0.0, "time_limit": remaining})
         stats.rounds += 1
@@ -152,7 +149,7 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         stats.nodes_explored += res.mip_node_count
         proven = proven and res.status == 0
         labels[arcs] = res.x.reshape(-1, N_LABELS).argmax(axis=1)
-        stats.active_rows, stats.coupled_arcs = len(keys), len(coupled)
+        stats.active_rows, stats.coupled_arcs = len(keys), len(np.unique(tri))
     stats.wall_time = time.monotonic() - t0
     return _solution(program, labels, proven, stats)
 

@@ -3,10 +3,13 @@ import hashlib
 import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.optimize import milp
 
 import tlinkrec.pipeline as pipeline
 import tlinkrec.scoring as scoring
+import tlinkrec.solver as solver
 from tlinkrec.errors import ConfigurationError
 from tlinkrec.model import N_LABELS, build_ip, collect_arcs
 from tlinkrec.pipeline import (
@@ -26,7 +29,7 @@ from tlinkrec.relations import EventGraph, RelType, closure, INCONSISTENT
 from tlinkrec.scoring import build_graph, score_run
 from tlinkrec.solver import Solution, solve, violations
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
-from tlinkrec.timeml import canonical_votes, load_corpus
+from tlinkrec.timeml import canonical_votes, load_corpus, parse_timeml
 
 from referees import is_consistent_labeling, naive_closure
 
@@ -194,6 +197,38 @@ class TestReconcile:
             assert violations(program, result.solutions[doc]) == []
             assert result.solutions[doc].objective_value == \
                 pytest.approx(solve(program).objective_value, abs=1e-9)
+
+    def test_document_with_no_arcs(self, corpus, monkeypatch, tmp_path):
+        # A document on which no member has a TLINK, stacked between others:
+        # it adds no arc, so milp gets the same calls as without it.
+        members = ["alpha", "beta", "gamma"]
+        docs = corpus.documents[:3]
+        empty = docs[1] + "_empty"
+        runs = {name: dataclasses.replace(run, documents={**run.documents, empty: []})
+                for name, run in corpus.runs.items()}
+        with_empty = dataclasses.replace(corpus, runs=runs)
+        calls = []
+
+        def recording(c, **kwargs):
+            calls.append((c, kwargs["constraints"][1].A.toarray()))
+            return milp(c, **kwargs)
+
+        monkeypatch.setattr(solver, "milp", recording)
+        result = reconcile(with_empty, members, doc_filter={*docs, empty})
+        with_calls = calls[:]
+        calls.clear()
+        without = reconcile(corpus, members, doc_filter=set(docs))
+        assert len(with_calls) == len(calls) > 0
+        for (c, rows), (c_without, rows_without) in zip(with_calls, calls):
+            assert np.array_equal(c, c_without)
+            assert np.array_equal(rows, rows_without)
+        assert result.run.documents[empty] == []
+        assert result.votes[empty].arcs == [] and result.solutions[empty].assignment == {}
+        assert violations(build_ip(result.votes[empty]), result.solutions[empty]) == []
+        for doc in docs:
+            assert result.solutions[doc].assignment == without.solutions[doc].assignment
+        write_reconciled(result, tmp_path)
+        assert parse_timeml((tmp_path / f"{empty}.tml").read_bytes(), empty).links == []
 
     def test_no_documents_no_solve(self, corpus, monkeypatch):
         calls = []
