@@ -107,11 +107,11 @@ def row_pairs(none_breaks_triangles: bool) -> np.ndarray:
     return np.argwhere(~_allowed(none_breaks_triangles).all(axis=2)) + 1
 
 
-def partition_rows(n_arcs: int) -> csr_matrix:
-    """One row per arc over its N_LABELS consecutive columns, all +1."""
-    n = n_arcs * N_LABELS
-    return csr_matrix((np.ones(n), np.arange(n), np.arange(0, n + 1, N_LABELS)),
-                      shape=(n_arcs, n))
+def partition_rows(widths: np.ndarray) -> csr_matrix:
+    """One row per arc over its widths[i] consecutive columns, all +1."""
+    indptr = np.concatenate(([0], np.cumsum(widths, dtype=np.int64)))
+    n = int(indptr[-1])
+    return csr_matrix((np.ones(n), np.arange(n), indptr), shape=(len(widths), n))
 
 
 @dataclass
@@ -138,7 +138,24 @@ class BinaryProgram:
 
     @property
     def a_eq(self) -> csr_matrix:
-        return partition_rows(self.num_vars // N_LABELS)
+        return partition_rows(np.full(self.num_vars // N_LABELS, N_LABELS))
+
+    def domain(self) -> np.ndarray:
+        """(|A|, 15) mask of each arc's domain, the labels solve() lets it take.
+
+        In the default mode NONE breaks no row in any position, so moving an
+        arc from label l to NONE keeps every row and changes the objective
+        by alpha[e, NONE] - alpha[e, l]: an arc needs only NONE and the
+        labels that outweigh it.  In strict mode a NONE on pr can break a
+        row, so every arc keeps all 15 labels.
+        """
+        alpha = self.objective.reshape(-1, N_LABELS)
+        if self.none_breaks_triangles:
+            return np.ones(alpha.shape, dtype=bool)
+        none = RelType.NONE.value - 1
+        domain = alpha > alpha[:, [none]]
+        domain[:, none] = True
+        return domain
 
     def row_keys(self) -> np.ndarray:
         """(k, a, b) of every triangle row, triangle-major in row_pairs order."""
@@ -166,6 +183,20 @@ class BinaryProgram:
         lab = labels[self.triangles]
         k = np.flatnonzero(~_allowed(self.none_breaks_triangles)[tuple(lab.T)])
         return np.column_stack((k, lab[k, :2] + 1))
+
+    def binding_rows(self, k: np.ndarray, domain: np.ndarray) -> np.ndarray:
+        """(k, a, b) of every row of triangles k that labels inside domain,
+        an (|A|, 15) mask, can break: a in pq's domain, b in qr's, and some c
+        in pr's that allowed[a, b, c] forbids.  Triangle-major, then in
+        row_pairs order."""
+        # Label sets as bit masks, bit c for label c; a float matmul would
+        # start BLAS and its buffers for this one product.
+        bits = 1 << np.arange(N_LABELS)
+        forbidden = (~_allowed(self.none_breaks_triangles) * bits).sum(axis=2)
+        pq, qr, pr = (domain[self.triangles[k, i]] for i in range(3))
+        hits = (forbidden & (pr * bits).sum(axis=1)[:, None, None]) != 0
+        i, a, b = np.nonzero(pq[:, :, None] & qr[:, None, :] & hits)
+        return np.column_stack((k[i], a + 1, b + 1))
 
     @staticmethod
     def var_name(v: int) -> str:

@@ -16,11 +16,14 @@ from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .model import VoteTable, build_ip, collect_arcs, stack_programs
 from .relations import Closure, RelType
 from .scoring import ScoreReport, format_score_table, score_run
-from .solver import DEFAULT_TIME_LIMIT, Solution, solve, split_solution, violations
+from .solver import (DEFAULT_TIME_LIMIT, OwnRowViolated, Solution, solve,
+                     split_solution, violations)
 from .timeml import ClassifierRun, Corpus, EntityRef, TLink, load_corpus, write_timeml
 
 log = logging.getLogger(__name__)
@@ -88,7 +91,8 @@ def reconcile(corpus: Corpus, members: Sequence[str],
     documents solves nothing.  Each document's Solution carries that call's
     shared SolverStats and proven_optimal.  Every solution is checked against
     the document's full program before it is recorded; a violated row raises
-    RuntimeError.
+    RuntimeError.  A solver error about a row names the row's document and
+    numbers it as that document's own program does.
     """
     check_members(corpus, members)
     member_runs = []
@@ -110,8 +114,14 @@ def reconcile(corpus: Corpus, members: Sequence[str],
     tables = [collect_arcs(member_runs, doc) for doc in docs]
     programs = [build_ip(votes, none_breaks_triangles=none_breaks_triangles)
                 for votes in tables]
-    solutions = split_solution(
-        solve(stack_programs(programs), time_limit=time_limit * len(docs)), programs)
+    try:
+        whole = solve(stack_programs(programs), time_limit=time_limit * len(docs))
+    except OwnRowViolated as err:
+        k, a, b = err.key
+        starts = np.cumsum([0] + [len(p.triangles) for p in programs[:-1]])
+        i = int(np.searchsorted(starts, k, side="right")) - 1
+        raise OwnRowViolated((k - starts[i], a, b), f"{docs[i]}: ") from err
+    solutions = split_solution(whole, programs)
     for doc, votes, program, solution in zip(docs, tables, programs, solutions):
         problems = violations(program, solution)
         if problems:

@@ -268,6 +268,37 @@ class TestLabelTable:
             assert np.array_equal(getattr(sub, attr), getattr(full, attr))
 
 
+class TestDomain:
+    """The labels solve() keeps per arc, and the rows they can break."""
+
+    def test_default_domain_is_none_and_the_labels_that_outweigh_it(self):
+        alpha = np.zeros((3, N_LABELS))
+        alpha[0, [0, 4]] = 0.5, 0.25  # BEFORE, INCLUDES
+        alpha[1, [0, 14]] = 0.25, 0.25  # BEFORE ties NONE
+        program = build_ip(VoteTable("doc", [arc(1, 2), arc(1, 3), arc(2, 3)], alpha))
+        domain = program.domain()
+        assert [np.flatnonzero(row).tolist() for row in domain] == [[0, 4, 14], [14], [14]]
+        strict = build_ip(VoteTable("doc", [arc(1, 2)], alpha[:1]),
+                          none_breaks_triangles=True)
+        assert strict.domain().all() and strict.domain().shape == (1, N_LABELS)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sets(st.integers(0, N_LABELS - 1), min_size=1, max_size=4),
+                    min_size=3, max_size=3))
+    def test_binding_rows_are_the_rows_a_domain_point_breaks(self, strict, labels):
+        # One triangle, (pq, qr, pr) = (0, 2, 1): every triple of labels
+        # inside the domains, run through broken_rows.
+        program = build_ip(simple_votes(3), none_breaks_triangles=strict)
+        domain = np.zeros((3, N_LABELS), dtype=bool)
+        for i, allowed in enumerate(labels):
+            domain[i, sorted(allowed)] = True
+        broken = {tuple(key) for pq in labels[0] for qr in labels[2] for pr in labels[1]
+                  for key in program.broken_rows(np.array([pq, pr, qr])).tolist()}
+        got = program.binding_rows(np.array([0]), domain)
+        assert [tuple(key) for key in got.tolist()] == sorted(broken)
+
+
 @st.composite
 def labeled_documents(draw):
     """Arcs on 4-5 nodes with at least two triangles, plus one label per arc."""

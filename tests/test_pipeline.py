@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import milp
+from scipy.optimize import OptimizeResult, milp
 
 import tlinkrec.pipeline as pipeline
 import tlinkrec.scoring as scoring
@@ -29,7 +29,8 @@ from tlinkrec.relations import EventGraph, RelType, closure, INCONSISTENT
 from tlinkrec.scoring import build_graph, score_run
 from tlinkrec.solver import Solution, solve, violations
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
-from tlinkrec.timeml import canonical_votes, load_corpus, parse_timeml
+from tlinkrec.timeml import (ClassifierRun, Corpus, EntityKind, EntityRef, TLink,
+                             canonical_votes, load_corpus, parse_timeml)
 
 from referees import is_consistent_labeling, naive_closure
 
@@ -177,6 +178,43 @@ class TestReconcile:
                 rf"^{docs[-1]}: solution fails verification: "
                 rf"triangle row t{k}_1_1 violated: lhs 2 > 1$")):
             reconcile(corpus, members, doc_filter=set(docs))
+
+    def test_own_row_error_names_the_document_and_its_row(self, monkeypatch):
+        # Two documents of one triangle each; only the second one's votes
+        # break it, so the stack's broken row is t1_1_1, the second
+        # document's t0_1_1.  milp returns the argmax point again.
+        def doc(name, rel_13):
+            e1, e2, e3 = (EntityRef(EntityKind.EVENT_INSTANCE, f"ei{i}", name)
+                          for i in (1, 2, 3))
+            return [TLink(e1, e2, RelType.BEFORE), TLink(e2, e3, RelType.BEFORE),
+                    TLink(e1, e3, rel_13)]
+
+        run = ClassifierRun("m", 1.0, {"d0": doc("d0", RelType.BEFORE),
+                                       "d1": doc("d1", RelType.AFTER)})
+        corpus = Corpus({"m": run}, ClassifierRun("ref", 1.0, {"d0": [], "d1": []}))
+
+        def argmax_point(c, constraints, **kwargs):
+            partition = constraints[0].A
+            x = np.zeros(len(c))
+            for lo, hi in zip(partition.indptr[:-1], partition.indptr[1:]):
+                x[partition.indices[lo + np.argmin(c[partition.indices[lo:hi]])]] = 1.0
+            return OptimizeResult(status=0, x=x, mip_node_count=0, message="")
+
+        monkeypatch.setattr(solver, "milp", argmax_point)
+        with pytest.raises(RuntimeError, match=(
+                r"^d1: MIP solve returned a point that violates its own row t0_1_1$")):
+            reconcile(corpus, ["m"])
+
+    def test_arc_voted_only_by_a_weight_0_member_gets_no_tlink(self, corpus):
+        docs = corpus.documents[:3]
+        result = reconcile(corpus, ["alpha", "beta"], {"alpha": 0.0, "beta": 0.5},
+                           doc_filter=set(docs))
+        only_alpha = 0
+        for doc in docs:
+            beta = set(canonical_votes(corpus.runs["beta"].documents[doc]))
+            assert set(canonical_votes(result.run.documents[doc])) <= beta
+            only_alpha += len(set(result.votes[doc].arcs) - beta)
+        assert only_alpha > 0
 
     def test_one_solve_with_the_pooled_time_limit(self, corpus, monkeypatch):
         docs = corpus.documents[:3]

@@ -66,11 +66,23 @@ OPTIMUM = {0: RelType.BEFORE, 1: RelType.BEFORE, 2: RelType.BEFORE}
 FEASIBLE_NOT_OPTIMAL = {0: RelType.BEFORE, 1: RelType.AFTER, 2: RelType.NONE}
 
 
-def point_of(assignment):
-    x = np.zeros(len(assignment) * N_LABELS)
+def point_of(program, assignment):
+    """The milp point of assignment over the columns solve() hands to milp:
+    the domain columns of the assignment's arcs, in arc order."""
+    domain = program.domain()
+    x = np.zeros(domain.shape)
     for a, rel in assignment.items():
-        x[a * N_LABELS + rel.value - 1] = 1.0
-    return x
+        assert domain[a, rel.value - 1], (a, rel)
+        x[a, rel.value - 1] = 1.0
+    arcs = sorted(assignment)
+    return x[arcs][domain[arcs]]
+
+
+def domain_cols(program, arcs):
+    """Column indices of the arcs' domain labels, in arc order."""
+    arcs = np.asarray(arcs)
+    cols = arcs[:, None] * N_LABELS + np.arange(N_LABELS)
+    return cols[program.domain()[arcs]]
 
 
 class TestSolveBasics:
@@ -96,6 +108,47 @@ class TestSolveBasics:
         assert sol.objective_value == 1.125
         ref = brute_force_solve(program)
         assert ref.objective_value == sol.objective_value
+
+    def test_arc_with_no_label_above_none_gets_none(self):
+        # Voted only by a weight-0 member: every label weighs what NONE
+        # weighs.  Strict mode keeps the lowest-ordinal argmax over all 15
+        # labels.
+        votes = votes_of([arc(1, 2)], {0: {RelType.AFTER: 0.0}})
+        sol = solve(build_ip(votes))
+        assert sol.assignment == {0: RelType.NONE} and sol.objective_value == 0.0
+        strict = solve(build_ip(votes, none_breaks_triangles=True))
+        assert strict.assignment == {0: RelType.BEFORE}
+        # The same next to a triangle that milp re-solves: arc 3 = (3, 4) has
+        # no label above NONE, and its triangle (1, 3, 4) shares arc 1 with
+        # the broken one.  Its domain is NONE alone, so that triangle can
+        # never break and arc 3 keeps NONE.
+        weights = {0: {RelType.BEFORE: 0.5},
+                   1: {RelType.AFTER: 0.25, RelType.BEFORE: 0.125},
+                   2: {RelType.BEFORE: 0.5}, 3: {RelType.BEFORE: 0.0},
+                   4: {RelType.BEFORE: 0.5}}
+        program = build_ip(votes_of(
+            [arc(1, 2), arc(1, 3), arc(2, 3), arc(3, 4), arc(1, 4)], weights))
+        sol = solve(program)
+        assert sol.assignment == {**OPTIMUM, 3: RelType.NONE, 4: RelType.BEFORE}
+        assert sol.objective_value == brute_force_solve(program).objective_value
+
+    def test_default_mode_activates_the_whole_broken_triangle(self):
+        # pq may be BEFORE or IBEFORE, and each composes with BEFORE on qr to
+        # BEFORE only, so both rows can bind against AFTER on pr.  The
+        # default mode activates both in its one re-solve.  Strict mode
+        # activates the broken row only, and re-solves again once pq moves
+        # to IBEFORE.
+        b, ib, a = RelType.BEFORE, RelType.IBEFORE, RelType.AFTER
+        votes = votes_of([arc(1, 2), arc(1, 3), arc(2, 3)],
+                         {0: {b: 0.5, ib: 0.375}, 1: {a: 0.5, b: 0.125}, 2: {b: 0.5}})
+        default = solve(build_ip(votes))
+        assert default.stats.rounds == 2 and default.stats.active_rows == 2
+        assert default.stats.milp_cols == 3 + 3 + 2
+        strict = solve(build_ip(votes, none_breaks_triangles=True))
+        assert strict.stats.rounds == 3 and strict.stats.active_rows == 2
+        assert strict.stats.milp_cols == 2 * 3 * N_LABELS
+        assert default.assignment == strict.assignment == OPTIMUM
+        assert default.objective_value == strict.objective_value == 1.125
 
     def test_bad_time_limit(self):
         program = build_ip(votes_of([arc(1, 2)], {0: {RelType.BEFORE: 0.5}}))
@@ -123,6 +176,7 @@ class TestSolveBasics:
         assert sol.stats.rows == 1
         assert sol.stats.wall_time >= 0
         assert sol.stats.lp_iterations == 0  # milp omits it; perfbench reads it
+        assert sol.stats.milp_cols == 0  # the argmax round calls no milp
 
 
 class TestMilpStatusMapping:
@@ -151,7 +205,7 @@ class TestMilpStatusMapping:
 
     def test_time_limit_with_incumbent_is_unproven(self, monkeypatch):
         # Feasible but not optimal: NONE on arc 2 leaves no row to break.
-        self.fake_milp(monkeypatch, (1, point_of(FEASIBLE_NOT_OPTIMAL), 7))
+        self.fake_milp(monkeypatch, (1, point_of(self.program(), FEASIBLE_NOT_OPTIMAL), 7))
         sol = solve(self.program())
         assert not sol.proven_optimal
         assert sol.assignment == FEASIBLE_NOT_OPTIMAL
@@ -164,12 +218,12 @@ class TestMilpStatusMapping:
             solve(self.program())
 
     def test_time_limit_with_violating_incumbent_raises(self, monkeypatch):
-        self.fake_milp(monkeypatch, (1, point_of(GREEDY), 7))
+        self.fake_milp(monkeypatch, (1, point_of(self.program(), GREEDY), 7))
         with pytest.raises(RuntimeError, match="before any incumbent"):
             solve(self.program())
 
     def test_budget_spent_before_a_resolve_raises(self, monkeypatch):
-        calls = self.fake_milp(monkeypatch, (0, point_of(OPTIMUM), 7))
+        calls = self.fake_milp(monkeypatch, (0, point_of(self.program(), OPTIMUM), 7))
         clock = iter([0.0, 12.5])
         monkeypatch.setattr(solver, "time",
                             SimpleNamespace(monotonic=lambda: next(clock)))
@@ -185,20 +239,21 @@ class TestMilpStatusMapping:
     def test_point_violating_an_active_row_raises(self, monkeypatch):
         # The greedy point breaks the triangle whose rows the call was given;
         # solve() must raise rather than hand the same rows over again.
-        calls = self.fake_milp(monkeypatch, (0, point_of(GREEDY), 7),
-                               (0, point_of(GREEDY), 7))
+        calls = self.fake_milp(monkeypatch, (0, point_of(self.program(), GREEDY), 7),
+                               (0, point_of(self.program(), GREEDY), 7))
         with pytest.raises(RuntimeError, match="violates its own row t0_1_1"):
             solve(self.program())
         assert len(calls) == 1
 
     def test_one_exact_call_with_caller_time_limit(self, monkeypatch):
-        calls = self.fake_milp(monkeypatch, (0, point_of(OPTIMUM), 7))
+        calls = self.fake_milp(monkeypatch, (0, point_of(self.program(), OPTIMUM), 7))
         sol = solve(self.program(), time_limit=12.5)
         assert sol.proven_optimal
         assert sol.assignment == OPTIMUM
         assert sol.stats.nodes_explored == 7
         assert sol.stats.rounds == 2 and sol.stats.active_rows == 1
         assert sol.stats.coupled_arcs == 3
+        assert sol.stats.milp_cols == len(calls[0]["c"]) == 2 + 3 + 2
         assert len(calls) == 1
         for call in calls:
             assert call["options"]["mip_rel_gap"] == 0
@@ -220,65 +275,78 @@ class TestMilpStatusMapping:
              3: {b: 0.5}, 4: {a: 0.5}}))
         first = {0: b, 1: a, 2: a}
         optimum = {0: b, 1: b, 2: b, 3: b, 4: a}
-        calls = self.fake_milp(monkeypatch, (0, point_of(first), 7),
-                               (0, point_of(optimum), 5))
+        calls = self.fake_milp(monkeypatch, (0, point_of(program, first), 7),
+                               (0, point_of(program, optimum), 5))
         sol = solve(program, time_limit=12.5)
         assert sol.proven_optimal and sol.assignment == optimum
         assert sol.stats.nodes_explored == 12
         assert sol.stats.rounds == 3 and sol.stats.active_rows == 2
         assert sol.stats.coupled_arcs == 5
-        # Each call gets exactly the rows broken so far, on the columns of
-        # the arcs of their triangles.
+        # Each call gets exactly the rows broken so far, on the domain
+        # columns of the arcs of their triangles.  Each triangle has one row
+        # that can bind inside the domains, so the whole-triangle activation
+        # adds one row per round.
         keys = np.array([[0, b.value, b.value], [1, a.value, a.value]])
+        assert np.array_equal(program.binding_rows(np.array([0, 1]), program.domain()),
+                              keys)
         for call, n_keys, n_arcs in zip(calls, (1, 2), (3, 5)):
-            cols = np.arange(n_arcs * N_LABELS)
+            cols = domain_cols(program, range(n_arcs))
             got = call["constraints"][1].A
             expected = program.rows(keys[:n_keys])[:, cols]
             assert got.shape == expected.shape == (n_keys, len(cols))
             assert (got != expected).nnz == 0
             assert np.array_equal(call["constraints"][0].A.toarray(),
-                                  np.kron(np.eye(n_arcs), np.ones(N_LABELS)))
+                                  program.a_eq[:n_arcs][:, cols].toarray())
             assert np.array_equal(call["c"], -program.objective[cols])
+        assert sol.stats.milp_cols == (2 + 3 + 3) + (2 + 3 + 3 + 2 + 2)
         assert all(call["options"]["time_limit"] <= 12.5 for call in calls)
 
     def test_only_touched_components_resolved(self, monkeypatch):
-        # Two disjoint copies of triangle_program(): arcs 0-2 on nodes 1-3
-        # and arcs 3-5 on nodes 4-6, triangles (0, 2, 1) and (3, 5, 4).  The
-        # argmax breaks row (BEFORE, BEFORE) of both, so the first call gets
-        # both components.  Its point is feasible on the first and breaks row
-        # (AFTER, AFTER) of the second, so the second call gets only the
-        # second component.
+        # A copy of triangle_program() on nodes 1-3 (arcs 0-2, triangle
+        # (0, 2, 1)) and test_nodes_summed_over_rounds's two triangles on
+        # nodes 4-7 (arcs 3-7, triangles (3, 5, 4) and (5, 7, 6), sharing arc
+        # 5).  The argmax breaks row (BEFORE, BEFORE) of the first two
+        # triangles, so the first call gets both components and the third
+        # triangle's arcs 6 and 7 stay out.  Its point is feasible on the
+        # first component and moves arc 5 to AFTER, which breaks row (AFTER,
+        # AFTER) of the third triangle, so the second call gets only the
+        # second component, now arcs 3-7.
         b, a = RelType.BEFORE, RelType.AFTER
         weights = {0: {b: 0.5}, 1: {a: 0.25, b: 0.125}, 2: {b: 0.5}}
         program = build_ip(votes_of(
-            [arc(1, 2), arc(1, 3), arc(2, 3), arc(4, 5), arc(4, 6), arc(5, 6)],
-            {**weights, **{i + 3: w for i, w in weights.items()}}))
-        assert program.triangles.tolist() == [[0, 2, 1], [3, 5, 4]]
-        first = {**FEASIBLE_NOT_OPTIMAL, 3: a, 4: b, 5: a}
-        calls = self.fake_milp(monkeypatch, (0, point_of(first), 7),
-                               (0, point_of(OPTIMUM), 5))
+            [arc(1, 2), arc(1, 3), arc(2, 3),
+             arc(4, 5), arc(4, 6), arc(5, 6), arc(5, 7), arc(6, 7)],
+            {**weights, 3: {b: 0.5}, 4: {a: 0.25, b: 0.125},
+             5: {b: 0.5, a: 0.375}, 6: {b: 0.5}, 7: {a: 0.5}}))
+        assert program.triangles.tolist() == [[0, 2, 1], [3, 5, 4], [5, 7, 6]]
+        first = {**FEASIBLE_NOT_OPTIMAL, 3: b, 4: a, 5: a}
+        second = {3: b, 4: b, 5: b, 6: b, 7: a}
+        calls = self.fake_milp(monkeypatch, (0, point_of(program, first), 7),
+                               (0, point_of(program, second), 5))
         sol = solve(program)
-        assert [len(call["c"]) for call in calls] == [6 * N_LABELS, 3 * N_LABELS]
-        cols = np.arange(3 * N_LABELS, 6 * N_LABELS)
-        keys = np.array([[1, b.value, b.value], [1, a.value, a.value]])
+        assert [len(call["c"]) for call in calls] == [
+            len(domain_cols(program, range(6))), len(domain_cols(program, range(3, 8)))]
+        cols = domain_cols(program, range(3, 8))
+        keys = np.array([[1, b.value, b.value], [2, a.value, a.value]])
         got = calls[1]["constraints"][1].A
         expected = program.rows(keys)[:, cols]
         assert got.shape == expected.shape == (2, len(cols))
         assert (got != expected).nnz == 0
         assert np.array_equal(calls[1]["constraints"][0].A.toarray(),
-                              np.kron(np.eye(3), np.ones(N_LABELS)))
+                              program.a_eq[3:][:, cols].toarray())
         assert np.array_equal(calls[1]["c"], -program.objective[cols])
         # The untouched component keeps the first call's labels, not its
         # argmax.
-        assert sol.assignment == {**FEASIBLE_NOT_OPTIMAL, 3: b, 4: b, 5: b}
+        assert sol.assignment == {**FEASIBLE_NOT_OPTIMAL, **second}
         assert sol.proven_optimal and sol.stats.nodes_explored == 12
         assert sol.stats.rounds == 3 and sol.stats.active_rows == 3
-        assert sol.stats.coupled_arcs == 6
+        assert sol.stats.coupled_arcs == 8
 
     def test_arc_outside_every_active_row_keeps_its_argmax(self, monkeypatch):
         # triangle_program() plus arc 3 = (3, 4), which shares node 3 but
         # lies in no triangle; its weights tie, so its label is the lowest
-        # ordinal, INCLUDES, and milp, run for real, never sees its columns.
+        # ordinal, INCLUDES, and milp, run for real, never sees its columns:
+        # it gets the domain columns of arcs 0-2, two, three and two.
         program = build_ip(votes_of(
             [arc(1, 2), arc(1, 3), arc(2, 3), arc(3, 4)],
             {0: {RelType.BEFORE: 0.5},
@@ -294,7 +362,7 @@ class TestMilpStatusMapping:
 
         monkeypatch.setattr(solver, "milp", recording)
         sol = solve(program)
-        assert widths == [3 * N_LABELS]
+        assert widths == [len(domain_cols(program, range(3)))] == [2 + 3 + 2]
         assert sol.assignment == {**OPTIMUM, 3: RelType.INCLUDES}
         assert sol.objective_value == 1.625
         assert sol.objective_value == brute_force_solve(program).objective_value
@@ -304,7 +372,8 @@ class TestMilpStatusMapping:
 def vote_tables(draw, max_nodes=5, max_arcs=8, min_arcs=1):
     """Small document-shaped vote tables with dyadic weights, so that sums
     of weights are exact in floating point whatever their order; min_arcs=0
-    also draws documents on which no member has a TLINK."""
+    also draws documents on which no member has a TLINK.  A weight may be 0,
+    a vote of a weight-0 member, so an arc may have no label above NONE."""
     n_nodes = draw(st.integers(3, max_nodes))
     pairs = [(i, j) for i in range(1, n_nodes + 1)
              for j in range(i + 1, n_nodes + 1)]
@@ -315,7 +384,7 @@ def vote_tables(draw, max_nodes=5, max_arcs=8, min_arcs=1):
     for i in range(len(arcs)):
         labels = draw(st.lists(st.sampled_from(NON_NONE), min_size=1,
                                max_size=3, unique=True))
-        weights[i] = {rel: draw(st.integers(1, 63)) / 64.0 for rel in labels}
+        weights[i] = {rel: draw(st.integers(0, 63)) / 64.0 for rel in labels}
     return votes_of(arcs, weights)
 
 
