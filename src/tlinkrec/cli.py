@@ -26,7 +26,7 @@ from .pipeline import (
     write_reconciled,
 )
 from .relations import dump_table
-from .scoring import score_run, write_csv
+from .scoring import ScoreReport, score_run, write_csv
 from .solver import DEFAULT_TIME_LIMIT
 from .synthetic import SyntheticClassifier, generate_corpus
 from .timeml import load_corpus, load_run_dir, read_lines, write_skipped_report
@@ -121,6 +121,16 @@ def _read_ensembles(path: str) -> Dict[str, EnsembleSpec]:
     return ensembles
 
 
+def _report_inconsistent(report: ScoreReport) -> None:
+    """One stderr line per document side whose graph is INCONSISTENT."""
+    for doc, counts in sorted(report.per_document.items()):
+        for side, flagged in (("reference", counts.inconsistent_ref),
+                              ("system", counts.inconsistent_sys)):
+            if flagged:
+                click.echo(f"{side}/{doc}: INCONSISTENT, scored by its stored labels",
+                           err=True)
+
+
 @cli.command("reconcile")
 @click.option("--corpus", "corpus_root", required=True,
               type=click.Path(exists=True, file_okay=False))
@@ -139,6 +149,7 @@ def reconcile_cmd(corpus_root, members, weights_path, out_dir, strict, time_limi
     out = Path(out_dir)
     write_reconciled(result, out / "timeml")
     report = score_run(corpus.reference, result.run)
+    _report_inconsistent(report)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "scores.csv", "w", encoding="utf-8") as fh:
         write_csv(report, fh)
@@ -171,6 +182,7 @@ def score_cmd(system_dir, reference_dir, out_path, average, collapse_identity):
         click.echo(f"reference/{doc}: no system document, scored as empty", err=True)
     report = score_run(reference, system, average=average,
                        collapse_identity=collapse_identity)
+    _report_inconsistent(report)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             write_csv(report, fh)

@@ -22,7 +22,7 @@ from .errors import ConfigurationError
 from .model import VoteTable, build_ip, collect_arcs, stack_programs
 from .relations import Closure, RelType
 from .scoring import ScoreReport, format_score_table, score_run
-from .solver import (DEFAULT_TIME_LIMIT, OwnRowViolated, Solution, solve,
+from .solver import (DEFAULT_TIME_LIMIT, RowError, Solution, solve,
                      split_solution, violations)
 from .timeml import ClassifierRun, Corpus, EntityRef, TLink, load_corpus, write_timeml
 
@@ -91,8 +91,9 @@ def reconcile(corpus: Corpus, members: Sequence[str],
     documents solves nothing.  Each document's Solution carries that call's
     shared SolverStats and proven_optimal.  Every solution is checked against
     the document's full program before it is recorded; a violated row raises
-    RuntimeError.  A solver error about a row names the row's document and
-    numbers it as that document's own program does.
+    RuntimeError.  A solver error about a row (a timeout without an incumbent,
+    or a point that breaks its own row) names the row's document and numbers
+    the row as that document's own program does.
     """
     check_members(corpus, members)
     member_runs = []
@@ -116,11 +117,11 @@ def reconcile(corpus: Corpus, members: Sequence[str],
                 for votes in tables]
     try:
         whole = solve(stack_programs(programs), time_limit=time_limit * len(docs))
-    except OwnRowViolated as err:
+    except RowError as err:
         k, a, b = err.key
         starts = np.cumsum([0] + [len(p.triangles) for p in programs[:-1]])
         i = int(np.searchsorted(starts, k, side="right")) - 1
-        raise OwnRowViolated((k - starts[i], a, b), f"{docs[i]}: ") from err
+        raise type(err)((k - starts[i], a, b), f"{docs[i]}: ") from err
     solutions = split_solution(whole, programs)
     for doc, votes, program, solution in zip(docs, tables, programs, solutions):
         problems = violations(program, solution)

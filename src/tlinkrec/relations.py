@@ -9,12 +9,17 @@ SIMULTANEOUS/IDENTITY and IS_INCLUDED/DURING (and their inverses) denote the
 same interval relation; composition results are emitted in canonical form
 (SIMULTANEOUS, IS_INCLUDED, INCLUDES), and consistency checks collapse the
 synonyms before testing membership.
+
+closure() works on the same endpoint constraints, not on the composition
+table: it decides consistency and entailment exactly by reachability between
+endpoints.  TimeML has no label for two overlapping intervals, so a pair that
+may overlap is entailed no label, and an unlabelled pair is never assumed
+not to overlap.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -183,16 +188,10 @@ def relation_from_intervals(x: Tuple[int, int], y: Tuple[int, int]) -> Optional[
 
 # --- label masks -----------------------------------------------------------
 #
-# Closure works on sets of canonical labels held as 14-bit masks
-# (bit = ordinal - 1); they never leave this module except to the test
-# referee.
+# Composition results are sets of canonical labels held as 14-bit masks
+# (bit = ordinal - 1); they never leave this module.
 
 _BIT = {r: 1 << (r.value - 1) for r in NON_NONE}
-_CANONICAL_MASK = 0
-for _r in CANONICAL_LABELS:
-    _CANONICAL_MASK |= _BIT[_r]
-_SINGLE = {_BIT[r]: r for r in CANONICAL_LABELS}
-_CANONICAL_BITS = np.array([_BIT[r] for r in CANONICAL_LABELS], dtype=np.uint16)
 
 
 def _labels(mask: int) -> Tuple[RelType, ...]:
@@ -221,22 +220,6 @@ def compose(a: RelType, b: RelType) -> FrozenSet[RelType]:
     if a is RelType.NONE or b is RelType.NONE:
         raise ValueError("composition with NONE is undefined")
     return frozenset(_labels(_COMPOSITION[(a, b)]))
-
-
-_BLOCK_CELLS = 1 << 16  # cells a closure sweep builds or gathers at a time
-
-
-@functools.cache
-def _label_rows() -> np.ndarray:
-    """rows[a, y]: the mask of compose over CANONICAL_LABELS[a] and every label
-    of mask y, for all 2**14 masks y."""
-    rows = np.zeros((len(CANONICAL_LABELS), 1 << 14), dtype=np.uint16)
-    for b, label in enumerate(NON_NONE):  # masks y < 2**b are done: add bit b
-        composed = np.array([_COMPOSITION[(a, label)] for a in CANONICAL_LABELS],
-                            dtype=np.uint16)
-        rows[:, 1 << b:2 << b] = rows[:, :1 << b] | composed[:, None]
-    rows.flags.writeable = False
-    return rows
 
 
 def dump_table() -> str:
@@ -313,63 +296,76 @@ class EventGraph:
 Closure = EventGraph | _Inconsistent
 
 
+# Endpoint relations as codes: 0 is "not entailed", and 1, 2, 3 are <, =, >.
+# A label's grid is the four codes of x1?y1, x1?y2, x2?y1, x2?y2; as base-4
+# digits they give the grid one number, which _GRID_LABEL decodes to the
+# label's ordinal, or to 0 for a grid with no label (overlaps, or a cell not
+# entailed).
+_POINT_CODE = {"<": 1, "=": 2, ">": 3}
+_LABEL_CELLS = np.zeros((len(RelType) + 1, 4), dtype=np.int64)
+for _r in NON_NONE:
+    _LABEL_CELLS[_r] = [_POINT_CODE[c] for row in _ALLEN_ENDPOINTS[_TIMEML_TO_ALLEN[_r]]
+                        for c in row]
+_GRID_LABEL = np.zeros(4 ** 4, dtype=np.int64)
+for _r in CANONICAL_LABELS:
+    _GRID_LABEL[_LABEL_CELLS[_r] @ 4 ** np.arange(3, -1, -1)] = _r
+
+
 def closure(g: EventGraph) -> Closure:
     """The labels g entails, or INCONSISTENT.
 
-    Every pair starts at the full canonical set, or at its collapsed label if
-    g labels it (NONE labels nothing), and each node relates to itself by
-    SIMULTANEOUS, the identity of composition.  Whole-array sweeps then set
-    every pair (i, j) to the intersection over all nodes k of the composition
-    along i -> k -> j, until a sweep changes nothing; any empty pair makes g
-    INCONSISTENT.  The sweep is monotone and never enlarges a pair, so it
-    reaches the same greatest fixpoint as revising one pair at a time in any
-    order.  The result holds each pair the fixpoint pins to one canonical
-    label.
+    Each label is one interval relation, that is, four relations between the
+    endpoints of its pair, each one of <, = and >.  The endpoint graph has a
+    start and an end node per entity, a strict edge from each start to its
+    end, and per labelled pair (NONE labels nothing) a strict edge for each
+    endpoint < and a non-strict edge each way for each endpoint =.  With
+    reach the reflexive-transitive closure of all edges, u strictly precedes
+    v iff a path from u to v takes a strict edge: reach . strict . reach.
+    These constraints lie in the point algebra without !=, where paths give
+    the minimal network (Vilain & Kautz 1986; van Beek 1992): g is
+    INCONSISTENT iff some node strictly precedes itself, and otherwise each
+    endpoint pair is entailed to be < or >, entailed = when each reaches the
+    other, and else may take either of two relations.  A pair of entities
+    is pinned to a label iff all four of its endpoint relations are entailed
+    and their grid is a label's; the overlap grids pin nothing, and no
+    unlabelled pair is assumed not to overlap.
 
-    A sweep composes the u distinct masks present into a u x u table and
-    gathers it for a block of rows i at a time, over all (k, j), before
-    reducing over k.  The table is built and gathered in blocks of at most
-    _BLOCK_CELLS cells (one row if a row alone has more), so besides a few
-    n x n arrays and the table a sweep holds at most 10 bytes per block cell:
-    a gather index and its uint16 masks.
+    reach is the fixpoint of repeated squaring, in float32: a product sums
+    0/1 entries over at most 2n nodes, which stays exact below 2**24.
     """
     nodes = sorted(g.nodes)
     n = len(nodes)
     index = {node: i for i, node in enumerate(nodes)}
-    m = np.full((n, n), _CANONICAL_MASK, dtype=np.uint16)
-    np.fill_diagonal(m, _BIT[RelType.SIMULTANEOUS])
-    for p, q, rel in g.edges():
-        if rel is not RelType.NONE:
-            m[index[p], index[q]] = _BIT[collapse(rel)]
-            m[index[q], index[p]] = _BIT[invert(collapse(rel))]
-
-    rows = _label_rows()
-    block = max(1, _BLOCK_CELLS // max(1, n * n))
+    linked = np.array([(index[p], index[q], rel) for p, q, rel in g.edges()
+                       if rel is not RelType.NONE], dtype=np.int64).reshape(-1, 3)
+    # node i is entity i's start and node n + i its end
+    strict = np.zeros((2 * n, 2 * n), dtype=np.float32)
+    strict[np.arange(n), np.arange(n, 2 * n)] = 1
+    reach = np.eye(2 * n, dtype=np.float32)
+    # cell c of a pair's grid relates endpoint c // 2 of p to endpoint c % 2 of q
+    cells = _LABEL_CELLS[linked[:, 2]]
+    x = linked[:, :1] + n * np.array([0, 0, 1, 1])
+    y = linked[:, 1:2] + n * np.array([0, 1, 0, 1])
+    lt, eq, gt = cells == 1, cells == 2, cells == 3
+    strict[x[lt], y[lt]] = strict[y[gt], x[gt]] = 1
+    reach[x[eq], y[eq]] = reach[y[eq], x[eq]] = 1
+    reach = np.maximum(reach, strict)
     while True:
-        masks = np.unique(m)
-        u, at = len(masks), np.searchsorted(masks, m)
-        # table[s, t] = compose(masks[s], masks[t]): over the labels a of
-        # masks[s], the union of rows[a, masks[t]]
-        labels_of = (masks[:, None, None] & _CANONICAL_BITS[:, None]) != 0
-        composed, table = rows[:, masks], np.empty((u, u), dtype=np.uint16)
-        step = max(1, _BLOCK_CELLS // max(1, composed.size))
-        for s in range(0, u, step):
-            table[s:s + step] = np.bitwise_or.reduce(
-                np.where(labels_of[s:s + step], composed, 0), axis=1)
-        flat, row_at = table.ravel(), at * u
-        swept = np.empty_like(m)
-        for r in range(0, n, block):
-            # cell [i, k, j] composes m[i, k] with m[k, j]
-            swept[r:r + block] = np.bitwise_and.reduce(
-                flat.take(row_at[r:r + block, :, None] + at[None]), axis=1)
-            if not swept[r:r + block].all():
-                return INCONSISTENT
-        if np.array_equal(swept, m):
+        squared = np.minimum(reach @ reach, 1)
+        if np.array_equal(squared, reach):
             break
-        m = swept
+        reach = squared
+    before = reach @ strict @ reach > 0
+    if before.diagonal().any():
+        return INCONSISTENT
 
+    reach = reach > 0
+    point = before + 2 * (reach & reach.T) + 3 * before.T
+    grid = (64 * point[:n, :n] + 16 * point[:n, n:]
+            + 4 * point[n:, :n] + point[n:, n:])
+    labels = np.triu(_GRID_LABEL[grid], 1)
     out = EventGraph(g.nodes)
-    i, j = np.nonzero((m & (m - 1)) == 0)  # pairs pinned to one label
-    for i, j in zip(i[i < j].tolist(), j[i < j].tolist()):
-        out.set_relation(nodes[i], nodes[j], _SINGLE[int(m[i, j])])
+    i, j = np.nonzero(labels)
+    for p, q, r in zip(i.tolist(), j.tolist(), labels[i, j].tolist()):
+        out.set_relation(nodes[p], nodes[q], RelType(r))
     return out

@@ -3,8 +3,10 @@
 A predicted relation counts as correct when the closure of the reference
 annotation entails exactly that label, and symmetrically for recall; NONE
 never counts as correct.  Plain relation counts are used (no reduced-graph
-weighting).  An inconsistent side has no closure: it entails only its own
-stored labels, and it is flagged.
+weighting).  The closure entails a label only where every interval model of
+the graph gives the pair that label, so a pair that may overlap (which no
+TimeML label expresses) is entailed nothing.  An inconsistent side has no
+closure: it entails only its own stored labels, and it is flagged.
 """
 
 from __future__ import annotations

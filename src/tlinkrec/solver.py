@@ -89,14 +89,27 @@ class SolverStats:
     milp_cols: int = 0
 
 
-class OwnRowViolated(RuntimeError):
-    """milp returned a point that breaks one of the rows it was given; key is
-    that row's (k, a, b)."""
+class RowError(RuntimeError):
+    """A solve that stopped at a row; key is that row's (k, a, b).  The
+    message is prefix plus the subclass's text, with the row's name."""
+
+    text: str
 
     def __init__(self, key: Sequence[int], prefix: str = ""):
         self.key = tuple(int(v) for v in key)
-        super().__init__(f"{prefix}MIP solve returned a point that violates "
-                         f"its own row {row_name(*self.key)}")
+        super().__init__(prefix + self.text.format(row=row_name(*self.key)))
+
+
+class OwnRowViolated(RowError):
+    """milp returned a point that breaks one of the rows it was given."""
+
+    text = "MIP solve returned a point that violates its own row {row}"
+
+
+class NoIncumbent(RowError):
+    """The time limit passed while the row was still broken."""
+
+    text = NO_INCUMBENT + "; row {row} is still broken"
 
 
 @dataclass
@@ -122,9 +135,9 @@ def _solution(program: BinaryProgram, labels: np.ndarray, proven: bool,
 def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Solution:
     """Optimal solution (proven_optimal=True) or best incumbent on timeout.
 
-    Raises RuntimeError when the time limit passes before an incumbent that
-    satisfies the full program is found or when HiGHS fails, and
-    OwnRowViolated when it returns a point that breaks one of its own rows.
+    Raises NoIncumbent when the time limit passes before an incumbent that
+    satisfies the full program is found, OwnRowViolated when HiGHS returns a
+    point that breaks one of its own rows, and RuntimeError when it fails.
     """
     if not time_limit > 0:  # also rejects NaN
         raise ValueError("time_limit must be positive")
@@ -146,7 +159,7 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         # no component is solved again after it: the answer stays unproven,
         # and a row it still breaks cannot be mended.
         if not proven:
-            raise RuntimeError(NO_INCUMBENT)
+            raise NoIncumbent(broken[0])
         again = (broken[:, None] == keys).all(axis=2).any(axis=1)
         if again.any():
             raise OwnRowViolated(broken[again][0])
@@ -157,7 +170,7 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         keys = np.concatenate((keys, new))
         remaining = time_limit - (time.monotonic() - t0)
         if remaining <= 0:
-            raise RuntimeError(NO_INCUMBENT)
+            raise NoIncumbent(broken[0])
         # Components of the program's arcs joined by the active rows; an arc
         # in no active row is a component of its own and never touched.  The
         # touched ones hold a newly active row.
@@ -181,7 +194,7 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         stats.rounds += 1
         stats.milp_cols += len(cols)
         if res.status == 1 and res.x is None:
-            raise RuntimeError(NO_INCUMBENT)
+            raise NoIncumbent(broken[0])
         if res.status not in (0, 1):
             raise RuntimeError(f"MIP solve failed: {res.message}")
         stats.nodes_explored += res.mip_node_count

@@ -9,14 +9,18 @@ HiGHS in one call, so it referees solve()'s lazy separation on programs of any
 size.
 is_consistent_labeling() checks every fully labelled triangle of a
 single-label graph against the composition table.
-naive_closure() is the triple-loop path-consistency closure that
-relations.closure's whole-array sweeps must agree with, INCONSISTENT included.
+model_closure() and path_consistency_closure() are the closures that
+relations.closure must agree with, INCONSISTENT included.  model_closure()
+enumerates every placement of at most 4 entities as intervals on 8 points.
+path_consistency_closure() runs triple-loop path consistency on the interval
+endpoints, for graphs of any size; it is checked against model_closure().
+Both decode labels with point_oracle and share no code with the package.
 """
 
 from __future__ import annotations
 
 import time
-from functools import lru_cache
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -24,20 +28,16 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from tlinkrec.model import N_LABELS, BinaryProgram
 from tlinkrec.relations import (
-    _BIT,
-    _CANONICAL_MASK,
-    _COMPOSITION,
-    _INVERSE,
-    _SINGLE,
     INCONSISTENT,
     EventGraph,
     RelType,
     _Inconsistent,
-    _labels,
     collapse,
     compose,
 )
 from tlinkrec.solver import Solution, SolverStats
+
+from point_oracle import CANONICAL, LABEL_OF_GRID, rel_between
 
 
 def _solution_of(program: BinaryProgram, chosen: List[int], proven: bool,
@@ -221,63 +221,131 @@ def is_consistent_labeling(g: EventGraph) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _invert_mask(mask: int) -> int:
-    out = 0
-    for r in _labels(mask):
-        out |= _BIT[_INVERSE[r]]
-    return out
+# --- closure referees ---------------------------------------------------------
+#
+# Neither reads the package's closure, composition table or endpoint grids:
+# labels are decoded by point_oracle from the order of the endpoints.
+
+_CANONICAL_NAME = {"DURING": "IS_INCLUDED", "DURING_INV": "INCLUDES",
+                   "IDENTITY": "SIMULTANEOUS"}
+_N_POINTS = 8  # enough for any order of the endpoints of 4 intervals
+_PLACEMENTS = [(s, e) for s in range(_N_POINTS) for e in range(s + 1, _N_POINTS)]
+_PLACED_NAMES = [None] + CANONICAL
+# _PLACED[a, b]: index in _PLACED_NAMES of the label between placements a and b
+_PLACED = np.array([[_PLACED_NAMES.index(rel_between(*x, *y)) for y in _PLACEMENTS]
+                    for x in _PLACEMENTS])
 
 
-@lru_cache(maxsize=None)
-def _compose_masks(mask_a: int, mask_b: int) -> int:
-    out = 0
-    for a in _labels(mask_a):
-        for b in _labels(mask_b):
-            out |= _COMPOSITION[(a, b)]
-    return out
-
-
-def naive_closure(g: EventGraph) -> Union[EventGraph, _Inconsistent]:
-    """The labels g entails, or INCONSISTENT, by naive triple iteration.
-
-    Every pair starts at the full canonical set, or at its collapsed label if
-    g labels it (NONE labels nothing); every pair is then repeatedly
-    intersected, in place, with the composition along each two-edge path
-    until fixpoint.  The result holds each pair the fixpoint pins to one
-    canonical label.
-    """
+def _linked(g: EventGraph) -> Tuple[List[str], List[Tuple[int, int, str]]]:
+    """Sorted nodes, and each labelled pair (i, j, canonical name) with i < j."""
     nodes = sorted(g.nodes)
-    n = len(nodes)
-    m = [[_CANONICAL_MASK] * n for _ in range(n)]
     index = {node: i for i, node in enumerate(nodes)}
-    for p, q, rel in g.edges():
-        if rel is not RelType.NONE:
-            i, j = index[p], index[q]
-            m[i][j] = _BIT[collapse(rel)]
-            m[j][i] = _invert_mask(m[i][j])
+    return nodes, [(index[p], index[q], _CANONICAL_NAME.get(rel.name, rel.name))
+                   for p, q, rel in g.edges() if rel is not RelType.NONE]
+
+
+def model_closure(g: EventGraph) -> Union[EventGraph, _Inconsistent]:
+    """The labels g entails, or INCONSISTENT, by enumerating its models.
+
+    Every placement of g's entities (at most 4) as intervals on 8 points is
+    tried: 28 ** 4 = 614,656 placements for four.  g is INCONSISTENT iff no
+    placement realises all its labels, and a pair is entailed a label iff
+    every placement that does gives the pair that label.
+    """
+    nodes, linked = _linked(g)
+    if len(nodes) > 4:
+        raise ValueError(f"too many entities to enumerate: {len(nodes)}")
+    placed = np.indices((len(_PLACEMENTS),) * len(nodes)).reshape(
+        len(nodes), len(_PLACEMENTS) ** len(nodes))
+    models = np.ones(placed.shape[1], dtype=bool)
+    for i, j, name in linked:
+        models &= _PLACED[placed[i], placed[j]] == _PLACED_NAMES.index(name)
+    if not models.any():
+        return INCONSISTENT
+    out = EventGraph(g.nodes)
+    for i, j in combinations(range(len(nodes)), 2):
+        seen = np.unique(_PLACED[placed[i, models], placed[j, models]])
+        if len(seen) == 1 and seen[0]:
+            out.set_relation(nodes[i], nodes[j], RelType[_PLACED_NAMES[seen[0]]])
+    return out
+
+
+# Point relations as sets of the basic relations <, =, > (bits 1, 2, 4).
+_LT, _EQ, _GT = 1, 2, 4
+_ANY = _LT | _EQ | _GT
+_BASIC_COMPOSE = {(_LT, _LT): _LT, (_LT, _EQ): _LT, (_LT, _GT): _ANY,
+                  (_EQ, _LT): _LT, (_EQ, _EQ): _EQ, (_EQ, _GT): _GT,
+                  (_GT, _LT): _ANY, (_GT, _EQ): _GT, (_GT, _GT): _GT}
+_CMP = {_LT: -1, _EQ: 0, _GT: 1}
+_OF_CMP = {c: r for r, c in _CMP.items()}
+
+
+def _converse(r: int) -> int:
+    return (r & _EQ) | (_LT if r & _GT else 0) | (_GT if r & _LT else 0)
+
+
+def _compose_sets(r: int, s: int) -> int:
+    out = 0
+    for a in (_LT, _EQ, _GT):
+        for b in (_LT, _EQ, _GT):
+            if r & a and s & b:
+                out |= _BASIC_COMPOSE[(a, b)]
+    return out
+
+
+_COMPOSE = [[_compose_sets(r, s) for s in range(8)] for r in range(8)]
+
+
+def path_consistency_closure(g: EventGraph) -> Union[EventGraph, _Inconsistent]:
+    """The labels g entails, or INCONSISTENT, by path consistency on the
+    endpoints.
+
+    Entity i has the points 2i (start) and 2i + 1 (end), with start < end.
+    Each label sets its pair's four endpoint relations, from point_oracle's
+    grids.  Every relation is then intersected, in place, with the
+    composition along each two-step path until fixpoint; an empty relation
+    makes g INCONSISTENT.  The relations stay in the point algebra without
+    !=, where path consistency gives the minimal network (van Beek 1992).  A
+    pair is entailed a label iff its four endpoint relations are each one
+    basic relation and their grid has a label.
+    """
+    nodes, linked = _linked(g)
+    n = 2 * len(nodes)
+    r = [[_ANY] * n for _ in range(n)]
+    for u in range(n):
+        r[u][u] = _EQ
+    for i in range(len(nodes)):
+        r[2 * i][2 * i + 1], r[2 * i + 1][2 * i] = _LT, _GT
+    grids = {name: grid for grid, name in LABEL_OF_GRID.items() if name}
+    for i, j, name in linked:
+        for cell, c in enumerate(grids[name]):
+            u, v = 2 * i + cell // 2, 2 * j + cell % 2
+            basic = _OF_CMP[c]
+            r[u][v] &= basic
+            r[v][u] &= _converse(basic)
+            if not r[u][v]:
+                return INCONSISTENT
 
     changed = True
     while changed:
         changed = False
-        for i in range(n):
-            mi = m[i]
-            for j in range(i + 1, n):
-                cur = mi[j]
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    cur &= _compose_masks(mi[k], m[k][j])
-                    if cur == 0:
-                        return INCONSISTENT
-                if cur != mi[j]:
-                    mi[j] = cur
-                    m[j][i] = _invert_mask(cur)
+        for u in range(n):
+            ru = r[u]
+            for v in range(n):
+                cur = ru[v]
+                for w in range(n):
+                    cur &= _COMPOSE[ru[w]][r[w][v]]
+                if not cur:
+                    return INCONSISTENT
+                if cur != ru[v]:
+                    ru[v], r[v][u] = cur, _converse(cur)
                     changed = True
 
     out = EventGraph(g.nodes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] in _SINGLE:
-                out.set_relation(nodes[i], nodes[j], _SINGLE[m[i][j]])
+    for i, j in combinations(range(len(nodes)), 2):
+        cells = [r[2 * i + cell // 2][2 * j + cell % 2] for cell in range(4)]
+        if all(c in _CMP for c in cells):
+            name = LABEL_OF_GRID[tuple(_CMP[c] for c in cells)]
+            if name:
+                out.set_relation(nodes[i], nodes[j], RelType[name])
     return out

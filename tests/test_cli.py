@@ -6,7 +6,9 @@ from click.testing import CliRunner
 
 import tlinkrec.cli as cli_module
 from tlinkrec.cli import cli, main
+from tlinkrec.relations import RelType
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
+from tlinkrec.timeml import EntityKind, EntityRef, TLink, write_timeml
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +117,45 @@ class TestScoreCommand:
         rows = {line.split(",")[0]: line.split(",")
                 for line in captured.out.splitlines()}
         assert rows["synth_001"][1:4] == ["0.0000", "0.0000", "0.0000"]
+
+
+def write_before_cycle(path, doc):
+    """A document whose three BEFORE links form a cycle: INCONSISTENT."""
+    a, b, c = (EntityRef(EntityKind.EVENT_INSTANCE, f"ei{i}", doc) for i in (1, 2, 3))
+    write_timeml([a, b, c], [TLink(a, b, RelType.BEFORE), TLink(b, c, RelType.BEFORE),
+                             TLink(c, a, RelType.BEFORE)], path)
+
+
+class TestInconsistentReported:
+    def test_score_names_each_inconsistent_side(self, corpus_root, tmp_path, capsys):
+        ref, system = tmp_path / "reference", tmp_path / "system"
+        shutil.copytree(corpus_root / "reference", ref)
+        shutil.copytree(corpus_root / "reference", system)
+        main(["score", "--system", str(system), "--reference", str(ref)])
+        consistent = capsys.readouterr()
+        assert consistent.err == ""
+        write_before_cycle(ref / "synth_000.tml", "synth_000")
+        write_before_cycle(system / "synth_002.tml", "synth_002")
+        main(["score", "--system", str(system), "--reference", str(ref)])
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "reference/synth_000: INCONSISTENT, scored by its stored labels",
+            "system/synth_002: INCONSISTENT, scored by its stored labels"]
+        rows = captured.out.splitlines()
+        assert rows[0] == consistent.out.splitlines()[0]
+        assert rows[2] == consistent.out.splitlines()[2]  # synth_001 unchanged
+
+    def test_reconcile_names_an_inconsistent_reference(self, corpus_root, tmp_path,
+                                                       capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_root, corpus)
+        write_before_cycle(corpus / "reference" / "synth_001.tml", "synth_001")
+        main(["reconcile", "--corpus", str(corpus), "--members", "alpha,beta",
+              "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "reference/synth_001: INCONSISTENT, scored by its stored labels"]
+        assert captured.out.startswith("F1 ")
 
 
 class TestExportLpCommand:

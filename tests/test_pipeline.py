@@ -32,7 +32,7 @@ from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
 from tlinkrec.timeml import (ClassifierRun, Corpus, EntityKind, EntityRef, TLink,
                              canonical_votes, load_corpus, parse_timeml)
 
-from referees import is_consistent_labeling, naive_closure
+from referees import is_consistent_labeling, path_consistency_closure
 
 
 CLASSIFIERS = [
@@ -179,10 +179,11 @@ class TestReconcile:
                 rf"triangle row t{k}_1_1 violated: lhs 2 > 1$")):
             reconcile(corpus, members, doc_filter=set(docs))
 
-    def test_own_row_error_names_the_document_and_its_row(self, monkeypatch):
-        # Two documents of one triangle each; only the second one's votes
-        # break it, so the stack's broken row is t1_1_1, the second
-        # document's t0_1_1.  milp returns the argmax point again.
+    @staticmethod
+    def second_document_breaks_its_triangle():
+        """Two documents of one triangle each; only the second one's votes
+        break it, so the stack's broken row is t1_1_1, the second document's
+        t0_1_1."""
         def doc(name, rel_13):
             e1, e2, e3 = (EntityRef(EntityKind.EVENT_INSTANCE, f"ei{i}", name)
                           for i in (1, 2, 3))
@@ -191,7 +192,11 @@ class TestReconcile:
 
         run = ClassifierRun("m", 1.0, {"d0": doc("d0", RelType.BEFORE),
                                        "d1": doc("d1", RelType.AFTER)})
-        corpus = Corpus({"m": run}, ClassifierRun("ref", 1.0, {"d0": [], "d1": []}))
+        return Corpus({"m": run}, ClassifierRun("ref", 1.0, {"d0": [], "d1": []}))
+
+    def test_own_row_error_names_the_document_and_its_row(self, monkeypatch):
+        # milp returns the argmax point again.
+        corpus = self.second_document_breaks_its_triangle()
 
         def argmax_point(c, constraints, **kwargs):
             partition = constraints[0].A
@@ -203,6 +208,15 @@ class TestReconcile:
         monkeypatch.setattr(solver, "milp", argmax_point)
         with pytest.raises(RuntimeError, match=(
                 r"^d1: MIP solve returned a point that violates its own row t0_1_1$")):
+            reconcile(corpus, ["m"])
+
+    def test_timeout_names_the_document_and_its_row(self, monkeypatch):
+        # milp runs out of time before it finds any incumbent.
+        corpus = self.second_document_breaks_its_triangle()
+        monkeypatch.setattr(solver, "milp", lambda c, **kwargs: OptimizeResult(
+            status=1, x=None, mip_node_count=0, message="fake time limit"))
+        with pytest.raises(solver.NoIncumbent, match=(
+                rf"^d1: {solver.NO_INCUMBENT}; row t0_1_1 is still broken$")):
             reconcile(corpus, ["m"])
 
     def test_arc_voted_only_by_a_weight_0_member_gets_no_tlink(self, corpus):
@@ -377,7 +391,7 @@ class TestReferenceClosures:
         # 6 references, 3 members on 3 S1 documents, 4 ensembles on 3 S2 documents
         assert len(closed_graphs) == 6 + 3 * 3 + 4 * 3
         for _, g in closed_graphs:
-            assert closure(g) == naive_closure(g)
+            assert closure(g) == path_consistency_closure(g)
 
 
 class TestRepeatedMembers:

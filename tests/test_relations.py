@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tlinkrec.relations as relations
 from tlinkrec.relations import (
-    _BLOCK_CELLS,
     CANONICAL_LABELS,
     EventGraph,
     INCONSISTENT,
@@ -23,7 +21,8 @@ from tlinkrec.relations import (
 )
 
 from point_oracle import oracle_composition_table, oracle_inverse_table
-from referees import is_consistent_labeling, naive_closure
+from referees import (is_consistent_labeling, model_closure,
+                      path_consistency_closure)
 
 
 def to_names(rs):
@@ -143,7 +142,6 @@ class TestClosure:
 
     def test_long_chain_spans_several_row_blocks(self):
         n = 120
-        assert n ** 3 > 2 * _BLOCK_CELLS  # one sweep gathers several blocks
         chain = chain_graph(*[RelType.BEFORE] * (n - 1))
         closed = closure(chain)
         assert closed is not INCONSISTENT
@@ -151,36 +149,52 @@ class TestClosure:
         assert all(closed.get(f"n{i}", f"n{j}") is RelType.BEFORE
                    for i, j in combinations(range(n), 2))
 
-    def test_one_row_blocks_give_the_same_closure(self, monkeypatch):
-        # Blocks smaller than one row: every table row and every gathered row
-        # is its own block.
-        monkeypatch.setattr(relations, "_BLOCK_CELLS", 8)
-        rng = random.Random(9)
-        for _ in range(40):
-            g = random_model_graph(rng, rng.randint(2, 12), density=0.5)
-            for p, q, _ in list(g.edges())[:rng.randint(0, 2)]:
-                g.set_relation(p, q, rng.choice(NON_NONE))
-            assert closure(g) == naive_closure(g)
-
     def test_long_cycle_inconsistent(self):
         cycle = chain_graph(*[RelType.BEFORE] * 119)
         cycle.set_relation("n119", "n0", RelType.BEFORE)
         assert closure(cycle) is INCONSISTENT
 
     def test_sound_on_interval_models(self):
-        # Every entailed label is the relation the model's intervals have.
-        rng = random.Random(8)
-        entailed = 0
-        for _ in range(300):
-            intervals, g = random_model(rng, rng.randint(3, 9),
-                                        density=rng.choice((0.3, 0.5, 0.7)))
-            closed = closure(g)
-            assert closed is not INCONSISTENT
-            for p, q, rel in closed.edges():
-                x, y = intervals[int(p[1:])], intervals[int(q[1:])]
-                assert rel is relation_from_intervals(x, y), (p, q, rel)
-                entailed += 1
-        assert entailed > 2000
+        # Every entailed label is the relation the model's intervals have,
+        # also where intervals may overlap: such a pair is left unlabelled.
+        for avoid_overlap in (True, False):
+            rng = random.Random(8)
+            entailed = 0
+            for _ in range(300):
+                intervals, g = random_model(rng, rng.randint(3, 9),
+                                            density=rng.choice((0.3, 0.5, 0.7)),
+                                            avoid_overlap=avoid_overlap)
+                closed = closure(g)
+                assert closed is not INCONSISTENT, (avoid_overlap, intervals)
+                for p, q, rel in closed.edges():
+                    x, y = intervals[int(p[1:])], intervals[int(q[1:])]
+                    assert rel is relation_from_intervals(x, y), (p, q, rel)
+                    entailed += 1
+            assert entailed > 2000
+
+    def test_counterexample_begun_by_then_ends_is_consistent(self):
+        # (1, 4), (1, 2), (0, 2) realise both links; the label-mask closure
+        # assumed n0 and n2 do not overlap and called the graph INCONSISTENT.
+        x, y, z = (1, 4), (1, 2), (0, 2)
+        assert relation_from_intervals(x, y) is RelType.BEGUN_BY
+        assert relation_from_intervals(y, z) is RelType.ENDS
+        assert relation_from_intervals(x, z) is None  # they overlap
+        closed = closure(chain_graph(RelType.BEGUN_BY, RelType.ENDS))
+        assert closed is not INCONSISTENT
+        assert closed.get("n0", "n2") is None
+
+    def test_counterexample_ended_by_is_included_ends_entails_no_label(self):
+        # (0, 6), (4, 6), (2, 10), (1, 10) realise the three links while n0
+        # and n3 overlap; the label-mask closure entailed n0 IS_INCLUDED n3.
+        intervals = [(0, 6), (4, 6), (2, 10), (1, 10)]
+        labels = (RelType.ENDED_BY, RelType.IS_INCLUDED, RelType.ENDS)
+        for i, rel in enumerate(labels):
+            assert relation_from_intervals(intervals[i], intervals[i + 1]) is rel
+        assert relation_from_intervals(intervals[0], intervals[3]) is None
+        closed = closure(chain_graph(*labels))
+        assert closed is not INCONSISTENT
+        assert closed.get("n0", "n3") is None
+        assert closed.get("n1", "n3") is RelType.IS_INCLUDED
 
 
 @st.composite
@@ -209,7 +223,24 @@ def perturbed_model_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(perturbed_model_graphs())
 def test_closure_matches_naive_closure(g):
-    assert closure(g) == naive_closure(g)  # INCONSISTENT equals only itself
+    closed = closure(g)
+    assert closed == path_consistency_closure(g)  # INCONSISTENT equals only itself
+    if len(g.nodes) <= 4:
+        assert closed == model_closure(g)
+
+
+def test_path_consistency_referee_matches_model_enumerator():
+    rng = random.Random(10)
+    inconsistent = 0
+    for _ in range(150):
+        _, g = random_model(rng, rng.randint(1, 4),
+                            density=rng.choice((0.5, 0.8, 1.0)), avoid_overlap=False)
+        for p, q, _ in list(g.edges())[:rng.randint(0, 2)]:
+            g.set_relation(p, q, rng.choice(NON_NONE))
+        expected = model_closure(g)
+        inconsistent += expected is INCONSISTENT
+        assert path_consistency_closure(g) == expected, list(g.edges())
+    assert 10 < inconsistent < 140
 
 
 def random_model_graph(rng, n_nodes, density=0.6, avoid_overlap=True):

@@ -115,6 +115,14 @@ class TestTemporalAwareness:
         counts = temporal_awareness(graph_of(("a", "b", RelType.BEFORE)), sys)
         assert counts.inconsistent_sys
 
+    def test_overlap_realisable_system_not_flagged(self):
+        # a BEGUN_BY b, b ENDS c holds for (1, 4), (1, 2), (0, 2), where a
+        # and c overlap, so the system graph is consistent.
+        sys = graph_of(("a", "b", RelType.BEGUN_BY), ("b", "c", RelType.ENDS))
+        counts = temporal_awareness(graph_of(("a", "b", RelType.BEGUN_BY)), sys)
+        assert not counts.inconsistent_sys
+        assert counts.verified_ref == 1
+
     def test_none_edge_counts_but_never_verifies(self):
         g = graph_of(("a", "b", RelType.BEFORE), ("b", "c", RelType.NONE))
         counts = temporal_awareness(g, g)
