@@ -121,11 +121,13 @@ def _read_ensembles(path: str) -> Dict[str, EnsembleSpec]:
     return ensembles
 
 
-def _report_inconsistent(report: ScoreReport) -> None:
-    """One stderr line per document side whose graph is INCONSISTENT."""
+def _report_inconsistent(report: ScoreReport, system: str = "system",
+                         reference: bool = True) -> None:
+    """One stderr line per document side whose graph is INCONSISTENT, the
+    system side named system; reference=False leaves out the reference side."""
     for doc, counts in sorted(report.per_document.items()):
-        for side, flagged in (("reference", counts.inconsistent_ref),
-                              ("system", counts.inconsistent_sys)):
+        for side, flagged in (("reference", reference and counts.inconsistent_ref),
+                              (system, counts.inconsistent_sys)):
             if flagged:
                 click.echo(f"{side}/{doc}: INCONSISTENT, scored by its stored labels",
                            err=True)
@@ -245,6 +247,10 @@ def experiment_cmd(corpus_root, procedure, ensembles_path, weights_path, split_p
     )
     runner = run_procedure_one if procedure == "1" else run_procedure_two
     rows = runner(config, list(ensembles.values()))
+    # Every ensemble is scored on the same reference documents, so the
+    # reference side is named once, with the first ensemble.
+    for i, row in enumerate(rows):
+        _report_inconsistent(row.report, row.spec.display(), reference=i == 0)
     table = format_experiment_table(rows)
     click.echo(table, nl=False)
     if out_dir:

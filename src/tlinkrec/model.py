@@ -2,11 +2,13 @@
 
 Variables x_<arc>_<ordinal> are binary; each arc carries exactly one of the 15
 labels (partition rows), and every fully present arc triangle gets one row per
-ordered non-NONE label pair (a, b): choosing a on pq and b on qr forces the pr
-label into the composition set of (a, b).  By default NONE is added to the
-conclusion side, so labeling pr as NONE never violates a triangle row.  In
-either mode every +1 entry sits on a non-NONE label, so the all-NONE
-assignment satisfies every row and keeps every instance feasible.
+ordered non-NONE label pair (a, b) that restricts pr: choosing a on pq and b
+on qr forces the pr label into the labels that three intervals can realise
+with a and b (relations.TRIANGLE).  By default NONE, which relates nothing,
+is among them, so labeling pr as NONE never violates a triangle row; strict
+mode forbids it.  In either mode every +1 entry sits on a non-NONE label, so
+the all-NONE assignment satisfies every row and keeps every instance
+feasible.
 
 A program is its triangle array: separation and verification read the table
 allowed[a, b, c] of label triples, and rows become a matrix only by key (k, a,
@@ -23,7 +25,7 @@ from typing import BinaryIO, Iterable, List, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .relations import CANONICAL_LABELS, NON_NONE, RelType, compose, synonyms
+from .relations import TRIANGLE, RelType
 from .timeml import CanonicalArc, ClassifierRun, canonical_votes
 
 N_LABELS = len(RelType)  # 15
@@ -82,21 +84,17 @@ def _allowed(none_breaks_triangles: bool) -> np.ndarray:
     """allowed[a, b, c] (ordinals - 1): labels a on pq, b on qr and c on pr
     break no triangle row of the mode.
 
-    Row (a, b) has +1 on a of pq and on b of qr, and -1 on every c that
-    allowed[a, b, c] holds; a pair with NONE, or whose row is suppressed,
-    allows every c.
+    The default mode's table is relations.TRIANGLE, the triples that three
+    intervals can realise, where NONE relates nothing; strict mode also
+    forbids NONE on pr when pq and qr carry labels other than NONE (NONE is
+    the last ordinal).  Row (a, b) has +1 on a of pq and on b of qr, and -1
+    on every c that allowed[a, b, c] holds; a pair that allows every c has
+    no row.
     """
-    allowed = np.ones((N_LABELS,) * 3, dtype=bool)
-    for a in NON_NONE:
-        for b in NON_NONE:
-            cstar = compose(a, b)
-            if cstar == set(CANONICAL_LABELS) and not none_breaks_triangles:
-                continue
-            minus = {s for c in cstar for s in synonyms(c)}
-            if not none_breaks_triangles:
-                minus.add(RelType.NONE)
-            allowed[a.value - 1, b.value - 1] = False
-            allowed[a.value - 1, b.value - 1, [s.value - 1 for s in minus]] = True
+    if not none_breaks_triangles:
+        return TRIANGLE
+    allowed = TRIANGLE.copy()
+    allowed[:-1, :-1, RelType.NONE - 1] = False
     allowed.flags.writeable = False  # one copy for every caller
     return allowed
 
@@ -207,10 +205,10 @@ def build_ip(votes: VoteTable, *,
              none_breaks_triangles: bool = False) -> BinaryProgram:
     """The objective and triangle array of one document's program.
 
-    Rows whose composition set places no restriction (all 14 labels once
-    synonyms are expanded) are suppressed in the default mode; in strict mode
-    (none_breaks_triangles=True) they still forbid a NONE conclusion, so they
-    are kept.
+    Its rows are those of the mode's label table (_allowed).  In the default
+    mode a pair (a, b) whose composition holds every label allows every pr
+    label, so it has no row; in strict mode (none_breaks_triangles=True) the
+    pair still forbids a NONE conclusion, so it keeps its row.
     """
     objective = votes.alpha.reshape(-1).astype(float)
     return BinaryProgram(objective, enumerate_triangles(votes.arcs),

@@ -2,17 +2,20 @@
 
 The 14 TimeML relation labels (plus an artificial NONE) are grounded in the
 interval algebra: every label maps to a basic interval relation, expressed as
-order constraints between the four interval endpoints.  The composition table
-is generated from those endpoint constraints once, at import, as one dict of
-(a, b) -> label mask that every reader shares, so no entry is hand-typed.
-SIMULTANEOUS/IDENTITY and IS_INCLUDED/DURING (and their inverses) denote the
-same interval relation; composition results are emitted in canonical form
-(SIMULTANEOUS, IS_INCLUDED, INCLUDES), and consistency checks collapse the
-synonyms before testing membership.
+order constraints between the four interval endpoints.  SIMULTANEOUS/IDENTITY
+and IS_INCLUDED/DURING (and their inverses) denote the same interval
+relation; composition results are emitted in canonical form (SIMULTANEOUS,
+IS_INCLUDED, INCLUDES).
 
-closure() works on the same endpoint constraints, not on the composition
-table: it decides consistency and entailment exactly by reachability between
-endpoints.  TimeML has no label for two overlapping intervals, so a pair that
+Everything else is read off endpoint graphs, through one kernel,
+_endpoint_order, which gives reachability and strict precedence for a stack
+of labelled graphs.  At import it builds TRIANGLE[a, b, c], the label
+triples that three intervals p, q, r can realise on pq, qr and pr: a graph
+of three entities is realisable iff no endpoint strictly precedes itself
+(Allen 1983; Vilain & Kautz 1986).  compose, dump_table and the program's
+label table read TRIANGLE, so no entry is hand-typed.  closure() runs the
+kernel on a whole event graph and decides consistency and entailment
+exactly.  TimeML has no label for two overlapping intervals, so a pair that
 may overlap is entailed no label, and an unlabelled pair is never assumed
 not to overlap.
 """
@@ -87,84 +90,37 @@ def collapse(r: RelType) -> RelType:
     return _COLLAPSE.get(r, r)
 
 
-def synonyms(r: RelType) -> Tuple[RelType, ...]:
-    """All labels denoting the same interval relation as canonical label r."""
-    extra = tuple(k for k, v in _COLLAPSE.items() if v is r)
-    return (r,) + extra
-
-
 # --- endpoint semantics ----------------------------------------------------
 #
-# Each basic interval relation between intervals x = (x1, x2) and y = (y1, y2)
-# is a 2x2 grid of point relations: entry [i][k] relates endpoint x_{i+1} to
-# endpoint y_{k+1}, each one of '<', '=', '>'.
+# Each canonical label is one basic interval relation between x = (x1, x2)
+# and y = (y1, y2): the relations x1?y1, x1?y2, x2?y1 and x2?y2, each one of
+# <, = and >.  A synonym has its canonical label's grid, and NONE has none.
+# Allen's overlaps and overlapped-by have no TimeML label.
 
-_ALLEN_ENDPOINTS: Dict[str, Tuple[Tuple[str, str], Tuple[str, str]]] = {
-    "b":  (("<", "<"), ("<", "<")),
-    "bi": ((">", ">"), (">", ">")),
-    "m":  (("<", "<"), ("=", "<")),
-    "mi": ((">", "="), (">", ">")),
-    "o":  (("<", "<"), (">", "<")),
-    "oi": ((">", "<"), (">", ">")),
-    "s":  (("=", "<"), (">", "<")),
-    "si": (("=", "<"), (">", ">")),
-    "d":  ((">", "<"), (">", "<")),
-    "di": (("<", "<"), (">", ">")),
-    "f":  ((">", "<"), (">", "=")),
-    "fi": (("<", "<"), (">", "=")),
-    "eq": (("=", "<"), (">", "=")),
+_ALLEN_ENDPOINTS = {
+    RelType.BEFORE: "<<<<",
+    RelType.AFTER: ">>>>",
+    RelType.IBEFORE: "<<=<",
+    RelType.IAFTER: ">=>>",
+    RelType.INCLUDES: "<<>>",
+    RelType.IS_INCLUDED: "><><",
+    RelType.BEGINS: "=<><",
+    RelType.BEGUN_BY: "=<>>",
+    RelType.ENDS: "><>=",
+    RelType.ENDED_BY: "<<>=",
+    RelType.SIMULTANEOUS: "=<>=",
 }
 
-# Interval relations with no TimeML label (overlap and its converse) simply
-# contribute nothing when a composition result is decoded back to labels.
-_ALLEN_TO_TIMEML = {
-    "b": RelType.BEFORE,
-    "bi": RelType.AFTER,
-    "m": RelType.IBEFORE,
-    "mi": RelType.IAFTER,
-    "di": RelType.INCLUDES,
-    "d": RelType.IS_INCLUDED,
-    "s": RelType.BEGINS,
-    "si": RelType.BEGUN_BY,
-    "f": RelType.ENDS,
-    "fi": RelType.ENDED_BY,
-    "eq": RelType.SIMULTANEOUS,
-}
-
-_TIMEML_TO_ALLEN = {
-    r: name for name, canon in _ALLEN_TO_TIMEML.items() for r in synonyms(canon)
-}
-
-
-def _point_compose(x: str, y: str) -> frozenset:
-    """Relations possible between points u, w given u x v and v y w."""
-    if x == "=":
-        return frozenset(y)
-    if y in ("=", x):
-        return frozenset(x)
-    return frozenset("<=>")
-
-
-def _allen_compose(a: str, b: str) -> frozenset:
-    """Basic-relation composition derived from endpoint constraints.
-
-    Point relations between the endpoints of p and r are composed through the
-    shared interval q; a candidate relation is possible iff its endpoint grid
-    agrees with every composed constraint.
-    """
-    ga, gb = _ALLEN_ENDPOINTS[a], _ALLEN_ENDPOINTS[b]
-    grid = [[None, None], [None, None]]
-    for i in range(2):
-        for k in range(2):
-            allowed = frozenset("<=>")
-            for j in range(2):
-                allowed &= _point_compose(ga[i][j], gb[j][k])
-            grid[i][k] = allowed
-    out = set()
-    for cand, gc in _ALLEN_ENDPOINTS.items():
-        if all(gc[i][k] in grid[i][k] for i in range(2) for k in range(2)):
-            out.add(cand)
-    return frozenset(out)
+# The endpoint relations as codes: 0 is "not entailed" (or NONE's, which
+# relates nothing), and 1, 2, 3 are <, =, >.  As base-4 digits a grid's four
+# codes give it one number, which _GRID_LABEL decodes to the label's ordinal,
+# or to 0 for a grid with no label (overlaps, or a cell not entailed).
+_LABEL_CELLS = np.zeros((len(RelType) + 1, 4), dtype=np.int64)
+for _r in NON_NONE:
+    _LABEL_CELLS[_r] = [" <=>".index(c) for c in _ALLEN_ENDPOINTS[collapse(_r)]]
+_GRID_LABEL = np.zeros(4 ** 4, dtype=np.int64)
+for _r in CANONICAL_LABELS:
+    _GRID_LABEL[_LABEL_CELLS[_r] @ 4 ** np.arange(3, -1, -1)] = _r
 
 
 def relation_from_intervals(x: Tuple[int, int], y: Tuple[int, int]) -> Optional[RelType]:
@@ -175,51 +131,80 @@ def relation_from_intervals(x: Tuple[int, int], y: Tuple[int, int]) -> Optional[
     """
     if not (x[0] < x[1] and y[0] < y[1]):
         raise ValueError("intervals must have positive extent")
-
-    def cmp(u, v):
-        return "<" if u < v else (">" if u > v else "=")
-
-    grid = ((cmp(x[0], y[0]), cmp(x[0], y[1])), (cmp(x[1], y[0]), cmp(x[1], y[1])))
-    for name, g in _ALLEN_ENDPOINTS.items():
-        if g == grid:
-            return _ALLEN_TO_TIMEML.get(name)
-    raise AssertionError("unreachable: endpoint grid matches no basic relation")
+    grid = 0
+    for u in x:
+        for v in y:
+            grid = 4 * grid + 2 + (u > v) - (u < v)
+    label = _GRID_LABEL.item(grid)
+    return RelType(label) if label else None
 
 
-# --- label masks -----------------------------------------------------------
-#
-# Composition results are sets of canonical labels held as 14-bit masks
-# (bit = ordinal - 1); they never leave this module.
+def _endpoint_order(n: int, linked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Reachability and strict precedence in a stack of endpoint graphs.
 
-_BIT = {r: 1 << (r.value - 1) for r in NON_NONE}
+    linked is (k, m, 3): graph g's m rows (i, j, ordinal) label pairs of its
+    entities 0..n-1.  Node i is entity i's start and node n + i its end.  A
+    graph has a strict edge from each start to its end, and per labelled
+    pair (NONE labels nothing) a strict edge for each endpoint < and a
+    non-strict edge each way for each endpoint =.  Returns the (k, 2n, 2n)
+    bool arrays reach, the reflexive-transitive closure of all edges, and
+    before, where u strictly precedes v iff a path from u to v takes a
+    strict edge: reach . strict . reach.
+
+    reach is the fixpoint of repeated squaring, in float32: a product sums
+    0/1 entries over at most 2n nodes, which stays exact below 2**24.
+    """
+    size = 2 * n
+    strict = np.zeros((len(linked), size, size), dtype=np.float32)
+    strict[:, np.arange(n), np.arange(n, size)] = 1
+    # Cell c of a pair's grid relates endpoint c // 2 of i to endpoint c % 2
+    # of j; xy and yx index the cell's edge each way in the flattened stack.
+    cells = _LABEL_CELLS[linked[..., 2]]
+    x = linked[..., :1] + n * np.array([0, 0, 1, 1])
+    y = linked[..., 1:2] + n * np.array([0, 1, 0, 1])
+    graph = np.arange(len(linked))[:, None, None] * size * size
+    xy, yx = graph + x * size + y, graph + y * size + x
+    lt, eq, gt = cells == 1, cells == 2, cells == 3
+    strict.flat[xy[lt]] = strict.flat[yx[gt]] = 1
+    reach = np.maximum(np.eye(size, dtype=np.float32), strict)
+    reach.flat[xy[eq]] = reach.flat[yx[eq]] = 1
+    while True:
+        squared = np.minimum(reach @ reach, 1)
+        if np.array_equal(squared, reach):
+            break
+        reach = squared
+    return reach > 0, reach @ strict @ reach > 0
 
 
-def _labels(mask: int) -> Tuple[RelType, ...]:
-    """The labels of a mask, in ordinal order."""
-    return tuple(r for r in NON_NONE if mask & _BIT[r])
+def _triangle_table() -> np.ndarray:
+    """TRIANGLE[a, b, c] (ordinals - 1): a on pq, b on qr and c on pr are
+    jointly realisable, that is, their endpoint graph has no strict cycle.
+
+    Built one pq label at a time, as a stack of 15 x 15 three-entity graphs.
+    """
+    size = len(RelType)
+    # Graph i of the stack links p, q, r = 0, 1, 2 by pq, qr and pr, with
+    # the ordinals of the i-th (b, c) pair on qr and pr.
+    linked = np.empty((size * size, 3, 3), dtype=np.int64)
+    linked[:, :, :2] = [[0, 1], [1, 2], [0, 2]]
+    linked[:, 1:, 2] = np.indices((size, size)).reshape(2, -1).T + 1
+    table = np.empty((size,) * 3, dtype=bool)
+    for a in RelType:
+        linked[:, 0, 2] = a
+        before = _endpoint_order(3, linked)[1]
+        table[a - 1] = ~before.diagonal(axis1=1, axis2=2).any(axis=1).reshape(size, size)
+    table.flags.writeable = False  # one copy for every reader
+    return table
 
 
-# --- composition table ------------------------------------------------------
-#
-# Entries hold canonical labels only; synonym arguments share the entry of
-# their canonical label.
-
-_COMPOSITION: Dict[Tuple[RelType, RelType], int] = {
-    (a, b): sum(
-        _BIT[_ALLEN_TO_TIMEML[name]]
-        for name in _allen_compose(_TIMEML_TO_ALLEN[a], _TIMEML_TO_ALLEN[b])
-        if name in _ALLEN_TO_TIMEML
-    )
-    for a in NON_NONE
-    for b in NON_NONE
-}
+TRIANGLE = _triangle_table()
 
 
 def compose(a: RelType, b: RelType) -> FrozenSet[RelType]:
     """Set of labels consistent with a(p,q) and b(q,r); canonical labels only."""
     if a is RelType.NONE or b is RelType.NONE:
         raise ValueError("composition with NONE is undefined")
-    return frozenset(_labels(_COMPOSITION[(a, b)]))
+    return frozenset(c for c in CANONICAL_LABELS if TRIANGLE[a - 1, b - 1, c - 1])
 
 
 def dump_table() -> str:
@@ -229,7 +214,7 @@ def dump_table() -> str:
     """
     lines = ["\t".join(["."] + [r.name for r in NON_NONE])]
     for a in NON_NONE:
-        cells = [",".join(r.name for r in _labels(_COMPOSITION[(a, b)])) or "-"
+        cells = [",".join(r.name for r in sorted(compose(a, b))) or "-"
                  for b in NON_NONE]
         lines.append("\t".join([a.name] + cells))
     return "\n".join(lines) + "\n"
@@ -296,70 +281,30 @@ class EventGraph:
 Closure = EventGraph | _Inconsistent
 
 
-# Endpoint relations as codes: 0 is "not entailed", and 1, 2, 3 are <, =, >.
-# A label's grid is the four codes of x1?y1, x1?y2, x2?y1, x2?y2; as base-4
-# digits they give the grid one number, which _GRID_LABEL decodes to the
-# label's ordinal, or to 0 for a grid with no label (overlaps, or a cell not
-# entailed).
-_POINT_CODE = {"<": 1, "=": 2, ">": 3}
-_LABEL_CELLS = np.zeros((len(RelType) + 1, 4), dtype=np.int64)
-for _r in NON_NONE:
-    _LABEL_CELLS[_r] = [_POINT_CODE[c] for row in _ALLEN_ENDPOINTS[_TIMEML_TO_ALLEN[_r]]
-                        for c in row]
-_GRID_LABEL = np.zeros(4 ** 4, dtype=np.int64)
-for _r in CANONICAL_LABELS:
-    _GRID_LABEL[_LABEL_CELLS[_r] @ 4 ** np.arange(3, -1, -1)] = _r
-
-
 def closure(g: EventGraph) -> Closure:
     """The labels g entails, or INCONSISTENT.
 
     Each label is one interval relation, that is, four relations between the
-    endpoints of its pair, each one of <, = and >.  The endpoint graph has a
-    start and an end node per entity, a strict edge from each start to its
-    end, and per labelled pair (NONE labels nothing) a strict edge for each
-    endpoint < and a non-strict edge each way for each endpoint =.  With
-    reach the reflexive-transitive closure of all edges, u strictly precedes
-    v iff a path from u to v takes a strict edge: reach . strict . reach.
-    These constraints lie in the point algebra without !=, where paths give
-    the minimal network (Vilain & Kautz 1986; van Beek 1992): g is
-    INCONSISTENT iff some node strictly precedes itself, and otherwise each
-    endpoint pair is entailed to be < or >, entailed = when each reaches the
-    other, and else may take either of two relations.  A pair of entities
-    is pinned to a label iff all four of its endpoint relations are entailed
-    and their grid is a label's; the overlap grids pin nothing, and no
-    unlabelled pair is assumed not to overlap.
-
-    reach is the fixpoint of repeated squaring, in float32: a product sums
-    0/1 entries over at most 2n nodes, which stays exact below 2**24.
+    endpoints of its pair, each one of <, = and >; _endpoint_order gives
+    reachability and strict precedence in g's endpoint graph.  These
+    constraints lie in the point algebra without !=, where paths give the
+    minimal network (Vilain & Kautz 1986; van Beek 1992): g is INCONSISTENT
+    iff some node strictly precedes itself, and otherwise each endpoint pair
+    is entailed to be < or >, entailed = when each reaches the other, and
+    else may take either of two relations.  A pair of entities is pinned to
+    a label iff all four of its endpoint relations are entailed and their
+    grid is a label's; the overlap grids pin nothing, and no unlabelled pair
+    is assumed not to overlap.
     """
     nodes = sorted(g.nodes)
     n = len(nodes)
     index = {node: i for i, node in enumerate(nodes)}
-    linked = np.array([(index[p], index[q], rel) for p, q, rel in g.edges()
-                       if rel is not RelType.NONE], dtype=np.int64).reshape(-1, 3)
-    # node i is entity i's start and node n + i its end
-    strict = np.zeros((2 * n, 2 * n), dtype=np.float32)
-    strict[np.arange(n), np.arange(n, 2 * n)] = 1
-    reach = np.eye(2 * n, dtype=np.float32)
-    # cell c of a pair's grid relates endpoint c // 2 of p to endpoint c % 2 of q
-    cells = _LABEL_CELLS[linked[:, 2]]
-    x = linked[:, :1] + n * np.array([0, 0, 1, 1])
-    y = linked[:, 1:2] + n * np.array([0, 1, 0, 1])
-    lt, eq, gt = cells == 1, cells == 2, cells == 3
-    strict[x[lt], y[lt]] = strict[y[gt], x[gt]] = 1
-    reach[x[eq], y[eq]] = reach[y[eq], x[eq]] = 1
-    reach = np.maximum(reach, strict)
-    while True:
-        squared = np.minimum(reach @ reach, 1)
-        if np.array_equal(squared, reach):
-            break
-        reach = squared
-    before = reach @ strict @ reach > 0
+    linked = np.array([(index[p], index[q], rel) for p, q, rel in g.edges()],
+                      dtype=np.int64).reshape(-1, 3)
+    (reach,), (before,) = _endpoint_order(n, linked[None])
     if before.diagonal().any():
         return INCONSISTENT
 
-    reach = reach > 0
     point = before + 2 * (reach & reach.T) + 3 * before.T
     grid = (64 * point[:n, :n] + 16 * point[:n, n:]
             + 4 * point[n:, :n] + point[n:, n:])

@@ -11,10 +11,9 @@ program's.  In strict mode a NONE on pr can break a row, so the domain is
 all 15 labels.
 
 Round 1 keeps only the partition rows, whose optimum is each arc's
-highest-weighted label in its domain; no MIP solver is called.  In the
-default mode an arc whose labels all weigh no more than NONE gets NONE, and
-among equal weights above NONE the lowest ordinal wins; strict mode takes the
-lowest ordinal among the arc's equal maximal weights over all 15 labels.
+highest-weighted label in its domain; no MIP solver is called.  NONE wins
+any tie at the top and the lowest ordinal any other, so an arc whose labels
+all weigh no more than NONE gets NONE.
 Each later round looks up, in the label table allowed, the row (a, b) that
 the current labels break in each broken triangle.  In the default mode it
 activates every row of that triangle that labels inside the domains can
@@ -144,11 +143,12 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
     t0 = time.monotonic()
     stats = SolverStats(rows=program.num_rows, cols=program.num_vars, rounds=1)
     domain = program.domain()
-    # Round 1: the partition rows alone; argmax over the domain takes the
-    # lowest ordinal among an arc's equal maximal weights, and in the default
-    # mode NONE only when no label outweighs it.
-    labels = np.where(domain, program.objective.reshape(-1, N_LABELS),
-                      -np.inf).argmax(axis=1)
+    # Round 1: the partition rows alone, the argmax over the domain, with
+    # the labels in the order NONE, BEFORE, AFTER, ... so that ties go to
+    # NONE first and then to the lowest ordinal.
+    order = np.roll(np.arange(N_LABELS), 1)
+    weights = np.where(domain, program.objective.reshape(-1, N_LABELS), -np.inf)
+    labels = order[weights[:, order].argmax(axis=1)]
     keys = np.empty((0, 3), dtype=np.int64)  # active rows (k, a, b)
     proven = True
     while True:

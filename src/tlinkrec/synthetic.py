@@ -31,16 +31,12 @@ class SyntheticClassifier:
         return max(0.05, round(1.0 - self.flip_rate, 4))
 
 
-def _strictly_overlaps(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
-    return (x[0] < y[0] < x[1] < y[1]) or (y[0] < x[0] < y[1] < x[1])
-
-
 def _draw_intervals(rng: random.Random, n: int) -> List[Tuple[int, int]]:
     intervals: List[Tuple[int, int]] = []
     while len(intervals) < n:
         start = rng.randrange(40)
         cand = (start, start + rng.randrange(1, 9))
-        if any(_strictly_overlaps(cand, other) for other in intervals):
+        if any(relation_from_intervals(cand, other) is None for other in intervals):
             continue
         intervals.append(cand)
     return intervals

@@ -119,11 +119,11 @@ class TestScoreCommand:
         assert rows["synth_001"][1:4] == ["0.0000", "0.0000", "0.0000"]
 
 
-def write_before_cycle(path, doc):
-    """A document whose three BEFORE links form a cycle: INCONSISTENT."""
-    a, b, c = (EntityRef(EntityKind.EVENT_INSTANCE, f"ei{i}", doc) for i in (1, 2, 3))
-    write_timeml([a, b, c], [TLink(a, b, RelType.BEFORE), TLink(b, c, RelType.BEFORE),
-                             TLink(c, a, RelType.BEFORE)], path)
+def write_before_cycle(path, doc, n=3):
+    """A document whose n BEFORE links form a cycle: INCONSISTENT."""
+    events = [EntityRef(EntityKind.EVENT_INSTANCE, f"ei{i}", doc) for i in range(1, n + 1)]
+    write_timeml(events, [TLink(events[i - 1], events[i], RelType.BEFORE)
+                          for i in range(n)], path)
 
 
 class TestInconsistentReported:
@@ -156,6 +156,27 @@ class TestInconsistentReported:
         assert captured.err.splitlines() == [
             "reference/synth_001: INCONSISTENT, scored by its stored labels"]
         assert captured.out.startswith("F1 ")
+
+    def test_experiment_names_the_reference_once_and_each_ensemble(
+            self, corpus_root, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_root, corpus)
+        write_before_cycle(corpus / "reference" / "synth_001.tml", "synth_001")
+        for name in ("alpha", "beta"):
+            # Four arcs and no triangle, so every ensemble keeps the cycle.
+            write_before_cycle(corpus / "runs" / name / "synth_002.tml", "synth_002", 4)
+        ens = tmp_path / "ens.txt"
+        ens.write_text("pair: alpha,beta\nalpha\n")
+        out = tmp_path / "exp"
+        main(["experiment", "--corpus", str(corpus), "--procedure", "1",
+              "--ensembles", str(ens), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "reference/synth_001: INCONSISTENT, scored by its stored labels",
+            "pair/synth_002: INCONSISTENT, scored by its stored labels",
+            "alpha/synth_002: INCONSISTENT, scored by its stored labels"]
+        assert captured.out == (out / "procedure1.txt").read_text()
+        assert "INCONSISTENT" not in captured.out
 
 
 class TestExportLpCommand:

@@ -1,6 +1,6 @@
 import hashlib
 import io
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -18,9 +18,11 @@ from tlinkrec.model import (
     export_lp,
     row_name,
 )
-from tlinkrec.relations import RelType, compose, synonyms
+from tlinkrec.relations import RelType, collapse, compose
 from tlinkrec.solver import Solution, violations
 from tlinkrec.timeml import CanonicalArc, ClassifierRun, EntityKind, EntityRef, TLink
+
+from point_oracle import oracle_composition_table
 
 
 def ev(i):
@@ -208,9 +210,7 @@ class TestBuildIp:
             a = RelType(plus[0] % 15 + 1)
             b = RelType(plus[1] % 15 + 1)
             assert name == f"t0_{a.value}_{b.value}"
-            expected = set()
-            for c in compose(a, b):
-                expected.update(synonyms(c))
+            expected = {s for s in RelType if collapse(s) in compose(a, b)}
             expected.add(RelType.NONE)
             assert {RelType(v % 15 + 1) for v in minus} == expected
 
@@ -248,6 +248,25 @@ class TestLabelTable:
         broken = [len(program.broken_rows(np.array([a[i], c[i], b[i]]))) > 0
                   for i in range(len(a))]
         assert broken == list(~satisfies_every_row)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_table_is_the_point_oracle(self, strict):
+        # Written out here, not read from the package: the synonyms denote
+        # their canonical label's interval relation, a row needs labels on
+        # pq and qr, and its conclusion may be NONE unless strict.
+        canonical = {"DURING": "IS_INCLUDED", "DURING_INV": "INCLUDES",
+                     "IDENTITY": "SIMULTANEOUS"}
+        oracle = oracle_composition_table()
+        allowed = _allowed(strict)
+        for a, b, c in product(RelType, repeat=3):
+            if RelType.NONE in (a, b):
+                expected = True
+            elif c is RelType.NONE:
+                expected = not strict
+            else:
+                ab = oracle[canonical.get(a.name, a.name)][canonical.get(b.name, b.name)]
+                expected = canonical.get(c.name, c.name) in ab
+            assert allowed[a - 1, b - 1, c - 1] == expected, (a, b, c)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(4, 6).flatmap(lambda n: st.lists(
@@ -330,7 +349,7 @@ class TestTriangleRowsProperty:
             a, b, c = label_of[p, q], label_of[q, r], label_of[p, r]
             if RelType.NONE in (a, b):
                 continue
-            allowed = {s for rel in compose(a, b) for s in synonyms(rel)}
+            allowed = {s for s in RelType if collapse(s) in compose(a, b)}
             if not strict:
                 allowed.add(RelType.NONE)
             if c not in allowed:

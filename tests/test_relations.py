@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -20,7 +20,7 @@ from tlinkrec.relations import (
     relation_from_intervals,
 )
 
-from point_oracle import oracle_composition_table, oracle_inverse_table
+from point_oracle import oracle_composition_table, oracle_inverse_table, rel_between
 from referees import (is_consistent_labeling, model_closure,
                       path_consistency_closure)
 
@@ -94,6 +94,20 @@ class TestCompose:
             compose(RelType.IS_INCLUDED, RelType.BEFORE)
         assert compose(RelType.BEFORE, RelType.DURING_INV) == \
             compose(RelType.BEFORE, RelType.INCLUDES)
+
+
+class TestRelationFromIntervals:
+    def test_every_placement_on_four_points_matches_point_oracle(self):
+        placements = 0
+        for x1, x2, y1, y2 in product(range(4), repeat=4):
+            if x1 < x2 and y1 < y2:
+                rel = relation_from_intervals((x1, x2), (y1, y2))
+                assert (rel and rel.name) == rel_between(x1, x2, y1, y2)
+                placements += 1
+            else:  # zero or negative extent
+                with pytest.raises(ValueError, match="positive extent"):
+                    relation_from_intervals((x1, x2), (y1, y2))
+        assert placements == 36
 
 
 def chain_graph(*labels):

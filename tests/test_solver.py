@@ -111,13 +111,12 @@ class TestSolveBasics:
 
     def test_arc_with_no_label_above_none_gets_none(self):
         # Voted only by a weight-0 member: every label weighs what NONE
-        # weighs.  Strict mode keeps the lowest-ordinal argmax over all 15
-        # labels.
+        # weighs, and NONE wins the tie in both modes.
         votes = votes_of([arc(1, 2)], {0: {RelType.AFTER: 0.0}})
         sol = solve(build_ip(votes))
         assert sol.assignment == {0: RelType.NONE} and sol.objective_value == 0.0
         strict = solve(build_ip(votes, none_breaks_triangles=True))
-        assert strict.assignment == {0: RelType.BEFORE}
+        assert strict.assignment == {0: RelType.NONE}
         # The same next to a triangle that milp re-solves: arc 3 = (3, 4) has
         # no label above NONE, and its triangle (1, 3, 4) shares arc 1 with
         # the broken one.  Its domain is NONE alone, so that triangle can
