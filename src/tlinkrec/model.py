@@ -138,22 +138,23 @@ class BinaryProgram:
     def a_eq(self) -> csr_matrix:
         return partition_rows(np.full(self.num_vars // N_LABELS, N_LABELS))
 
+    def winning(self) -> np.ndarray:
+        """(|A|, 15) mask of each arc's winning labels: NONE and the labels
+        that outweigh it."""
+        alpha = self.objective.reshape(-1, N_LABELS)
+        none = RelType.NONE.value - 1
+        return (alpha > alpha[:, [none]]) | (np.arange(N_LABELS) == none)
+
     def domain(self) -> np.ndarray:
         """(|A|, 15) mask of each arc's domain, the labels solve() lets it take.
 
         In the default mode NONE breaks no row in any position, so moving an
         arc from label l to NONE keeps every row and changes the objective
-        by alpha[e, NONE] - alpha[e, l]: an arc needs only NONE and the
-        labels that outweigh it.  In strict mode a NONE on pr can break a
-        row, so every arc keeps all 15 labels.
+        by alpha[e, NONE] - alpha[e, l]: an arc needs only its winning
+        labels.  In strict mode a NONE on pr can break a row, so every arc
+        keeps all 15 labels.
         """
-        alpha = self.objective.reshape(-1, N_LABELS)
-        if self.none_breaks_triangles:
-            return np.ones(alpha.shape, dtype=bool)
-        none = RelType.NONE.value - 1
-        domain = alpha > alpha[:, [none]]
-        domain[:, none] = True
-        return domain
+        return self.winning() | self.none_breaks_triangles
 
     def row_keys(self) -> np.ndarray:
         """(k, a, b) of every triangle row, triangle-major in row_pairs order."""
@@ -182,16 +183,17 @@ class BinaryProgram:
         k = np.flatnonzero(~_allowed(self.none_breaks_triangles)[tuple(lab.T)])
         return np.column_stack((k, lab[k, :2] + 1))
 
-    def binding_rows(self, k: np.ndarray, domain: np.ndarray) -> np.ndarray:
-        """(k, a, b) of every row of triangles k that labels inside domain,
-        an (|A|, 15) mask, can break: a in pq's domain, b in qr's, and some c
-        in pr's that allowed[a, b, c] forbids.  Triangle-major, then in
+    def binding_rows(self, k: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """(k, a, b) of every row of triangles k that labels inside mask, an
+        (|A|, 15) array, can break: a in pq's mask, b in qr's, and some c in
+        pr's that allowed[a, b, c] forbids.  solve() passes each arc's
+        winning labels plus the label it holds now.  Triangle-major, then in
         row_pairs order."""
         # Label sets as bit masks, bit c for label c; a float matmul would
         # start BLAS and its buffers for this one product.
         bits = 1 << np.arange(N_LABELS)
         forbidden = (~_allowed(self.none_breaks_triangles) * bits).sum(axis=2)
-        pq, qr, pr = (domain[self.triangles[k, i]] for i in range(3))
+        pq, qr, pr = (mask[self.triangles[k, i]] for i in range(3))
         hits = (forbidden & (pr * bits).sum(axis=1)[:, None, None]) != 0
         i, a, b = np.nonzero(pq[:, :, None] & qr[:, None, :] & hits)
         return np.column_stack((k[i], a + 1, b + 1))

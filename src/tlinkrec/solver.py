@@ -1,40 +1,38 @@
 """Exact solver for the binary reconciliation program.
 
-solve() separates the triangle rows lazily (cutting-plane inference).  Each
-arc gets a domain of labels.  In the default mode NONE breaks no row in any
+solve() separates the triangle rows lazily (cutting-plane inference).  An
+arc's winning labels are NONE and the labels that outweigh it
+(BinaryProgram.winning, at most 4 of the 15 with 3 members); its domain is
+the labels milp may give it.  In the default mode NONE breaks no row in any
 position, so moving an arc from label l to NONE keeps every row and changes
-the objective by alpha[e, NONE] - alpha[e, l]; a label that weighs no more
-than NONE is never needed, and the domain is NONE plus the labels that
-outweigh it (at most 4 of the 15 with 3 members).  Some optimum of the full
-program lies inside the domains, so the optimum over the domains is the full
-program's.  In strict mode a NONE on pr can break a row, so the domain is
-all 15 labels.
+the objective by alpha[e, NONE] - alpha[e, l]: some optimum of the full
+program uses only winning labels, which are the domain.  In strict mode a
+NONE on pr can break a row, so the domain is all 15 labels.
 
 Round 1 keeps only the partition rows, whose optimum is each arc's
-highest-weighted label in its domain; no MIP solver is called.  NONE wins
-any tie at the top and the lowest ordinal any other, so an arc whose labels
-all weigh no more than NONE gets NONE.
-Each later round looks up, in the label table allowed, the row (a, b) that
-the current labels break in each broken triangle.  In the default mode it
-activates every row of that triangle that labels inside the domains can
-break (BinaryProgram.binding_rows), so the triangle cannot break again.  In
-strict mode it activates the one broken row: whole triangles over 15 labels
-made a strict reconcile of the benchmark's 50 small documents 1.6 to 2.5
-times slower on 2 vCPUs (medians of 95 -> 253 ms and 104 -> 169-238 ms in
-two measurements).  It then re-solves with the HiGHS MIP solver through
-scipy.optimize.milp.  Two arcs are connected when they share an active row's
-triangle, and the relaxation separates into the connected components of the
-program's arcs.  A re-solve gets only the components that hold a newly
-active row, all of them in one milp call: the domain columns of their arcs,
-one partition row per arc over them, and the active rows restricted to those
-columns.  An untouched component has the same rows as when it was last
-solved, so its labels are still optimal for it; an arc in no active row is a
-component of its own and keeps its round-1 label, its optimum in the
-relaxation.  The loop stops at the first answer that violates no row of the
-full program: it is feasible for the full program and optimal for a
-relaxation of it, so it is optimal.  Among equal optima of a re-solve the one
-returned is HiGHS's choice on its components.  violations() checks a solution
-against every triangle through the same table.
+highest-weighted label; no MIP solver is called.  NONE wins any tie at the
+top and the lowest ordinal any other, so an arc whose labels all weigh no
+more than NONE gets NONE, and every label lies in its arc's domain.  Each
+later round finds the triangles that the current labels break through the
+label table allowed, and activates every row of a broken triangle that can
+bind over each arc's winning labels plus the label it holds now
+(BinaryProgram.binding_rows).  The broken row is one of them, so every round
+activates a new row; in the default mode the labels held are winning ones,
+so a triangle whose rows are active cannot break again.  The round then
+re-solves with the HiGHS MIP solver through scipy.optimize.milp.  Two arcs
+are connected when they share an active row's triangle, and the relaxation
+separates into the connected components of the program's arcs.  A re-solve
+gets only the components that hold a newly active row, all of them in one
+milp call: the domain columns of their arcs, one partition row per arc over
+them, and the active rows restricted to those columns.  An untouched
+component has the same rows as when it was last solved, so its labels are
+still optimal for it; an arc in no active row is a component of its own and
+keeps its round-1 label, its optimum in the relaxation.  The loop stops at
+the first answer that violates no row of the full program: it is feasible
+for the full program and optimal for a relaxation of it, so it is optimal.
+Among equal optima of a re-solve the one returned is HiGHS's choice on its
+components.  violations() checks a solution against every triangle through
+the same table.
 
 Several documents are solved in one call by stacking their programs
 (model.stack_programs) and splitting the answer (split_solution).  Documents
@@ -142,13 +140,13 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         raise ValueError("time_limit must be positive")
     t0 = time.monotonic()
     stats = SolverStats(rows=program.num_rows, cols=program.num_vars, rounds=1)
-    domain = program.domain()
-    # Round 1: the partition rows alone, the argmax over the domain, with
-    # the labels in the order NONE, BEFORE, AFTER, ... so that ties go to
-    # NONE first and then to the lowest ordinal.
+    domain, winning = program.domain(), program.winning()
+    # Round 1: the partition rows alone, the argmax with the labels in the
+    # order NONE, BEFORE, AFTER, ... so that ties go to NONE first and then
+    # to the lowest ordinal.  A label that outweighs NONE is a winning one,
+    # and otherwise NONE wins, so the argmax lies in the domain.
     order = np.roll(np.arange(N_LABELS), 1)
-    weights = np.where(domain, program.objective.reshape(-1, N_LABELS), -np.inf)
-    labels = order[weights[:, order].argmax(axis=1)]
+    labels = order[program.objective.reshape(-1, N_LABELS)[:, order].argmax(axis=1)]
     keys = np.empty((0, 3), dtype=np.int64)  # active rows (k, a, b)
     proven = True
     while True:
@@ -163,10 +161,10 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         again = (broken[:, None] == keys).all(axis=2).any(axis=1)
         if again.any():
             raise OwnRowViolated(broken[again][0])
-        # Default mode: every row of a broken triangle that can bind inside
-        # the domains; strict mode: the one broken row.
-        new = (broken if program.none_breaks_triangles
-               else program.binding_rows(broken[:, 0], domain))
+        # Every row of each broken triangle that can bind over each arc's
+        # winning labels plus the label it holds now; the broken row is one.
+        mask = winning | (np.arange(N_LABELS) == labels[:, None])
+        new = program.binding_rows(broken[:, 0], mask)
         keys = np.concatenate((keys, new))
         remaining = time_limit - (time.monotonic() - t0)
         if remaining <= 0:

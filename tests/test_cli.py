@@ -6,7 +6,10 @@ from click.testing import CliRunner
 
 import tlinkrec.cli as cli_module
 from tlinkrec.cli import cli, main
+from tlinkrec.model import build_ip
+from tlinkrec.pipeline import format_experiment_table, run_procedure_two
 from tlinkrec.relations import RelType
+from tlinkrec.solver import verify
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
 from tlinkrec.timeml import EntityKind, EntityRef, TLink, write_timeml
 
@@ -233,6 +236,34 @@ class TestExperimentCommand:
             "--ensembles", str(ens), "--split", str(split),
         ])
         assert result.exit_code == 0, result.output
+
+    def test_procedure_two_strict(self, runner, corpus_root, tmp_path, monkeypatch):
+        # --strict reaches the solver: every document of the run verifies
+        # against its strict program, and the table written is the run's.
+        ens = tmp_path / "ens.txt"
+        ens.write_text("pair: alpha,beta\n")
+        rows = []
+
+        def spy(config, ensembles):
+            assert config.none_breaks_triangles
+            rows.extend(run_procedure_two(config, ensembles))
+            return rows
+
+        monkeypatch.setattr(cli_module, "run_procedure_two", spy)
+        out = tmp_path / "exp"
+        result = runner.invoke(cli, [
+            "experiment", "--corpus", str(corpus_root), "--procedure", "2",
+            "--ensembles", str(ens), "--strict", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert [row.spec.display() for row in rows] == ["pair"]
+        solutions = rows[0].result.solutions
+        assert solutions
+        for doc, solution in solutions.items():
+            program = build_ip(rows[0].result.votes[doc], none_breaks_triangles=True)
+            assert verify(program, solution), doc
+        table = (out / "procedure2.txt").read_text(encoding="utf-8")
+        assert table == format_experiment_table(rows) and table in result.output
 
     @pytest.mark.parametrize("lines, message", [
         ("x: alpha\nx: alpha,beta\n", "ens.txt:2: ensemble name 'x' repeats"),

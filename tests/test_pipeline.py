@@ -27,12 +27,12 @@ from tlinkrec.pipeline import (
 )
 from tlinkrec.relations import EventGraph, RelType, closure, INCONSISTENT
 from tlinkrec.scoring import build_graph, score_run
-from tlinkrec.solver import Solution, solve, violations
+from tlinkrec.solver import Solution, solve, verify, violations
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
 from tlinkrec.timeml import (ClassifierRun, Corpus, EntityKind, EntityRef, TLink,
                              canonical_votes, load_corpus, parse_timeml)
 
-from referees import is_consistent_labeling, path_consistency_closure
+from referees import full_milp_solve, is_consistent_labeling, path_consistency_closure
 
 
 CLASSIFIERS = [
@@ -113,6 +113,26 @@ class TestReconcile:
             for link in links:
                 g.set_relation(link.source.id, link.target.id, link.rel)
             assert is_consistent_labeling(g), doc
+
+    def test_strict_mode_is_exact_and_links_every_closed_path(self, corpus):
+        # Strict mode forbids NONE on pr under two linked arcs, so every
+        # triangle whose pq and qr links are written gets a pr link too.
+        result = reconcile(corpus, ["alpha", "beta", "gamma"],
+                           none_breaks_triangles=True)
+        assert sorted(result.solutions) == corpus.documents
+        linked_paths = 0
+        for doc, solution in result.solutions.items():
+            program = build_ip(result.votes[doc], none_breaks_triangles=True)
+            assert verify(program, solution), doc
+            assert solution.objective_value == pytest.approx(
+                full_milp_solve(program).objective_value, rel=0, abs=1e-9), doc
+            arcs = result.votes[doc].arcs
+            written = canonical_votes(result.run.documents[doc])
+            for pq, qr, pr in program.triangles.tolist():
+                if arcs[pq] in written and arcs[qr] in written:
+                    linked_paths += 1
+                    assert arcs[pr] in written, (doc, arcs[pr].key)
+        assert linked_paths
 
     def test_unknown_member_rejected(self, corpus):
         with pytest.raises(ConfigurationError, match="unknown classifier"):

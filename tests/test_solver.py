@@ -131,12 +131,11 @@ class TestSolveBasics:
         assert sol.assignment == {**OPTIMUM, 3: RelType.NONE, 4: RelType.BEFORE}
         assert sol.objective_value == brute_force_solve(program).objective_value
 
-    def test_default_mode_activates_the_whole_broken_triangle(self):
+    def test_both_modes_activate_the_whole_broken_triangle(self):
         # pq may be BEFORE or IBEFORE, and each composes with BEFORE on qr to
-        # BEFORE only, so both rows can bind against AFTER on pr.  The
-        # default mode activates both in its one re-solve.  Strict mode
-        # activates the broken row only, and re-solves again once pq moves
-        # to IBEFORE.
+        # BEFORE only, so both rows can bind against AFTER on pr.  Both modes
+        # activate both rows in their one re-solve; strict mode hands milp
+        # all 15 columns of each arc.
         b, ib, a = RelType.BEFORE, RelType.IBEFORE, RelType.AFTER
         votes = votes_of([arc(1, 2), arc(1, 3), arc(2, 3)],
                          {0: {b: 0.5, ib: 0.375}, 1: {a: 0.5, b: 0.125}, 2: {b: 0.5}})
@@ -144,10 +143,31 @@ class TestSolveBasics:
         assert default.stats.rounds == 2 and default.stats.active_rows == 2
         assert default.stats.milp_cols == 3 + 3 + 2
         strict = solve(build_ip(votes, none_breaks_triangles=True))
-        assert strict.stats.rounds == 3 and strict.stats.active_rows == 2
-        assert strict.stats.milp_cols == 2 * 3 * N_LABELS
+        assert strict.stats.rounds == 2 and strict.stats.active_rows == 2
+        assert strict.stats.milp_cols == 3 * N_LABELS
         assert default.assignment == strict.assignment == OPTIMUM
         assert default.objective_value == strict.objective_value == 1.125
+
+    def test_strict_mode_activates_rows_over_a_held_unvoted_label(self):
+        # Arcs 0 = (1, 2), 1 = (1, 3), 2 = (1, 4), 3 = (2, 3), 4 = (3, 4):
+        # triangles (pq, qr, pr) = (0, 3, 1) and (1, 4, 2).  Arc 1 has no
+        # vote, so its winning labels are NONE alone.  Round 1 gives it NONE,
+        # which strict mode forbids under BEFORE, BEFORE; the re-solve gives
+        # it BEFORE, the only label the first triangle then allows.  That
+        # BEFORE on pq breaks the second triangle's row (BEFORE, BEFORE)
+        # against AFTER on pr, and only arc 1's held label puts that row
+        # among the activated ones: without it no row would be added, and
+        # the loop would re-solve the same rows until the time limit.
+        b, a = RelType.BEFORE, RelType.AFTER
+        program = build_ip(votes_of(
+            [arc(1, 2), arc(1, 3), arc(1, 4), arc(2, 3), arc(3, 4)],
+            {0: {b: 1.0}, 2: {a: 0.75}, 3: {b: 1.0}, 4: {b: 0.5}}),
+            none_breaks_triangles=True)
+        assert not program.winning()[1, b.value - 1]
+        sol = solve(program, time_limit=5.0)
+        assert sol.proven_optimal and verify(program, sol)
+        assert sol.stats.rounds == 3
+        assert sol.objective_value == full_milp_solve(program).objective_value == 2.75
 
     def test_bad_time_limit(self):
         program = build_ip(votes_of([arc(1, 2)], {0: {RelType.BEFORE: 0.5}}))
