@@ -186,6 +186,7 @@ def score_cmd(system_dir, reference_dir, out_path, average, collapse_identity):
                        collapse_identity=collapse_identity)
     _report_inconsistent(report)
     if out_path:
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "w", encoding="utf-8") as fh:
             write_csv(report, fh)
     else:
@@ -210,6 +211,7 @@ def export_lp_cmd(corpus_root, members, weights_path, doc_id, out_path, strict):
     if not votes.arcs:
         raise DataError(f"no classifier annotates document {doc_id!r}")
     program = build_ip(votes, none_breaks_triangles=strict)
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "wb") as fh:
         export_lp(program, fh)
     click.echo(f"{doc_id}: {program.num_vars} variables, {program.num_rows} rows")

@@ -46,8 +46,7 @@ def collect_arcs(runs: Iterable[ClassifierRun], document: str) -> VoteTable:
         (run.f1_weight, canonical_votes(run.documents.get(document, ())))
         for run in runs
     ]
-    arcs = sorted({arc for _, votes in votes_per_run for arc in votes},
-                  key=lambda a: a.key)
+    arcs = sorted({arc for _, votes in votes_per_run for arc in votes})
     index = {arc: i for i, arc in enumerate(arcs)}
     alpha = np.zeros((len(arcs), N_LABELS))
     for weight, votes in votes_per_run:
@@ -64,11 +63,10 @@ def enumerate_triangles(arcs: Sequence[CanonicalArc]) -> np.ndarray:
     canonical, so only cells with p < q are filled, and every stored arc
     direction matches the traversal.
     """
-    node = {key: i for i, key in enumerate(sorted(
-        {key for arc in arcs for key in (arc.lo.key, arc.hi.key)}))}
+    node = {ent: i for i, ent in enumerate(sorted({ent for arc in arcs for ent in arc}))}
     arc_at = np.full((len(node), len(node)), -1, dtype=np.int64)
-    for i, arc in enumerate(arcs):
-        arc_at[node[arc.lo.key], node[arc.hi.key]] = i
+    for i, (lo, hi) in enumerate(arcs):
+        arc_at[node[lo], node[hi]] = i
     p, q = np.nonzero(arc_at >= 0)
     t, r = np.nonzero((arc_at[p] >= 0) & (arc_at[q] >= 0))
     return np.column_stack((arc_at[p[t], q[t]], arc_at[q[t], r], arc_at[p[t], r]))

@@ -24,7 +24,7 @@ from .relations import Closure, RelType
 from .scoring import ScoreReport, format_score_table, score_run
 from .solver import (DEFAULT_TIME_LIMIT, RowError, Solution, solve,
                      split_solution, violations)
-from .timeml import ClassifierRun, Corpus, EntityRef, TLink, load_corpus, write_timeml
+from .timeml import ClassifierRun, Corpus, TLink, load_corpus, write_timeml
 
 log = logging.getLogger(__name__)
 
@@ -257,8 +257,5 @@ def write_reconciled(result: ReconcileResult, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for doc, links in sorted(result.run.documents.items()):
-        entities: List[EntityRef] = []
-        for votes_arc in result.votes[doc].arcs:
-            entities.append(votes_arc.lo)
-            entities.append(votes_arc.hi)
+        entities = [ent for arc in result.votes[doc].arcs for ent in arc]
         write_timeml(entities, links, out_dir / f"{doc}.tml")

@@ -13,7 +13,7 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
 
 from .errors import ConfigurationError, DataError, TimeMLParseError
 from .relations import RelType, invert
@@ -28,16 +28,16 @@ class EntityKind(enum.IntEnum):
     EVENT_INSTANCE = 2
 
 
-@dataclass(frozen=True)
-class EntityRef:
+class EntityRef(NamedTuple):
+    """One entity; tuple order is the entity total order: kind rank, then id.
+
+    `document` is the same for every entity of a document, so it never
+    decides the order there.
+    """
+
     kind: EntityKind
     id: str
     document: str = ""
-
-    @property
-    def key(self) -> Tuple[int, str]:
-        """Sort key of the entity total order: kind rank, then id string."""
-        return (int(self.kind), self.id)
 
 
 @dataclass(frozen=True)
@@ -48,23 +48,24 @@ class TLink:
     lid: str = ""
 
 
-@dataclass(frozen=True)
-class CanonicalArc:
-    """One unordered entity pair, endpoints ordered by the entity total order."""
+class CanonicalArc(NamedTuple):
+    """One unordered entity pair, lo before hi; tuple order is the arc order."""
 
     lo: EntityRef
     hi: EntityRef
 
     @property
-    def key(self):
-        return (self.lo.key, self.hi.key)
+    def key(self) -> CanonicalArc:
+        """The arc itself, which sorts as the arc order; kept for callers
+        outside the package that sort by it (the benchmark's fingerprint)."""
+        return self
 
 
 def canonicalize(link: TLink) -> Tuple[CanonicalArc, RelType]:
     """Orient a TLink canonically, inverting the label if endpoints swap."""
-    if link.source.key < link.target.key:
+    if link.source < link.target:
         return CanonicalArc(link.source, link.target), link.rel
-    if link.source.key > link.target.key:
+    if link.source > link.target:
         return CanonicalArc(link.target, link.source), invert(link.rel)
     raise ValueError(f"degenerate TLink on {link.source}")
 
@@ -181,8 +182,8 @@ def canonical_votes(links: Iterable[TLink]) -> Dict[CanonicalArc, RelType]:
 
 def read_lines(path: Union[str, Path]) -> Iterator[Tuple[str, str]]:
     """`(path:line, content)` for each line of a UTF-8 file that is not blank
-    once its `#` comment is stripped."""
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    once its `#` comment is stripped; a leading byte-order mark is dropped."""
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield f"{path}:{lineno}", line
@@ -293,7 +294,7 @@ def write_timeml(entities: Iterable[EntityRef], links: Iterable[TLink],
     """Write a minimal TimeML-subset document that parse_timeml round-trips."""
     root = ET.Element("TimeML")
     seen = set()
-    for ent in sorted(entities, key=lambda e: e.key):
+    for ent in sorted(entities):
         if ent.id in seen:
             continue
         seen.add(ent.id)

@@ -66,6 +66,14 @@ class TestScoreCommand:
         assert result.exit_code == 0, result.output
         assert out.read_text().startswith("doc_id,precision")
 
+    def test_csv_file_in_missing_directory(self, runner, corpus_root, tmp_path):
+        ref = str(corpus_root / "reference")
+        out = tmp_path / "d" / "missing" / "s.csv"
+        result = runner.invoke(cli, ["score", "--system", ref, "--reference", ref,
+                                     "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "ALL,1.0000,1.0000,1.0000" in out.read_text()
+
     def test_empty_dir_is_data_error(self, runner, tmp_path, corpus_root):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -193,6 +201,15 @@ class TestExportLpCommand:
         text = out.read_text()
         assert text.startswith("Maximize\n") and text.endswith("End\n")
         assert "variables" in result.output
+
+    def test_export_into_missing_directory(self, runner, corpus_root, tmp_path):
+        out = tmp_path / "d" / "missing" / "x.lp"
+        result = runner.invoke(cli, [
+            "export-lp", "--corpus", str(corpus_root),
+            "--members", "alpha,beta", "--doc", "synth_000", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert out.read_text().startswith("Maximize\n")
 
     def test_missing_doc(self, runner, corpus_root, tmp_path):
         result = runner.invoke(cli, [

@@ -101,11 +101,10 @@ class TestEnumerateTriangles:
         if n >= 2 else st.just([]),
     )), st.randoms(use_true_random=False))
     def test_matches_the_triple_loop(self, drawn, rnd):
-        """Every p < q < r in entity-key order with all three arcs present, as
+        """Every p < q < r in entity order with all three arcs present, as
         (pq, qr, pr) rows in (p, q, r) order, whatever the order of the arcs."""
         kinds, pairs = drawn
-        entities = sorted((EntityRef(kind, f"x{i}", "doc")
-                           for i, kind in enumerate(kinds)), key=lambda e: e.key)
+        entities = sorted(EntityRef(kind, f"x{i}", "doc") for i, kind in enumerate(kinds))
         arcs = [CanonicalArc(entities[i], entities[j]) for i, j in pairs]
         rnd.shuffle(arcs)
         index = {(a.lo, a.hi): k for k, a in enumerate(arcs)}

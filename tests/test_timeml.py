@@ -1,11 +1,14 @@
 import io
 import logging
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlinkrec.errors import ConfigurationError, TimeMLParseError
 from tlinkrec.model import collect_arcs
-from tlinkrec.relations import RelType
+from tlinkrec.relations import RelType, invert
 from tlinkrec.timeml import (
     CanonicalArc,
     EntityKind,
@@ -134,6 +137,35 @@ class TestCanonicalize:
         assert caplog.text == ""  # load_run_dir warns, once per load
 
 
+class TestEntityOrder:
+    """Tuple order is the entity total order, so the field order defines it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(EntityRef, st.sampled_from(list(EntityKind)),
+                              st.text("et019", max_size=3), st.just("doc1")),
+                    min_size=2, max_size=8, unique=True),
+           st.randoms(use_true_random=False))
+    def test_entities_and_arcs_sort_by_kind_rank_then_id(self, entities, rnd):
+        def rank(e):
+            return (e.kind.value, e.id)
+
+        assert sorted(entities) == sorted(entities, key=rank)
+        labels = [r for r in RelType if r is not RelType.NONE]
+        for a, b in permutations(entities, 2):
+            rel = rnd.choice(labels)
+            arc, out = canonicalize(TLink(a, b, rel))
+            swapped = rank(a) > rank(b)
+            assert arc == ((b, a) if swapped else (a, b))
+            assert out is (invert(rel) if swapped else rel)
+        arcs = [canonicalize(TLink(a, b, RelType.BEFORE))[0]
+                for a, b in combinations(entities, 2)]
+        rnd.shuffle(arcs)
+        fingerprint_order = sorted(arcs, key=lambda arc: (
+            (arc.lo.kind, arc.lo.id), (arc.hi.kind, arc.hi.id)))
+        assert sorted(arcs, key=lambda arc: arc.key) == fingerprint_order
+        assert sorted(arcs) == fingerprint_order
+
+
 def make_corpus(tmp_path, runs, reference, weights_lines):
     for name, docs in runs.items():
         for doc, (entities, links) in docs.items():
@@ -219,6 +251,13 @@ class TestLoadCorpus:
         make_corpus(tmp_path, {"c1": docs}, docs, ["other 0.5"])
         with pytest.raises(ConfigurationError, match="no weights entry"):
             load_corpus(tmp_path)
+
+    def test_weights_file_with_byte_order_mark(self, tmp_path):
+        docs = {"d1": doc_payload("d1")}
+        make_corpus(tmp_path, {"c1": docs}, docs, [])
+        (tmp_path / "weights.txt").write_text("c1 0.5\n", encoding="utf-8-sig")
+        assert read_weights(tmp_path / "weights.txt") == {"c1": 0.5}
+        assert load_corpus(tmp_path).runs["c1"].f1_weight == 0.5
 
     def test_bad_weights_line(self, tmp_path):
         (tmp_path / "w.txt").write_text("c1 notanumber\n")
