@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import VoteTable, build_ip, collect_arcs, stack_programs
-from .relations import Closure, RelType
+from .relations import RelType
 from .scoring import ScoreReport, format_score_table, score_run
 from .solver import (DEFAULT_TIME_LIMIT, RowError, Solution, solve,
                      split_solution, violations)
@@ -143,19 +143,11 @@ def reconcile(corpus: Corpus, members: Sequence[str],
 
 
 def compute_f1_weights(corpus: Corpus, names: Sequence[str],
-                       doc_filter: Optional[Set[str]] = None, *,
-                       closed_references: Optional[Dict[str, Closure]] = None
-                       ) -> Dict[str, float]:
-    """Temporal-awareness F1 of each classifier against the reference.
-
-    closed_references is score_run's: reference closures, filled on first use.
-    """
+                       doc_filter: Optional[Set[str]] = None) -> Dict[str, float]:
+    """Temporal-awareness F1 of each classifier against the reference."""
     check_members(corpus, names)
-    return {
-        name: score_run(corpus.reference, corpus.runs[name], doc_filter,
-                        closed_references=closed_references).f1
-        for name in names
-    }
+    return {name: score_run(corpus.reference, corpus.runs[name], doc_filter).f1
+            for name in names}
 
 
 @dataclass
@@ -176,8 +168,6 @@ def _run_ensembles(corpus: Corpus, config: ExperimentConfig,
         if unknown:
             raise ConfigurationError(
                 f"split names document(s) not in the corpus: {', '.join(unknown)}")
-    # Each reference document is closed once for the whole experiment.
-    closed_references: Dict[str, Closure] = {}
     weights = None  # FILE: every run keeps the f1_weight read from the weights file
     if source is not WeightsSource.FILE:
         if source is WeightsSource.S1 and config.split is None:
@@ -186,8 +176,7 @@ def _run_ensembles(corpus: Corpus, config: ExperimentConfig,
             raise ConfigurationError("S1 weights requested but S1 has no documents")
         weigh_docs = set(config.split[0]) if source is WeightsSource.S1 else None
         names = sorted({name for spec in ensembles for name in spec.members})
-        weights = compute_f1_weights(corpus, names, weigh_docs,
-                                     closed_references=closed_references)
+        weights = compute_f1_weights(corpus, names, weigh_docs)
     rows = []
     for spec in ensembles:
         result = reconcile(
@@ -196,8 +185,7 @@ def _run_ensembles(corpus: Corpus, config: ExperimentConfig,
             time_limit=config.time_limit,
             none_breaks_triangles=config.none_breaks_triangles,
         )
-        report = score_run(corpus.reference, result.run, score_docs,
-                           closed_references=closed_references)
+        report = score_run(corpus.reference, result.run, score_docs)
         rows.append(ExperimentRow(spec, report, result))
         log.info("ensemble %s: F1 %.4f P %.4f R %.4f", spec.display(),
                  report.f1, report.precision, report.recall)

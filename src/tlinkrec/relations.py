@@ -13,17 +13,18 @@ of labelled graphs.  At import it builds TRIANGLE[a, b, c], the label
 triples that three intervals p, q, r can realise on pq, qr and pr: a graph
 of three entities is realisable iff no endpoint strictly precedes itself
 (Allen 1983; Vilain & Kautz 1986).  compose, dump_table and the program's
-label table read TRIANGLE, so no entry is hand-typed.  closure() runs the
-kernel on a whole event graph and decides consistency and entailment
-exactly.  TimeML has no label for two overlapping intervals, so a pair that
-may overlap is entailed no label, and an unlabelled pair is never assumed
-not to overlap.
+label table read TRIANGLE, so no entry is hand-typed.  entailed_labels()
+runs the kernel on a stack of event graphs, as pair_stack() numbers them,
+and decides consistency and entailment exactly; closure() is its one-graph
+form.  TimeML has no label for two overlapping intervals, so a pair that may
+overlap is entailed no label, and an unlabelled pair is never assumed not
+to overlap.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -281,36 +282,58 @@ class EventGraph:
 Closure = EventGraph | _Inconsistent
 
 
-def closure(g: EventGraph) -> Closure:
-    """The labels g entails, or INCONSISTENT.
+def pair_stack(graphs: Sequence[EventGraph], index: Dict[str, int]) -> np.ndarray:
+    """The (k, m, 3) rows (i, j, ordinal) of k graphs' edges, their nodes
+    numbered by index, for _endpoint_order; m is the most edges of any graph,
+    and the rows a graph lacks are (0, 0, NONE), which relates nothing."""
+    linked = np.zeros((len(graphs), max(map(len, graphs), default=0), 3), dtype=np.int64)
+    linked[..., 2] = RelType.NONE
+    for rows, g in zip(linked, graphs):
+        edges = [(index[p], index[q], rel) for (p, q), rel in g._edges.items()]
+        rows[:len(g)] = np.array(edges, dtype=np.int64).reshape(-1, 3)
+    return linked
 
-    Each label is one interval relation, that is, four relations between the
-    endpoints of its pair, each one of <, = and >; _endpoint_order gives
-    reachability and strict precedence in g's endpoint graph.  These
-    constraints lie in the point algebra without !=, where paths give the
-    minimal network (Vilain & Kautz 1986; van Beek 1992): g is INCONSISTENT
-    iff some node strictly precedes itself, and otherwise each endpoint pair
-    is entailed to be < or >, entailed = when each reaches the other, and
-    else may take either of two relations.  A pair of entities is pinned to
-    a label iff all four of its endpoint relations are entailed and their
-    grid is a label's; the overlap grids pin nothing, and no unlabelled pair
-    is assumed not to overlap.
+
+def entailed_labels(n: int, linked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The labels a stack of graphs entails, and which graphs are INCONSISTENT.
+
+    linked is _endpoint_order's (k, m, 3) stack over entities 0..n-1.  Each
+    label is one interval relation, that is, four relations between the
+    endpoints of its pair, each one of <, = and >.  These constraints lie in
+    the point algebra without !=, where paths give the minimal network
+    (Vilain & Kautz 1986; van Beek 1992): a graph is INCONSISTENT iff some
+    node strictly precedes itself, and otherwise each endpoint pair is
+    entailed to be < or >, entailed = when each reaches the other, and else
+    may take either of two relations.  A pair of entities is pinned to a
+    label iff all four of its endpoint relations are entailed and their grid
+    is a label's; the overlap grids pin nothing, and no unlabelled pair is
+    assumed not to overlap.
+
+    Returns the (k, n, n) ordinals entailed on each ordered pair, 0 for none
+    (an entity is SIMULTANEOUS with itself), and the (k,) INCONSISTENT
+    flags; an INCONSISTENT graph's ordinals are all 0.
     """
-    nodes = sorted(g.nodes)
-    n = len(nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    linked = np.array([(index[p], index[q], rel) for p, q, rel in g.edges()],
-                      dtype=np.int64).reshape(-1, 3)
-    (reach,), (before,) = _endpoint_order(n, linked[None])
-    if before.diagonal().any():
-        return INCONSISTENT
+    reach, before = _endpoint_order(n, linked)
+    inconsistent = before.diagonal(axis1=1, axis2=2).any(axis=1)
+    # Codes and grid numbers (at most 4 ** 4 - 1) fit uint8: small temporaries.
+    point = (before.view(np.uint8) + np.uint8(2) * (reach & reach.transpose(0, 2, 1))
+             + np.uint8(3) * before.transpose(0, 2, 1))
+    # A strict cycle makes some pair both < and >, a code off the grid.
+    point[inconsistent] = 0
+    grid = (64 * point[:, :n, :n] + 16 * point[:, :n, n:]
+            + 4 * point[:, n:, :n] + point[:, n:, n:])
+    return _GRID_LABEL[grid], inconsistent
 
-    point = before + 2 * (reach & reach.T) + 3 * before.T
-    grid = (64 * point[:n, :n] + 16 * point[:n, n:]
-            + 4 * point[n:, :n] + point[n:, n:])
-    labels = np.triu(_GRID_LABEL[grid], 1)
+
+def closure(g: EventGraph) -> Closure:
+    """The labels g entails (see entailed_labels), or INCONSISTENT."""
+    nodes = sorted(g.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    (labels,), (inconsistent,) = entailed_labels(len(nodes), pair_stack([g], index))
+    if inconsistent:
+        return INCONSISTENT
     out = EventGraph(g.nodes)
-    i, j = np.nonzero(labels)
+    i, j = np.nonzero(np.triu(labels, 1))
     for p, q, r in zip(i.tolist(), j.tolist(), labels[i, j].tolist()):
         out.set_relation(nodes[p], nodes[q], RelType(r))
     return out

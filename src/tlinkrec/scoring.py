@@ -6,7 +6,9 @@ never counts as correct.  Plain relation counts are used (no reduced-graph
 weighting).  The closure entails a label only where every interval model of
 the graph gives the pair that label, so a pair that may overlap (which no
 TimeML label expresses) is entailed nothing.  An inconsistent side has no
-closure: it entails only its own stored labels, and it is flagged.
+closure: it entails only its own stored labels, and it is flagged.  A
+document's two graphs are closed together in one kernel call, and each
+relation is counted by an array lookup into the other side's labels.
 """
 
 from __future__ import annotations
@@ -15,14 +17,9 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Set, TextIO, Tuple
 
-from .relations import (
-    Closure,
-    EventGraph,
-    INCONSISTENT,
-    RelType,
-    closure,
-    collapse,
-)
+import numpy as np
+
+from .relations import EventGraph, RelType, collapse, entailed_labels, invert, pair_stack
 from .timeml import ClassifierRun, TLink
 
 
@@ -64,45 +61,38 @@ class AwarenessCounts:
         return f1_score(self.precision, self.recall)
 
 
-def _verified(graph: EventGraph, other: EventGraph, entailed: Closure,
-              collapse_identity: bool) -> Tuple[int, int, bool]:
-    """(verified, total) relations of `graph` against `other`, whose closure
-    is `entailed`, and whether `other` is inconsistent.
-
-    A relation verifies when `other` entails exactly it; NONE never verifies.
-    With collapse_identity off, IDENTITY only matches a stored IDENTITY edge
-    (the closure cannot keep the synonyms apart).
-    """
-    inconsistent = entailed is INCONSISTENT
-    if inconsistent:
-        entailed = other
-    verified = total = 0
-    for p, q, rel in graph.edges():
-        total += 1
-        if not collapse_identity and rel is RelType.IDENTITY:
-            verified += other.get(p, q) is RelType.IDENTITY
-        else:
-            verified += (rel is not RelType.NONE
-                         and collapse(entailed.get(p, q)) is collapse(rel))
-    return verified, total, inconsistent
+# Ordinal -> its canonical synonym's and its converse's; 0 (no label) stays 0.
+_COLLAPSED = np.array([0] + [collapse(r) for r in RelType])
+_INVERTED = np.array([0] + [invert(r) for r in RelType])
 
 
 def temporal_awareness(reference: EventGraph, system: EventGraph, *,
-                       collapse_identity: bool = True,
-                       closed_reference: Optional[Closure] = None) -> AwarenessCounts:
+                       collapse_identity: bool = True) -> AwarenessCounts:
     """Precision/recall counts of a system graph against a reference graph.
 
-    closed_reference, if given, is closure(reference), which is then not
-    computed again.
+    Both graphs are closed in one entailed_labels call over the union of
+    their nodes.  Each side's relations are looked up in the other side's
+    table: its closure or, if it is INCONSISTENT, its stored labels.  A
+    relation verifies when the table holds its label up to synonyms; NONE
+    never verifies.  With collapse_identity off, IDENTITY verifies only
+    against a stored IDENTITY (the closure cannot keep the synonyms apart).
     """
-    if closed_reference is None:
-        closed_reference = closure(reference)
-    verified_sys, total_sys, inconsistent_ref = _verified(
-        system, reference, closed_reference, collapse_identity)
-    verified_ref, total_ref, inconsistent_sys = _verified(
-        reference, system, closure(system), collapse_identity)
-    return AwarenessCounts(verified_sys, total_sys, verified_ref, total_ref,
-                           inconsistent_ref, inconsistent_sys)
+    nodes = sorted(reference.nodes | system.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    linked = pair_stack([reference, system], index)
+    entailed, inconsistent = entailed_labels(len(nodes), linked)
+    side, other = np.arange(2)[:, None], np.arange(1, -1, -1)[:, None]
+    i, j, rel = linked.transpose(2, 0, 1)
+    stored = np.zeros_like(entailed)
+    stored[side, i, j], stored[side, j, i] = rel, _INVERTED[rel]
+    table = np.where(inconsistent[:, None, None], stored, entailed)
+    verified = (rel != RelType.NONE) & (_COLLAPSED[table[other, i, j]] == _COLLAPSED[rel])
+    if not collapse_identity:
+        verified = np.where(rel == RelType.IDENTITY,
+                            stored[other, i, j] == RelType.IDENTITY, verified)
+    verified_ref, verified_sys = verified.sum(axis=1).tolist()
+    return AwarenessCounts(verified_sys, len(system), verified_ref, len(reference),
+                           bool(inconsistent[0]), bool(inconsistent[1]))
 
 
 @dataclass
@@ -135,15 +125,11 @@ class ScoreReport:
 
 def score_run(reference_run: ClassifierRun, system_run: ClassifierRun,
               doc_filter: Optional[Set[str]] = None, *,
-              collapse_identity: bool = True, average: str = "micro",
-              closed_references: Optional[Dict[str, Closure]] = None) -> ScoreReport:
+              collapse_identity: bool = True, average: str = "micro") -> ScoreReport:
     """Per-document temporal awareness plus a corpus aggregate.
 
     Documents in the filter but missing from the system run score against an
-    empty system graph.  closed_references maps a document to the closure of
-    its reference graph in reference_run; a document missing from it is
-    closed and added, so callers that score one reference run many times
-    close each document once.
+    empty system graph.
     """
     if average not in ("micro", "macro"):
         raise ValueError(f"unknown averaging mode {average!r}")
@@ -151,16 +137,12 @@ def score_run(reference_run: ClassifierRun, system_run: ClassifierRun,
     missing = set(docs) - set(reference_run.documents)
     if missing:
         raise ValueError(f"documents not in reference run: {sorted(missing)}")
-    closed = {} if closed_references is None else closed_references
     report = ScoreReport(average=average)
     for doc in docs:
-        ref_graph = build_graph(reference_run.documents[doc])
-        if doc not in closed:
-            closed[doc] = closure(ref_graph)
-        sys_graph = build_graph(system_run.documents.get(doc, []))
         report.per_document[doc] = temporal_awareness(
-            ref_graph, sys_graph, collapse_identity=collapse_identity,
-            closed_reference=closed[doc])
+            build_graph(reference_run.documents[doc]),
+            build_graph(system_run.documents.get(doc, [])),
+            collapse_identity=collapse_identity)
     return report
 
 

@@ -96,8 +96,9 @@ def parse_timeml(data: Union[bytes, str], document: str = "") -> ParsedDocument:
     """Parse one TimeML document into its TLinks.
 
     TLINKs with an unknown relType or an unresolvable endpoint are recorded in
-    the skipped list rather than failing the parse; malformed XML raises
-    TimeMLParseError with line/column.
+    the skipped list rather than failing the parse.  Malformed XML raises
+    TimeMLParseError with line/column, and so does a TIMEX3 tid that is also
+    a MAKEINSTANCE eiid, because entities are scored and written by id alone.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -126,6 +127,10 @@ def parse_timeml(data: Union[bytes, str], document: str = "") -> ParsedDocument:
             eiid = elem.get("eiid", "")
             if eiid:
                 events[eiid] = EntityRef(EntityKind.EVENT_INSTANCE, eiid, document)
+    shared = sorted(timexes.keys() & events.keys())
+    if shared:
+        raise TimeMLParseError(f"{document or '<input>'}: id {shared[0]!r} names "
+                               "both a TIMEX3 and a MAKEINSTANCE")
 
     def resolve(elem, attrs) -> Optional[EntityRef]:
         for attr, table in attrs:

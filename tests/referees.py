@@ -15,6 +15,9 @@ enumerates every placement of at most 4 entities as intervals on 8 points.
 path_consistency_closure() runs triple-loop path consistency on the interval
 endpoints, for graphs of any size; it is checked against model_closure().
 Both decode labels with point_oracle and share no code with the package.
+awareness_referee() counts temporal awareness one edge at a time, with
+EventGraph.get against path_consistency_closure(), so it referees
+scoring.temporal_awareness's array lookups and its stacked kernel call.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from tlinkrec.relations import (
     collapse,
     compose,
 )
+from tlinkrec.scoring import AwarenessCounts
 from tlinkrec.solver import Solution, SolverStats
 
 from point_oracle import CANONICAL, LABEL_OF_GRID, rel_between
@@ -349,3 +353,38 @@ def path_consistency_closure(g: EventGraph) -> Union[EventGraph, _Inconsistent]:
             if name:
                 out.set_relation(nodes[i], nodes[j], RelType[name])
     return out
+
+
+def _verified(graph: EventGraph, other: EventGraph, collapse_identity: bool
+              ) -> Tuple[int, bool]:
+    """Relations of graph that other verifies, and whether other is
+    INCONSISTENT.
+
+    A relation verifies when other's closure, or if other is INCONSISTENT
+    its stored labels, holds exactly its label up to synonyms; NONE never
+    verifies.  With collapse_identity off, IDENTITY verifies only against a
+    stored IDENTITY.
+    """
+    entailed = path_consistency_closure(other)
+    inconsistent = entailed is INCONSISTENT
+    if inconsistent:
+        entailed = other
+    verified = 0
+    for p, q, rel in graph.edges():
+        if not collapse_identity and rel is RelType.IDENTITY:
+            verified += other.get(p, q) is RelType.IDENTITY
+        else:
+            verified += (rel is not RelType.NONE
+                         and collapse(entailed.get(p, q)) is collapse(rel))
+    return verified, inconsistent
+
+
+def awareness_referee(reference: EventGraph, system: EventGraph, *,
+                      collapse_identity: bool = True) -> AwarenessCounts:
+    """temporal_awareness's counts, one edge at a time: every edge counts,
+    NONE ones included."""
+    verified_sys, inconsistent_ref = _verified(system, reference, collapse_identity)
+    verified_ref, inconsistent_sys = _verified(reference, system, collapse_identity)
+    return AwarenessCounts(verified_sys, len(list(system.edges())), verified_ref,
+                           len(list(reference.edges())), inconsistent_ref,
+                           inconsistent_sys)

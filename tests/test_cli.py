@@ -456,6 +456,21 @@ class TestMainExitCodes:
         assert (f"no .tml files in {corpus / 'runs' / 'alpha'}"
                 in capsys.readouterr().err)
 
+    def test_timex_id_shared_with_an_event_exits_2(self, tmp_path, capsys):
+        # Linked, the two entities were one node: a self-loop traceback.
+        for side in ("reference", "system"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "d1.tml").write_text(
+                '<TimeML><TIMEX3 tid="x1"/><MAKEINSTANCE eiid="x1" eventID="e1"/>'
+                '<TLINK lid="l1" relType="BEFORE" timeID="x1" '
+                'relatedToEventInstance="x1"/></TimeML>')
+        with pytest.raises(SystemExit) as err:
+            main(["score", "--system", str(tmp_path / "system"),
+                  "--reference", str(tmp_path / "reference")])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            "data error: d1: id 'x1' names both a TIMEX3 and a MAKEINSTANCE\n")
+
     def test_bad_option_exits_1(self):
         with pytest.raises(SystemExit) as err:
             main(["reconcile", "--no-such-flag"])

@@ -26,13 +26,14 @@ from tlinkrec.pipeline import (
     write_reconciled,
 )
 from tlinkrec.relations import EventGraph, RelType, closure, INCONSISTENT
-from tlinkrec.scoring import build_graph, score_run
+from tlinkrec.scoring import build_graph, score_run, temporal_awareness
 from tlinkrec.solver import Solution, solve, verify, violations
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
 from tlinkrec.timeml import (ClassifierRun, Corpus, EntityKind, EntityRef, TLink,
                              canonical_votes, load_corpus, parse_timeml)
 
-from referees import full_milp_solve, is_consistent_labeling, path_consistency_closure
+from referees import (awareness_referee, full_milp_solve, is_consistent_labeling,
+                      path_consistency_closure)
 
 
 CLASSIFIERS = [
@@ -357,61 +358,34 @@ class TestWeightsAndSplit:
 
 
 @pytest.fixture
-def closed_graphs(monkeypatch):
-    """(links, graph) of every graph scoring closes, in call order; links is
-    the list scoring built the graph from."""
-    built, calls = {}, []
+def scored_graphs(monkeypatch):
+    """Every graph scoring builds, in call order: each document's reference
+    graph, then its system graph."""
+    graphs = []
 
     def recording_build_graph(links):
-        g = build_graph(links)
-        built[id(g)] = (links, g)  # keeps g, so no other graph takes its id
-        return g
-
-    def recording_closure(g):
-        calls.append((built[id(g)][0], g))
-        return closure(g)
+        graphs.append(build_graph(links))
+        return graphs[-1]
 
     monkeypatch.setattr(scoring, "build_graph", recording_build_graph)
-    monkeypatch.setattr(scoring, "closure", recording_closure)
-    return calls
+    return graphs
 
 
 class TestReferenceClosures:
     SWEEP = enumerate_ensembles(EnsembleSpec(("alpha",)), {"alpha", "beta", "gamma"})
 
-    @pytest.mark.parametrize("runner", [run_procedure_one, run_procedure_two])
-    def test_each_reference_closed_once_per_experiment(self, corpus_root, monkeypatch,
-                                                       closed_graphs, runner):
-        loaded = []
-
-        def recording_load_corpus(*args, **kwargs):
-            loaded.append(load_corpus(*args, **kwargs))
-            return loaded[-1]
-
-        monkeypatch.setattr(pipeline, "load_corpus", recording_load_corpus)
-        runner(ExperimentConfig(corpus_root), self.SWEEP)
-        for doc, links in loaded[0].reference.documents.items():
-            assert sum(source is links for source, _ in closed_graphs) == 1, doc
-
-    def test_plain_score_run_closes_each_reference_per_call(self, corpus,
-                                                            closed_graphs):
-        first = score_run(corpus.reference, corpus.runs["beta"])
-        second = score_run(corpus.reference, corpus.runs["beta"])
-        for links in corpus.reference.documents.values():
-            assert sum(source is links for source, _ in closed_graphs) == 2
-        shared = {}
-        for report in (first, second):
-            assert score_run(corpus.reference, corpus.runs["beta"],
-                             closed_references=shared) == report
-        assert set(shared) == set(corpus.documents)
-
     def test_every_closure_of_an_experiment_matches_naive_closure(
-            self, corpus_root, closed_graphs):
-        run_procedure_two(ExperimentConfig(corpus_root), self.SWEEP)
-        # 6 references, 3 members on 3 S1 documents, 4 ensembles on 3 S2 documents
-        assert len(closed_graphs) == 6 + 3 * 3 + 4 * 3
-        for _, g in closed_graphs:
-            assert closure(g) == path_consistency_closure(g)
+            self, corpus_root, scored_graphs):
+        rows = run_procedure_two(ExperimentConfig(corpus_root), self.SWEEP)
+        # 3 members on 3 S1 documents, 4 ensembles on 3 S2 documents
+        pairs = list(zip(scored_graphs[::2], scored_graphs[1::2]))
+        assert len(scored_graphs) == 2 * len(pairs) == 2 * (3 * 3 + 4 * 3)
+        for ref, sys in pairs:
+            assert closure(ref) == path_consistency_closure(ref)
+            assert closure(sys) == path_consistency_closure(sys)
+            assert temporal_awareness(ref, sys) == awareness_referee(ref, sys)
+        scored = [c for row in rows for c in row.report.per_document.values()]
+        assert scored == [temporal_awareness(ref, sys) for ref, sys in pairs[-12:]]
 
 
 class TestRepeatedMembers:

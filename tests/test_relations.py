@@ -2,6 +2,7 @@ import random
 from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,9 @@ from tlinkrec.relations import (
     collapse,
     compose,
     dump_table,
+    entailed_labels,
     invert,
+    pair_stack,
     relation_from_intervals,
 )
 
@@ -255,6 +258,71 @@ def test_path_consistency_referee_matches_model_enumerator():
         inconsistent += expected is INCONSISTENT
         assert path_consistency_closure(g) == expected, list(g.edges())
     assert 10 < inconsistent < 140
+
+
+def stacked(graphs, nodes):
+    """entailed_labels of the graphs, stacked, over the sorted nodes."""
+    index = {node: i for i, node in enumerate(nodes)}
+    return entailed_labels(len(nodes), pair_stack(graphs, index))
+
+
+def before_cycle(n=3):
+    g = chain_graph(*[RelType.BEFORE] * (n - 1))
+    g.set_relation(f"n{n - 1}", "n0", RelType.BEFORE)
+    return g
+
+
+class TestStackedDecode:
+    def test_stack_equals_one_call_per_graph(self):
+        rng = random.Random(21)
+        graphs = [random_model_graph(rng, rng.randint(0, 7), density=0.7)
+                  for _ in range(10)] + [before_cycle(4), EventGraph()]
+        graphs[3].set_relation("n0", "n1", RelType.NONE)
+        rng.shuffle(graphs)
+        nodes = sorted(set().union(*(g.nodes for g in graphs)))
+        labels, inconsistent = stacked(graphs, nodes)
+        assert inconsistent.sum() == 1
+        for g, own, flag in zip(graphs, labels, inconsistent):
+            (alone,), (alone_flag,) = stacked([g], nodes)
+            assert np.array_equal(own, alone) and flag == alone_flag
+            closed = closure(g)
+            assert flag == (closed is INCONSISTENT)
+            if not flag:
+                for (i, p), (j, q) in combinations(enumerate(nodes), 2):
+                    assert closed.get(p, q) is (RelType(own[i, j]) if own[i, j] else None)
+                    assert closed.get(q, p) is (RelType(own[j, i]) if own[j, i] else None)
+
+    def test_padding_rows_and_isolated_nodes_change_no_label(self):
+        rng = random.Random(22)
+        for _ in range(10):
+            g = random_model_graph(rng, 5, density=0.8)
+            nodes = sorted(g.nodes)
+            (plain,), _ = stacked([g], nodes)
+            wider = sorted(nodes + ["a", "n2x", "z"])
+            index = {node: i for i, node in enumerate(wider)}
+            padded = np.concatenate([pair_stack([g], index),
+                                     np.tile([0, 0, RelType.NONE], (1, 4, 1))], axis=1)
+            (labels,), (flag,) = entailed_labels(len(wider), padded)
+            at = [index[node] for node in nodes]
+            assert not flag
+            assert np.array_equal(labels[np.ix_(at, at)], plain)
+            extra = [index[node] for node in ("a", "n2x", "z")]
+            off_diagonal = ~np.eye(len(wider), dtype=bool)
+            assert not (labels[extra] * off_diagonal[extra]).any()
+            assert not (labels[:, extra] * off_diagonal[:, extra]).any()
+
+    def test_inconsistent_graph_decodes_to_zeros_beside_its_neighbours(self):
+        # A strict cycle gives codes off the label grid; they must not reach it.
+        neighbours = [chain_graph(RelType.BEFORE, RelType.INCLUDES, RelType.ENDS),
+                      chain_graph(RelType.IBEFORE, RelType.IDENTITY)]
+        nodes = ["n0", "n1", "n2", "n3"]
+        labels, inconsistent = stacked([neighbours[0], before_cycle(), neighbours[1]],
+                                       nodes)
+        assert inconsistent.tolist() == [False, True, False]
+        assert not labels[1].any()
+        for own, g in zip(labels[::2], neighbours):
+            assert np.array_equal(own, stacked([g], nodes)[0][0])
+            assert own.any()
 
 
 def random_model_graph(rng, n_nodes, density=0.6, avoid_overlap=True):

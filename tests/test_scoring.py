@@ -1,9 +1,12 @@
 import io
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tlinkrec.relations import EventGraph, RelType
+from tlinkrec.relations import EventGraph, RelType, relation_from_intervals
 from tlinkrec.scoring import (
     ScoreReport,
     build_graph,
@@ -15,6 +18,7 @@ from tlinkrec.scoring import (
 )
 from tlinkrec.timeml import ClassifierRun, EntityKind, EntityRef, TLink
 
+from referees import awareness_referee
 from test_relations import random_model_graph
 
 
@@ -189,6 +193,56 @@ class TestTemporalAwareness:
                 (ba.verified_sys, ba.total_sys, ba.inconsistent_sys)
             inconsistent += ab.inconsistent_ref + ab.inconsistent_sys
         assert inconsistent > 50
+
+
+# A canonical label's synonym, for sides that say the same thing another way.
+SYNONYM = {RelType.IS_INCLUDED: RelType.DURING, RelType.INCLUDES: RelType.DURING_INV,
+           RelType.SIMULTANEOUS: RelType.IDENTITY}
+
+
+@st.composite
+def scored_graph_pairs(draw):
+    """Reference and system graphs over up to 6 entities placed as intervals.
+
+    Each side labels each pair: not at all, with the intervals' label (none
+    when they overlap), with that label's synonym, with NONE, or with any
+    label, which may make the side INCONSISTENT; the system may also copy
+    the reference's label.  Either side may hold an entity the other lacks.
+    """
+    n = draw(st.integers(0, 6))
+    intervals = [(s, s + d) for s, d in draw(st.lists(
+        st.tuples(st.integers(0, 5), st.integers(1, 3)), min_size=n, max_size=n))]
+    reference, system = (EventGraph(f"n{i}" for i in range(n) if draw(st.booleans()))
+                         for _ in range(2))
+    for i, j in combinations(range(n), 2):
+        model = relation_from_intervals(intervals[i], intervals[j])
+        for g in (reference, system):
+            choice = draw(st.sampled_from(
+                ["skip", "model", "synonym", "none", "any", "copy"]))
+            rel = (draw(st.sampled_from(list(RelType))) if choice == "any"
+                   else SYNONYM.get(model, model) if choice == "synonym"
+                   else model if choice == "model"
+                   else RelType.NONE if choice == "none"
+                   else reference.get(f"n{i}", f"n{j}") if choice == "copy" else None)
+            if rel is not None:
+                g.set_relation(f"n{i}", f"n{j}", rel)
+    return reference, system
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_graph_pairs(), st.booleans())
+@example((graph_of(("a", "b", RelType.BEFORE), ("b", "c", RelType.BEFORE),
+                   ("c", "a", RelType.BEFORE), ("c", "d", RelType.NONE)),
+          graph_of(("a", "b", RelType.IDENTITY), ("b", "c", RelType.DURING),
+                   ("a", "c", RelType.SIMULTANEOUS), ("d", "c", RelType.NONE),
+                   ("e", "d", RelType.NONE))), False)
+@example((graph_of(("a", "b", RelType.IDENTITY), ("b", "c", RelType.DURING)),
+          graph_of(("a", "b", RelType.SIMULTANEOUS), ("a", "c", RelType.IS_INCLUDED),
+                   ("c", "b", RelType.BEFORE), ("b", "a", RelType.BEFORE))), True)
+def test_counts_match_the_per_edge_referee(graphs, collapse_identity):
+    reference, system = graphs
+    assert temporal_awareness(reference, system, collapse_identity=collapse_identity) \
+        == awareness_referee(reference, system, collapse_identity=collapse_identity)
 
 
 def run_of(name, docs):

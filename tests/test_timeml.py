@@ -87,6 +87,13 @@ class TestParse:
             parse_timeml(b"<TimeML><TLINK", "bad")
         assert "line" in str(err.value) and "column" in str(err.value)
 
+    def test_timex_and_event_sharing_an_id_rejected(self):
+        # Scoring and the writer know an entity by its id alone.
+        shared = SAMPLE.replace(b'tid="t1"', b'tid="ei2"')
+        with pytest.raises(TimeMLParseError,
+                           match=r"^doc1: id 'ei2' names both a TIMEX3 and a MAKEINSTANCE$"):
+            parse_timeml(shared, "doc1")
+
     def test_determinism(self):
         a = parse_timeml(SAMPLE, "doc1")
         b = parse_timeml(SAMPLE, "doc1")
