@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, List, Sequence
+from typing import BinaryIO, Dict, Iterable, List, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from .errors import DataError
 from .relations import TRIANGLE, RelType
-from .timeml import CanonicalArc, ClassifierRun, canonical_votes
+from .timeml import CanonicalArc, ClassifierRun, EntityKind, canonical_votes
 
 N_LABELS = len(RelType)  # 15
 
@@ -41,12 +42,21 @@ class VoteTable:
 
 
 def collect_arcs(runs: Iterable[ClassifierRun], document: str) -> VoteTable:
-    """Union of the runs' canonical arcs with F1-sum weights per label."""
+    """Union of the runs' canonical arcs with F1-sum weights per label.
+
+    Entities are written and scored by id alone, so an id that two runs
+    give different kinds raises DataError.
+    """
     votes_per_run = [
         (run.f1_weight, canonical_votes(run.documents.get(document, ())))
         for run in runs
     ]
     arcs = sorted({arc for _, votes in votes_per_run for arc in votes})
+    kinds: Dict[str, EntityKind] = {}
+    for ent in (ent for arc in arcs for ent in arc):
+        if kinds.setdefault(ent.id, ent.kind) is not ent.kind:
+            raise DataError(f"{document}: the members give id {ent.id!r} two kinds, "
+                            f"{kinds[ent.id].name} and {ent.kind.name}")
     index = {arc: i for i, arc in enumerate(arcs)}
     alpha = np.zeros((len(arcs), N_LABELS))
     for weight, votes in votes_per_run:
@@ -213,22 +223,6 @@ def build_ip(votes: VoteTable, *,
     objective = votes.alpha.reshape(-1).astype(float)
     return BinaryProgram(objective, enumerate_triangles(votes.arcs),
                          none_breaks_triangles)
-
-
-def stack_programs(programs: Sequence[BinaryProgram]) -> BinaryProgram:
-    """One program holding each program's arcs, in order: the objectives are
-    concatenated and each triangle array is offset by the arcs before it.
-
-    The programs share no arc, so no row of the stack couples two of them.
-    """
-    modes = {p.none_breaks_triangles for p in programs}
-    if len(modes) != 1:
-        raise ValueError("stack_programs needs one or more programs of one mode")
-    starts = np.cumsum([0] + [p.num_vars // N_LABELS for p in programs])
-    return BinaryProgram(
-        np.concatenate([p.objective for p in programs]),
-        np.concatenate([p.triangles + s for p, s in zip(programs, starts)]),
-        modes.pop())
 
 
 def _wrap(prefix: str, terms: List[str], suffix: str = "") -> List[str]:

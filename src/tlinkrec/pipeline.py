@@ -16,14 +16,11 @@ from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from .errors import ConfigurationError
-from .model import VoteTable, build_ip, collect_arcs, stack_programs
+from .model import VoteTable, build_ip, collect_arcs
 from .relations import RelType
 from .scoring import ScoreReport, format_score_table, score_run
-from .solver import (DEFAULT_TIME_LIMIT, RowError, Solution, solve,
-                     split_solution, violations)
+from .solver import DEFAULT_TIME_LIMIT, Solution, solve_documents, violations
 from .timeml import ClassifierRun, Corpus, TLink, load_corpus, write_timeml
 
 log = logging.getLogger(__name__)
@@ -86,14 +83,11 @@ def reconcile(corpus: Corpus, members: Sequence[str],
               none_breaks_triangles: bool = False) -> ReconcileResult:
     """Solve the per-document assignment program over the members' votes.
 
-    The documents' programs are stacked and solved in one call, under the
-    pooled budget time_limit x the number of documents; a call with no
-    documents solves nothing.  Each document's Solution carries that call's
-    shared SolverStats and proven_optimal.  Every solution is checked against
-    the document's full program before it is recorded; a violated row raises
-    RuntimeError.  A solver error about a row (a timeout without an incumbent,
-    or a point that breaks its own row) names the row's document and numbers
-    the row as that document's own program does.
+    The documents' programs are solved together by one solve_documents call,
+    so each Solution carries that call's shared SolverStats and
+    proven_optimal, and a solver error about a row names its document.
+    Every solution is checked against the document's full program before it
+    is recorded; a violated row raises RuntimeError.
     """
     check_members(corpus, members)
     member_runs = []
@@ -110,21 +104,11 @@ def reconcile(corpus: Corpus, members: Sequence[str],
         docs = [d for d in docs if d in doc_filter]
 
     result = ReconcileResult(ClassifierRun("+".join(members), 1.0))
-    if not docs:
-        return result
-    tables = [collect_arcs(member_runs, doc) for doc in docs]
-    programs = [build_ip(votes, none_breaks_triangles=none_breaks_triangles)
-                for votes in tables]
-    try:
-        whole = solve(stack_programs(programs), time_limit=time_limit * len(docs))
-    except RowError as err:
-        k, a, b = err.key
-        starts = np.cumsum([0] + [len(p.triangles) for p in programs[:-1]])
-        i = int(np.searchsorted(starts, k, side="right")) - 1
-        raise type(err)((k - starts[i], a, b), f"{docs[i]}: ") from err
-    solutions = split_solution(whole, programs)
-    for doc, votes, program, solution in zip(docs, tables, programs, solutions):
-        problems = violations(program, solution)
+    tables = {doc: collect_arcs(member_runs, doc) for doc in docs}
+    programs = {doc: build_ip(votes, none_breaks_triangles=none_breaks_triangles)
+                for doc, votes in tables.items()}
+    for doc, solution in solve_documents(programs, time_limit).items():
+        problems = violations(programs[doc], solution)
         if problems:
             raise RuntimeError(f"{doc}: solution fails verification: {problems[0]}")
         if not solution.proven_optimal:
@@ -133,11 +117,11 @@ def reconcile(corpus: Corpus, members: Sequence[str],
                         doc, solution.objective_value)
         links = [
             TLink(arc.lo, arc.hi, solution.assignment[i])
-            for i, arc in enumerate(votes.arcs)
+            for i, arc in enumerate(tables[doc].arcs)
             if solution.assignment[i] is not RelType.NONE
         ]
         result.run.documents[doc] = links
-        result.votes[doc] = votes
+        result.votes[doc] = tables[doc]
         result.solutions[doc] = solution
     return result
 

@@ -34,10 +34,13 @@ Among equal optima of a re-solve the one returned is HiGHS's choice on its
 components.  violations() checks a solution against every triangle through
 the same table.
 
-Several documents are solved in one call by stacking their programs
-(model.stack_programs) and splitting the answer (split_solution).  Documents
-share no arc, so their components never connect, and each part is optimal
-for its own program.
+solve_documents() solves several documents' programs as one: it stacks
+them (each program's arcs in order, each triangle array offset by the arcs
+before it), solves the stack under the documents' pooled time limit and
+splits the answer into one Solution per document.  Documents share no arc,
+so their components never connect, and each part is optimal for its own
+program.  It is the one place that knows the stack's offsets: a RowError
+from the stack names its document and that document's own row.
 
 Every re-solve sets the relative gap to 0, so a solution reported as proven
 optimal is exact (up to HiGHS's absolute gap of 1e-6, which milp does not
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -205,20 +208,38 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
     return _solution(program, labels, proven, stats)
 
 
-def split_solution(solution: Solution,
-                   programs: Sequence[BinaryProgram]) -> List[Solution]:
-    """The solution of model.stack_programs(programs) as one Solution per
-    program, with the program's arcs numbered from 0 and its own objective.
+def solve_documents(programs: Mapping[str, BinaryProgram],
+                    time_limit: float = DEFAULT_TIME_LIMIT) -> Dict[str, Solution]:
+    """One Solution per document of programs, from one solve() of their stack.
 
-    Every part carries the whole solve's proven_optimal and stats: the
-    pooled solve proves all parts optimal or none, and its effort is not
-    split by document.
+    The stack gets time_limit per document, pooled; a mapping with no
+    document solves nothing.  Every part is numbered from arc 0, keeps its
+    own objective and carries the whole solve's proven_optimal and stats:
+    the pooled solve proves all parts optimal or none, and its effort is not
+    split by document.  A RowError is raised again with the failing row
+    numbered as its document's program numbers it, prefixed "<document>: ".
     """
-    labels = np.array([solution.assignment[arc].value - 1
-                       for arc in range(len(solution.assignment))], dtype=np.int64)
-    ends = np.cumsum([p.num_vars // N_LABELS for p in programs])[:-1]
-    return [_solution(p, part, solution.proven_optimal, solution.stats)
-            for p, part in zip(programs, np.split(labels, ends))]
+    modes = {p.none_breaks_triangles for p in programs.values()}
+    if len(modes) > 1:
+        raise ValueError("solve_documents needs programs of one mode")
+    if not programs:
+        return {}
+    docs, parts = list(programs), list(programs.values())
+    arcs = np.cumsum([0] + [p.num_vars // N_LABELS for p in parts])
+    triangles = np.cumsum([0] + [len(p.triangles) for p in parts])
+    stack = BinaryProgram(np.concatenate([p.objective for p in parts]),
+                          np.concatenate([p.triangles + s for p, s in zip(parts, arcs)]),
+                          modes.pop())
+    try:  # through the module name, so a wrapper set on solver.solve sees it
+        whole = solve(stack, time_limit=time_limit * len(parts))
+    except RowError as err:
+        k, a, b = err.key
+        i = int(np.searchsorted(triangles, k, side="right")) - 1
+        raise type(err)((k - triangles[i], a, b), f"{docs[i]}: ") from err
+    labels = np.array([whole.assignment[arc].value - 1 for arc in range(arcs[-1])],
+                      dtype=np.int64)
+    return {doc: _solution(p, labels[lo:hi], whole.proven_optimal, whole.stats)
+            for doc, p, lo, hi in zip(docs, parts, arcs, arcs[1:])}
 
 
 def violations(program: BinaryProgram, solution: Solution) -> List[str]:

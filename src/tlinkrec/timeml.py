@@ -45,7 +45,6 @@ class TLink:
     source: EntityRef
     target: EntityRef
     rel: RelType
-    lid: str = ""
 
 
 class CanonicalArc(NamedTuple):
@@ -169,7 +168,7 @@ def parse_timeml(data: Union[bytes, str], document: str = "") -> ParsedDocument:
         if source == target:
             skip("self-loop")
             continue
-        links.append(TLink(source, target, rel, elem.get("lid", "")))
+        links.append(TLink(source, target, rel))
     return ParsedDocument(links, skipped)
 
 
@@ -298,11 +297,7 @@ def write_timeml(entities: Iterable[EntityRef], links: Iterable[TLink],
                  path: Union[str, Path]) -> None:
     """Write a minimal TimeML-subset document that parse_timeml round-trips."""
     root = ET.Element("TimeML")
-    seen = set()
-    for ent in sorted(entities):
-        if ent.id in seen:
-            continue
-        seen.add(ent.id)
+    for ent in sorted(set(entities)):
         if ent.kind is EntityKind.EVENT_INSTANCE:
             eid = "e" + ent.id[2:] if ent.id.startswith("ei") else ent.id
             ET.SubElement(root, "MAKEINSTANCE", eiid=ent.id, eventID=eid)
@@ -312,7 +307,7 @@ def write_timeml(entities: Iterable[EntityRef], links: Iterable[TLink],
                 attrs["functionInDocument"] = "CREATION_TIME"
             ET.SubElement(root, "TIMEX3", attrs)
     for i, link in enumerate(links, 1):
-        attrs = {"lid": link.lid or f"l{i}", "relType": link.rel.name}
+        attrs = {"lid": f"l{i}", "relType": link.rel.name}
         if link.source.kind is EntityKind.EVENT_INSTANCE:
             attrs["eventInstanceID"] = link.source.id
         else:

@@ -41,6 +41,17 @@ class TestReconcileCommand:
         assert (out / "scores.csv").exists()
         assert list((out / "timeml").glob("*.tml"))
 
+    def test_skipped_tlinks_written(self, corpus_root, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_root, corpus)
+        doc = corpus / "runs" / "alpha" / "synth_000.tml"
+        doc.write_text(re.sub(r'relType="[A-Z_]+"', 'relType="BOGUS"',
+                              doc.read_text(), count=1))
+        main(["reconcile", "--corpus", str(corpus), "--members", "alpha,beta",
+              "--out", str(tmp_path / "out")])
+        assert (tmp_path / "out" / "skipped.txt").read_text() == (
+            "alpha/synth_000 l1 unknown relType BOGUS\n")
+
     def test_unknown_member_is_config_error(self, runner, corpus_root, tmp_path):
         result = runner.invoke(cli, [
             "reconcile", "--corpus", str(corpus_root),
@@ -396,6 +407,7 @@ class TestGenSyntheticCommand:
         (["--density", "1.5"], "arc density 1.5 is not in [0, 1]"),
         (["--density", "-0.2"], "arc density -0.2 is not in [0, 1]"),
         (["--classifiers", "alpha:0.1,alpha:0.2"], "repeated classifier name(s): alpha"),
+        (["--classifiers", ":0.1"], "bad --classifiers value"),
     ])
     def test_bad_input_exits_1(self, tmp_path, capsys, args, message):
         out = tmp_path / "s"
@@ -470,6 +482,64 @@ class TestMainExitCodes:
         assert err.value.code == 2
         assert capsys.readouterr().err == (
             "data error: d1: id 'x1' names both a TIMEX3 and a MAKEINSTANCE\n")
+
+    @pytest.mark.parametrize("command", ["reconcile", "experiment", "export-lp"])
+    def test_id_given_two_kinds_by_the_members_exits_2(self, tmp_path, capsys,
+                                                       command):
+        # Written by id alone, the two x1 would be one entity, and a TLINK
+        # naming the other kind would not resolve when read back.
+        timex = EntityRef(EntityKind.TIMEX, "x1", "d1")
+        event = EntityRef(EntityKind.EVENT_INSTANCE, "x1", "d1")
+        ei1 = EntityRef(EntityKind.EVENT_INSTANCE, "ei1", "d1")
+        for sub, x1 in (("reference", event), ("runs/alpha", event),
+                        ("runs/beta", timex)):
+            (tmp_path / sub).mkdir(parents=True)
+            write_timeml([ei1, x1], [TLink(ei1, x1, RelType.BEFORE)],
+                         tmp_path / sub / "d1.tml")
+        (tmp_path / "weights.txt").write_text("alpha 0.9\nbeta 0.8\n")
+        (tmp_path / "ens.txt").write_text("alpha,beta\n")
+        args = {"reconcile": ["--members", "alpha,beta", "--out", str(tmp_path / "o")],
+                "experiment": ["--procedure", "1", "--ensembles", str(tmp_path / "ens.txt")],
+                "export-lp": ["--members", "alpha,beta", "--doc", "d1",
+                              "--out", str(tmp_path / "d1.lp")]}
+        with pytest.raises(SystemExit) as err:
+            main([command, "--corpus", str(tmp_path), *args[command]])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            "data error: d1: the members give id 'x1' two kinds, "
+            "TIMEX and EVENT_INSTANCE\n")
+
+    def test_missing_weights_file_exits_1(self, corpus_root, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_root, corpus)
+        (corpus / "weights.txt").unlink()
+        with pytest.raises(SystemExit) as err:
+            main(["reconcile", "--corpus", str(corpus), "--members", "alpha",
+                  "--out", str(tmp_path / "o")])
+        assert err.value.code == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: weights file not found: {corpus / 'weights.txt'}\n")
+
+    def test_malformed_weights_line_exits_1(self, corpus_root, tmp_path, capsys):
+        weights = tmp_path / "w.txt"
+        weights.write_text("alpha 0.9\nbeta\n")
+        with pytest.raises(SystemExit) as err:
+            main(["reconcile", "--corpus", str(corpus_root), "--members", "alpha",
+                  "--weights", str(weights), "--out", str(tmp_path / "o")])
+        assert err.value.code == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {weights}:2: expected '<name> <weight>'\n")
+
+    def test_ensembles_file_without_an_ensemble_exits_1(self, corpus_root, tmp_path,
+                                                        capsys):
+        ens = tmp_path / "ens.txt"
+        ens.write_text("# no ensemble yet\n\n")
+        with pytest.raises(SystemExit) as err:
+            main(["experiment", "--corpus", str(corpus_root), "--procedure", "1",
+                  "--ensembles", str(ens)])
+        assert err.value.code == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: no ensembles defined in {ens}\n")
 
     def test_bad_option_exits_1(self):
         with pytest.raises(SystemExit) as err:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tlinkrec.errors import DataError
 from tlinkrec.model import (
     N_LABELS,
     BinaryProgram,
@@ -78,6 +79,17 @@ class TestCollectArcs:
     def test_empty_document(self):
         votes = collect_arcs([run_of("a", 0.5, [])], "doc")
         assert votes.arcs == [] and votes.alpha.shape == (0, 15)
+
+    def test_id_given_two_kinds_rejected(self):
+        # Written by id alone, the two x1 would be one entity, and a TLINK
+        # naming the other kind would not resolve when read back.
+        timex = EntityRef(EntityKind.TIMEX, "x1", "doc")
+        event = EntityRef(EntityKind.EVENT_INSTANCE, "x1", "doc")
+        r1 = run_of("a", 0.5, [TLink(ev(1), event, RelType.BEFORE)])
+        r2 = run_of("b", 0.25, [TLink(ev(1), timex, RelType.BEFORE)])
+        with pytest.raises(DataError, match=(
+                r"^doc: the members give id 'x1' two kinds, TIMEX and EVENT_INSTANCE$")):
+            collect_arcs([r1, r2], "doc")
 
 
 class TestEnumerateTriangles:

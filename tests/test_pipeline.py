@@ -157,7 +157,7 @@ class TestReconcile:
         reconcile(corpus, ["alpha"], doc_filter=set(docs))
         assert not caplog.records
 
-        real_solve = pipeline.solve
+        real_solve = solver.solve
         stacks = []
 
         def time_limited_solve(program, time_limit):
@@ -165,7 +165,7 @@ class TestReconcile:
             sol = real_solve(program, time_limit=time_limit)
             return dataclasses.replace(sol, proven_optimal=False)
 
-        monkeypatch.setattr(pipeline, "solve", time_limited_solve)
+        monkeypatch.setattr(solver, "solve", time_limited_solve)
         result = reconcile(corpus, ["alpha"], doc_filter=set(docs))
         assert len(stacks) == 1
         messages = [r.getMessage() for r in caplog.records]
@@ -194,7 +194,7 @@ class TestReconcile:
             chosen = [i * N_LABELS + rel.value - 1 for i, rel in labels.items()]
             return Solution(labels, float(program.objective[chosen].sum()), True)
 
-        monkeypatch.setattr(pipeline, "solve", inconsistent_solve)
+        monkeypatch.setattr(solver, "solve", inconsistent_solve)
         with pytest.raises(RuntimeError, match=(
                 rf"^{docs[-1]}: solution fails verification: "
                 rf"triangle row t{k}_1_1 violated: lhs 2 > 1$")):
@@ -253,14 +253,14 @@ class TestReconcile:
 
     def test_one_solve_with_the_pooled_time_limit(self, corpus, monkeypatch):
         docs = corpus.documents[:3]
-        real_solve = pipeline.solve
+        real_solve = solver.solve
         calls = []
 
         def recording_solve(program, time_limit):
             calls.append((program.num_vars, time_limit))
             return real_solve(program, time_limit=time_limit)
 
-        monkeypatch.setattr(pipeline, "solve", recording_solve)
+        monkeypatch.setattr(solver, "solve", recording_solve)
         result = reconcile(corpus, ["alpha", "beta"], doc_filter=set(docs),
                            time_limit=2.5)
         arcs = sum(len(result.votes[doc].arcs) for doc in docs)
@@ -305,7 +305,7 @@ class TestReconcile:
 
     def test_no_documents_no_solve(self, corpus, monkeypatch):
         calls = []
-        monkeypatch.setattr(pipeline, "solve", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(solver, "solve", lambda *args, **kw: calls.append(args))
         result = reconcile(corpus, ["alpha"], doc_filter=set(),
                            time_limit=float("inf"))
         assert calls == [] and result.run.documents == {} and result.solutions == {}

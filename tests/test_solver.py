@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, milp
 
 import tlinkrec.solver as solver
-from tlinkrec.model import N_LABELS, BinaryProgram, VoteTable, build_ip, stack_programs
+from tlinkrec.model import N_LABELS, BinaryProgram, VoteTable, build_ip
 from tlinkrec.relations import NON_NONE, RelType
-from tlinkrec.solver import Solution, solve, split_solution, verify, violations
+from tlinkrec.solver import Solution, solve, solve_documents, verify, violations
 from tlinkrec.timeml import CanonicalArc, EntityKind, EntityRef
 
 from referees import brute_force_solve, full_milp_solve
@@ -506,31 +506,36 @@ class TestLazySeparationProperty:
 
 
 class TestStackedPrograms:
-    """Several programs solved as one stack and split again: each part is
-    its own program's optimum."""
+    """Several documents' programs solved as one stack by solve_documents:
+    each part is its own program's optimum."""
 
     @pytest.mark.parametrize("strict", [False, True])
     @settings(max_examples=40, deadline=None)
     @given(tables=st.lists(vote_tables(min_arcs=0), min_size=1, max_size=4))
     def test_each_part_is_its_programs_optimum(self, tables, strict):
-        programs = [build_ip(votes, none_breaks_triangles=strict) for votes in tables]
-        whole = solve(stack_programs(programs))
-        parts = split_solution(whole, programs)
-        assert len(parts) == len(programs)
-        for program, part in zip(programs, parts):
-            assert part.proven_optimal and part.stats is whole.stats
+        programs = {f"d{i}": build_ip(votes, none_breaks_triangles=strict)
+                    for i, votes in enumerate(tables)}
+        parts = solve_documents(programs)
+        assert list(parts) == list(programs)
+        stats = parts["d0"].stats
+        for doc, program in programs.items():
+            part = parts[doc]
+            assert part.proven_optimal and part.stats is stats
             assert verify(program, part)
             assert part.objective_value == full_milp_solve(program).objective_value
             assert part.objective_value == brute_force_solve(program).objective_value
-        assert sum(part.objective_value for part in parts) == whole.objective_value
 
     def test_programs_of_two_modes_are_not_stacked(self):
         program = triangle_program()
         strict = BinaryProgram(program.objective, program.triangles, True)
         with pytest.raises(ValueError, match="one mode"):
-            stack_programs([program, strict])
-        with pytest.raises(ValueError, match="one mode"):
-            stack_programs([])
+            solve_documents({"d0": program, "d1": strict})
+
+    def test_no_documents_no_milp_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solver, "milp", lambda *args, **kw: calls.append(args))
+        assert solve_documents({}) == {}
+        assert calls == []
 
 
 class TestAllNoneFeasible:

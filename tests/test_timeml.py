@@ -13,6 +13,7 @@ from tlinkrec.timeml import (
     CanonicalArc,
     EntityKind,
     EntityRef,
+    SkippedItem,
     TLink,
     canonical_votes,
     canonicalize,
@@ -72,11 +73,22 @@ class TestParse:
         reasons = {s.ref: s.reason for s in parsed.skipped}
         assert "unresolved" in reasons["l3"]
 
+    def test_missing_reltype_and_self_loop_skipped(self):
+        # The TLINK without a lid is named by its element index.
+        parsed = parse_timeml(
+            b'<TimeML><MAKEINSTANCE eiid="ei1" eventID="e1"/>'
+            b'<TIMEX3 tid="t0"/>'
+            b'<TLINK lid="l1" relType="BEFORE" eventInstanceID="ei1" '
+            b'relatedToEventInstance="ei1"/>'
+            b'<TLINK eventInstanceID="ei1" relatedToTime="t0"/></TimeML>', "d")
+        assert parsed.links == []
+        assert parsed.skipped == [SkippedItem("d", "l1", "self-loop"),
+                                  SkippedItem("d", "#2", "missing relType")]
+
     def test_conservation(self):
         parsed = parse_timeml(SAMPLE, "doc1")
         assert SAMPLE.count(b"<TLINK ") == 4
         assert len(parsed.links) + len(parsed.skipped) == 4
-        assert [link.lid for link in parsed.links] == ["l1", "l4"]
 
     def test_no_tlinks(self):
         parsed = parse_timeml(b"<TimeML><TIMEX3 tid='t0'/></TimeML>", "d")
@@ -243,7 +255,7 @@ class TestLoadCorpus:
 
     def test_duplicate_prediction_warned_once_at_load(self, tmp_path, caplog):
         entities, links = doc_payload("d1")
-        links.append(TLink(ev(2, "d1"), ev(1, "d1"), RelType.BEFORE, "l2"))
+        links.append(TLink(ev(2, "d1"), ev(1, "d1"), RelType.BEFORE))
         make_corpus(tmp_path, {"c1": {"d1": (entities, links)}},
                     {"d1": doc_payload("d1")}, ["c1 0.5"])
         with caplog.at_level(logging.WARNING):
@@ -265,6 +277,14 @@ class TestLoadCorpus:
         (tmp_path / "weights.txt").write_text("c1 0.5\n", encoding="utf-8-sig")
         assert read_weights(tmp_path / "weights.txt") == {"c1": 0.5}
         assert load_corpus(tmp_path).runs["c1"].f1_weight == 0.5
+
+    def test_missing_weights_file_is_fatal(self, tmp_path):
+        docs = {"d1": doc_payload("d1")}
+        make_corpus(tmp_path, {"c1": docs}, docs, ["c1 0.5"])
+        (tmp_path / "weights.txt").unlink()
+        with pytest.raises(ConfigurationError, match=(
+                rf"^weights file not found: {tmp_path / 'weights.txt'}$")):
+            load_corpus(tmp_path)
 
     def test_bad_weights_line(self, tmp_path):
         (tmp_path / "w.txt").write_text("c1 notanumber\n")
@@ -289,6 +309,6 @@ class TestLoadCorpus:
         links.append(TLink(ev(2, "d1"), dct, RelType.AFTER))
         write_timeml(entities, links, tmp_path / "d1.tml")
         parsed = parse_timeml((tmp_path / "d1.tml").read_bytes(), "d1")
-        assert parsed.links == [TLink(ev(1, "d1"), ev(2, "d1"), RelType.BEFORE, "l1"),
-                                TLink(ev(2, "d1"), dct, RelType.AFTER, "l2")]
+        assert parsed.links == [TLink(ev(1, "d1"), ev(2, "d1"), RelType.BEFORE),
+                                TLink(ev(2, "d1"), dct, RelType.AFTER)]
         assert parsed.links[1].target.kind is EntityKind.DCT
