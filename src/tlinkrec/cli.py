@@ -32,9 +32,9 @@ from .synthetic import SyntheticClassifier, generate_corpus
 from .timeml import load_corpus, load_run_dir, read_lines, write_skipped_report
 
 
-TIME_LIMIT_HELP = ("Solver time in seconds per document, pooled over the "
-                   "documents reconciled together (under experiment, each "
-                   "ensemble's); inf means no limit.")
+TIME_LIMIT_HELP = ("Solver time in seconds per document, pooled over every "
+                   "document reconciled (under experiment, every ensemble's "
+                   "documents, in one solve); inf means no limit.")
 MEMBERS_HELP = "Comma-separated classifier names."
 WEIGHTS_HELP = "Weights file (default: <corpus>/weights.txt)."
 STRICT_HELP = "Exclude NONE from triangle conclusions (ablation mode)."

@@ -5,6 +5,8 @@ and scores the reconciled output on the same set.  Procedure two splits the
 corpus in half, derives weights from the first half, and reconciles/scores on
 the second half only.  A member's weight depends on the classifier and the
 weighing documents, not the ensemble, so each experiment weighs each one once.
+An experiment reconciles all its ensembles in one reconcile_ensembles call,
+so one solve covers every (ensemble, document) program.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigurationError
 from .model import VoteTable, build_ip, collect_arcs
@@ -76,6 +78,79 @@ class ReconcileResult:
     solutions: Dict[str, Solution] = field(default_factory=dict)
 
 
+class _Part(NamedTuple):
+    """One ensemble's program for one document, in a shared solve.  The
+    ensemble is its position, so two ensembles of the same members stay two
+    parts; str() gives the name that messages use."""
+
+    ensemble: int
+    doc: str
+    name: str
+
+    def __str__(self) -> str:
+        return self.name
+
+
+def reconcile_ensembles(corpus: Corpus, ensembles: Sequence[Sequence[str]],
+                        weights: Optional[Dict[str, float]] = None, *,
+                        doc_filter: Optional[Set[str]] = None,
+                        time_limit: float = DEFAULT_TIME_LIMIT,
+                        none_breaks_triangles: bool = False,
+                        name_ensembles: bool = True) -> List[ReconcileResult]:
+    """One ReconcileResult per ensemble of members, in order, from one solve.
+
+    Every (ensemble, document) program is a part of one solve_documents call,
+    under the pooled budget of time_limit per part.  Parts share no arc, so
+    each is solved as its own program would be, but every Solution carries
+    that call's shared SolverStats and proven_optimal, for every ensemble.
+    Messages name a part "<ensemble>/<document>", the ensemble by its run
+    name (the members joined by "+"), or "<document>" alone when
+    name_ensembles is false.  Every solution is checked against its part's
+    full program before it is recorded; a violated row raises RuntimeError.
+    """
+    results: List[ReconcileResult] = []
+    tables: Dict[_Part, VoteTable] = {}
+    for members in ensembles:
+        check_members(corpus, members)
+        member_runs = []
+        for name in members:
+            run = corpus.runs[name]
+            if weights is not None:
+                if name not in weights:
+                    raise ConfigurationError(f"no weight for ensemble member {name!r}")
+                run = replace(run, f1_weight=weights[name])
+            member_runs.append(run)
+        docs = sorted({d for run in member_runs for d in run.documents})
+        if doc_filter is not None:
+            docs = [d for d in docs if d in doc_filter]
+        result = ReconcileResult(ClassifierRun("+".join(members), 1.0))
+        prefix = f"{result.run.name}/" if name_ensembles else ""
+        for doc in docs:
+            tables[_Part(len(results), doc, prefix + doc)] = collect_arcs(member_runs, doc)
+        results.append(result)
+
+    programs = {part: build_ip(votes, none_breaks_triangles=none_breaks_triangles)
+                for part, votes in tables.items()}
+    for part, solution in solve_documents(programs, time_limit).items():
+        problems = violations(programs[part], solution)
+        if problems:
+            raise RuntimeError(f"{part}: solution fails verification: {problems[0]}")
+        if not solution.proven_optimal:
+            log.warning("%s: optimality not proven within the time limit; "
+                        "writing the best incumbent (objective %.6f)",
+                        part, solution.objective_value)
+        links = [
+            TLink(arc.lo, arc.hi, solution.assignment[i])
+            for i, arc in enumerate(tables[part].arcs)
+            if solution.assignment[i] is not RelType.NONE
+        ]
+        result = results[part.ensemble]
+        result.run.documents[part.doc] = links
+        result.votes[part.doc] = tables[part]
+        result.solutions[part.doc] = solution
+    return results
+
+
 def reconcile(corpus: Corpus, members: Sequence[str],
               weights: Optional[Dict[str, float]] = None, *,
               doc_filter: Optional[Set[str]] = None,
@@ -83,47 +158,15 @@ def reconcile(corpus: Corpus, members: Sequence[str],
               none_breaks_triangles: bool = False) -> ReconcileResult:
     """Solve the per-document assignment program over the members' votes.
 
-    The documents' programs are solved together by one solve_documents call,
-    so each Solution carries that call's shared SolverStats and
-    proven_optimal, and a solver error about a row names its document.
-    Every solution is checked against the document's full program before it
-    is recorded; a violated row raises RuntimeError.
+    The one-ensemble case of reconcile_ensembles: the documents' programs
+    are solved together by one solve_documents call, so each Solution
+    carries that call's shared SolverStats and proven_optimal, and a
+    message names the document alone.
     """
-    check_members(corpus, members)
-    member_runs = []
-    for name in members:
-        run = corpus.runs[name]
-        if weights is not None:
-            if name not in weights:
-                raise ConfigurationError(f"no weight for ensemble member {name!r}")
-            run = replace(run, f1_weight=weights[name])
-        member_runs.append(run)
-
-    docs = sorted({d for run in member_runs for d in run.documents})
-    if doc_filter is not None:
-        docs = [d for d in docs if d in doc_filter]
-
-    result = ReconcileResult(ClassifierRun("+".join(members), 1.0))
-    tables = {doc: collect_arcs(member_runs, doc) for doc in docs}
-    programs = {doc: build_ip(votes, none_breaks_triangles=none_breaks_triangles)
-                for doc, votes in tables.items()}
-    for doc, solution in solve_documents(programs, time_limit).items():
-        problems = violations(programs[doc], solution)
-        if problems:
-            raise RuntimeError(f"{doc}: solution fails verification: {problems[0]}")
-        if not solution.proven_optimal:
-            log.warning("%s: optimality not proven within the time limit; "
-                        "writing the best incumbent (objective %.6f)",
-                        doc, solution.objective_value)
-        links = [
-            TLink(arc.lo, arc.hi, solution.assignment[i])
-            for i, arc in enumerate(tables[doc].arcs)
-            if solution.assignment[i] is not RelType.NONE
-        ]
-        result.run.documents[doc] = links
-        result.votes[doc] = tables[doc]
-        result.solutions[doc] = solution
-    return result
+    return reconcile_ensembles(corpus, [members], weights, doc_filter=doc_filter,
+                               time_limit=time_limit,
+                               none_breaks_triangles=none_breaks_triangles,
+                               name_ensembles=False)[0]
 
 
 def compute_f1_weights(corpus: Corpus, names: Sequence[str],
@@ -161,14 +204,14 @@ def _run_ensembles(corpus: Corpus, config: ExperimentConfig,
         weigh_docs = set(config.split[0]) if source is WeightsSource.S1 else None
         names = sorted({name for spec in ensembles for name in spec.members})
         weights = compute_f1_weights(corpus, names, weigh_docs)
+    results = reconcile_ensembles(
+        corpus, [spec.members for spec in ensembles], weights,
+        doc_filter=score_docs,
+        time_limit=config.time_limit,
+        none_breaks_triangles=config.none_breaks_triangles,
+    )
     rows = []
-    for spec in ensembles:
-        result = reconcile(
-            corpus, spec.members, weights,
-            doc_filter=score_docs,
-            time_limit=config.time_limit,
-            none_breaks_triangles=config.none_breaks_triangles,
-        )
+    for spec, result in zip(ensembles, results):
         report = score_run(corpus.reference, result.run, score_docs)
         rows.append(ExperimentRow(spec, report, result))
         log.info("ensemble %s: F1 %.4f P %.4f R %.4f", spec.display(),

@@ -34,13 +34,15 @@ Among equal optima of a re-solve the one returned is HiGHS's choice on its
 components.  violations() checks a solution against every triangle through
 the same table.
 
-solve_documents() solves several documents' programs as one: it stacks
-them (each program's arcs in order, each triangle array offset by the arcs
-before it), solves the stack under the documents' pooled time limit and
-splits the answer into one Solution per document.  Documents share no arc,
-so their components never connect, and each part is optimal for its own
+solve_documents() solves several programs as one: it stacks them (each
+program's arcs in order, each triangle array offset by the arcs before it),
+solves the stack under the parts' pooled time limit and splits the answer
+into one Solution per part.  A part is one document's program, for one
+ensemble: reconcile stacks its documents, and an experiment stacks every
+(ensemble, document) program of all its ensembles.  Parts share no arc, so
+their components never connect, and each part is optimal for its own
 program.  It is the one place that knows the stack's offsets: a RowError
-from the stack names its document and that document's own row.
+from the stack names its part and that part's own row.
 
 Every re-solve sets the relative gap to 0, so a solution reported as proven
 optimal is exact (up to HiGHS's absolute gap of 1e-6, which milp does not
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, Hashable, List, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -75,7 +77,8 @@ class SolverStats:
     one per milp re-solve; active_rows counts the triangle rows active at the
     end and coupled_arcs the arcs of their triangles, over every component;
     milp_cols sums the columns handed to milp over the re-solves.
-    For a stacked program these count every document of the stack.
+    For a stacked program these count every part of the stack: every
+    document of a reconcile, every ensemble's documents of an experiment.
     """
 
     nodes_explored: int = 0
@@ -208,23 +211,24 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
     return _solution(program, labels, proven, stats)
 
 
-def solve_documents(programs: Mapping[str, BinaryProgram],
-                    time_limit: float = DEFAULT_TIME_LIMIT) -> Dict[str, Solution]:
-    """One Solution per document of programs, from one solve() of their stack.
+def solve_documents(programs: Mapping[Hashable, BinaryProgram],
+                    time_limit: float = DEFAULT_TIME_LIMIT) -> Dict[Hashable, Solution]:
+    """One Solution per part of programs, from one solve() of their stack.
 
-    The stack gets time_limit per document, pooled; a mapping with no
-    document solves nothing.  Every part is numbered from arc 0, keeps its
-    own objective and carries the whole solve's proven_optimal and stats:
-    the pooled solve proves all parts optimal or none, and its effort is not
-    split by document.  A RowError is raised again with the failing row
-    numbered as its document's program numbers it, prefixed "<document>: ".
+    A part is keyed by its document, or by anything that names it through
+    str().  The stack gets time_limit per part, pooled; a mapping with no
+    part solves nothing.  Every part is numbered from arc 0, keeps its own
+    objective and carries the whole solve's proven_optimal and stats: the
+    pooled solve proves all parts optimal or none, and its effort is not
+    split by part.  A RowError is raised again with the failing row
+    numbered as its part's program numbers it, prefixed "<part>: ".
     """
     modes = {p.none_breaks_triangles for p in programs.values()}
     if len(modes) > 1:
         raise ValueError("solve_documents needs programs of one mode")
     if not programs:
         return {}
-    docs, parts = list(programs), list(programs.values())
+    keys, parts = list(programs), list(programs.values())
     arcs = np.cumsum([0] + [p.num_vars // N_LABELS for p in parts])
     triangles = np.cumsum([0] + [len(p.triangles) for p in parts])
     stack = BinaryProgram(np.concatenate([p.objective for p in parts]),
@@ -235,11 +239,11 @@ def solve_documents(programs: Mapping[str, BinaryProgram],
     except RowError as err:
         k, a, b = err.key
         i = int(np.searchsorted(triangles, k, side="right")) - 1
-        raise type(err)((k - triangles[i], a, b), f"{docs[i]}: ") from err
+        raise type(err)((k - triangles[i], a, b), f"{keys[i]}: ") from err
     labels = np.array([whole.assignment[arc].value - 1 for arc in range(arcs[-1])],
                       dtype=np.int64)
-    return {doc: _solution(p, labels[lo:hi], whole.proven_optimal, whole.stats)
-            for doc, p, lo, hi in zip(docs, parts, arcs, arcs[1:])}
+    return {key: _solution(p, labels[lo:hi], whole.proven_optimal, whole.stats)
+            for key, p, lo, hi in zip(keys, parts, arcs, arcs[1:])}
 
 
 def violations(program: BinaryProgram, solution: Solution) -> List[str]:

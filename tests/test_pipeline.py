@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import logging
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,10 @@ from tlinkrec.scoring import build_graph, score_run, temporal_awareness
 from tlinkrec.solver import Solution, solve, verify, violations
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
 from tlinkrec.timeml import (ClassifierRun, Corpus, EntityKind, EntityRef, TLink,
-                             canonical_votes, load_corpus, parse_timeml)
+                             canonical_votes, load_corpus, parse_timeml, write_timeml)
 
-from referees import (awareness_referee, full_milp_solve, is_consistent_labeling,
-                      path_consistency_closure)
+from referees import (awareness_referee, brute_force_solve, full_milp_solve,
+                      is_consistent_labeling, path_consistency_closure)
 
 
 CLASSIFIERS = [
@@ -400,10 +401,14 @@ class TestRepeatedMembers:
             raise AssertionError("members must be checked before any work")
 
         monkeypatch.setattr(pipeline, "compute_f1_weights", no_work)
-        monkeypatch.setattr(pipeline, "reconcile", no_work)
+        monkeypatch.setattr(solver, "solve", no_work)
         ensembles = [EnsembleSpec(("alpha", "beta")), EnsembleSpec(("gamma", "gamma"))]
         with pytest.raises(ConfigurationError, match=r"member\(s\): gamma$"):
             run_procedure_one(ExperimentConfig(corpus_root), ensembles)
+        # File weights weigh nothing, so the solve is the first work.
+        config = ExperimentConfig(corpus_root, weights_source=WeightsSource.FILE)
+        with pytest.raises(ConfigurationError, match=r"member\(s\): gamma$"):
+            run_procedure_one(config, ensembles)
 
 
 class TestEnumerateEnsembles:
@@ -487,7 +492,7 @@ class TestProcedures:
         def no_solve(*args, **kwargs):
             raise AssertionError("the split must be checked before any solve")
 
-        monkeypatch.setattr(pipeline, "reconcile", no_solve)
+        monkeypatch.setattr(solver, "solve", no_solve)
         config = ExperimentConfig(corpus_root, split=(
             [corpus.documents[0], "nosuchdoc"], [corpus.documents[1], "alsomissing"]))
         with pytest.raises(ConfigurationError,
@@ -519,3 +524,149 @@ class TestProcedures:
         table = format_experiment_table(rows)
         assert table.splitlines()[0].split() == ["IDs", "F1", "Prec", "Rec"]
         assert table.splitlines()[1].startswith("A")
+
+
+class TestStackedExperiment:
+    """An experiment solves every (ensemble, document) program of all its
+    ensembles in one solver.solve call; each part is its own program's
+    optimum, and a message names its ensemble and its document."""
+
+    SPECS = [EnsembleSpec(("alpha", "beta")), EnsembleSpec(("alpha", "gamma")),
+             EnsembleSpec(("alpha", "beta", "gamma"))]
+
+    @staticmethod
+    def recording_solve(monkeypatch):
+        """The time limit of every solver.solve call, in call order."""
+        real_solve = solver.solve
+        calls = []
+
+        def recording(program, time_limit):
+            calls.append(time_limit)
+            return real_solve(program, time_limit=time_limit)
+
+        monkeypatch.setattr(solver, "solve", recording)
+        return calls
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("runner", [run_procedure_one, run_procedure_two])
+    def test_one_solve_and_each_part_is_its_programs_optimum(
+            self, corpus_root, corpus, monkeypatch, runner, strict):
+        calls = self.recording_solve(monkeypatch)
+        config = ExperimentConfig(corpus_root, time_limit=2.5,
+                                  none_breaks_triangles=strict)
+        rows = runner(config, self.SPECS)
+        docs = (corpus.documents if runner is run_procedure_one
+                else default_split(corpus.documents)[1])
+        assert [sorted(row.result.solutions) for row in rows] == [docs] * len(self.SPECS)
+        assert calls == [2.5 * len(self.SPECS) * len(docs)]
+        stats = rows[0].result.solutions[docs[0]].stats
+        brute_forced = 0
+        for row in rows:
+            for doc, part in row.result.solutions.items():
+                votes = row.result.votes[doc]
+                program = build_ip(votes, none_breaks_triangles=strict)
+                assert part.proven_optimal and part.stats is stats
+                assert violations(program, part) == []
+                assert part.objective_value == \
+                    pytest.approx(solve(program).objective_value, abs=1e-9)
+                if len(votes.arcs) <= 8:
+                    brute_forced += 1
+                    assert part.objective_value == \
+                        pytest.approx(brute_force_solve(program).objective_value, abs=1e-9)
+        assert brute_forced > 0
+
+    def test_one_ensemble_is_reconcile(self, corpus_root, corpus):
+        config = ExperimentConfig(corpus_root, weights_source=WeightsSource.FILE)
+        [row] = run_procedure_one(config, [EnsembleSpec(("alpha", "beta", "gamma"))])
+        result = reconcile(corpus, ["alpha", "beta", "gamma"])
+        assert row.result.run.documents == result.run.documents
+        assert row.report == score_run(corpus.reference, result.run)
+
+    def test_same_members_under_two_labels_stay_two_parts(self, corpus_root, corpus,
+                                                          monkeypatch):
+        calls = self.recording_solve(monkeypatch)
+        specs = [EnsembleSpec(("alpha", "beta"), "A"), EnsembleSpec(("alpha", "beta"), "B")]
+        rows = run_procedure_one(ExperimentConfig(corpus_root, time_limit=1.0), specs)
+        assert calls == [2.0 * len(corpus.documents)]
+        assert [row.spec.display() for row in rows] == ["A", "B"]
+        first, second = (row.result for row in rows)
+        assert first is not second and first.run.name == second.run.name
+        for result in (first, second):
+            assert sorted(result.solutions) == corpus.documents
+        for doc in corpus.documents:
+            assert first.solutions[doc] is not second.solutions[doc]
+            assert first.solutions[doc].objective_value == \
+                pytest.approx(second.solutions[doc].objective_value, abs=1e-9)
+
+    def test_no_document_no_solve(self, corpus_root, corpus, monkeypatch, tmp_path):
+        # S2 is a reference document on which no member has output.
+        root = tmp_path / "corpus"
+        shutil.copytree(corpus_root, root)
+        shutil.copy(root / "reference" / f"{corpus.documents[0]}.tml",
+                    root / "reference" / "unlabelled.tml")
+        calls = []
+        monkeypatch.setattr(solver, "solve", lambda *args, **kw: calls.append(args))
+        config = ExperimentConfig(root, split=(corpus.documents, ["unlabelled"]))
+        rows = run_procedure_two(config, self.SPECS)
+        assert calls == []
+        assert [row.result.solutions for row in rows] == [{}] * len(self.SPECS)
+
+    def test_warning_names_the_ensemble_and_the_document(self, corpus_root, corpus,
+                                                         monkeypatch, caplog):
+        real_solve = solver.solve
+
+        def time_limited_solve(program, time_limit):
+            sol = real_solve(program, time_limit=time_limit)
+            return dataclasses.replace(sol, proven_optimal=False)
+
+        monkeypatch.setattr(solver, "solve", time_limited_solve)
+        caplog.set_level(logging.WARNING, logger="tlinkrec.pipeline")
+        run_procedure_one(ExperimentConfig(corpus_root), self.SPECS[:2])
+        messages = [r.getMessage() for r in caplog.records]
+        expected = [f"{'+'.join(spec.members)}/{doc}: optimality not proven"
+                    for spec in self.SPECS[:2] for doc in corpus.documents]
+        assert [m[:len(e)] for m, e in zip(messages, expected)] == expected
+        assert len(messages) == len(expected)
+
+    def test_verification_failure_names_the_ensemble_and_the_document(
+            self, corpus_root, corpus, monkeypatch):
+        # The stacked solve breaks row (BEFORE, BEFORE) of the stack's last
+        # triangle, the last ensemble's last document's last triangle.
+        spec, doc = self.SPECS[-1], corpus.documents[-1]
+        last = build_ip(collect_arcs([corpus.runs[m] for m in spec.members], doc))
+        k = len(last.triangles) - 1
+        assert k >= 0
+
+        def inconsistent_solve(program, time_limit):
+            pq, qr, pr = program.triangles[-1]
+            labels = {i: RelType.NONE for i in range(program.num_vars // N_LABELS)}
+            labels.update({pq: RelType.BEFORE, qr: RelType.BEFORE,
+                           pr: RelType.AFTER})
+            chosen = [i * N_LABELS + rel.value - 1 for i, rel in labels.items()]
+            return Solution(labels, float(program.objective[chosen].sum()), True)
+
+        monkeypatch.setattr(solver, "solve", inconsistent_solve)
+        with pytest.raises(RuntimeError, match=(
+                rf"^alpha\+beta\+gamma/{doc}: solution fails verification: "
+                rf"triangle row t{k}_1_1 violated: lhs 2 > 1$")):
+            run_procedure_one(ExperimentConfig(corpus_root), self.SPECS)
+
+    def test_row_error_names_the_ensemble_and_the_document(self, tmp_path,
+                                                           monkeypatch):
+        # Run m breaks the triangle of its d1 only; run n breaks none.  The
+        # stack is n/d0, n/d1, m/d0, m/d1, so its broken row is m/d1's t0_1_1.
+        m = TestReconcile.second_document_breaks_its_triangle().runs["m"]
+        n = ClassifierRun("n", 1.0, {"d0": m.documents["d0"], "d1": m.documents["d0"]})
+        for where, run in [("reference", ClassifierRun("ref", 1.0, {"d0": [], "d1": []})),
+                           ("runs/m", m), ("runs/n", n)]:
+            (tmp_path / where).mkdir(parents=True)
+            for doc, links in run.documents.items():
+                write_timeml([e for link in links for e in (link.source, link.target)], links,
+                             tmp_path / where / f"{doc}.tml")
+        (tmp_path / "weights.txt").write_text("m 1.0\nn 1.0\n")
+        monkeypatch.setattr(solver, "milp", lambda c, **kwargs: OptimizeResult(
+            status=1, x=None, mip_node_count=0, message="fake time limit"))
+        config = ExperimentConfig(tmp_path, weights_source=WeightsSource.FILE)
+        with pytest.raises(solver.NoIncumbent, match=(
+                rf"^m/d1: {solver.NO_INCUMBENT}; row t0_1_1 is still broken$")):
+            run_procedure_one(config, [EnsembleSpec(("n",)), EnsembleSpec(("m",))])
