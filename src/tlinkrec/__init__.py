@@ -1,9 +1,9 @@
-"""Globally consistent reconciliation of temporal-relation classifier ensembles.
+"""Reconciliation of temporal-relation classifier ensembles.
 
 Merges the TLINK predictions of multiple classifiers over a document into a
 single labeling by solving a weighted-assignment integer program with
-interval-algebra transitivity constraints, and scores annotations with a
-closure-based temporal-awareness metric.
+interval-algebra transitivity constraints on every triangle of voted arcs,
+and scores annotations with a closure-based temporal-awareness metric.
 """
 
 from .errors import (
@@ -41,7 +41,7 @@ from .model import (
     export_lp,
 )
 from .solver import Solution, SolverStats, solve, verify
-from .scoring import ScoreReport, score_run, temporal_awareness
+from .scoring import ScoreReport, score_run, score_runs, temporal_awareness
 from .pipeline import (
     EnsembleSpec,
     ExperimentConfig,

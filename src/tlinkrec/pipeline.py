@@ -6,7 +6,8 @@ corpus in half, derives weights from the first half, and reconciles/scores on
 the second half only.  A member's weight depends on the classifier and the
 weighing documents, not the ensemble, so each experiment weighs each one once.
 An experiment reconciles all its ensembles in one reconcile_ensembles call,
-so one solve covers every (ensemble, document) program.
+so one solve covers every (ensemble, document) program, and it scores its
+members, then its ensembles, each in one score_runs call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 from .errors import ConfigurationError
 from .model import VoteTable, build_ip, collect_arcs
 from .relations import RelType
-from .scoring import ScoreReport, format_score_table, score_run
+from .scoring import ScoreReport, format_score_table, score_runs
 from .solver import DEFAULT_TIME_LIMIT, Solution, solve_documents, violations
 from .timeml import ClassifierRun, Corpus, TLink, load_corpus, write_timeml
 
@@ -173,8 +174,9 @@ def compute_f1_weights(corpus: Corpus, names: Sequence[str],
                        doc_filter: Optional[Set[str]] = None) -> Dict[str, float]:
     """Temporal-awareness F1 of each classifier against the reference."""
     check_members(corpus, names)
-    return {name: score_run(corpus.reference, corpus.runs[name], doc_filter).f1
-            for name in names}
+    reports = score_runs(corpus.reference, [corpus.runs[name] for name in names],
+                         doc_filter)
+    return {name: report.f1 for name, report in zip(names, reports)}
 
 
 @dataclass
@@ -210,9 +212,9 @@ def _run_ensembles(corpus: Corpus, config: ExperimentConfig,
         time_limit=config.time_limit,
         none_breaks_triangles=config.none_breaks_triangles,
     )
+    reports = score_runs(corpus.reference, [result.run for result in results], score_docs)
     rows = []
-    for spec, result in zip(ensembles, results):
-        report = score_run(corpus.reference, result.run, score_docs)
+    for spec, result, report in zip(ensembles, results, reports):
         rows.append(ExperimentRow(spec, report, result))
         log.info("ensemble %s: F1 %.4f P %.4f R %.4f", spec.display(),
                  report.f1, report.precision, report.recall)

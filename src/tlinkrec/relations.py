@@ -169,12 +169,17 @@ def _endpoint_order(n: int, linked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     strict.flat[xy[lt]] = strict.flat[yx[gt]] = 1
     reach = np.maximum(np.eye(size, dtype=np.float32), strict)
     reach.flat[xy[eq]] = reach.flat[yx[eq]] = 1
-    while True:
-        squared = np.minimum(reach @ reach, 1)
-        if np.array_equal(squared, reach):
-            break
+    # Clipped in place, and strict dropped once used: a stack holds k of
+    # each (2n, 2n) float32 array, so every live temporary counts.
+    settled = False
+    while not settled:
+        squared = reach @ reach
+        np.minimum(squared, 1, out=squared)
+        settled = np.array_equal(squared, reach)
         reach = squared
-    return reach > 0, reach @ strict @ reach > 0
+    before = reach @ strict
+    del strict
+    return reach > 0, before @ reach > 0
 
 
 def _triangle_table() -> np.ndarray:

@@ -6,16 +6,22 @@ never counts as correct.  Plain relation counts are used (no reduced-graph
 weighting).  The closure entails a label only where every interval model of
 the graph gives the pair that label, so a pair that may overlap (which no
 TimeML label expresses) is entailed nothing.  An inconsistent side has no
-closure: it entails only its own stored labels, and it is flagged.  A
-document's two graphs are closed together in one kernel call, and each
-relation is counted by an array lookup into the other side's labels.
+closure: it entails only its own stored labels, and it is flagged.
+
+score_runs scores any number of system runs against one reference run.  Per
+document it builds the reference's graph once, stacks it with every
+system's graph, and closes the whole stack in one kernel call over the union
+of their nodes; each system's relations are counted by array lookups into
+the reference's labels, and the reference's into each system's.  score_run
+and temporal_awareness are its one-system cases.  Documents are not stacked
+together: each is its own call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Set, TextIO, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, TextIO, Tuple
 
 import numpy as np
 
@@ -61,38 +67,61 @@ class AwarenessCounts:
         return f1_score(self.precision, self.recall)
 
 
-# Ordinal -> its canonical synonym's and its converse's; 0 (no label) stays 0.
-_COLLAPSED = np.array([0] + [collapse(r) for r in RelType])
+# Ordinal -> its converse's; 0 (no label) stays 0.
 _INVERTED = np.array([0] + [invert(r) for r in RelType])
+# _VERIFIES[t, r]: a relation labelled r verifies against the table entry t,
+# which holds r up to synonyms; NONE verifies against nothing.
+_COLLAPSED = np.array([0] + [collapse(r) for r in RelType])
+_VERIFIES = ((_COLLAPSED[:, None] == _COLLAPSED)
+             & (np.arange(len(RelType) + 1) != RelType.NONE))
+
+
+def _document_awareness(reference: EventGraph, systems: Sequence[EventGraph], *,
+                        collapse_identity: bool) -> List[AwarenessCounts]:
+    """Each system graph's counts against one reference graph.
+
+    The reference and every system are closed in one entailed_labels call
+    over the union of their nodes.  Each system's relations are looked up in
+    the reference's table, and the reference's relations in each system's:
+    a side's table is its closure or, if it is INCONSISTENT, its stored
+    labels.  A relation verifies when the table holds its label up to
+    synonyms; NONE never verifies.  With collapse_identity off, IDENTITY
+    verifies only against a stored IDENTITY (the closure cannot keep the
+    synonyms apart).
+    """
+    graphs = [reference, *systems]
+    nodes = sorted(set().union(*(g.nodes for g in graphs)))
+    index = {node: i for i, node in enumerate(nodes)}
+    linked = pair_stack(graphs, index)
+    entailed, inconsistent = entailed_labels(len(nodes), linked)
+    i, j, rel = linked.transpose(2, 0, 1)
+    graph = np.arange(len(graphs))[:, None]
+    stored = np.zeros_like(entailed)
+    stored[graph, i, j], stored[graph, j, i] = rel, _INVERTED[rel]
+    table = np.where(inconsistent[:, None, None], stored, entailed)
+    # Row 0 of owner holds each system's relations, row 1 the reference's,
+    # once per system; other is the graph whose table each is looked up in.
+    owner = np.zeros((2, len(systems)), dtype=np.intp)
+    owner[0] = graph[1:, 0]
+    other = owner[::-1, :, None]
+    i, j, rel = linked[owner].transpose(3, 0, 1, 2)
+    verified = _VERIFIES[table[other, i, j], rel]
+    if not collapse_identity:
+        verified = np.where(rel == RelType.IDENTITY,
+                            stored[other, i, j] == RelType.IDENTITY, verified)
+    verified_sys, verified_ref = verified.sum(axis=2).tolist()
+    inconsistent_ref, *inconsistent_sys = inconsistent.tolist()
+    return [AwarenessCounts(v_sys, len(g), v_ref, len(reference), inconsistent_ref, flag)
+            for v_sys, v_ref, g, flag in zip(verified_sys, verified_ref, systems,
+                                             inconsistent_sys)]
 
 
 def temporal_awareness(reference: EventGraph, system: EventGraph, *,
                        collapse_identity: bool = True) -> AwarenessCounts:
-    """Precision/recall counts of a system graph against a reference graph.
-
-    Both graphs are closed in one entailed_labels call over the union of
-    their nodes.  Each side's relations are looked up in the other side's
-    table: its closure or, if it is INCONSISTENT, its stored labels.  A
-    relation verifies when the table holds its label up to synonyms; NONE
-    never verifies.  With collapse_identity off, IDENTITY verifies only
-    against a stored IDENTITY (the closure cannot keep the synonyms apart).
-    """
-    nodes = sorted(reference.nodes | system.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    linked = pair_stack([reference, system], index)
-    entailed, inconsistent = entailed_labels(len(nodes), linked)
-    side, other = np.arange(2)[:, None], np.arange(1, -1, -1)[:, None]
-    i, j, rel = linked.transpose(2, 0, 1)
-    stored = np.zeros_like(entailed)
-    stored[side, i, j], stored[side, j, i] = rel, _INVERTED[rel]
-    table = np.where(inconsistent[:, None, None], stored, entailed)
-    verified = (rel != RelType.NONE) & (_COLLAPSED[table[other, i, j]] == _COLLAPSED[rel])
-    if not collapse_identity:
-        verified = np.where(rel == RelType.IDENTITY,
-                            stored[other, i, j] == RelType.IDENTITY, verified)
-    verified_ref, verified_sys = verified.sum(axis=1).tolist()
-    return AwarenessCounts(verified_sys, len(system), verified_ref, len(reference),
-                           bool(inconsistent[0]), bool(inconsistent[1]))
+    """Precision/recall counts of a system graph against a reference graph:
+    the one-system case of the per-document stack that score_runs closes."""
+    return _document_awareness(reference, [system],
+                               collapse_identity=collapse_identity)[0]
 
 
 @dataclass
@@ -123,13 +152,15 @@ class ScoreReport:
         return f1_score(self.precision, self.recall)
 
 
-def score_run(reference_run: ClassifierRun, system_run: ClassifierRun,
-              doc_filter: Optional[Set[str]] = None, *,
-              collapse_identity: bool = True, average: str = "micro") -> ScoreReport:
-    """Per-document temporal awareness plus a corpus aggregate.
+def score_runs(reference_run: ClassifierRun, system_runs: Sequence[ClassifierRun],
+               doc_filter: Optional[Set[str]] = None, *,
+               collapse_identity: bool = True,
+               average: str = "micro") -> List[ScoreReport]:
+    """One report per system run, each document scored in one kernel call.
 
-    Documents in the filter but missing from the system run score against an
-    empty system graph.
+    A document's reference graph is built once and closed with every
+    system's graph in one stack.  Documents in the filter but missing from a
+    system run score against an empty system graph.
     """
     if average not in ("micro", "macro"):
         raise ValueError(f"unknown averaging mode {average!r}")
@@ -137,13 +168,26 @@ def score_run(reference_run: ClassifierRun, system_run: ClassifierRun,
     missing = set(docs) - set(reference_run.documents)
     if missing:
         raise ValueError(f"documents not in reference run: {sorted(missing)}")
-    report = ScoreReport(average=average)
+    if not system_runs:
+        return []
+    reports = [ScoreReport(average=average) for _ in system_runs]
     for doc in docs:
-        report.per_document[doc] = temporal_awareness(
+        counts = _document_awareness(
             build_graph(reference_run.documents[doc]),
-            build_graph(system_run.documents.get(doc, [])),
+            [build_graph(run.documents.get(doc, [])) for run in system_runs],
             collapse_identity=collapse_identity)
-    return report
+        for report, doc_counts in zip(reports, counts):
+            report.per_document[doc] = doc_counts
+    return reports
+
+
+def score_run(reference_run: ClassifierRun, system_run: ClassifierRun,
+              doc_filter: Optional[Set[str]] = None, *,
+              collapse_identity: bool = True, average: str = "micro") -> ScoreReport:
+    """Per-document temporal awareness plus a corpus aggregate: the
+    one-system case of score_runs."""
+    return score_runs(reference_run, [system_run], doc_filter,
+                      collapse_identity=collapse_identity, average=average)[0]
 
 
 def write_csv(report: ScoreReport, sink: TextIO) -> None:

@@ -191,6 +191,14 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         inside = domain[arcs]
         cols = (arcs[:, None] * N_LABELS + np.arange(N_LABELS))[inside]
         rows = program.rows(keys[touched[tri[:, 0]]])[:, cols]
+        # HiGHS presolve stays on; switching it off is not a blind win (2
+        # vCPUs).  In the default mode switching it off helps: reconcile-dense
+        # wall_s went 51.7 -> 36.6 ms (medians of 4 alternated pairs).  In
+        # strict mode it hurts: on 2 documents of 100-110 events at density
+        # 0.4 (content seed 7), milp calls went 7 -> 15 and reconcile
+        # 2.08 -> 5.06 s (median of 3), at the same objective.  The round
+        # count follows which of the equal optima HiGHS returns, and presolve
+        # changes that choice.
         res = milp(-program.objective[cols], integrality=1, bounds=Bounds(0, 1),
                    constraints=[LinearConstraint(partition_rows(inside.sum(axis=1)), 1, 1),
                                 LinearConstraint(rows, -np.inf, 1)],

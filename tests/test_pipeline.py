@@ -342,26 +342,26 @@ class TestWeightsAndSplit:
 
     def test_each_classifier_weighed_once_per_experiment(self, corpus_root,
                                                          monkeypatch):
-        scored = []
-        real_score_run = pipeline.score_run
+        calls = []
+        real_score_runs = pipeline.score_runs
 
-        def counting_score_run(reference, system, *args, **kwargs):
-            scored.append(system.name)
-            return real_score_run(reference, system, *args, **kwargs)
+        def counting_score_runs(reference, systems, *args, **kwargs):
+            calls.append([system.name for system in systems])
+            return real_score_runs(reference, systems, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "score_run", counting_score_run)
+        monkeypatch.setattr(pipeline, "score_runs", counting_score_runs)
         sweep = enumerate_ensembles(EnsembleSpec(("alpha",)),
                                     {"alpha", "beta", "gamma"})
         rows = run_procedure_two(ExperimentConfig(corpus_root), sweep)
         assert len(rows) == 4
-        # One weighing per distinct member, then one score per ensemble.
-        assert scored == ["alpha", "beta", "gamma"] + [r.result.run.name for r in rows]
+        # One call weighs every distinct member, then one scores every ensemble.
+        assert calls == [["alpha", "beta", "gamma"], [r.result.run.name for r in rows]]
 
 
 @pytest.fixture
 def scored_graphs(monkeypatch):
-    """Every graph scoring builds, in call order: each document's reference
-    graph, then its system graph."""
+    """Every graph scoring builds, in call order: per document, its
+    reference graph, then each system's graph."""
     graphs = []
 
     def recording_build_graph(links):
@@ -376,17 +376,24 @@ class TestReferenceClosures:
     SWEEP = enumerate_ensembles(EnsembleSpec(("alpha",)), {"alpha", "beta", "gamma"})
 
     def test_every_closure_of_an_experiment_matches_naive_closure(
-            self, corpus_root, scored_graphs):
+            self, corpus, corpus_root, scored_graphs):
         rows = run_procedure_two(ExperimentConfig(corpus_root), self.SWEEP)
-        # 3 members on 3 S1 documents, 4 ensembles on 3 S2 documents
-        pairs = list(zip(scored_graphs[::2], scored_graphs[1::2]))
-        assert len(scored_graphs) == 2 * len(pairs) == 2 * (3 * 3 + 4 * 3)
-        for ref, sys in pairs:
+        s1, s2 = default_split(corpus.documents)
+        # Per document, one reference graph and then one graph per system:
+        # 3 members on the 3 S1 documents, then 4 ensembles on the 3 S2 ones.
+        assert len(scored_graphs) == 3 * (1 + 3) + 3 * (1 + 4)
+        groups = ([scored_graphs[4 * d:4 * d + 4] for d in range(3)]
+                  + [scored_graphs[12 + 5 * d:17 + 5 * d] for d in range(3)])
+        assert [group[0] for group in groups] == \
+            [build_graph(corpus.reference.documents[doc]) for doc in s1 + s2]
+        for ref, *systems in groups:
             assert closure(ref) == path_consistency_closure(ref)
-            assert closure(sys) == path_consistency_closure(sys)
-            assert temporal_awareness(ref, sys) == awareness_referee(ref, sys)
+            for sys in systems:
+                assert closure(sys) == path_consistency_closure(sys)
+                assert temporal_awareness(ref, sys) == awareness_referee(ref, sys)
         scored = [c for row in rows for c in row.report.per_document.values()]
-        assert scored == [temporal_awareness(ref, sys) for ref, sys in pairs[-12:]]
+        assert scored == [awareness_referee(ref, systems[e])
+                          for e in range(4) for ref, *systems in groups[3:]]
 
 
 class TestRepeatedMembers:

@@ -13,6 +13,7 @@ from tlinkrec.scoring import (
     f1_score,
     format_score_table,
     score_run,
+    score_runs,
     temporal_awareness,
     write_csv,
 )
@@ -201,22 +202,23 @@ SYNONYM = {RelType.IS_INCLUDED: RelType.DURING, RelType.INCLUDES: RelType.DURING
 
 
 @st.composite
-def scored_graph_pairs(draw):
-    """Reference and system graphs over up to 6 entities placed as intervals.
+def scored_graph_stacks(draw, systems):
+    """A reference graph and a list of `systems` system graphs over up to 6
+    entities placed as intervals.
 
     Each side labels each pair: not at all, with the intervals' label (none
     when they overlap), with that label's synonym, with NONE, or with any
-    label, which may make the side INCONSISTENT; the system may also copy
-    the reference's label.  Either side may hold an entity the other lacks.
+    label, which may make the side INCONSISTENT; a system may also copy the
+    reference's label.  Any side may hold an entity the others lack.
     """
     n = draw(st.integers(0, 6))
     intervals = [(s, s + d) for s, d in draw(st.lists(
         st.tuples(st.integers(0, 5), st.integers(1, 3)), min_size=n, max_size=n))]
-    reference, system = (EventGraph(f"n{i}" for i in range(n) if draw(st.booleans()))
-                         for _ in range(2))
+    reference, *stack = (EventGraph(f"n{i}" for i in range(n) if draw(st.booleans()))
+                         for _ in range(1 + systems))
     for i, j in combinations(range(n), 2):
         model = relation_from_intervals(intervals[i], intervals[j])
-        for g in (reference, system):
+        for g in (reference, *stack):
             choice = draw(st.sampled_from(
                 ["skip", "model", "synonym", "none", "any", "copy"]))
             rel = (draw(st.sampled_from(list(RelType))) if choice == "any"
@@ -226,7 +228,12 @@ def scored_graph_pairs(draw):
                    else reference.get(f"n{i}", f"n{j}") if choice == "copy" else None)
             if rel is not None:
                 g.set_relation(f"n{i}", f"n{j}", rel)
-    return reference, system
+    return reference, stack
+
+
+def scored_graph_pairs():
+    """A reference graph and one system graph, drawn as scored_graph_stacks."""
+    return scored_graph_stacks(1).map(lambda drawn: (drawn[0], drawn[1][0]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,6 +254,70 @@ def test_counts_match_the_per_edge_referee(graphs, collapse_identity):
 
 def run_of(name, docs):
     return ClassifierRun(name, 1.0, docs)
+
+
+def links_of(g):
+    """g's labelled pairs as TLinks between event instances, NONE included."""
+    def entity(name):
+        return EntityRef(EntityKind.EVENT_INSTANCE, name)
+    return [TLink(entity(p), entity(q), rel) for p, q, rel in g.edges()]
+
+
+@st.composite
+def scored_run_stacks(draw):
+    """A reference run and 1-4 system runs over 1-3 documents.  Each
+    document's graphs are drawn by scored_graph_stacks, so the systems' node
+    sets differ, and each system lacks a document one time in five."""
+    systems = [run_of(f"s{s}", {}) for s in range(draw(st.integers(1, 4)))]
+    reference = run_of("ref", {})
+    for doc in (f"d{d}" for d in range(draw(st.integers(1, 3)))):
+        ref_graph, sys_graphs = draw(scored_graph_stacks(len(systems)))
+        reference.documents[doc] = links_of(ref_graph)
+        for run, g in zip(systems, sys_graphs):
+            if draw(st.integers(0, 4)):
+                run.documents[doc] = links_of(g)
+    return reference, systems
+
+
+# An INCONSISTENT reference (a BEFORE cycle) against an INCONSISTENT
+# system, a consistent system on other nodes, and a system that lacks d1.
+CYCLE = graph_of(("a", "b", RelType.BEFORE), ("b", "c", RelType.BEFORE),
+                 ("c", "a", RelType.BEFORE), ("c", "d", RelType.IDENTITY))
+STACK_EXAMPLE = (
+    run_of("ref", {"d1": links_of(CYCLE),
+                   "d2": links_of(graph_of(("a", "b", RelType.IDENTITY)))}),
+    [run_of("s0", {"d1": links_of(graph_of(("a", "b", RelType.BEFORE),
+                                           ("b", "c", RelType.BEFORE),
+                                           ("a", "c", RelType.AFTER))),
+                   "d2": links_of(graph_of(("a", "b", RelType.SIMULTANEOUS)))}),
+     run_of("s1", {"d1": links_of(graph_of(("c", "d", RelType.IDENTITY),
+                                           ("d", "e", RelType.DURING))),
+                   "d2": links_of(graph_of(("b", "a", RelType.IDENTITY)))}),
+     run_of("s2", {"d2": links_of(graph_of(("a", "b", RelType.BEFORE)))})])
+
+
+def test_stack_example_flags_both_sides():
+    reference, systems = STACK_EXAMPLE
+    d1 = [report.per_document["d1"] for report in score_runs(reference, systems)]
+    assert [(c.inconsistent_ref, c.inconsistent_sys) for c in d1] == \
+        [(True, True), (True, False), (True, False)]
+    assert d1[2].total_sys == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_run_stacks(), st.booleans())
+@example(STACK_EXAMPLE, True)
+@example(STACK_EXAMPLE, False)
+def test_stacked_counts_match_the_per_edge_referee(runs, collapse_identity):
+    reference, systems = runs
+    reports = score_runs(reference, systems, collapse_identity=collapse_identity)
+    assert len(reports) == len(systems)
+    for doc, links in reference.documents.items():
+        ref = build_graph(links)
+        for system, report in zip(systems, reports):
+            assert report.per_document[doc] == awareness_referee(
+                ref, build_graph(system.documents.get(doc, [])),
+                collapse_identity=collapse_identity)
 
 
 class TestScoreRun:
@@ -301,6 +372,24 @@ class TestScoreRun:
         ref, sys = self.two_doc_runs()
         with pytest.raises(ValueError, match="averaging"):
             score_run(ref, sys, average="median")
+
+    def test_no_systems_no_reports(self):
+        ref, _ = self.two_doc_runs()
+        assert score_runs(ref, []) == []
+
+    def test_unknown_filter_doc_rejected_for_a_stack(self):
+        ref, sys = self.two_doc_runs()
+        for systems in ([], [sys, sys]):
+            with pytest.raises(ValueError, match="not in reference"):
+                score_runs(ref, systems, doc_filter={"d1", "nope"})
+
+    @pytest.mark.parametrize("average", ["micro", "macro"])
+    def test_stack_averages_match_one_run_each(self, average):
+        ref, sys = self.two_doc_runs()
+        systems = [sys, ref, run_of("empty", {}), run_of("d2 only", {"d2": sys.documents["d2"]})]
+        reports = score_runs(ref, systems, average=average)
+        assert reports == [score_run(ref, s, average=average) for s in systems]
+        assert reports[1].f1 == 1.0 and reports[2].f1 == 0.0
 
     def test_empty_report_guards(self):
         report = ScoreReport()
