@@ -24,6 +24,7 @@ to overlap.
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -291,11 +292,17 @@ def pair_stack(graphs: Sequence[EventGraph], index: Dict[str, int]) -> np.ndarra
     """The (k, m, 3) rows (i, j, ordinal) of k graphs' edges, their nodes
     numbered by index, for _endpoint_order; m is the most edges of any graph,
     and the rows a graph lacks are (0, 0, NONE), which relates nothing."""
-    linked = np.zeros((len(graphs), max(map(len, graphs), default=0), 3), dtype=np.int64)
+    sizes = [len(g) for g in graphs]
+    linked = np.zeros((len(graphs), max(sizes, default=0), 3), dtype=np.int64)
     linked[..., 2] = RelType.NONE
-    for rows, g in zip(linked, graphs):
-        edges = [(index[p], index[q], rel) for (p, q), rel in g._edges.items()]
-        rows[:len(g)] = np.array(edges, dtype=np.int64).reshape(-1, 3)
+    # Every graph's edges in one pass each for endpoints and labels, filling
+    # graph k's first sizes[k] rows.
+    filled = np.arange(linked.shape[1]) < np.array(sizes, dtype=np.int64)[:, None]
+    ends = chain.from_iterable(chain.from_iterable(g._edges for g in graphs))
+    linked[filled, :2] = np.fromiter(map(index.__getitem__, ends), np.int64,
+                                     2 * sum(sizes)).reshape(-1, 2)
+    linked[filled, 2] = np.fromiter(chain.from_iterable(g._edges.values() for g in graphs),
+                                    np.int64, sum(sizes))
     return linked
 
 

@@ -3,7 +3,7 @@
 solve() separates the triangle rows lazily (cutting-plane inference).  An
 arc's winning labels are NONE and the labels that outweigh it
 (BinaryProgram.winning, at most 4 of the 15 with 3 members); its domain is
-the labels milp may give it.  In the default mode NONE breaks no row in any
+the labels a re-solve may give it.  In the default mode NONE breaks no row in any
 position, so moving an arc from label l to NONE keeps every row and changes
 the objective by alpha[e, NONE] - alpha[e, l]: some optimum of the full
 program uses only winning labels, which are the domain.  In strict mode a
@@ -18,20 +18,28 @@ label table allowed, and activates every row of a broken triangle that can
 bind over each arc's winning labels plus the label it holds now
 (BinaryProgram.binding_rows).  The broken row is one of them, so every round
 activates a new row; in the default mode the labels held are winning ones,
-so a triangle whose rows are active cannot break again.  The round then
-re-solves with the HiGHS MIP solver through scipy.optimize.milp.  Two arcs
-are connected when they share an active row's triangle, and the relaxation
-separates into the connected components of the program's arcs.  A re-solve
-gets only the components that hold a newly active row, all of them in one
-milp call: the domain columns of their arcs, one partition row per arc over
-them, and the active rows restricted to those columns.  An untouched
-component has the same rows as when it was last solved, so its labels are
-still optimal for it; an arc in no active row is a component of its own and
-keeps its round-1 label, its optimum in the relaxation.  The loop stops at
-the first answer that violates no row of the full program: it is feasible
-for the full program and optimal for a relaxation of it, so it is optimal.
-Among equal optima of a re-solve the one returned is HiGHS's choice on its
-components.  violations() checks a solution against every triangle through
+so a triangle whose rows are active cannot break again.  Two arcs are
+connected when they share an active row's triangle, and the relaxation
+separates into the connected components of the program's arcs.  The round
+then re-solves only the components that hold a newly active row.  A
+labelling of a component gives each of its arcs one domain label, so it has
+as many as the product of its arcs' domain widths.  A touched component of
+at most ENUMERATION_BOUND labellings is solved exactly by enumeration
+(_first_optimum), over its partition rows and its active rows, which is the
+relaxation milp would see; among equal optima it takes the first labelling
+in arc order, each domain ordered NONE first and then by ascending ordinal,
+which is round 1's tie rule, so its answer depends on that component alone.
+The larger touched components go to one call of the HiGHS MIP solver through
+scipy.optimize.milp: the domain columns of their arcs, one partition row per
+arc over them, and the active rows restricted to those columns.  A round
+with no large touched component calls no milp, and among equal optima of a
+milp call the one returned is HiGHS's choice over all its components.  An
+untouched component has the same rows as when it was last solved, so its
+labels are still optimal for it; an arc in no active row is a component of
+its own and keeps its round-1 label, its optimum in the relaxation.  The
+loop stops at the first answer that violates no row of the full program: it
+is feasible for the full program and optimal for a relaxation of it, so it
+is optimal.  violations() checks a solution against every triangle through
 the same table.
 
 solve_documents() solves several programs as one: it stacks them (each
@@ -41,13 +49,16 @@ into one Solution per part.  A part is one document's program, for one
 ensemble: reconcile stacks its documents, and an experiment stacks every
 (ensemble, document) program of all its ensembles.  Parts share no arc, so
 their components never connect, and each part is optimal for its own
-program.  It is the one place that knows the stack's offsets: a RowError
-from the stack names its part and that part's own row.
+program.  A part whose components are all enumerated gets the same labels in
+any stack; one with a component that reaches milp can get another of its
+equal optima.  It is the one place that knows the stack's offsets: a
+RowError from the stack names its part and that part's own row.
 
-Every re-solve sets the relative gap to 0, so a solution reported as proven
+Every milp call sets the relative gap to 0, so a solution reported as proven
 optimal is exact (up to HiGHS's absolute gap of 1e-6, which milp does not
-expose).  The time limit bounds the whole loop: each re-solve gets the time
-that is left, and HiGHS enforces it inside the solve.
+expose); enumeration is exact.  The time limit bounds the whole loop: each
+milp call gets the time that is left, and HiGHS enforces it inside the
+solve.  Enumeration takes no time limit; ENUMERATION_BOUND bounds its work.
 """
 
 from __future__ import annotations
@@ -61,12 +72,23 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .model import N_LABELS, BinaryProgram, partition_rows, row_name
+from .model import N_LABELS, BinaryProgram, _allowed, partition_rows, row_name
 from .relations import RelType
 
 OBJ_TOL = 1e-9
 NO_INCUMBENT = "time limit reached before any incumbent was found"
 DEFAULT_TIME_LIMIT = 300.0  # seconds per document
+# A touched component with at most this many labellings is solved by
+# enumeration, a larger one by milp.  Measured on 225 components of the
+# benchmark's three corpora and a 30-document dense one, both modes (2 vCPUs,
+# best of 7 runs): milp alone on one component never took under 0.88 ms
+# (about 5 ms when presolve could not remove the model), and the slowest
+# enumeration took 0.77 ms at up to 2^17 labellings and 1.27 ms at up to
+# 2^18.  2^17 is the largest power of two at which enumeration was never
+# slower than milp on the same component; its value array is 1 MB.
+ENUMERATION_BOUND = 1 << 17
+# Label indices (ordinal - 1) in tie order: NONE first, then ascending.
+_NONE_FIRST = np.roll(np.arange(N_LABELS), 1)
 
 
 @dataclass
@@ -74,9 +96,11 @@ class SolverStats:
     """Effort of one solve; solve() leaves lp_iterations 0 (milp omits it).
 
     rows and cols are the full program's; rounds counts the argmax round plus
-    one per milp re-solve; active_rows counts the triangle rows active at the
-    end and coupled_arcs the arcs of their triangles, over every component;
-    milp_cols sums the columns handed to milp over the re-solves.
+    one per re-solve, whether it enumerated, called milp or both;
+    active_rows counts the triangle rows active at the end and coupled_arcs
+    the arcs of their triangles, over every component.  milp_cols and
+    nodes_explored count HiGHS's work only: the columns handed to milp and
+    its branch-and-bound nodes, summed over the milp calls.
     For a stacked program these count every part of the stack: every
     document of a reconcile, every ensemble's documents of an experiment.
     """
@@ -135,6 +159,44 @@ def _solution(program: BinaryProgram, labels: np.ndarray, proven: bool,
     )
 
 
+def _by_owner(values: np.ndarray, owner: np.ndarray) -> List[np.ndarray]:
+    """values split by owner, in ascending owner order, each kept in order;
+    no values, no parts."""
+    order = np.argsort(owner, kind="stable")
+    parts = np.split(values[order], np.flatnonzero(np.diff(owner[order])) + 1)
+    return parts if len(values) else []
+
+
+def _first_optimum(program: BinaryProgram, domain: np.ndarray, arcs: np.ndarray,
+                   keys: np.ndarray) -> np.ndarray:
+    """Labels (ordinal - 1) of one component's arcs, ascending, in its first
+    optimal labelling under the active rows keys.
+
+    value has one axis per arc, in arc order, over the arc's domain ordered
+    NONE first, then by ascending ordinal; each entry is its labelling's
+    weight summed in arc order, or -inf where a row of keys breaks.  argmax
+    returns the first maximum in that order, the tie rule's labelling.
+    All-NONE breaks no row, so some entry is finite.
+    """
+    choices = [_NONE_FIRST[inside] for inside in domain[arcs][:, _NONE_FIRST]]
+    value = np.zeros(())
+    for arc, choice in zip(arcs.tolist(), choices):
+        value = value[..., None] + program.objective[arc * N_LABELS + choice]
+    axis = {arc: i for i, arc in enumerate(arcs.tolist())}
+    allowed = _allowed(program.none_breaks_triangles)
+    for (_, a, b), tri in zip(keys.tolist(), program.triangles[keys[:, 0]].tolist()):
+        # Row (a, b) breaks where pq holds a, qr holds b and pr a label that
+        # allowed[a, b] forbids: the product of those three index sets.
+        pq, qr, pr = (axis[arc] for arc in tri)
+        where = [slice(None)] * value.ndim
+        where[pq] = np.flatnonzero(choices[pq] == a - 1)[:, None, None]
+        where[qr] = np.flatnonzero(choices[qr] == b - 1)[:, None]
+        where[pr] = np.flatnonzero(~allowed[a - 1, b - 1, choices[pr]])
+        value[tuple(where)] = -np.inf
+    best = np.unravel_index(np.argmax(value), value.shape)
+    return np.array([choice[i] for choice, i in zip(choices, best)], dtype=np.int64)
+
+
 def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Solution:
     """Optimal solution (proven_optimal=True) or best incumbent on timeout.
 
@@ -151,8 +213,8 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
     # order NONE, BEFORE, AFTER, ... so that ties go to NONE first and then
     # to the lowest ordinal.  A label that outweighs NONE is a winning one,
     # and otherwise NONE wins, so the argmax lies in the domain.
-    order = np.roll(np.arange(N_LABELS), 1)
-    labels = order[program.objective.reshape(-1, N_LABELS)[:, order].argmax(axis=1)]
+    alpha = program.objective.reshape(-1, N_LABELS)
+    labels = _NONE_FIRST[alpha[:, _NONE_FIRST].argmax(axis=1)]
     keys = np.empty((0, 3), dtype=np.int64)  # active rows (k, a, b)
     proven = True
     while True:
@@ -184,26 +246,44 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
                            shape=(len(labels),) * 2)
         component = connected_components(graph, directed=False)[1]
         touched = np.isin(component, component[tri[-len(new):, 0]])
-        # The program restricted to the touched components' arcs and their
-        # domains: those columns, one partition row per arc and the active
-        # rows.
-        arcs = np.flatnonzero(touched)
+        # A component has as many labellings as the product of its arcs'
+        # domain widths, summed as log2 and rounded back so that none
+        # overflows.  Every arc of an active row has a label besides NONE in
+        # its domain, so a small component has at most log2(ENUMERATION_BOUND)
+        # arcs, one axis each in _first_optimum.
+        labellings = np.rint(np.exp2(np.minimum(
+            np.bincount(component, np.log2(domain.sum(axis=1))), 62)))
+        small = (labellings <= ENUMERATION_BOUND)[component]
+        enumerated = touched & small
+        held = enumerated[tri[:, 0]]  # the active rows inside them
+        for arcs, rows in zip(_by_owner(np.flatnonzero(enumerated), component[enumerated]),
+                              _by_owner(keys[held], component[tri[held, 0]])):
+            labels[arcs] = _first_optimum(program, domain, arcs, rows)
+        stats.rounds += 1
+        stats.active_rows, stats.coupled_arcs = len(keys), len(np.unique(tri))
+        large = touched & ~small
+        if not large.any():
+            continue
+        # The program restricted to the large touched components' arcs and
+        # their domains: those columns, one partition row per arc and the
+        # active rows.
+        arcs = np.flatnonzero(large)
         inside = domain[arcs]
         cols = (arcs[:, None] * N_LABELS + np.arange(N_LABELS))[inside]
-        rows = program.rows(keys[touched[tri[:, 0]]])[:, cols]
+        rows = program.rows(keys[large[tri[:, 0]]])[:, cols]
         # HiGHS presolve stays on; switching it off is not a blind win (2
-        # vCPUs).  In the default mode switching it off helps: reconcile-dense
-        # wall_s went 51.7 -> 36.6 ms (medians of 4 alternated pairs).  In
-        # strict mode it hurts: on 2 documents of 100-110 events at density
-        # 0.4 (content seed 7), milp calls went 7 -> 15 and reconcile
-        # 2.08 -> 5.06 s (median of 3), at the same objective.  The round
-        # count follows which of the equal optima HiGHS returns, and presolve
-        # changes that choice.
+        # vCPUs).  These numbers were taken when every touched component went
+        # to milp, before enumeration took the small ones.  In the default
+        # mode switching it off helped: reconcile-dense wall_s went 51.7 ->
+        # 36.6 ms (medians of 4 alternated pairs).  In strict mode it hurt: on
+        # 2 documents of 100-110 events at density 0.4 (content seed 7), milp
+        # calls went 7 -> 15 and reconcile 2.08 -> 5.06 s (median of 3), at
+        # the same objective.  The round count follows which of the equal
+        # optima HiGHS returns, and presolve changes that choice.
         res = milp(-program.objective[cols], integrality=1, bounds=Bounds(0, 1),
                    constraints=[LinearConstraint(partition_rows(inside.sum(axis=1)), 1, 1),
                                 LinearConstraint(rows, -np.inf, 1)],
                    options={"mip_rel_gap": 0.0, "time_limit": remaining})
-        stats.rounds += 1
         stats.milp_cols += len(cols)
         if res.status == 1 and res.x is None:
             raise NoIncumbent(broken[0])
@@ -214,7 +294,6 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         x = np.zeros(inside.shape)
         x[inside] = res.x
         labels[arcs] = x.argmax(axis=1)
-        stats.active_rows, stats.coupled_arcs = len(keys), len(np.unique(tri))
     stats.wall_time = time.monotonic() - t0
     return _solution(program, labels, proven, stats)
 

@@ -22,6 +22,7 @@ from tlinkrec.pipeline import (
     enumerate_ensembles,
     format_experiment_table,
     reconcile,
+    reconcile_ensembles,
     run_procedure_one,
     run_procedure_two,
     write_reconciled,
@@ -219,6 +220,7 @@ class TestReconcile:
     def test_own_row_error_names_the_document_and_its_row(self, monkeypatch):
         # milp returns the argmax point again.
         corpus = self.second_document_breaks_its_triangle()
+        monkeypatch.setattr(solver, "ENUMERATION_BOUND", 0)  # every component to milp
 
         def argmax_point(c, constraints, **kwargs):
             partition = constraints[0].A
@@ -235,6 +237,7 @@ class TestReconcile:
     def test_timeout_names_the_document_and_its_row(self, monkeypatch):
         # milp runs out of time before it finds any incumbent.
         corpus = self.second_document_breaks_its_triangle()
+        monkeypatch.setattr(solver, "ENUMERATION_BOUND", 0)  # every component to milp
         monkeypatch.setattr(solver, "milp", lambda c, **kwargs: OptimizeResult(
             status=1, x=None, mip_node_count=0, message="fake time limit"))
         with pytest.raises(solver.NoIncumbent, match=(
@@ -275,6 +278,7 @@ class TestReconcile:
     def test_document_with_no_arcs(self, corpus, monkeypatch, tmp_path):
         # A document on which no member has a TLINK, stacked between others:
         # it adds no arc, so milp gets the same calls as without it.
+        monkeypatch.setattr(solver, "ENUMERATION_BOUND", 0)  # every component to milp
         members = ["alpha", "beta", "gamma"]
         docs = corpus.documents[:3]
         empty = docs[1] + "_empty"
@@ -589,6 +593,31 @@ class TestStackedExperiment:
         assert row.result.run.documents == result.run.documents
         assert row.report == score_run(corpus.reference, result.run)
 
+    def test_an_ensemble_gets_the_same_labels_alone_or_in_the_sweep(self, tmp_path):
+        # The experiment-sparse shape: content seed 7, 4 documents of 60-90
+        # events at density 0.08, members weighed on S1, S2 reconciled.  Every
+        # component is small enough to enumerate, whose tie rule depends on
+        # the component alone; HiGHS picked between equal optima over the
+        # whole stack, and alpha+beta's synth_002 differed at arcs 157-158.
+        members = ["alpha", "beta", "gamma"]
+        generate_corpus(tmp_path, seed=7, n_docs=4, n_events=(60, 90), arc_density=0.08,
+                        classifiers=[SyntheticClassifier(name, rate) for name, rate in
+                                     zip(members, (0.1, 0.25, 0.4))])
+        corpus = load_corpus(tmp_path)
+        s1, s2 = default_split(corpus.documents)
+        weights = compute_f1_weights(corpus, members, set(s1))
+        sweep = [spec.members for spec in
+                 enumerate_ensembles(EnsembleSpec(("alpha",)), set(members))]
+        assert len(sweep) == 4
+        alone = reconcile(corpus, ["alpha", "beta"], weights, doc_filter=set(s2))
+        stacked = reconcile_ensembles(corpus, sweep, weights, doc_filter=set(s2))[
+            sweep.index(("alpha", "beta"))]
+        for result in (alone, stacked):
+            assert sorted(result.solutions) == s2
+            assert result.solutions[s2[0]].stats.milp_cols == 0
+        for doc in s2:
+            assert alone.solutions[doc].assignment == stacked.solutions[doc].assignment, doc
+
     def test_same_members_under_two_labels_stay_two_parts(self, corpus_root, corpus,
                                                           monkeypatch):
         calls = self.recording_solve(monkeypatch)
@@ -671,6 +700,7 @@ class TestStackedExperiment:
                 write_timeml([e for link in links for e in (link.source, link.target)], links,
                              tmp_path / where / f"{doc}.tml")
         (tmp_path / "weights.txt").write_text("m 1.0\nn 1.0\n")
+        monkeypatch.setattr(solver, "ENUMERATION_BOUND", 0)  # every component to milp
         monkeypatch.setattr(solver, "milp", lambda c, **kwargs: OptimizeResult(
             status=1, x=None, mip_node_count=0, message="fake time limit"))
         config = ExperimentConfig(tmp_path, weights_source=WeightsSource.FILE)

@@ -1,5 +1,6 @@
 import random
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from scipy.optimize import OptimizeResult, milp
 import tlinkrec.solver as solver
 from tlinkrec.model import N_LABELS, BinaryProgram, VoteTable, build_ip
 from tlinkrec.relations import NON_NONE, RelType
-from tlinkrec.solver import Solution, solve, solve_documents, verify, violations
+from tlinkrec.solver import (ENUMERATION_BOUND, OBJ_TOL, Solution, solve, solve_documents,
+                             verify, violations)
 from tlinkrec.timeml import CanonicalArc, EntityKind, EntityRef
 
 from referees import brute_force_solve, full_milp_solve
@@ -131,11 +133,12 @@ class TestSolveBasics:
         assert sol.assignment == {**OPTIMUM, 3: RelType.NONE, 4: RelType.BEFORE}
         assert sol.objective_value == brute_force_solve(program).objective_value
 
-    def test_both_modes_activate_the_whole_broken_triangle(self):
+    def test_both_modes_activate_the_whole_broken_triangle(self, monkeypatch):
         # pq may be BEFORE or IBEFORE, and each composes with BEFORE on qr to
         # BEFORE only, so both rows can bind against AFTER on pr.  Both modes
         # activate both rows in their one re-solve; strict mode hands milp
-        # all 15 columns of each arc.
+        # all 15 columns of each arc, with the triangle routed to milp.
+        monkeypatch.setattr(solver, "ENUMERATION_BOUND", 0)
         b, ib, a = RelType.BEFORE, RelType.IBEFORE, RelType.AFTER
         votes = votes_of([arc(1, 2), arc(1, 3), arc(2, 3)],
                          {0: {b: 0.5, ib: 0.375}, 1: {a: 0.5, b: 0.125}, 2: {b: 0.5}})
@@ -202,8 +205,13 @@ class TestMilpStatusMapping:
     """solve() against a stand-in for scipy's milp returning fixed results.
 
     The program is test_triangle_overrides_greedy's: its argmax violates the
-    one triangle, so solve() reaches milp in its second round.
+    one triangle, so solve() reaches milp in its second round once the
+    enumeration bound is 0, which sends every component to milp.
     """
+
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        monkeypatch.setattr(solver, "ENUMERATION_BOUND", 0)
 
     def program(self):
         return triangle_program()
@@ -536,6 +544,61 @@ class TestStackedPrograms:
         monkeypatch.setattr(solver, "milp", lambda *args, **kw: calls.append(args))
         assert solve_documents({}) == {}
         assert calls == []
+
+
+class TestEnumeration:
+    """A touched component of at most ENUMERATION_BOUND labellings is solved
+    by enumeration, a larger one by milp."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_first_of_two_optima_in_arc_order(self, strict):
+        # Arcs 0 = (1, 2), 1 = (1, 3), 2 = (2, 3): one triangle (pq, qr, pr)
+        # = (0, 2, 1), which the argmax BEFORE, AFTER, BEFORE breaks.  NONE
+        # on arc 0 or on arc 2 mends it, both at 1.5; arc 0's NONE comes
+        # before its BEFORE, so NONE, AFTER, BEFORE is the first optimum.
+        b, a, none = RelType.BEFORE, RelType.AFTER, RelType.NONE
+        program = build_ip(votes_of([arc(1, 2), arc(1, 3), arc(2, 3)],
+                                    {0: {b: 0.5}, 1: {a: 1.0}, 2: {b: 0.5}}),
+                           none_breaks_triangles=strict)
+        other = Solution({0: b, 1: a, 2: none}, 1.5, True)
+        assert violations(program, other) == []
+        sol = solve(program)
+        assert sol.assignment == {0: none, 1: a, 2: b}
+        assert sol.objective_value == 1.5 == brute_force_solve(program).objective_value
+        assert sol.proven_optimal and sol.stats.milp_cols == 0
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(tables=st.lists(vote_tables(min_arcs=0), max_size=3))
+    def test_both_paths_match_brute_force(self, tables, strict):
+        # The stack holds triangle_program(), whose component has 2 * 3 * 2
+        # labellings (15 ** 3 in strict mode), and two triangles that share
+        # arc 2 and both break, one component of 2 ** 5 labellings (15 ** 5).
+        # Solved with the bound at each labelling count that the stack's
+        # solve enumerates, the smallest sends the two to different paths.
+        b, a = RelType.BEFORE, RelType.AFTER
+        chain = votes_of([arc(1, 2), arc(1, 3), arc(2, 3), arc(2, 4), arc(3, 4)],
+                         {0: {b: 0.5}, 1: {a: 0.25}, 2: {b: 0.5}, 3: {a: 0.25}, 4: {b: 0.5}})
+        programs = {f"d{i}": build_ip(votes, none_breaks_triangles=strict)
+                    for i, votes in enumerate([*tables, chain])}
+        triangle = triangle_program()
+        programs["triangle"] = BinaryProgram(triangle.objective, triangle.triangles, strict)
+        exact = {doc: brute_force_solve(p).objective_value for doc, p in programs.items()}
+        enumerate_ = solver._first_optimum
+        with patch.object(solver, "_first_optimum", wraps=enumerate_) as spy:
+            solve_documents(programs)
+        sizes = {int(np.prod(domain[arcs].sum(axis=1)))
+                 for _, domain, arcs, _ in (call.args for call in spy.call_args_list)}
+        assert min(sizes) <= 15 ** 3 < ENUMERATION_BOUND
+        for bound in sorted(sizes):
+            with patch.object(solver, "ENUMERATION_BOUND", bound), \
+                    patch.object(solver, "_first_optimum", wraps=enumerate_) as enum, \
+                    patch.object(solver, "milp", wraps=milp) as highs:
+                parts = solve_documents(programs)
+            assert enum.called and (highs.called or bound > min(sizes))
+            for doc, program in programs.items():
+                assert parts[doc].proven_optimal and verify(program, parts[doc])
+                assert abs(parts[doc].objective_value - exact[doc]) <= OBJ_TOL
 
 
 class TestAllNoneFeasible:
