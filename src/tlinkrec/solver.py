@@ -21,26 +21,44 @@ activates a new row; in the default mode the labels held are winning ones,
 so a triangle whose rows are active cannot break again.  Two arcs are
 connected when they share an active row's triangle, and the relaxation
 separates into the connected components of the program's arcs.  The round
-then re-solves only the components that hold a newly active row.  A
-labelling of a component gives each of its arcs one domain label, so it has
-as many as the product of its arcs' domain widths.  A touched component of
-at most ENUMERATION_BOUND labellings is solved exactly by enumeration
-(_first_optimum), over its partition rows and its active rows, which is the
-relaxation milp would see; among equal optima it takes the first labelling
-in arc order, each domain ordered NONE first and then by ascending ordinal,
-which is round 1's tie rule, so its answer depends on that component alone.
-The larger touched components go to one call of the HiGHS MIP solver through
-scipy.optimize.milp: the domain columns of their arcs, one partition row per
-arc over them, and the active rows restricted to those columns.  A round
-with no large touched component calls no milp, and among equal optima of a
-milp call the one returned is HiGHS's choice over all its components.  An
-untouched component has the same rows as when it was last solved, so its
-labels are still optimal for it; an arc in no active row is a component of
-its own and keeps its round-1 label, its optimum in the relaxation.  The
-loop stops at the first answer that violates no row of the full program: it
-is feasible for the full program and optimal for a relaxation of it, so it
-is optimal.  violations() checks a solution against every triangle through
-the same table.
+then re-solves only the components that hold a newly active row.
+
+A touched component is solved exactly over its partition rows and its
+active rows, the relaxation milp would see, by max-sum bucket elimination
+(Dechter 1999, "Bucket elimination: a unifying framework for reasoning").
+Its factors are one weight vector per arc over its domain, ordered NONE
+first and then by ascending ordinal, and one table per active triangle that
+is -inf where one of the triangle's active rows breaks and 0 elsewhere.  A
+planner (_plan) reads only the arcs' domain widths and the triangles' arcs,
+and builds no table; it takes the first of four ways whose largest table
+has at most ENUMERATION_BOUND entries:
+1. one table over every arc, when the product of the domain widths fits;
+   its first maximum is the first optimal labelling in arc order, round 1's
+   tie rule;
+2. buckets in reverse arc order, decoded in arc order: each arc takes its
+   first label that an optimum completes, given the arcs before it, which
+   is again the first optimal labelling in arc order;
+3. buckets in min-degree order, the arc with the fewest neighbours left
+   first and the lower arc index on a tie, decoded in reverse elimination
+   order: the first optimal labelling in that decode order;
+4. milp, when neither order fits; the planner gives up each order at its
+   first table over the bound.
+The first three depend on the component alone, and so do their labels.
+Ties are equal sums as the tables compute them: ways 1 and 2 add an arc's
+weights in different orders, so on weights whose sums round differently
+they can split a tie differently.  The components that no order fits go to
+one call of the HiGHS MIP solver through scipy.optimize.milp: the domain
+columns of their arcs, one partition row per arc over them, and the active
+rows restricted to those columns.  A round in which every touched component
+has a plan calls no milp, and among equal optima of a milp call the one
+returned is HiGHS's choice over all its components.  An untouched component
+has the same rows as when it was last solved, so its labels are still
+optimal for it; an arc in no active row is a component of its own and keeps
+its round-1 label, its optimum in the relaxation.  The loop stops at the
+first answer that violates no row of the full program: it is feasible for
+the full program and optimal for a relaxation of it, so it is optimal.
+violations() checks a solution against every triangle through the same
+table.
 
 solve_documents() solves several programs as one: it stacks them (each
 program's arcs in order, each triangle array offset by the arcs before it),
@@ -49,23 +67,26 @@ into one Solution per part.  A part is one document's program, for one
 ensemble: reconcile stacks its documents, and an experiment stacks every
 (ensemble, document) program of all its ensembles.  Parts share no arc, so
 their components never connect, and each part is optimal for its own
-program.  A part whose components are all enumerated gets the same labels in
+program.  A part whose components all have a plan gets the same labels in
 any stack; one with a component that reaches milp can get another of its
 equal optima.  It is the one place that knows the stack's offsets: a
 RowError from the stack names its part and that part's own row.
 
 Every milp call sets the relative gap to 0, so a solution reported as proven
 optimal is exact (up to HiGHS's absolute gap of 1e-6, which milp does not
-expose); enumeration is exact.  The time limit bounds the whole loop: each
+expose); elimination is exact.  The time limit bounds the whole loop: each
 milp call gets the time that is left, and HiGHS enforces it inside the
-solve.  Enumeration takes no time limit; ENUMERATION_BOUND bounds its work.
+solve.  Elimination takes no time limit; ENUMERATION_BOUND bounds each table
+it builds.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -78,17 +99,21 @@ from .relations import RelType
 OBJ_TOL = 1e-9
 NO_INCUMBENT = "time limit reached before any incumbent was found"
 DEFAULT_TIME_LIMIT = 300.0  # seconds per document
-# A touched component with at most this many labellings is solved by
-# enumeration, a larger one by milp.  Measured on 225 components of the
-# benchmark's three corpora and a 30-document dense one, both modes (2 vCPUs,
-# best of 7 runs): milp alone on one component never took under 0.88 ms
-# (about 5 ms when presolve could not remove the model), and the slowest
-# enumeration took 0.77 ms at up to 2^17 labellings and 1.27 ms at up to
-# 2^18.  2^17 is the largest power of two at which enumeration was never
-# slower than milp on the same component; its value array is 1 MB.
+# The one bound, on the largest table that any plan builds: a touched
+# component is solved by the first plan whose tables all have at most this
+# many entries, and by milp when no plan fits.  Measured per component, with
+# the bound raised to 2^22, on 368 components of the benchmark's three
+# corpora and a 30-document dense one, both modes (2 vCPUs, best of 5 runs of
+# each): on the 281 whose largest table had at most 2^17 entries, all three
+# table ways among them, elimination with its planning never took longer than
+# milp alone on the same component, which took at least 1.4 times as long.
+# Above 2^17 elimination was slower on 16 of 87, and on all 6 above 2^20.  A
+# table of 2^17 entries is 1 MB.
 ENUMERATION_BOUND = 1 << 17
 # Label indices (ordinal - 1) in tie order: NONE first, then ascending.
 _NONE_FIRST = np.roll(np.arange(N_LABELS), 1)
+# The labels by index: a tuple lookup, where RelType(ordinal) is an enum call.
+_LABELS = tuple(RelType)
 
 
 @dataclass
@@ -96,7 +121,7 @@ class SolverStats:
     """Effort of one solve; solve() leaves lp_iterations 0 (milp omits it).
 
     rows and cols are the full program's; rounds counts the argmax round plus
-    one per re-solve, whether it enumerated, called milp or both;
+    one per re-solve, whether it eliminated, called milp or both;
     active_rows counts the triangle rows active at the end and coupled_arcs
     the arcs of their triangles, over every component.  milp_cols and
     nodes_explored count HiGHS's work only: the columns handed to milp and
@@ -152,7 +177,7 @@ def _solution(program: BinaryProgram, labels: np.ndarray, proven: bool,
     """The Solution of per-arc labels (ordinal - 1), objective recomputed."""
     chosen = np.arange(len(labels)) * N_LABELS + labels
     return Solution(
-        assignment={arc: RelType(label + 1) for arc, label in enumerate(labels.tolist())},
+        assignment={arc: _LABELS[label] for arc, label in enumerate(labels.tolist())},
         objective_value=float(program.objective[chosen].sum()),
         proven_optimal=proven,
         stats=stats,
@@ -167,34 +192,192 @@ def _by_owner(values: np.ndarray, owner: np.ndarray) -> List[np.ndarray]:
     return parts if len(values) else []
 
 
-def _first_optimum(program: BinaryProgram, domain: np.ndarray, arcs: np.ndarray,
-                   keys: np.ndarray) -> np.ndarray:
-    """Labels (ordinal - 1) of one component's arcs, ascending, in its first
-    optimal labelling under the active rows keys.
+def _order(widths: Sequence[int], neighbours: List[Set[int]], min_degree: bool
+           ) -> Optional[List[int]]:
+    """The arcs of one component in elimination order, or None at the first
+    bucket table of more than ENUMERATION_BOUND entries.
 
-    value has one axis per arc, in arc order, over the arc's domain ordered
-    NONE first, then by ascending ordinal; each entry is its labelling's
-    weight summed in arc order, or -inf where a row of keys breaks.  argmax
-    returns the first maximum in that order, the tie rule's labelling.
-    All-NONE breaks no row, so some entry is finite.
+    widths are the arcs' domain widths, and neighbours[arc] the arcs that
+    share an active triangle with arc; both number the arcs in arc order,
+    and neighbours is joined in place.  The order is reverse arc order, or
+    min-degree order: the arc with the fewest neighbours left, the lower
+    index on a tie.  The bucket of an arc spans it and its neighbours left,
+    and eliminating it joins those neighbours, so the order is followed on
+    the scopes alone.
     """
-    choices = [_NONE_FIRST[inside] for inside in domain[arcs][:, _NONE_FIRST]]
+    queue = [(len(around), arc) for arc, around in enumerate(neighbours)] if min_degree else []
+    heapq.heapify(queue)
+    done = [False] * len(widths)
+    order: List[int] = []
+    for step in range(len(widths)):
+        arc = len(widths) - 1 - step
+        if min_degree:  # an entry is stale once its arc is done or joined
+            degree, arc = heapq.heappop(queue)
+            while done[arc] or degree != len(neighbours[arc]):
+                degree, arc = heapq.heappop(queue)
+        around = neighbours[arc]
+        if widths[arc] * math.prod(widths[other] for other in around) > ENUMERATION_BOUND:
+            return None
+        for other in around:
+            neighbours[other] |= around
+            neighbours[other] -= {other, arc}
+            if min_degree:
+                heapq.heappush(queue, (len(neighbours[other]), other))
+        done[arc] = True
+        order.append(arc)
+    return order
+
+
+def _plan(widths: Sequence[int], scopes: np.ndarray) -> Optional[List[Tuple[int, ...]]]:
+    """The steps that solve one component, each the arcs that one bucket
+    eliminates, or None when no plan's tables fit ENUMERATION_BOUND.
+
+    widths are the domain widths of the component's arcs and scopes its
+    active triangles, both numbering the arcs in arc order.  The plan is the
+    first that fits of: one table over every arc, when the product of the
+    widths fits; buckets in reverse arc order; buckets in min-degree order
+    (_order).
+    """
+    if math.prod(widths) <= ENUMERATION_BOUND:
+        return [tuple(range(len(widths)))]
+    neighbours: List[Set[int]] = [set() for _ in widths]
+    for scope in scopes.tolist():
+        for arc in scope:
+            neighbours[arc].update(scope)
+    for arc, around in enumerate(neighbours):
+        around.discard(arc)
+    for min_degree in (False, True):
+        order = _order(widths, [set(around) for around in neighbours], min_degree)
+        if order is not None:
+            return [(arc,) for arc in order]
+    return None
+
+
+def _factor_tables(program: BinaryProgram, arcs: np.ndarray, choices: np.ndarray,
+                   widths: Sequence[int], scopes: np.ndarray, rows: np.ndarray
+                   ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """One component's factors: each arc's weights over its domain, and one
+    table per triangle, over its arcs' domains, that is -inf where one of
+    its active rows breaks and 0 elsewhere.
+
+    Row i of choices holds the domain labels of arcs[i] in its first
+    widths[i] places.  Row t of scopes numbers triangle t's (pq, pr, qr) in
+    arcs, which is ascending, and its table's axes follow that order; rows
+    holds the active rows (t, a, b).
+    """
+    active = np.zeros((len(scopes), N_LABELS, N_LABELS), dtype=bool)
+    active[rows[:, 0], rows[:, 1] - 1, rows[:, 2] - 1] = True
+    inside = choices[:, :max(widths)]
+    a, c, b = inside[scopes.T]  # labels of pq, pr and qr
+    # Row (a, b) breaks where pq holds a, qr holds b and pr a label c that
+    # allowed[a, b] forbids.
+    breaks = (active[np.arange(len(scopes))[:, None, None], a[:, :, None], b[:, None, :]]
+              [:, :, None, :]
+              & ~_allowed(program.none_breaks_triangles)[
+                  a[:, :, None, None], b[:, None, None, :], c[:, None, :, None]])
+    tables = np.where(breaks, -np.inf, 0.0)
+    weights = program.objective.reshape(-1, N_LABELS)[arcs[:, None], inside]
+    return ([row[:width] for row, width in zip(weights, widths)],
+            [table[:widths[pq], :widths[pr], :widths[qr]]
+             for table, (pq, pr, qr) in zip(tables, scopes.tolist())])
+
+
+def _bucket_table(axes: Sequence[int], factors: Sequence[Tuple[Tuple[int, ...], np.ndarray]],
+                  masks: Sequence[Tuple[Tuple[int, ...], np.ndarray]]) -> np.ndarray:
+    """The sum of factors and masks, each a (scope, table) pair with its
+    scope in arc order, on one axis per arc of axes, in that order.
+
+    The factors are added in the order given, which must be ascending in
+    the position of their last arc in axes: each is added once that axis is
+    in place, so a table over every arc in arc order sums the arcs' weights
+    in arc order.  A mask holds only 0 and -inf, so it changes no finite sum
+    wherever it is added: the masks that end at one axis are summed and
+    added with the first factor that ends there, which saves a pass over the
+    table per mask.
+    """
+    at = {arc: i for i, arc in enumerate(axes)}
+
+    def spread(scope: Tuple[int, ...], table: np.ndarray) -> np.ndarray:
+        """table on axes up to its scope's last, 1 wide off its scope."""
+        where = [at[arc] for arc in scope]
+        shape = [1] * (max(where) + 1)
+        for i, width in zip(where, table.shape):
+            shape[i] = width
+        if where != sorted(where):
+            table = table.transpose(np.argsort(where))
+        return table.reshape(shape)
+
+    terms = [spread(*factor) for factor in factors]
+    ends: Dict[int, np.ndarray] = {}  # the sum of the masks of each last axis
+    for scope, table in masks:
+        mask = spread(scope, table)
+        ends[mask.ndim] = ends[mask.ndim] + mask if mask.ndim in ends else mask
+    for ndim, mask in sorted(ends.items()):
+        i = next((i for i, term in enumerate(terms) if term.ndim >= ndim), len(terms))
+        if i < len(terms) and terms[i].ndim == ndim:
+            terms[i] = terms[i] + mask
+        else:
+            terms.insert(i, mask)
     value = np.zeros(())
-    for arc, choice in zip(arcs.tolist(), choices):
-        value = value[..., None] + program.objective[arc * N_LABELS + choice]
-    axis = {arc: i for i, arc in enumerate(arcs.tolist())}
-    allowed = _allowed(program.none_breaks_triangles)
-    for (_, a, b), tri in zip(keys.tolist(), program.triangles[keys[:, 0]].tolist()):
-        # Row (a, b) breaks where pq holds a, qr holds b and pr a label that
-        # allowed[a, b] forbids: the product of those three index sets.
-        pq, qr, pr = (axis[arc] for arc in tri)
-        where = [slice(None)] * value.ndim
-        where[pq] = np.flatnonzero(choices[pq] == a - 1)[:, None, None]
-        where[qr] = np.flatnonzero(choices[qr] == b - 1)[:, None]
-        where[pr] = np.flatnonzero(~allowed[a - 1, b - 1, choices[pr]])
-        value[tuple(where)] = -np.inf
-    best = np.unravel_index(np.argmax(value), value.shape)
-    return np.array([choice[i] for choice, i in zip(choices, best)], dtype=np.int64)
+    for term in terms:
+        value = value.reshape(value.shape + (1,) * (term.ndim - value.ndim)) + term
+    return value
+
+
+def _eliminate(unary: Sequence[np.ndarray], tables: Sequence[np.ndarray], scopes: np.ndarray,
+               steps: Sequence[Tuple[int, ...]]) -> List[int]:
+    """Each arc's position in its domain, in an optimum of the sum of the
+    factors: unary[arc] on each arc and the mask tables[t] on the arcs
+    scopes[t].
+
+    A step eliminates its arcs: its bucket is every factor and mask left
+    that holds one of them, its table spans the bucket's arcs, the step's
+    first and the others after them in arc order, and the maximum over the
+    step's arcs is a new factor on the others.  Only the last step leaves no
+    others, and only it may hold more than one arc.  Decoding runs through
+    the steps in reverse: the last step's arcs take the first maximum of its
+    table in C order, and each earlier step's arc the first maximum of its
+    bucket given the arcs decoded before it, whose factors are summed in the
+    order its table summed them.
+    """
+    factors = [((arc,), weights) for arc, weights in enumerate(unary)]
+    factors += zip(map(tuple, scopes.tolist()), tables)
+    is_mask = [False] * len(unary) + [True] * len(tables)
+    holders: List[List[int]] = [[] for _ in unary]
+    for i, (scope, _) in enumerate(factors):
+        for arc in scope:
+            holders[arc].append(i)
+    left = [True] * len(factors)
+    buckets = []
+    for step in steps:
+        ids = sorted({i for arc in step for i in holders[arc] if left[i]})
+        others = sorted({arc for i in ids for arc in factors[i][0]}.difference(step))
+        at = {arc: i for i, arc in enumerate((*step, *others))}
+        bucket = sorted((factors[i] for i in ids if not is_mask[i]),
+                        key=lambda factor: max(map(at.__getitem__, factor[0])))
+        masks = [factors[i] for i in ids if is_mask[i]]
+        value = _bucket_table((*step, *others), bucket, masks)
+        buckets.append(bucket + masks)
+        for i in ids:
+            left[i] = False
+        if others:
+            for arc in others:
+                holders[arc].append(len(factors))
+            left.append(True)
+            is_mask.append(False)
+            factors.append((tuple(others), value.reshape(-1, *value.shape[len(step):])
+                            .max(axis=0)))
+    position = [0] * len(unary)
+    best = value.argmax()
+    for arc in reversed(steps[-1]):
+        best, position[arc] = divmod(best, len(unary[arc]))
+    for ((arc,), bucket) in zip(reversed(steps[:-1]), reversed(buckets[:-1])):
+        value = np.zeros(())
+        for scope, table in bucket:
+            value = value + table[tuple(slice(None) if other == arc else position[other]
+                                        for other in scope)]
+        position[arc] = int(value.argmax())
+    return position
 
 
 def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Solution:
@@ -209,10 +392,6 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
     t0 = time.monotonic()
     stats = SolverStats(rows=program.num_rows, cols=program.num_vars, rounds=1)
     domain, winning = program.domain(), program.winning()
-    # Round 1: the partition rows alone, the argmax with the labels in the
-    # order NONE, BEFORE, AFTER, ... so that ties go to NONE first and then
-    # to the lowest ordinal.  A label that outweighs NONE is a winning one,
-    # and otherwise NONE wins, so the argmax lies in the domain.
     alpha = program.objective.reshape(-1, N_LABELS)
     labels = _NONE_FIRST[alpha[:, _NONE_FIRST].argmax(axis=1)]
     keys = np.empty((0, 3), dtype=np.int64)  # active rows (k, a, b)
@@ -246,39 +425,41 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
                            shape=(len(labels),) * 2)
         component = connected_components(graph, directed=False)[1]
         touched = np.isin(component, component[tri[-len(new):, 0]])
-        # A component has as many labellings as the product of its arcs'
-        # domain widths, summed as log2 and rounded back so that none
-        # overflows.  Every arc of an active row has a label besides NONE in
-        # its domain, so a small component has at most log2(ENUMERATION_BOUND)
-        # arcs, one axis each in _first_optimum.
-        labellings = np.rint(np.exp2(np.minimum(
-            np.bincount(component, np.log2(domain.sum(axis=1))), 62)))
-        small = (labellings <= ENUMERATION_BOUND)[component]
-        enumerated = touched & small
-        held = enumerated[tri[:, 0]]  # the active rows inside them
-        for arcs, rows in zip(_by_owner(np.flatnonzero(enumerated), component[enumerated]),
+        wide = np.zeros(len(labels), dtype=bool)
+        held = touched[tri[:, 0]]  # the active rows inside them
+        for arcs, rows in zip(_by_owner(np.flatnonzero(touched), component[touched]),
                               _by_owner(keys[held], component[tri[held, 0]])):
-            labels[arcs] = _first_optimum(program, domain, arcs, rows)
+            # The component's triangles, ascending, numbered in rows, and each
+            # one's (pq, pr, qr), which is ascending in arc order.
+            k = np.unique(rows[:, 0])
+            rows[:, 0] = np.searchsorted(k, rows[:, 0])
+            scopes = np.searchsorted(arcs, program.triangles[k][:, [0, 2, 1]])
+            ordered = domain[arcs][:, _NONE_FIRST]
+            widths = ordered.sum(axis=1).tolist()
+            steps = _plan(widths, scopes)
+            if steps is None:
+                wide[arcs] = True
+                continue
+            # Each arc's domain labels first, NONE first and then ascending.
+            choices = _NONE_FIRST[np.argsort(~ordered, axis=1, kind="stable")]
+            factors = _factor_tables(program, arcs, choices, widths, scopes, rows)
+            labels[arcs] = choices[np.arange(len(arcs)), _eliminate(*factors, scopes, steps)]
         stats.rounds += 1
         stats.active_rows, stats.coupled_arcs = len(keys), len(np.unique(tri))
-        large = touched & ~small
-        if not large.any():
+        if not wide.any():
             continue
-        # The program restricted to the large touched components' arcs and
+        # The program restricted to the wide touched components' arcs and
         # their domains: those columns, one partition row per arc and the
         # active rows.
-        arcs = np.flatnonzero(large)
+        arcs = np.flatnonzero(wide)
         inside = domain[arcs]
         cols = (arcs[:, None] * N_LABELS + np.arange(N_LABELS))[inside]
-        rows = program.rows(keys[large[tri[:, 0]]])[:, cols]
-        # HiGHS presolve stays on; switching it off is not a blind win (2
-        # vCPUs).  These numbers were taken when every touched component went
-        # to milp, before enumeration took the small ones.  In the default
-        # mode switching it off helped: reconcile-dense wall_s went 51.7 ->
-        # 36.6 ms (medians of 4 alternated pairs).  In strict mode it hurt: on
-        # 2 documents of 100-110 events at density 0.4 (content seed 7), milp
-        # calls went 7 -> 15 and reconcile 2.08 -> 5.06 s (median of 3), at
-        # the same objective.  The round count follows which of the equal
+        rows = program.rows(keys[wide[tri[:, 0]]])[:, cols]
+        # HiGHS presolve stays on.  Only wide components get here, such as
+        # those of 2 documents of 100-110 events at density 0.4 (content seed
+        # 7), and on them switching it off hurt in strict mode (2 vCPUs):
+        # milp calls went 7 -> 15 and reconcile 2.08 -> 5.06 s (median of 3),
+        # at the same objective.  The round count follows which of the equal
         # optima HiGHS returns, and presolve changes that choice.
         res = milp(-program.objective[cols], integrality=1, bounds=Bounds(0, 1),
                    constraints=[LinearConstraint(partition_rows(inside.sum(axis=1)), 1, 1),
@@ -327,8 +508,9 @@ def solve_documents(programs: Mapping[Hashable, BinaryProgram],
         k, a, b = err.key
         i = int(np.searchsorted(triangles, k, side="right")) - 1
         raise type(err)((k - triangles[i], a, b), f"{keys[i]}: ") from err
-    labels = np.array([whole.assignment[arc].value - 1 for arc in range(arcs[-1])],
-                      dtype=np.int64)
+    # RelType is an IntEnum, so each label converts to its ordinal in C.
+    labels = np.fromiter(map(whole.assignment.__getitem__, range(arcs[-1])), dtype=np.int64,
+                         count=arcs[-1]) - 1
     return {key: _solution(p, labels[lo:hi], whole.proven_optimal, whole.stats)
             for key, p, lo, hi in zip(keys, parts, arcs, arcs[1:])}
 

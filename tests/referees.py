@@ -3,8 +3,10 @@
 solve() separates and verify() checks with the program's label table and never
 builds the whole triangle matrix; both referees do, with the row builder called
 for every triangle.  brute_force_solve() is the exhaustive optimum for tiny
-programs; it never touches a solver and shares no code with the enumeration
-that solve() uses on small components, so it can referee solve().
+programs; it never touches a solver and shares no code with the bucket
+eliminator (solver._plan, _factor_tables and _eliminate) that solve() uses on
+every component whose tables fit ENUMERATION_BOUND, so it can referee
+solve().
 full_milp_solve() hands the whole program, every triangle row included, to
 HiGHS in one call, so it referees solve()'s lazy separation on programs of any
 size.

@@ -244,6 +244,27 @@ class TestReconcile:
                 rf"^d1: {solver.NO_INCUMBENT}; row t0_1_1 is still broken$")):
             reconcile(corpus, ["m"])
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_dense_document_reconciles_without_milp(self, tmp_path, monkeypatch, strict):
+        # The reconcile-dense shape: content seed 7, 20-30 events at density
+        # 0.4.  Its components are narrow, so each is solved by a table plan
+        # in both modes, and HiGHS is never called.
+        members = ["alpha", "beta", "gamma"]
+        generate_corpus(tmp_path, seed=7, n_docs=1, n_events=(20, 30), arc_density=0.4,
+                        classifiers=[SyntheticClassifier(name, rate) for name, rate in
+                                     zip(members, (0.1, 0.25, 0.4))])
+        corpus = load_corpus(tmp_path)
+
+        def no_milp(*args, **kwargs):
+            raise AssertionError("milp called")
+
+        monkeypatch.setattr(solver, "milp", no_milp)
+        result = reconcile(corpus, members, none_breaks_triangles=strict)
+        [(doc, solution)] = result.solutions.items()
+        assert solution.proven_optimal and solution.stats.milp_cols == 0
+        assert solution.stats.active_rows > 0
+        assert verify(build_ip(result.votes[doc], none_breaks_triangles=strict), solution)
+
     def test_arc_voted_only_by_a_weight_0_member_gets_no_tlink(self, corpus):
         docs = corpus.documents[:3]
         result = reconcile(corpus, ["alpha", "beta"], {"alpha": 0.0, "beta": 0.5},
@@ -596,9 +617,9 @@ class TestStackedExperiment:
     def test_an_ensemble_gets_the_same_labels_alone_or_in_the_sweep(self, tmp_path):
         # The experiment-sparse shape: content seed 7, 4 documents of 60-90
         # events at density 0.08, members weighed on S1, S2 reconciled.  Every
-        # component is small enough to enumerate, whose tie rule depends on
-        # the component alone; HiGHS picked between equal optima over the
-        # whole stack, and alpha+beta's synth_002 differed at arcs 157-158.
+        # component is solved as one table, whose tie rule depends on the
+        # component alone; HiGHS picked between equal optima over the whole
+        # stack, and alpha+beta's synth_002 differed at arcs 157-158.
         members = ["alpha", "beta", "gamma"]
         generate_corpus(tmp_path, seed=7, n_docs=4, n_events=(60, 90), arc_density=0.08,
                         classifiers=[SyntheticClassifier(name, rate) for name, rate in

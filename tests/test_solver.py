@@ -205,12 +205,13 @@ class TestMilpStatusMapping:
     """solve() against a stand-in for scipy's milp returning fixed results.
 
     The program is test_triangle_overrides_greedy's: its argmax violates the
-    one triangle, so solve() reaches milp in its second round once the
-    enumeration bound is 0, which sends every component to milp.
+    one triangle, so solve() reaches milp in its second round once
+    ENUMERATION_BOUND is 0, which no table fits, so that every component goes
+    to milp.
     """
 
     @pytest.fixture(autouse=True)
-    def no_enumeration(self, monkeypatch):
+    def no_elimination(self, monkeypatch):
         monkeypatch.setattr(solver, "ENUMERATION_BOUND", 0)
 
     def program(self):
@@ -548,7 +549,7 @@ class TestStackedPrograms:
 
 class TestEnumeration:
     """A touched component of at most ENUMERATION_BOUND labellings is solved
-    by enumeration, a larger one by milp."""
+    as one table, whose first optimum in arc order is the answer."""
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_first_of_two_optima_in_arc_order(self, strict):
@@ -567,38 +568,132 @@ class TestEnumeration:
         assert sol.objective_value == 1.5 == brute_force_solve(program).objective_value
         assert sol.proven_optimal and sol.stats.milp_cols == 0
 
+
+def hub_votes(weights=(0.5,) * 8):
+    """Arcs 0 = (1, 2), 1 = (1, 4), 2 = (1, 5), 3 = (2, 4), 4 = (2, 5),
+    5 = (3, 4), 6 = (3, 5) and 7 = (4, 5): triangles (pq, qr, pr) =
+    (0, 3, 1), (0, 4, 2), (1, 7, 2), (3, 7, 4) and (5, 7, 6).  Each arc has
+    one vote, weighted as weights gives, and the argmax breaks all five
+    triangles, so the re-solve gets one component of the eight arcs.  Arc 7,
+    the last, lies in three triangles: in reverse arc order its bucket spans
+    arcs 1-7.  Min-degree order eliminates 5, 6, 0, 1, 2, 3, 4, 7, and its
+    largest bucket, arc 0's, spans arcs 0-4.  With widths of 2 (the default
+    mode) the one table has 2 ** 8 entries, reverse arc order's largest
+    2 ** 7 and min-degree order's 2 ** 5; with 15 (strict mode) those are
+    15 ** 8, 15 ** 7 and 15 ** 5.
+    """
+    a, b, i, ii = RelType.AFTER, RelType.BEFORE, RelType.INCLUDES, RelType.IS_INCLUDED
+    arcs = [arc(1, 2), arc(1, 4), arc(1, 5), arc(2, 4), arc(2, 5), arc(3, 4), arc(3, 5),
+            arc(4, 5)]
+    return votes_of(arcs, {k: {rel: w} for k, (rel, w) in
+                           enumerate(zip([a, i, b, i, ii, a, i, i], weights))})
+
+
+def chain_votes():
+    """Arcs 0 = (1, 2), 1 = (1, 3), 2 = (2, 3), 3 = (2, 4), 4 = (3, 4): two
+    triangles that share arc 2 and both break.  Reverse arc order's largest
+    bucket spans three arcs of the five."""
+    b, a = RelType.BEFORE, RelType.AFTER
+    return votes_of([arc(1, 2), arc(1, 3), arc(2, 3), arc(2, 4), arc(3, 4)],
+                    {0: {b: 0.5}, 1: {a: 0.25}, 2: {b: 0.5}, 3: {a: 0.25}, 4: {b: 0.5}})
+
+
+def way_of(steps, n_arcs):
+    """Which way _plan's steps solve a component of n_arcs arcs."""
+    if steps is None:
+        return "milp"
+    if len(steps) == 1:
+        return "one table"
+    if steps == [(arc,) for arc in reversed(range(n_arcs))]:
+        return "arc order"
+    return "min-degree"
+
+
+def solve_with_bound(programs, bound):
+    """solve_documents(programs) with ENUMERATION_BOUND at bound, and the
+    way and steps of each component that the solve planned, in order."""
+    plan, ways = solver._plan, []
+
+    def recording(widths, scopes):
+        steps = plan(widths, scopes)
+        ways.append((way_of(steps, len(widths)), steps))
+        return steps
+
+    with patch.object(solver, "ENUMERATION_BOUND", bound), \
+            patch.object(solver, "_plan", recording):
+        return solve_documents(programs), ways
+
+
+class TestElimination:
+    """A touched component is solved by the first plan whose largest table
+    fits ENUMERATION_BOUND: one table, buckets in reverse arc order, buckets
+    in min-degree order; with none, by milp."""
+
+    # Bounds at which the stack of test_every_plan_matches_brute_force takes
+    # each way: the hub's one table, reverse arc order and min-degree order,
+    # then milp, in the default mode; in strict mode the chain's reverse arc
+    # order and the triangle's one table, the hub's min-degree order, then
+    # milp.
+    BOUNDS = {False: [1 << 17, 2 ** 7, 2 ** 5, 0], True: [15 ** 3, 15 ** 5, 0]}
+
     @pytest.mark.parametrize("strict", [False, True])
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(tables=st.lists(vote_tables(min_arcs=0), max_size=3))
-    def test_both_paths_match_brute_force(self, tables, strict):
-        # The stack holds triangle_program(), whose component has 2 * 3 * 2
-        # labellings (15 ** 3 in strict mode), and two triangles that share
-        # arc 2 and both break, one component of 2 ** 5 labellings (15 ** 5).
-        # Solved with the bound at each labelling count that the stack's
-        # solve enumerates, the smallest sends the two to different paths.
-        b, a = RelType.BEFORE, RelType.AFTER
-        chain = votes_of([arc(1, 2), arc(1, 3), arc(2, 3), arc(2, 4), arc(3, 4)],
-                         {0: {b: 0.5}, 1: {a: 0.25}, 2: {b: 0.5}, 3: {a: 0.25}, 4: {b: 0.5}})
+    def test_every_plan_matches_brute_force(self, tables, strict):
         programs = {f"d{i}": build_ip(votes, none_breaks_triangles=strict)
-                    for i, votes in enumerate([*tables, chain])}
+                    for i, votes in enumerate([*tables, chain_votes(), hub_votes()])}
         triangle = triangle_program()
         programs["triangle"] = BinaryProgram(triangle.objective, triangle.triangles, strict)
         exact = {doc: brute_force_solve(p).objective_value for doc, p in programs.items()}
-        enumerate_ = solver._first_optimum
-        with patch.object(solver, "_first_optimum", wraps=enumerate_) as spy:
-            solve_documents(programs)
-        sizes = {int(np.prod(domain[arcs].sum(axis=1)))
-                 for _, domain, arcs, _ in (call.args for call in spy.call_args_list)}
-        assert min(sizes) <= 15 ** 3 < ENUMERATION_BOUND
-        for bound in sorted(sizes):
-            with patch.object(solver, "ENUMERATION_BOUND", bound), \
-                    patch.object(solver, "_first_optimum", wraps=enumerate_) as enum, \
-                    patch.object(solver, "milp", wraps=milp) as highs:
-                parts = solve_documents(programs)
-            assert enum.called and (highs.called or bound > min(sizes))
+        seen = set()
+        for bound in self.BOUNDS[strict]:
+            with patch.object(solver, "milp", wraps=milp) as highs:
+                parts, ways = solve_with_bound(programs, bound)
+            seen |= {way for way, _ in ways}
+            assert highs.called == ("milp" in {way for way, _ in ways})
             for doc, program in programs.items():
                 assert parts[doc].proven_optimal and verify(program, parts[doc])
                 assert abs(parts[doc].objective_value - exact[doc]) <= OBJ_TOL
+        assert seen == {"one table", "arc order", "min-degree", "milp"}
+
+    # Two optima of the hub at 3.25: NONE on arcs 1, 4 and 5, or on arcs 1,
+    # 4 and 6.  Arc 5 comes first in arc order, arc 6 in min-degree order's
+    # decoding (7, 4, 3, 2, 1, 0, 6, 5).
+    TIED = (0.75, 0.25, 0.5, 0.75, 0.75, 0.25, 0.25, 1.0)
+
+    def test_arc_order_buckets_return_the_one_table_labels(self):
+        program = build_ip(hub_votes(self.TIED))
+        (table, ways), (buckets, arc_ways) = (solve_with_bound({"hub": program}, bound)
+                                              for bound in (2 ** 8, 2 ** 7))
+        assert [way for way, _ in ways] == ["one table"]
+        assert [way for way, _ in arc_ways] == ["arc order"]
+        assert buckets["hub"].assignment == table["hub"].assignment
+        none = [k for k, rel in table["hub"].assignment.items() if rel is RelType.NONE]
+        assert none == [1, 4, 5]
+        assert table["hub"].objective_value == 3.25 == \
+            brute_force_solve(program).objective_value
+
+    def test_min_degree_takes_the_first_optimum_in_decode_order(self):
+        program = build_ip(hub_votes(self.TIED))
+        parts, ways = solve_with_bound({"hub": program}, 2 ** 5)
+        assert ways == [("min-degree", [(5,), (6,), (0,), (1,), (2,), (3,), (4,), (7,)])]
+        none = [k for k, rel in parts["hub"].assignment.items() if rel is RelType.NONE]
+        assert none == [1, 4, 6]
+        assert parts["hub"].objective_value == 3.25 and parts["hub"].stats.milp_cols == 0
+
+    def test_wide_component_builds_no_table(self):
+        # In strict mode the hub's best order needs a table of 15 ** 5
+        # entries, over the bound: it goes to milp whole, with no factor table
+        # built for it.
+        assert 15 ** 5 > ENUMERATION_BOUND
+        program = build_ip(hub_votes(), none_breaks_triangles=True)
+        with patch.object(solver, "_factor_tables", wraps=solver._factor_tables) as tables, \
+                patch.object(solver, "milp", wraps=milp) as highs:
+            sol = solve(program)
+        assert not tables.called and highs.call_count == 1
+        assert sol.stats.milp_cols == 8 * N_LABELS
+        assert sol.proven_optimal and verify(program, sol)
+        assert sol.objective_value == brute_force_solve(program).objective_value
 
 
 class TestAllNoneFeasible:
