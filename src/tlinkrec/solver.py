@@ -30,35 +30,29 @@ Its factors are one weight vector per arc over its domain, ordered NONE
 first and then by ascending ordinal, and one table per active triangle that
 is -inf where one of the triangle's active rows breaks and 0 elsewhere.  A
 planner (_plan) reads only the arcs' domain widths and the triangles' arcs,
-and builds no table; it takes the first of four ways whose largest table
+and builds no table; it takes the first of three ways whose largest table
 has at most ENUMERATION_BOUND entries:
 1. one table over every arc, when the product of the domain widths fits;
    its first maximum is the first optimal labelling in arc order, round 1's
    tie rule;
-2. buckets in reverse arc order, decoded in arc order: each arc takes its
-   first label that an optimum completes, given the arcs before it, which
-   is again the first optimal labelling in arc order;
-3. buckets in min-degree order, the arc with the fewest neighbours left
+2. buckets in min-degree order, the arc with the fewest neighbours left
    first and the lower arc index on a tie, decoded in reverse elimination
    order: the first optimal labelling in that decode order;
-4. milp, when neither order fits; the planner gives up each order at its
-   first table over the bound.
-The first three depend on the component alone, and so do their labels.
-Ties are equal sums as the tables compute them: ways 1 and 2 add an arc's
-weights in different orders, so on weights whose sums round differently
-they can split a tie differently.  The components that no order fits go to
-one call of the HiGHS MIP solver through scipy.optimize.milp: the domain
-columns of their arcs, one partition row per arc over them, and the active
-rows restricted to those columns.  A round in which every touched component
-has a plan calls no milp, and among equal optima of a milp call the one
-returned is HiGHS's choice over all its components.  An untouched component
-has the same rows as when it was last solved, so its labels are still
-optimal for it; an arc in no active row is a component of its own and keeps
-its round-1 label, its optimum in the relaxation.  The loop stops at the
-first answer that violates no row of the full program: it is feasible for
-the full program and optimal for a relaxation of it, so it is optimal.
-violations() checks a solution against every triangle through the same
-table.
+3. milp, when that order does not fit; the planner gives up at its first
+   bucket table over the bound.
+The first two depend on the component alone, and so do their labels.  The
+components that neither table way fits go to one call of the HiGHS MIP
+solver through scipy.optimize.milp: the domain columns of their arcs, one
+partition row per arc over them, and the active rows restricted to those
+columns.  A round in which every touched component has a plan calls no
+milp, and among equal optima of a milp call the one returned is HiGHS's
+choice over all its components.  An untouched component has the same rows
+as when it was last solved, so its labels are still optimal for it; an arc
+in no active row is a component of its own and keeps its round-1 label, its
+optimum in the relaxation.  The loop stops at the first answer that
+violates no row of the full program: it is feasible for the full program
+and optimal for a relaxation of it, so it is optimal.  violations() checks
+a solution against every triangle through the same table.
 
 solve_documents() solves several programs as one: it stacks them (each
 program's arcs in order, each triangle array offset by the arcs before it),
@@ -104,11 +98,11 @@ DEFAULT_TIME_LIMIT = 300.0  # seconds per document
 # many entries, and by milp when no plan fits.  Measured per component, with
 # the bound raised to 2^22, on 368 components of the benchmark's three
 # corpora and a 30-document dense one, both modes (2 vCPUs, best of 5 runs of
-# each): on the 281 whose largest table had at most 2^17 entries, all three
-# table ways among them, elimination with its planning never took longer than
-# milp alone on the same component, which took at least 1.4 times as long.
-# Above 2^17 elimination was slower on 16 of 87, and on all 6 above 2^20.  A
-# table of 2^17 entries is 1 MB.
+# each): on the 281 whose largest table had at most 2^17 entries, one-table
+# and bucket plans among them, elimination with its planning never took
+# longer than milp alone on the same component, which took at least 1.4
+# times as long.  Above 2^17 elimination was slower on 16 of 87, and on all 6
+# above 2^20.  A table of 2^17 entries is 1 MB.
 ENUMERATION_BOUND = 1 << 17
 # Label indices (ordinal - 1) in tie order: NONE first, then ascending.
 _NONE_FIRST = np.roll(np.arange(N_LABELS), 1)
@@ -192,51 +186,19 @@ def _by_owner(values: np.ndarray, owner: np.ndarray) -> List[np.ndarray]:
     return parts if len(values) else []
 
 
-def _order(widths: Sequence[int], neighbours: List[Set[int]], min_degree: bool
-           ) -> Optional[List[int]]:
-    """The arcs of one component in elimination order, or None at the first
-    bucket table of more than ENUMERATION_BOUND entries.
-
-    widths are the arcs' domain widths, and neighbours[arc] the arcs that
-    share an active triangle with arc; both number the arcs in arc order,
-    and neighbours is joined in place.  The order is reverse arc order, or
-    min-degree order: the arc with the fewest neighbours left, the lower
-    index on a tie.  The bucket of an arc spans it and its neighbours left,
-    and eliminating it joins those neighbours, so the order is followed on
-    the scopes alone.
-    """
-    queue = [(len(around), arc) for arc, around in enumerate(neighbours)] if min_degree else []
-    heapq.heapify(queue)
-    done = [False] * len(widths)
-    order: List[int] = []
-    for step in range(len(widths)):
-        arc = len(widths) - 1 - step
-        if min_degree:  # an entry is stale once its arc is done or joined
-            degree, arc = heapq.heappop(queue)
-            while done[arc] or degree != len(neighbours[arc]):
-                degree, arc = heapq.heappop(queue)
-        around = neighbours[arc]
-        if widths[arc] * math.prod(widths[other] for other in around) > ENUMERATION_BOUND:
-            return None
-        for other in around:
-            neighbours[other] |= around
-            neighbours[other] -= {other, arc}
-            if min_degree:
-                heapq.heappush(queue, (len(neighbours[other]), other))
-        done[arc] = True
-        order.append(arc)
-    return order
-
-
 def _plan(widths: Sequence[int], scopes: np.ndarray) -> Optional[List[Tuple[int, ...]]]:
     """The steps that solve one component, each the arcs that one bucket
-    eliminates, or None when no plan's tables fit ENUMERATION_BOUND.
+    eliminates, or None when neither way's tables fit ENUMERATION_BOUND.
 
     widths are the domain widths of the component's arcs and scopes its
-    active triangles, both numbering the arcs in arc order.  The plan is the
-    first that fits of: one table over every arc, when the product of the
-    widths fits; buckets in reverse arc order; buckets in min-degree order
-    (_order).
+    active triangles, both numbering the arcs in arc order.  The plan is one
+    table over every arc when the product of the widths fits, and else one
+    bucket per arc in min-degree order: the arc with the fewest neighbours
+    left, the lower index on a tie.  An arc's neighbours are the arcs that
+    share an active triangle with it; its bucket spans it and its neighbours
+    left, and eliminating it joins those neighbours, so the order is
+    followed on the scopes alone, up to the first bucket table over the
+    bound.
     """
     if math.prod(widths) <= ENUMERATION_BOUND:
         return [tuple(range(len(widths)))]
@@ -246,11 +208,25 @@ def _plan(widths: Sequence[int], scopes: np.ndarray) -> Optional[List[Tuple[int,
             neighbours[arc].update(scope)
     for arc, around in enumerate(neighbours):
         around.discard(arc)
-    for min_degree in (False, True):
-        order = _order(widths, [set(around) for around in neighbours], min_degree)
-        if order is not None:
-            return [(arc,) for arc in order]
-    return None
+    queue = [(len(around), arc) for arc, around in enumerate(neighbours)]
+    heapq.heapify(queue)
+    done = [False] * len(widths)
+    steps: List[Tuple[int, ...]] = []
+    for _ in widths:
+        # An entry is stale once its arc is done or joined.
+        degree, arc = heapq.heappop(queue)
+        while done[arc] or degree != len(neighbours[arc]):
+            degree, arc = heapq.heappop(queue)
+        around = neighbours[arc]
+        if widths[arc] * math.prod(widths[other] for other in around) > ENUMERATION_BOUND:
+            return None
+        for other in around:
+            neighbours[other] |= around
+            neighbours[other] -= {other, arc}
+            heapq.heappush(queue, (len(neighbours[other]), other))
+        done[arc] = True
+        steps.append((arc,))
+    return steps
 
 
 def _factor_tables(program: BinaryProgram, arcs: np.ndarray, choices: np.ndarray,

@@ -244,6 +244,14 @@ class TestReconcile:
                 rf"^d1: {solver.NO_INCUMBENT}; row t0_1_1 is still broken$")):
             reconcile(corpus, ["m"])
 
+    # sha256 of the dense document's labels, NONE and all, in arc order: the
+    # tie rule of each plan decides them, so a change to a plan's order or
+    # decoding that picks another optimum changes the digest.
+    DENSE_LABELS = {
+        False: "85e592166cbc8929f6701ea28812db786ae79df61b52aa1996f8ad2a3e6a6803",
+        True: "6f2128fd4e6082dd6024099f3ff8e9f7afcdadaa4bb85bb88c2ebc05a6d1ca2b",
+    }
+
     @pytest.mark.parametrize("strict", [False, True])
     def test_dense_document_reconciles_without_milp(self, tmp_path, monkeypatch, strict):
         # The reconcile-dense shape: content seed 7, 20-30 events at density
@@ -264,6 +272,8 @@ class TestReconcile:
         assert solution.proven_optimal and solution.stats.milp_cols == 0
         assert solution.stats.active_rows > 0
         assert verify(build_ip(result.votes[doc], none_breaks_triangles=strict), solution)
+        labels = " ".join(solution.assignment[arc].name for arc in range(len(solution.assignment)))
+        assert hashlib.sha256(labels.encode()).hexdigest() == self.DENSE_LABELS[strict]
 
     def test_arc_voted_only_by_a_weight_0_member_gets_no_tlink(self, corpus):
         docs = corpus.documents[:3]

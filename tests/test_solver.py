@@ -574,13 +574,11 @@ def hub_votes(weights=(0.5,) * 8):
     5 = (3, 4), 6 = (3, 5) and 7 = (4, 5): triangles (pq, qr, pr) =
     (0, 3, 1), (0, 4, 2), (1, 7, 2), (3, 7, 4) and (5, 7, 6).  Each arc has
     one vote, weighted as weights gives, and the argmax breaks all five
-    triangles, so the re-solve gets one component of the eight arcs.  Arc 7,
-    the last, lies in three triangles: in reverse arc order its bucket spans
-    arcs 1-7.  Min-degree order eliminates 5, 6, 0, 1, 2, 3, 4, 7, and its
-    largest bucket, arc 0's, spans arcs 0-4.  With widths of 2 (the default
-    mode) the one table has 2 ** 8 entries, reverse arc order's largest
-    2 ** 7 and min-degree order's 2 ** 5; with 15 (strict mode) those are
-    15 ** 8, 15 ** 7 and 15 ** 5.
+    triangles, so the re-solve gets one component of the eight arcs.
+    Min-degree order eliminates 5, 6, 0, 1, 2, 3, 4, 7, and its largest
+    bucket, arc 0's, spans arcs 0-4.  With widths of 2 (the default mode) the
+    one table has 2 ** 8 entries and min-degree order's largest 2 ** 5; with
+    15 (strict mode) those are 15 ** 8 and 15 ** 5.
     """
     a, b, i, ii = RelType.AFTER, RelType.BEFORE, RelType.INCLUDES, RelType.IS_INCLUDED
     arcs = [arc(1, 2), arc(1, 4), arc(1, 5), arc(2, 4), arc(2, 5), arc(3, 4), arc(3, 5),
@@ -591,21 +589,21 @@ def hub_votes(weights=(0.5,) * 8):
 
 def chain_votes():
     """Arcs 0 = (1, 2), 1 = (1, 3), 2 = (2, 3), 3 = (2, 4), 4 = (3, 4): two
-    triangles that share arc 2 and both break.  Reverse arc order's largest
-    bucket spans three arcs of the five."""
+    triangles that share arc 2 and both break.  Min-degree order eliminates
+    the arcs in arc order, and its largest bucket, arc 0's, spans arcs 0-2:
+    with widths of 2 (the default mode) the one table has 2 ** 5 entries and
+    that bucket 2 ** 3; with 15 (strict mode) 15 ** 5 and 15 ** 3."""
     b, a = RelType.BEFORE, RelType.AFTER
     return votes_of([arc(1, 2), arc(1, 3), arc(2, 3), arc(2, 4), arc(3, 4)],
                     {0: {b: 0.5}, 1: {a: 0.25}, 2: {b: 0.5}, 3: {a: 0.25}, 4: {b: 0.5}})
 
 
-def way_of(steps, n_arcs):
-    """Which way _plan's steps solve a component of n_arcs arcs."""
+def way_of(steps):
+    """Which way _plan's steps solve a component."""
     if steps is None:
         return "milp"
     if len(steps) == 1:
         return "one table"
-    if steps == [(arc,) for arc in reversed(range(n_arcs))]:
-        return "arc order"
     return "min-degree"
 
 
@@ -616,7 +614,7 @@ def solve_with_bound(programs, bound):
 
     def recording(widths, scopes):
         steps = plan(widths, scopes)
-        ways.append((way_of(steps, len(widths)), steps))
+        ways.append((way_of(steps), steps))
         return steps
 
     with patch.object(solver, "ENUMERATION_BOUND", bound), \
@@ -626,15 +624,15 @@ def solve_with_bound(programs, bound):
 
 class TestElimination:
     """A touched component is solved by the first plan whose largest table
-    fits ENUMERATION_BOUND: one table, buckets in reverse arc order, buckets
-    in min-degree order; with none, by milp."""
+    fits ENUMERATION_BOUND: one table, or buckets in min-degree order; with
+    neither, by milp."""
 
     # Bounds at which the stack of test_every_plan_matches_brute_force takes
-    # each way: the hub's one table, reverse arc order and min-degree order,
-    # then milp, in the default mode; in strict mode the chain's reverse arc
-    # order and the triangle's one table, the hub's min-degree order, then
-    # milp.
-    BOUNDS = {False: [1 << 17, 2 ** 7, 2 ** 5, 0], True: [15 ** 3, 15 ** 5, 0]}
+    # each way: the hub's one table and min-degree order, then milp, in the
+    # default mode; in strict mode the chain's min-degree order, the
+    # triangle's one table and the hub's milp, then the hub's min-degree
+    # order, then milp.
+    BOUNDS = {False: [1 << 17, 2 ** 5, 0], True: [15 ** 3, 15 ** 5, 0]}
 
     @pytest.mark.parametrize("strict", [False, True])
     @settings(max_examples=20, deadline=None)
@@ -654,32 +652,33 @@ class TestElimination:
             for doc, program in programs.items():
                 assert parts[doc].proven_optimal and verify(program, parts[doc])
                 assert abs(parts[doc].objective_value - exact[doc]) <= OBJ_TOL
-        assert seen == {"one table", "arc order", "min-degree", "milp"}
+        assert seen == {"one table", "min-degree", "milp"}
 
     # Two optima of the hub at 3.25: NONE on arcs 1, 4 and 5, or on arcs 1,
     # 4 and 6.  Arc 5 comes first in arc order, arc 6 in min-degree order's
     # decoding (7, 4, 3, 2, 1, 0, 6, 5).
     TIED = (0.75, 0.25, 0.5, 0.75, 0.75, 0.25, 0.25, 1.0)
 
-    def test_arc_order_buckets_return_the_one_table_labels(self):
-        program = build_ip(hub_votes(self.TIED))
-        (table, ways), (buckets, arc_ways) = (solve_with_bound({"hub": program}, bound)
-                                              for bound in (2 ** 8, 2 ** 7))
-        assert [way for way, _ in ways] == ["one table"]
-        assert [way for way, _ in arc_ways] == ["arc order"]
-        assert buckets["hub"].assignment == table["hub"].assignment
-        none = [k for k, rel in table["hub"].assignment.items() if rel is RelType.NONE]
-        assert none == [1, 4, 5]
-        assert table["hub"].objective_value == 3.25 == \
-            brute_force_solve(program).objective_value
-
     def test_min_degree_takes_the_first_optimum_in_decode_order(self):
         program = build_ip(hub_votes(self.TIED))
-        parts, ways = solve_with_bound({"hub": program}, 2 ** 5)
+        (table, table_ways), (parts, ways) = (solve_with_bound({"hub": program}, bound)
+                                              for bound in (2 ** 8, 2 ** 5))
+        assert [way for way, _ in table_ways] == ["one table"]
         assert ways == [("min-degree", [(5,), (6,), (0,), (1,), (2,), (3,), (4,), (7,)])]
-        none = [k for k, rel in parts["hub"].assignment.items() if rel is RelType.NONE]
-        assert none == [1, 4, 6]
-        assert parts["hub"].objective_value == 3.25 and parts["hub"].stats.milp_cols == 0
+        for solution, none in ((table["hub"], [1, 4, 5]), (parts["hub"], [1, 4, 6])):
+            assert [k for k, rel in solution.assignment.items() if rel is RelType.NONE] == none
+            assert solution.objective_value == 3.25 and solution.stats.milp_cols == 0
+        assert brute_force_solve(program).objective_value == 3.25
+
+    def test_chain_takes_min_degree_at_the_shipped_bound(self):
+        # In strict mode the chain's one table has 15 ** 5 entries, over
+        # ENUMERATION_BOUND, and min-degree order's largest bucket 15 ** 3.
+        program = build_ip(chain_votes(), none_breaks_triangles=True)
+        parts, ways = solve_with_bound({"chain": program}, ENUMERATION_BOUND)
+        assert ways == [("min-degree", [(0,), (1,), (2,), (3,), (4,)])]
+        assert parts["chain"].objective_value == 1.5 == \
+            brute_force_solve(program).objective_value
+        assert parts["chain"].proven_optimal and parts["chain"].stats.milp_cols == 0
 
     def test_wide_component_builds_no_table(self):
         # In strict mode the hub's best order needs a table of 15 ** 5
