@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Dict, Iterable, List, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import DataError
 from .relations import TRIANGLE, RelType
 from .timeml import CanonicalArc, ClassifierRun, EntityKind, canonical_votes
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 N_LABELS = len(RelType)  # 15
 
@@ -115,6 +117,8 @@ def row_pairs(none_breaks_triangles: bool) -> np.ndarray:
 
 def partition_rows(widths: np.ndarray) -> csr_matrix:
     """One row per arc over its widths[i] consecutive columns, all +1."""
+    from scipy.sparse import csr_matrix
+
     indptr = np.concatenate(([0], np.cumsum(widths, dtype=np.int64)))
     n = int(indptr[-1])
     return csr_matrix((np.ones(n), np.arange(n), indptr), shape=(len(widths), n))
@@ -173,6 +177,8 @@ class BinaryProgram:
     def rows(self, keys: np.ndarray) -> csr_matrix:
         """The triangle rows keyed (k, a, b) by the (m, 3) int array keys, in
         that order."""
+        from scipy.sparse import csr_matrix
+
         arcs = self.triangles[keys[:, 0]]
         i, c = np.nonzero(_allowed(self.none_breaks_triangles)[
             keys[:, 1] - 1, keys[:, 2] - 1])
@@ -258,6 +264,8 @@ def _constraint_lines(matrix: csr_matrix, names: Iterable[str],
 
 def export_lp(program: BinaryProgram, sink: BinaryIO) -> None:
     """Write the program as solver-neutral CPLEX-LP text (LF line endings)."""
+    from scipy.sparse import csr_matrix
+
     lines = ["Maximize", *_constraint_lines(csr_matrix(program.objective), ["obj"]),
              "Subject To"]
     lines.extend(_constraint_lines(

@@ -72,6 +72,12 @@ expose); elimination is exact.  The time limit bounds the whole loop: each
 milp call gets the time that is left, and HiGHS enforces it inside the
 solve.  Elimination takes no time limit; ENUMERATION_BOUND bounds each table
 it builds.
+
+Components are found in numpy (_components), and scipy is imported only for
+a milp call: milp imports scipy.optimize on its first call, and the rows it
+is given are built by BinaryProgram.rows and partition_rows, which import
+scipy.sparse.  A solve in which every touched component has a plan imports no
+scipy module.
 """
 
 from __future__ import annotations
@@ -83,9 +89,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .model import N_LABELS, BinaryProgram, _allowed, partition_rows, row_name
 from .relations import RelType
@@ -184,6 +187,39 @@ def _by_owner(values: np.ndarray, owner: np.ndarray) -> List[np.ndarray]:
     order = np.argsort(owner, kind="stable")
     parts = np.split(values[order], np.flatnonzero(np.diff(owner[order])) + 1)
     return parts if len(values) else []
+
+
+def _components(n: int, tri: np.ndarray) -> np.ndarray:
+    """Each of n arcs' component, as its least arc index; two arcs are
+    connected when they share a row of tri, an (m, 3) array of arc indices.
+
+    A label is never above its arc and always names an arc of its component.
+    Each round lowers, for every row, the label of each label its arcs hold
+    to the row's least label, and then replaces every label by its label's
+    (pointer jumping), which halves the chains of labels; it stops at the
+    first round that changes nothing.  Then every label is its own label and
+    a row's arcs hold one label, so a component holds one, its least arc.
+    """
+    # Flat, column by column: ufunc.at with a value array of the index's
+    # shape takes numpy's fast path, and a broadcast value does not (at
+    # numpy 2.4.6, a (3, m) index with an (m,) value also crashed once m
+    # passed a few thousand).
+    label, arcs = np.arange(n), tri.T.ravel()
+    while True:
+        low, held = label.copy(), label[arcs]
+        np.minimum.at(low, held, np.tile(np.minimum.reduce(held.reshape(3, -1)), 3))
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+def milp(*args, **kwargs):
+    """scipy.optimize.milp, imported when first called, so that a solve in
+    which every touched component has a plan imports no scipy."""
+    from scipy.optimize import milp as highs
+
+    return highs(*args, **kwargs)
 
 
 def _plan(widths: Sequence[int], scopes: np.ndarray) -> Optional[List[Tuple[int, ...]]]:
@@ -396,10 +432,7 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         # in no active row is a component of its own and never touched.  The
         # touched ones hold a newly active row.
         tri = program.triangles[keys[:, 0]]
-        graph = csr_matrix((np.ones(2 * len(tri)),
-                            (tri[:, :2].ravel(), tri[:, 1:].ravel())),
-                           shape=(len(labels),) * 2)
-        component = connected_components(graph, directed=False)[1]
+        component = _components(len(labels), tri)
         touched = np.isin(component, component[tri[-len(new):, 0]])
         wide = np.zeros(len(labels), dtype=bool)
         held = touched[tri[:, 0]]  # the active rows inside them
@@ -424,6 +457,8 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         stats.active_rows, stats.coupled_arcs = len(keys), len(np.unique(tri))
         if not wide.any():
             continue
+        from scipy.optimize import Bounds, LinearConstraint
+
         # The program restricted to the wide touched components' arcs and
         # their domains: those columns, one partition row per arc and the
         # active rows.

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, milp
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 import tlinkrec.solver as solver
 from tlinkrec.model import N_LABELS, BinaryProgram, VoteTable, build_ip
@@ -545,6 +547,57 @@ class TestStackedPrograms:
         monkeypatch.setattr(solver, "milp", lambda *args, **kw: calls.append(args))
         assert solve_documents({}) == {}
         assert calls == []
+
+
+@st.composite
+def arc_triangles(draw):
+    """An arc count and rows of three distinct arcs among them."""
+    n = draw(st.integers(3, 40))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
+                                  unique=True), max_size=30))
+    return n, np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def chain(length, descending):
+    """length triangles (a_i, b_i, a_i+1) in a row, numbered along the chain
+    or against it, so that the least arc sits at one end."""
+    n = 2 * length + 1
+    rows = np.array([(2 * i, 2 * i + 1, 2 * i + 2) for i in range(length)])
+    return n, (n - 1 - rows if descending else rows)
+
+
+class TestComponents:
+    """_components against scipy's connected_components, which numbers the
+    components in the order of their least arcs: each arc gets its
+    component's least arc, in the same order."""
+
+    @staticmethod
+    def check(n, tri):
+        graph = csr_matrix((np.ones(2 * len(tri)), (tri[:, :2].ravel(), tri[:, 1:].ravel())),
+                           shape=(n, n))
+        expected = connected_components(graph, directed=False)[1]
+        least = np.full(expected.max(initial=-1) + 1, n)
+        np.minimum.at(least, expected, np.arange(n))
+        got = solver._components(n, tri)
+        assert np.array_equal(got, least[expected])
+        assert np.array_equal(np.unique(got, return_inverse=True)[1].ravel(), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=arc_triangles())
+    def test_matches_scipy(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("n, tri", [
+        (0, np.empty((0, 3), dtype=np.int64)),  # no arc
+        (5, np.empty((0, 3), dtype=np.int64)),  # no active triangle
+        (10, np.array([[7, 2, 5], [9, 5, 8]])),  # arcs in no triangle
+        chain(200, descending=False),
+        chain(200, descending=True),
+        (3000, np.random.default_rng(0).integers(0, 3000, (6000, 3))),  # large-tier sized
+    ], ids=["no arc", "no triangle", "arcs in no triangle", "chain", "chain descending",
+            "many rows"])
+    def test_fixed_cases(self, n, tri):
+        self.check(n, tri)
 
 
 class TestEnumeration:
