@@ -12,8 +12,9 @@ feasible.
 
 A program is its triangle array: separation and verification read the table
 allowed[a, b, c] of label triples, and rows become a matrix only by key (k, a,
-b): solve builds the rows it activates, and only the LP export and the test
-referees build every row.
+b): solve builds the active rows only of the components it hands to milp (the
+rest it solves by bucket elimination over the same table), and only the LP
+export and the test referees build every row.
 """
 
 from __future__ import annotations

@@ -28,28 +28,35 @@ active rows, the relaxation milp would see, by max-sum bucket elimination
 (Dechter 1999, "Bucket elimination: a unifying framework for reasoning").
 Its factors are one weight vector per arc over its domain, ordered NONE
 first and then by ascending ordinal, and one table per active triangle that
-is -inf where one of the triangle's active rows breaks and 0 elsewhere.  A
-planner (_plan) reads only the arcs' domain widths and the triangles' arcs,
-and builds no table; it takes the first of three ways whose largest table
-has at most ENUMERATION_BOUND entries:
-1. one table over every arc, when the product of the domain widths fits;
-   its first maximum is the first optimal labelling in arc order, round 1's
-   tie rule;
-2. buckets in min-degree order, the arc with the fewest neighbours left
-   first and the lower arc index on a tie, decoded in reverse elimination
-   order: the first optimal labelling in that decode order;
+is -inf where one of the triangle's active rows breaks and 0 elsewhere.  The
+planner (_plan) is the one place that works out the elimination.  It reads
+only the arcs' domain widths and the triangles' arcs, builds no table, and
+returns a list of steps, each (arcs, others): the arcs that the step's
+bucket eliminates and the bucket's other arcs, whose table spans both.  It
+takes the first of three ways whose largest table has at most
+ENUMERATION_BOUND entries:
+1. one step over every arc and no others, when the product of the domain
+   widths fits; its first maximum is the first optimal labelling in arc
+   order, round 1's tie rule;
+2. one step per arc in min-degree order, the arc with the fewest neighbours
+   left first and the lower arc index on a tie, decoded in reverse
+   elimination order: the first optimal labelling in that decode order;
 3. milp, when that order does not fit; the planner gives up at its first
    bucket table over the bound.
-The first two depend on the component alone, and so do their labels.  The
-components that neither table way fits go to one call of the HiGHS MIP
-solver through scipy.optimize.milp: the domain columns of their arcs, one
-partition row per arc over them, and the active rows restricted to those
-columns.  A round in which every touched component has a plan calls no
-milp, and among equal optima of a milp call the one returned is HiGHS's
-choice over all its components.  An untouched component has the same rows
-as when it was last solved, so its labels are still optimal for it; an arc
-in no active row is a component of its own and keeps its round-1 label, its
-optimum in the relaxation.  The loop stops at the first answer that
+_eliminate carries a plan out with one list of factors and one of masks per
+step: a factor, mask or message goes to the bucket of the first step that
+eliminates one of its arcs, and decoding re-reads the same lists.  Every
+table it builds spans a step's arcs and others, so the bound the planner
+checks bounds every table.  The first two ways depend on the component
+alone, and so do their labels.  The components that neither table way fits
+go to one call of the HiGHS MIP solver through scipy.optimize.milp: the
+domain columns of their arcs, one partition row per arc over them, and the
+active rows restricted to those columns.  A round in which every touched
+component has a plan calls no milp, and among equal optima of a milp call
+the one returned is HiGHS's choice over all its components.  An untouched
+component has the same rows as when it was last solved, so its labels are
+still optimal for it; an arc in no active row is a component of its own and
+keeps its round-1 label, its optimum in the relaxation.  The loop stops at the first answer that
 violates no row of the full program: it is feasible for the full program
 and optimal for a relaxation of it, so it is optimal.  violations() checks
 a solution against every triangle through the same table.
@@ -111,6 +118,10 @@ ENUMERATION_BOUND = 1 << 17
 _NONE_FIRST = np.roll(np.arange(N_LABELS), 1)
 # The labels by index: a tuple lookup, where RelType(ordinal) is an enum call.
 _LABELS = tuple(RelType)
+# A plan's step: the arcs its bucket eliminates and the bucket's other arcs.
+Step = Tuple[Tuple[int, ...], Tuple[int, ...]]
+# A factor or mask: its scope, in arc order, and its table, one axis per arc.
+Factor = Tuple[Tuple[int, ...], np.ndarray]
 
 
 @dataclass
@@ -150,7 +161,8 @@ class RowError(RuntimeError):
 
 
 class OwnRowViolated(RowError):
-    """milp returned a point that breaks one of the rows it was given."""
+    """A re-solve, by milp or elimination, returned labels that break one
+    of the rows it was given."""
 
     text = "MIP solve returned a point that violates its own row {row}"
 
@@ -222,22 +234,25 @@ def milp(*args, **kwargs):
     return highs(*args, **kwargs)
 
 
-def _plan(widths: Sequence[int], scopes: np.ndarray) -> Optional[List[Tuple[int, ...]]]:
-    """The steps that solve one component, each the arcs that one bucket
-    eliminates, or None when neither way's tables fit ENUMERATION_BOUND.
+def _plan(widths: Sequence[int], scopes: np.ndarray) -> Optional[List[Step]]:
+    """The steps that solve one component, or None when neither way's
+    tables fit ENUMERATION_BOUND.
 
     widths are the domain widths of the component's arcs and scopes its
-    active triangles, both numbering the arcs in arc order.  The plan is one
-    table over every arc when the product of the widths fits, and else one
-    bucket per arc in min-degree order: the arc with the fewest neighbours
-    left, the lower index on a tie.  An arc's neighbours are the arcs that
-    share an active triangle with it; its bucket spans it and its neighbours
-    left, and eliminating it joins those neighbours, so the order is
-    followed on the scopes alone, up to the first bucket table over the
-    bound.
+    active triangles, both numbering the arcs in arc order.  A step is
+    (arcs, others): its bucket table spans the arcs it eliminates and then
+    the others, in arc order, and has the product of their widths entries.
+    The plan is one step ((0, ..., n - 1), ()) when the product of every
+    width fits, and else one step ((arc,), others) per arc in min-degree
+    order: the arc with the fewest neighbours left, the lower index on a
+    tie.  An arc's neighbours are the arcs that share an active triangle
+    with it, and its others are its neighbours left; eliminating it joins
+    those neighbours, as its message to the others does, so the order and
+    every bucket's scope are followed on the scopes alone, up to the first
+    bucket table over the bound.
     """
     if math.prod(widths) <= ENUMERATION_BOUND:
-        return [tuple(range(len(widths)))]
+        return [(tuple(range(len(widths))), ())]
     neighbours: List[Set[int]] = [set() for _ in widths]
     for scope in scopes.tolist():
         for arc in scope:
@@ -247,7 +262,7 @@ def _plan(widths: Sequence[int], scopes: np.ndarray) -> Optional[List[Tuple[int,
     queue = [(len(around), arc) for arc, around in enumerate(neighbours)]
     heapq.heapify(queue)
     done = [False] * len(widths)
-    steps: List[Tuple[int, ...]] = []
+    steps: List[Step] = []
     for _ in widths:
         # An entry is stale once its arc is done or joined.
         degree, arc = heapq.heappop(queue)
@@ -261,7 +276,7 @@ def _plan(widths: Sequence[int], scopes: np.ndarray) -> Optional[List[Tuple[int,
             neighbours[other] -= {other, arc}
             heapq.heappush(queue, (len(neighbours[other]), other))
         done[arc] = True
-        steps.append((arc,))
+        steps.append(((arc,), tuple(sorted(around))))
     return steps
 
 
@@ -294,8 +309,8 @@ def _factor_tables(program: BinaryProgram, arcs: np.ndarray, choices: np.ndarray
              for table, (pq, pr, qr) in zip(tables, scopes.tolist())])
 
 
-def _bucket_table(axes: Sequence[int], factors: Sequence[Tuple[Tuple[int, ...], np.ndarray]],
-                  masks: Sequence[Tuple[Tuple[int, ...], np.ndarray]]) -> np.ndarray:
+def _bucket_table(axes: Sequence[int], factors: Sequence[Factor],
+                  masks: Sequence[Factor]) -> np.ndarray:
     """The sum of factors and masks, each a (scope, table) pair with its
     scope in arc order, on one axis per arc of axes, in that order.
 
@@ -337,55 +352,43 @@ def _bucket_table(axes: Sequence[int], factors: Sequence[Tuple[Tuple[int, ...], 
 
 
 def _eliminate(unary: Sequence[np.ndarray], tables: Sequence[np.ndarray], scopes: np.ndarray,
-               steps: Sequence[Tuple[int, ...]]) -> List[int]:
+               steps: Sequence[Step]) -> List[int]:
     """Each arc's position in its domain, in an optimum of the sum of the
     factors: unary[arc] on each arc and the mask tables[t] on the arcs
     scopes[t].
 
-    A step eliminates its arcs: its bucket is every factor and mask left
-    that holds one of them, its table spans the bucket's arcs, the step's
-    first and the others after them in arc order, and the maximum over the
-    step's arcs is a new factor on the others.  Only the last step leaves no
-    others, and only it may hold more than one arc.  Decoding runs through
-    the steps in reverse: the last step's arcs take the first maximum of its
-    table in C order, and each earlier step's arc the first maximum of its
-    bucket given the arcs decoded before it, whose factors are summed in the
-    order its table summed them.
+    steps is _plan's, and each step keeps one list of factors and one of
+    masks, its bucket.  A factor or mask goes to the bucket of the first
+    step that eliminates one of its arcs.  A step's table spans its arcs and
+    then its others, and the maximum over its arcs is a message, a new
+    factor on the others, which goes to the first later step among them.
+    Only the last step has no others, and only it may hold more than one
+    arc.  Decoding runs through the steps in reverse: the last step's arcs
+    take the first maximum of its table in C order, and each earlier step's
+    arc the first maximum of its bucket given the arcs decoded before it,
+    whose factors are summed in the order its table summed them.
     """
-    factors = [((arc,), weights) for arc, weights in enumerate(unary)]
-    factors += zip(map(tuple, scopes.tolist()), tables)
-    is_mask = [False] * len(unary) + [True] * len(tables)
-    holders: List[List[int]] = [[] for _ in unary]
-    for i, (scope, _) in enumerate(factors):
-        for arc in scope:
-            holders[arc].append(i)
-    left = [True] * len(factors)
-    buckets = []
-    for step in steps:
-        ids = sorted({i for arc in step for i in holders[arc] if left[i]})
-        others = sorted({arc for i in ids for arc in factors[i][0]}.difference(step))
-        at = {arc: i for i, arc in enumerate((*step, *others))}
-        bucket = sorted((factors[i] for i in ids if not is_mask[i]),
-                        key=lambda factor: max(map(at.__getitem__, factor[0])))
-        masks = [factors[i] for i in ids if is_mask[i]]
-        value = _bucket_table((*step, *others), bucket, masks)
-        buckets.append(bucket + masks)
-        for i in ids:
-            left[i] = False
+    step_of = {arc: i for i, (arcs, _) in enumerate(steps) for arc in arcs}
+    factors: List[List[Factor]] = [[] for _ in steps]
+    masks: List[List[Factor]] = [[] for _ in steps]
+    for arc, weights in enumerate(unary):
+        factors[step_of[arc]].append(((arc,), weights))
+    for scope, table in zip(map(tuple, scopes.tolist()), tables):
+        masks[min(map(step_of.__getitem__, scope))].append((scope, table))
+    for (arcs, others), bucket, held in zip(steps, factors, masks):
+        at = {arc: i for i, arc in enumerate((*arcs, *others))}
+        bucket.sort(key=lambda factor: max(map(at.__getitem__, factor[0])))
+        value = _bucket_table((*arcs, *others), bucket, held)
         if others:
-            for arc in others:
-                holders[arc].append(len(factors))
-            left.append(True)
-            is_mask.append(False)
-            factors.append((tuple(others), value.reshape(-1, *value.shape[len(step):])
-                            .max(axis=0)))
+            factors[min(map(step_of.__getitem__, others))].append(
+                (others, value.reshape(-1, *value.shape[len(arcs):]).max(axis=0)))
     position = [0] * len(unary)
     best = value.argmax()
-    for arc in reversed(steps[-1]):
+    for arc in reversed(steps[-1][0]):
         best, position[arc] = divmod(best, len(unary[arc]))
-    for ((arc,), bucket) in zip(reversed(steps[:-1]), reversed(buckets[:-1])):
+    for ((arc,), _), bucket, held in zip(steps[-2::-1], factors[-2::-1], masks[-2::-1]):
         value = np.zeros(())
-        for scope, table in bucket:
+        for scope, table in bucket + held:
             value = value + table[tuple(slice(None) if other == arc else position[other]
                                         for other in scope)]
         position[arc] = int(value.argmax())
@@ -396,8 +399,9 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
     """Optimal solution (proven_optimal=True) or best incumbent on timeout.
 
     Raises NoIncumbent when the time limit passes before an incumbent that
-    satisfies the full program is found, OwnRowViolated when HiGHS returns a
-    point that breaks one of its own rows, and RuntimeError when it fails.
+    satisfies the full program is found, OwnRowViolated when a re-solve
+    returns labels that break one of its own rows, and RuntimeError when
+    HiGHS fails.
     """
     if not time_limit > 0:  # also rejects NaN
         raise ValueError("time_limit must be positive")

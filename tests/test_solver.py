@@ -717,7 +717,9 @@ class TestElimination:
         (table, table_ways), (parts, ways) = (solve_with_bound({"hub": program}, bound)
                                               for bound in (2 ** 8, 2 ** 5))
         assert [way for way, _ in table_ways] == ["one table"]
-        assert ways == [("min-degree", [(5,), (6,), (0,), (1,), (2,), (3,), (4,), (7,)])]
+        assert ways == [("min-degree", [((5,), (6, 7)), ((6,), (7,)), ((0,), (1, 2, 3, 4)),
+                                        ((1,), (2, 3, 4, 7)), ((2,), (3, 4, 7)), ((3,), (4, 7)),
+                                        ((4,), (7,)), ((7,), ())])]
         for solution, none in ((table["hub"], [1, 4, 5]), (parts["hub"], [1, 4, 6])):
             assert [k for k, rel in solution.assignment.items() if rel is RelType.NONE] == none
             assert solution.objective_value == 3.25 and solution.stats.milp_cols == 0
@@ -728,10 +730,57 @@ class TestElimination:
         # ENUMERATION_BOUND, and min-degree order's largest bucket 15 ** 3.
         program = build_ip(chain_votes(), none_breaks_triangles=True)
         parts, ways = solve_with_bound({"chain": program}, ENUMERATION_BOUND)
-        assert ways == [("min-degree", [(0,), (1,), (2,), (3,), (4,)])]
+        assert ways == [("min-degree", [((0,), (1, 2)), ((1,), (2,)), ((2,), (3, 4)),
+                                        ((3,), (4,)), ((4,), ())])]
         assert parts["chain"].objective_value == 1.5 == \
             brute_force_solve(program).objective_value
         assert parts["chain"].proven_optimal and parts["chain"].stats.milp_cols == 0
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @settings(max_examples=20, deadline=None)
+    @given(tables=st.lists(vote_tables(min_arcs=0), max_size=3))
+    def test_every_table_is_its_planned_step(self, tables, strict):
+        # The bound _plan checks is the bound on every table built: each
+        # bucket table spans its step's arcs and then its others, at their
+        # domain widths, one table per step in plan order.
+        programs = {f"d{i}": build_ip(votes, none_breaks_triangles=strict)
+                    for i, votes in enumerate([*tables, chain_votes(), hub_votes()])}
+        plan, bucket_table = solver._plan, solver._bucket_table
+        for bound in self.BOUNDS[strict]:
+            planned, built = [], []
+
+            def recording_plan(widths, scopes):
+                steps = plan(widths, scopes)
+                for arcs, others in steps or ():
+                    axes = (*arcs, *others)
+                    planned.append((axes, tuple(widths[arc] for arc in axes)))
+                return steps
+
+            def recording_table(axes, factors, masks):
+                table = bucket_table(axes, factors, masks)
+                built.append((tuple(axes), table.shape))
+                return table
+
+            with patch.object(solver, "ENUMERATION_BOUND", bound), \
+                    patch.object(solver, "_plan", recording_plan), \
+                    patch.object(solver, "_bucket_table", recording_table):
+                solve_documents(programs)
+            assert built == planned
+            assert bool(built) == (bound > 0)  # the chain and hub always re-solve
+            assert all(np.prod(shape) <= bound for _, shape in built)
+
+    def test_labels_breaking_an_active_row_raise(self):
+        # Elimination that returned the greedy labels, which break the row it
+        # was given, is caught by the same guard as such a milp point.
+        program = triangle_program()
+        domain = program.domain()
+        greedy = [[rel for rel in (RelType.NONE, *NON_NONE) if domain[a, rel.value - 1]]
+                  .index(GREEDY[a]) for a in sorted(GREEDY)]
+        with patch.object(solver, "_eliminate", side_effect=[greedy]) as eliminate, \
+                patch.object(solver, "milp") as highs, \
+                pytest.raises(solver.OwnRowViolated, match="violates its own row t0_1_1$"):
+            solve(program)
+        assert eliminate.call_count == 1 and not highs.called
 
     def test_wide_component_builds_no_table(self):
         # In strict mode the hub's best order needs a table of 15 ** 5
