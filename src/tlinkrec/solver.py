@@ -27,14 +27,15 @@ A touched component is solved exactly over its partition rows and its
 active rows, the relaxation milp would see, by max-sum bucket elimination
 (Dechter 1999, "Bucket elimination: a unifying framework for reasoning").
 Its factors are one weight vector per arc over its domain, ordered NONE
-first and then by ascending ordinal, and one table per active triangle that
-is -inf where one of the triangle's active rows breaks and 0 elsewhere.  The
-planner (_plan) is the one place that works out the elimination.  It reads
-only the arcs' domain widths and the triangles' arcs, builds no table, and
-returns a list of steps, each (arcs, others): the arcs that the step's
-bucket eliminates and the bucket's other arcs, whose table spans both.  It
-takes the first of three ways whose largest table has at most
-ENUMERATION_BOUND entries:
+first and then by ascending ordinal, and one mask per active triangle, a
+table that is -inf where one of the triangle's active rows breaks and 0
+elsewhere.  A mask is a factor like any other: adding 0 leaves a finite sum
+as it was, and -inf absorbs it.  The planner (_plan) is the one place that
+works out the elimination.  It reads only the arcs' domain widths and the
+triangles' arcs, builds no table, and returns a list of steps, each (arcs,
+others): the arcs that the step's bucket eliminates and the bucket's other
+arcs, whose table spans both.  It takes the first of three ways whose
+largest table has at most ENUMERATION_BOUND entries:
 1. one step over every arc and no others, when the product of the domain
    widths fits; its first maximum is the first optimal labelling in arc
    order, round 1's tie rule;
@@ -43,9 +44,9 @@ ENUMERATION_BOUND entries:
    elimination order: the first optimal labelling in that decode order;
 3. milp, when that order does not fit; the planner gives up at its first
    bucket table over the bound.
-_eliminate carries a plan out with one list of factors and one of masks per
-step: a factor, mask or message goes to the bucket of the first step that
-eliminates one of its arcs, and decoding re-reads the same lists.  Every
+_eliminate carries a plan out with one list of factors per step, its
+bucket: a factor or message goes to the bucket of the first step that
+eliminates one of its arcs, and decoding re-reads the same list.  Every
 table it builds spans a step's arcs and others, so the bound the planner
 checks bounds every table.  The first two ways depend on the component
 alone, and so do their labels.  The components that neither table way fits
@@ -120,7 +121,8 @@ _NONE_FIRST = np.roll(np.arange(N_LABELS), 1)
 _LABELS = tuple(RelType)
 # A plan's step: the arcs its bucket eliminates and the bucket's other arcs.
 Step = Tuple[Tuple[int, ...], Tuple[int, ...]]
-# A factor or mask: its scope, in arc order, and its table, one axis per arc.
+# A factor, weights, mask or message: its scope, in arc order, and its
+# table, one axis per arc.
 Factor = Tuple[Tuple[int, ...], np.ndarray]
 
 
@@ -164,7 +166,7 @@ class OwnRowViolated(RowError):
     """A re-solve, by milp or elimination, returned labels that break one
     of the rows it was given."""
 
-    text = "MIP solve returned a point that violates its own row {row}"
+    text = "re-solve returned a labelling that violates its own row {row}"
 
 
 class NoIncumbent(RowError):
@@ -282,14 +284,15 @@ def _plan(widths: Sequence[int], scopes: np.ndarray) -> Optional[List[Step]]:
 
 def _factor_tables(program: BinaryProgram, arcs: np.ndarray, choices: np.ndarray,
                    widths: Sequence[int], scopes: np.ndarray, rows: np.ndarray
-                   ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """One component's factors: each arc's weights over its domain, and one
-    table per triangle, over its arcs' domains, that is -inf where one of
-    its active rows breaks and 0 elsewhere.
+                   ) -> List[Factor]:
+    """One component's factors: ((arc,), weights) for each arc, its weights
+    over its domain, and then ((pq, pr, qr), mask) for each triangle, a
+    table over its arcs' domains that is -inf where one of its active rows
+    breaks and 0 elsewhere.
 
     Row i of choices holds the domain labels of arcs[i] in its first
     widths[i] places.  Row t of scopes numbers triangle t's (pq, pr, qr) in
-    arcs, which is ascending, and its table's axes follow that order; rows
+    arcs, which is ascending, and its mask's axes follow that order; rows
     holds the active rows (t, a, b).
     """
     active = np.zeros((len(scopes), N_LABELS, N_LABELS), dtype=bool)
@@ -302,93 +305,75 @@ def _factor_tables(program: BinaryProgram, arcs: np.ndarray, choices: np.ndarray
               [:, :, None, :]
               & ~_allowed(program.none_breaks_triangles)[
                   a[:, :, None, None], b[:, None, None, :], c[:, None, :, None]])
-    tables = np.where(breaks, -np.inf, 0.0)
+    masks = np.where(breaks, -np.inf, 0.0)
     weights = program.objective.reshape(-1, N_LABELS)[arcs[:, None], inside]
-    return ([row[:width] for row, width in zip(weights, widths)],
-            [table[:widths[pq], :widths[pr], :widths[qr]]
-             for table, (pq, pr, qr) in zip(tables, scopes.tolist())])
+    return ([((arc,), row[:width]) for arc, (row, width) in enumerate(zip(weights, widths))]
+            + [((pq, pr, qr), mask[:widths[pq], :widths[pr], :widths[qr]])
+               for mask, (pq, pr, qr) in zip(masks, scopes.tolist())])
 
 
-def _bucket_table(axes: Sequence[int], factors: Sequence[Factor],
-                  masks: Sequence[Factor]) -> np.ndarray:
-    """The sum of factors and masks, each a (scope, table) pair with its
-    scope in arc order, on one axis per arc of axes, in that order.
+def _bucket_table(axes: Sequence[int], factors: Sequence[Factor]) -> np.ndarray:
+    """The sum of factors, each a (scope, table) pair with its scope in arc
+    order, on one axis per arc of axes, in that order.
 
     The factors are added in the order given, which must be ascending in
     the position of their last arc in axes: each is added once that axis is
     in place, so a table over every arc in arc order sums the arcs' weights
-    in arc order.  A mask holds only 0 and -inf, so it changes no finite sum
-    wherever it is added: the masks that end at one axis are summed and
-    added with the first factor that ends there, which saves a pass over the
-    table per mask.
+    in arc order.  A mask holds only 0 and -inf, so wherever it is added it
+    leaves every finite sum as it was and makes -inf each cell where it is
+    -inf.
     """
     at = {arc: i for i, arc in enumerate(axes)}
-
-    def spread(scope: Tuple[int, ...], table: np.ndarray) -> np.ndarray:
-        """table on axes up to its scope's last, 1 wide off its scope."""
+    value = np.zeros(())
+    for scope, table in factors:
+        # table on axes up to its scope's last, 1 wide off its scope
         where = [at[arc] for arc in scope]
         shape = [1] * (max(where) + 1)
         for i, width in zip(where, table.shape):
             shape[i] = width
         if where != sorted(where):
             table = table.transpose(np.argsort(where))
-        return table.reshape(shape)
-
-    terms = [spread(*factor) for factor in factors]
-    ends: Dict[int, np.ndarray] = {}  # the sum of the masks of each last axis
-    for scope, table in masks:
-        mask = spread(scope, table)
-        ends[mask.ndim] = ends[mask.ndim] + mask if mask.ndim in ends else mask
-    for ndim, mask in sorted(ends.items()):
-        i = next((i for i, term in enumerate(terms) if term.ndim >= ndim), len(terms))
-        if i < len(terms) and terms[i].ndim == ndim:
-            terms[i] = terms[i] + mask
-        else:
-            terms.insert(i, mask)
-    value = np.zeros(())
-    for term in terms:
+        term = table.reshape(shape)
         value = value.reshape(value.shape + (1,) * (term.ndim - value.ndim)) + term
     return value
 
 
-def _eliminate(unary: Sequence[np.ndarray], tables: Sequence[np.ndarray], scopes: np.ndarray,
+def _eliminate(factors: Sequence[Factor], widths: Sequence[int],
                steps: Sequence[Step]) -> List[int]:
-    """Each arc's position in its domain, in an optimum of the sum of the
-    factors: unary[arc] on each arc and the mask tables[t] on the arcs
-    scopes[t].
+    """Each arc's position in its domain, of widths[arc] labels, in an
+    optimum of the sum of the factors, _factor_tables's weights and masks.
 
-    steps is _plan's, and each step keeps one list of factors and one of
-    masks, its bucket.  A factor or mask goes to the bucket of the first
-    step that eliminates one of its arcs.  A step's table spans its arcs and
-    then its others, and the maximum over its arcs is a message, a new
-    factor on the others, which goes to the first later step among them.
-    Only the last step has no others, and only it may hold more than one
-    arc.  Decoding runs through the steps in reverse: the last step's arcs
-    take the first maximum of its table in C order, and each earlier step's
-    arc the first maximum of its bucket given the arcs decoded before it,
-    whose factors are summed in the order its table summed them.
+    steps is _plan's, and each step keeps one list of factors, its bucket.
+    A factor goes to the bucket of the first step that eliminates one of
+    its arcs, and a bucket is sorted, stably, by the position of each
+    factor's last arc among the step's arcs and others, as _bucket_table
+    needs.  A step's table spans its arcs and then its others, and the
+    maximum over its arcs is a message, a new factor on the others, which
+    goes to the first later step among them.  Only the last step has no
+    others, and only it may hold more than one arc.  Decoding runs through
+    the steps in reverse: the last step's arcs take the first maximum of its
+    table in C order, and each earlier step's arc the first maximum of its
+    bucket given the arcs decoded before it, whose factors are summed in the
+    order its table summed them.
     """
     step_of = {arc: i for i, (arcs, _) in enumerate(steps) for arc in arcs}
-    factors: List[List[Factor]] = [[] for _ in steps]
-    masks: List[List[Factor]] = [[] for _ in steps]
-    for arc, weights in enumerate(unary):
-        factors[step_of[arc]].append(((arc,), weights))
-    for scope, table in zip(map(tuple, scopes.tolist()), tables):
-        masks[min(map(step_of.__getitem__, scope))].append((scope, table))
-    for (arcs, others), bucket, held in zip(steps, factors, masks):
+    buckets: List[List[Factor]] = [[] for _ in steps]
+    for factor in factors:
+        buckets[min(map(step_of.__getitem__, factor[0]))].append(factor)
+    for (arcs, others), bucket in zip(steps, buckets):
         at = {arc: i for i, arc in enumerate((*arcs, *others))}
         bucket.sort(key=lambda factor: max(map(at.__getitem__, factor[0])))
-        value = _bucket_table((*arcs, *others), bucket, held)
+        value = _bucket_table((*arcs, *others), bucket)
         if others:
-            factors[min(map(step_of.__getitem__, others))].append(
+            buckets[min(map(step_of.__getitem__, others))].append(
                 (others, value.reshape(-1, *value.shape[len(arcs):]).max(axis=0)))
-    position = [0] * len(unary)
+    position = [0] * len(widths)
     best = value.argmax()
     for arc in reversed(steps[-1][0]):
-        best, position[arc] = divmod(best, len(unary[arc]))
-    for ((arc,), _), bucket, held in zip(steps[-2::-1], factors[-2::-1], masks[-2::-1]):
+        best, position[arc] = divmod(best, widths[arc])
+    for ((arc,), _), bucket in zip(steps[-2::-1], buckets[-2::-1]):
         value = np.zeros(())
-        for scope, table in bucket + held:
+        for scope, table in bucket:
             value = value + table[tuple(slice(None) if other == arc else position[other]
                                         for other in scope)]
         position[arc] = int(value.argmax())
@@ -456,7 +441,7 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
             # Each arc's domain labels first, NONE first and then ascending.
             choices = _NONE_FIRST[np.argsort(~ordered, axis=1, kind="stable")]
             factors = _factor_tables(program, arcs, choices, widths, scopes, rows)
-            labels[arcs] = choices[np.arange(len(arcs)), _eliminate(*factors, scopes, steps)]
+            labels[arcs] = choices[np.arange(len(arcs)), _eliminate(factors, widths, steps)]
         stats.rounds += 1
         stats.active_rows, stats.coupled_arcs = len(keys), len(np.unique(tri))
         if not wide.any():

@@ -231,7 +231,7 @@ class TestReconcile:
 
         monkeypatch.setattr(solver, "milp", argmax_point)
         with pytest.raises(RuntimeError, match=(
-                r"^d1: MIP solve returned a point that violates its own row t0_1_1$")):
+                r"^d1: re-solve returned a labelling that violates its own row t0_1_1$")):
             reconcile(corpus, ["m"])
 
     def test_timeout_names_the_document_and_its_row(self, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -600,6 +601,7 @@ class TestComponents:
         self.check(n, tri)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestEnumeration:
     """A touched component of at most ENUMERATION_BOUND labellings is solved
     as one table, whose first optimum in arc order is the answer."""
@@ -675,10 +677,61 @@ def solve_with_bound(programs, bound):
         return solve_documents(programs), ways
 
 
+@st.composite
+def buckets(draw):
+    """(axes, widths, factors) for _bucket_table: 1-5 arcs of 1-4 labels on
+    axes in a drawn order, never arc order when there are two or more, and
+    factors over random scopes in arc order, the first over every arc so
+    that its axes are out of order.  A factor is a weight table of mixed
+    magnitudes, or a 0/-inf mask."""
+    n = draw(st.integers(1, 5))
+    widths = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    axes = draw(st.permutations(range(n)))
+    if n > 1 and axes == sorted(axes):
+        axes = axes[::-1]
+    scopes = [tuple(range(n))] + draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=1).map(sorted).map(tuple), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    factors = []
+    for scope in scopes:
+        shape = [widths[arc] for arc in scope]
+        if draw(st.booleans()):
+            table = np.where(rng.random(shape) < 0.3, -np.inf, 0.0)
+        else:
+            table = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        factors.append((scope, table))
+    return axes, widths, factors
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestElimination:
     """A touched component is solved by the first plan whose largest table
     fits ENUMERATION_BOUND: one table, or buckets in min-degree order; with
     neither, by milp."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bucket=buckets())
+    def test_bucket_table_sums_its_factors_in_list_order(self, bucket):
+        # Sorted as _eliminate sorts a bucket, by the position of each
+        # factor's last arc in axes.  A mask adds 0 or -inf, so each finite
+        # cell is the weights' sum in list order, bit for bit, and a cell is
+        # -inf exactly where some mask is.
+        axes, widths, factors = bucket
+        at = {arc: i for i, arc in enumerate(axes)}
+        factors.sort(key=lambda factor: max(at[arc] for arc in factor[0]))
+        table = solver._bucket_table(axes, factors)
+        assert table.shape == tuple(widths[arc] for arc in axes)
+        for cell in itertools.product(*map(range, table.shape)):
+            label = {arc: cell[at[arc]] for arc in axes}
+            total, masked = 0.0, False
+            for scope, factor in factors:
+                value = factor[tuple(label[arc] for arc in scope)]
+                if np.isfinite(factor).all():
+                    total = total + value
+                else:
+                    masked = masked or value == -np.inf
+            assert np.float64(-np.inf if masked else total).tobytes() == \
+                table[cell].tobytes()
 
     # Bounds at which the stack of test_every_plan_matches_brute_force takes
     # each way: the hub's one table and min-degree order, then milp, in the
@@ -756,8 +809,8 @@ class TestElimination:
                     planned.append((axes, tuple(widths[arc] for arc in axes)))
                 return steps
 
-            def recording_table(axes, factors, masks):
-                table = bucket_table(axes, factors, masks)
+            def recording_table(axes, factors):
+                table = bucket_table(axes, factors)
                 built.append((tuple(axes), table.shape))
                 return table
 
