@@ -13,7 +13,9 @@ class ConfigurationError(ReconciliationError):
 
 
 class DataError(ReconciliationError):
-    """Bad input data (corpus files, solution files)."""
+    """Bad input data: a corpus directory with no .tml file, malformed
+    TimeML content (TimeMLParseError), members that give one id two kinds,
+    or a document that no member annotates."""
 
 
 class TimeMLParseError(DataError):

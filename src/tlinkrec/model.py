@@ -12,9 +12,11 @@ feasible.
 
 A program is its triangle array: separation and verification read the table
 allowed[a, b, c] of label triples, and rows become a matrix only by key (k, a,
-b): solve builds the active rows only of the components it hands to milp (the
-rest it solves by bucket elimination over the same table), and only the LP
-export and the test referees build every row.
+b): solve builds the active rows only of the components it hands to milp, and
+only the LP export and the test referees build every row.  solve eliminates
+every other component with no row at all: an active triangle's factor is
+allowed over its arcs' domains, -inf where it forbids the labels of pq, qr
+and pr and 0 elsewhere.
 """
 
 from __future__ import annotations

@@ -24,13 +24,19 @@ separates into the connected components of the program's arcs.  The round
 then re-solves only the components that hold a newly active row.
 
 A touched component is solved exactly over its partition rows and its
-active rows, the relaxation milp would see, by max-sum bucket elimination
-(Dechter 1999, "Bucket elimination: a unifying framework for reasoning").
-Its factors are one weight vector per arc over its domain, ordered NONE
-first and then by ascending ordinal, and one mask per active triangle, a
-table that is -inf where one of the triangle's active rows breaks and 0
-elsewhere.  A mask is a factor like any other: adding 0 leaves a finite sum
-as it was, and -inf absorbs it.  The planner (_plan) is the one place that
+active triangles, the triangles of its active rows, by max-sum bucket
+elimination (Dechter 1999, "Bucket elimination: a unifying framework for
+reasoning").  Its factors are one weight vector per arc over its domain,
+ordered NONE first and then by ascending ordinal, and one mask per active
+triangle: its label table over its arcs' domains, -inf where allowed forbids
+the labels of pq, qr and pr and 0 elsewhere.  In the default mode the
+triangle's active rows are every row that can bind over the domains, so the
+mask forbids exactly the cells they forbid.  In strict mode they bind over
+the winning and held labels only, and the mask also forbids the cells the
+triangle's other rows forbid: a tighter relaxation of the same program, so
+an answer that breaks no row of the full program is still optimal.  A mask
+is a factor like any other: adding 0 leaves a finite sum as it was, and
+-inf absorbs it.  The planner (_plan) is the one place that
 works out the elimination.  It reads only the arcs' domain widths and the
 triangles' arcs, builds no table, and returns a list of steps, each (arcs,
 others): the arcs that the step's bucket eliminates and the bucket's other
@@ -52,9 +58,14 @@ checks bounds every table.  The first two ways depend on the component
 alone, and so do their labels.  The components that neither table way fits
 go to one call of the HiGHS MIP solver through scipy.optimize.milp: the
 domain columns of their arcs, one partition row per arc over them, and the
-active rows restricted to those columns.  A round in which every touched
-component has a plan calls no milp, and among equal optima of a milp call
-the one returned is HiGHS's choice over all its components.  An untouched
+active rows restricted to those columns.  milp gets the active rows, not
+every row of the active triangles: on 2 documents of 100-110 events at
+density 0.4 (content seed 7), whose wide components reach milp, whole
+triangles took strict reconcile from 3.3-4.4 s to 13.9-14.5 s (3 runs each,
+2 vCPUs), in 3 rounds instead of 7 but with larger milp calls.  A round in
+which every touched component has a plan calls no milp, and among equal
+optima of a milp call the one returned is HiGHS's choice over all its
+components.  An untouched
 component has the same rows as when it was last solved, so its labels are
 still optimal for it; an arc in no active row is a component of its own and
 keeps its round-1 label, its optimum in the relaxation.  The loop stops at the first answer that
@@ -283,29 +294,20 @@ def _plan(widths: Sequence[int], scopes: np.ndarray) -> Optional[List[Step]]:
 
 
 def _factor_tables(program: BinaryProgram, arcs: np.ndarray, choices: np.ndarray,
-                   widths: Sequence[int], scopes: np.ndarray, rows: np.ndarray
-                   ) -> List[Factor]:
+                   widths: Sequence[int], scopes: np.ndarray) -> List[Factor]:
     """One component's factors: ((arc,), weights) for each arc, its weights
-    over its domain, and then ((pq, pr, qr), mask) for each triangle, a
-    table over its arcs' domains that is -inf where one of its active rows
-    breaks and 0 elsewhere.
+    over its domain, and then ((pq, pr, qr), mask) for each active triangle,
+    its label table over its arcs' domains: -inf where _allowed(mode)[a, b,
+    c] is False for the labels a of pq, b of qr and c of pr, and 0 elsewhere.
 
     Row i of choices holds the domain labels of arcs[i] in its first
     widths[i] places.  Row t of scopes numbers triangle t's (pq, pr, qr) in
-    arcs, which is ascending, and its mask's axes follow that order; rows
-    holds the active rows (t, a, b).
+    arcs, which is ascending, and its mask's axes follow that order.
     """
-    active = np.zeros((len(scopes), N_LABELS, N_LABELS), dtype=bool)
-    active[rows[:, 0], rows[:, 1] - 1, rows[:, 2] - 1] = True
     inside = choices[:, :max(widths)]
     a, c, b = inside[scopes.T]  # labels of pq, pr and qr
-    # Row (a, b) breaks where pq holds a, qr holds b and pr a label c that
-    # allowed[a, b] forbids.
-    breaks = (active[np.arange(len(scopes))[:, None, None], a[:, :, None], b[:, None, :]]
-              [:, :, None, :]
-              & ~_allowed(program.none_breaks_triangles)[
-                  a[:, :, None, None], b[:, None, None, :], c[:, None, :, None]])
-    masks = np.where(breaks, -np.inf, 0.0)
+    masks = np.where(_allowed(program.none_breaks_triangles)[
+        a[:, :, None, None], b[:, None, None, :], c[:, None, :, None]], 0.0, -np.inf)
     weights = program.objective.reshape(-1, N_LABELS)[arcs[:, None], inside]
     return ([((arc,), row[:width]) for arc, (row, width) in enumerate(zip(weights, widths))]
             + [((pq, pr, qr), mask[:widths[pq], :widths[pr], :widths[qr]])
@@ -417,20 +419,20 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         remaining = time_limit - (time.monotonic() - t0)
         if remaining <= 0:
             raise NoIncumbent(broken[0])
-        # Components of the program's arcs joined by the active rows; an arc
-        # in no active row is a component of its own and never touched.  The
-        # touched ones hold a newly active row.
-        tri = program.triangles[keys[:, 0]]
+        # Components of the program's arcs joined by the active triangles, the
+        # triangles of the active rows; an arc in no active row is a component
+        # of its own and never touched.  The touched ones hold a newly active
+        # row.
+        active = np.unique(keys[:, 0])
+        tri = program.triangles[active]
         component = _components(len(labels), tri)
-        touched = np.isin(component, component[tri[-len(new):, 0]])
+        touched = np.isin(component, component[program.triangles[new[:, 0], 0]])
         wide = np.zeros(len(labels), dtype=bool)
-        held = touched[tri[:, 0]]  # the active rows inside them
-        for arcs, rows in zip(_by_owner(np.flatnonzero(touched), component[touched]),
-                              _by_owner(keys[held], component[tri[held, 0]])):
-            # The component's triangles, ascending, numbered in rows, and each
-            # one's (pq, pr, qr), which is ascending in arc order.
-            k = np.unique(rows[:, 0])
-            rows[:, 0] = np.searchsorted(k, rows[:, 0])
+        held = touched[tri[:, 0]]  # the active triangles inside them
+        for arcs, k in zip(_by_owner(np.flatnonzero(touched), component[touched]),
+                           _by_owner(active[held], component[tri[held, 0]])):
+            # Each of the component's triangles' (pq, pr, qr), ascending in
+            # arc order, numbered in arcs.
             scopes = np.searchsorted(arcs, program.triangles[k][:, [0, 2, 1]])
             ordered = domain[arcs][:, _NONE_FIRST]
             widths = ordered.sum(axis=1).tolist()
@@ -440,7 +442,7 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
                 continue
             # Each arc's domain labels first, NONE first and then ascending.
             choices = _NONE_FIRST[np.argsort(~ordered, axis=1, kind="stable")]
-            factors = _factor_tables(program, arcs, choices, widths, scopes, rows)
+            factors = _factor_tables(program, arcs, choices, widths, scopes)
             labels[arcs] = choices[np.arange(len(arcs)), _eliminate(factors, widths, steps)]
         stats.rounds += 1
         stats.active_rows, stats.coupled_arcs = len(keys), len(np.unique(tri))
@@ -454,7 +456,7 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         arcs = np.flatnonzero(wide)
         inside = domain[arcs]
         cols = (arcs[:, None] * N_LABELS + np.arange(N_LABELS))[inside]
-        rows = program.rows(keys[wide[tri[:, 0]]])[:, cols]
+        rows = program.rows(keys[wide[program.triangles[keys[:, 0], 0]]])[:, cols]
         # HiGHS presolve stays on.  Only wide components get here, such as
         # those of 2 documents of 100-110 events at density 0.4 (content seed
         # 7), and on them switching it off hurt in strict mode (2 vCPUs):

@@ -12,7 +12,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 import tlinkrec.solver as solver
-from tlinkrec.model import N_LABELS, BinaryProgram, VoteTable, build_ip
+from tlinkrec.model import N_LABELS, BinaryProgram, VoteTable, _allowed, build_ip
 from tlinkrec.relations import NON_NONE, RelType
 from tlinkrec.solver import (ENUMERATION_BOUND, OBJ_TOL, Solution, solve, solve_documents,
                              verify, violations)
@@ -821,6 +821,46 @@ class TestElimination:
             assert built == planned
             assert bool(built) == (bound > 0)  # the chain and hub always re-solve
             assert all(np.prod(shape) <= bound for _, shape in built)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @settings(max_examples=20, deadline=None)
+    @given(tables=st.lists(vote_tables(), max_size=3))
+    def test_every_mask_is_the_label_table_over_the_domains(self, tables, strict):
+        # A triangle's mask is -inf exactly where allowed forbids the labels
+        # a of pq, b of qr and c of pr, and 0 elsewhere.  In the default mode
+        # an arc holds only domain labels, so the triangle's rows that can
+        # bind over the domains forbid the same cells.
+        allowed, factor_tables = _allowed(strict), solver._factor_tables
+        checked = 0
+        for votes in [*tables, chain_votes(), hub_votes()]:
+            program = build_ip(votes, none_breaks_triangles=strict)
+            index = {tuple(t): k for k, t in enumerate(program.triangles.tolist())}
+            calls = []
+
+            def recording(*args):
+                factors = factor_tables(*args)
+                calls.append((*args[1:4], factors))  # arcs, choices, widths
+                return factors
+
+            with patch.object(solver, "_factor_tables", recording):
+                solve(program)
+            for arcs, choices, widths, factors in calls:
+                for scope, mask in factors:
+                    if len(scope) < 3:
+                        continue
+                    pq, pr, qr = (choices[arc, :widths[arc]] for arc in scope)
+                    a, c, b = pq[:, None, None], pr[None, :, None], qr[None, None, :]
+                    forbidden = ~allowed[a, b, c]
+                    assert np.array_equal(mask == -np.inf, forbidden)
+                    assert (mask[~forbidden] == 0).all()
+                    if not strict:
+                        k = index[tuple(arcs[[scope[0], scope[2], scope[1]]].tolist())]
+                        rows = program.binding_rows(np.array([k]), program.domain())
+                        binding = np.zeros((N_LABELS, N_LABELS), dtype=bool)
+                        binding[rows[:, 1] - 1, rows[:, 2] - 1] = True
+                        assert np.array_equal(mask == -np.inf, binding[a, b] & forbidden)
+                    checked += 1
+        assert checked  # the chain's and hub's triangles always re-solve
 
     def test_labels_breaking_an_active_row_raise(self):
         # Elimination that returned the greedy labels, which break the row it

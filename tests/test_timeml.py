@@ -85,6 +85,25 @@ class TestParse:
         assert parsed.skipped == [SkippedItem("d", "l1", "self-loop"),
                                   SkippedItem("d", "#2", "missing relType")]
 
+    def test_timex_without_tid_is_ignored(self):
+        # A TIMEX3 with no tid names no entity, not the empty id, so a TLINK
+        # whose timeID is empty names none either.
+        parsed = parse_timeml(
+            b'<TimeML><TIMEX3 functionInDocument="CREATION_TIME"/>'
+            b'<MAKEINSTANCE eiid="ei1" eventID="e1"/>'
+            b'<TLINK lid="l1" relType="BEFORE" timeID="" '
+            b'relatedToEventInstance="ei1"/></TimeML>', "d")
+        assert parsed.links == []
+        assert parsed.skipped == [SkippedItem("d", "l1", "unresolved endpoint id")]
+
+    def test_tlink_without_a_source_attribute_skipped(self):
+        # Neither eventInstanceID nor timeID: the source resolves to nothing.
+        parsed = parse_timeml(
+            b'<TimeML><TIMEX3 tid="t0"/><MAKEINSTANCE eiid="ei1" eventID="e1"/>'
+            b'<TLINK lid="l1" relType="BEFORE" relatedToTime="t0"/></TimeML>', "d")
+        assert parsed.links == []
+        assert parsed.skipped == [SkippedItem("d", "l1", "unresolved endpoint id")]
+
     def test_conservation(self):
         parsed = parse_timeml(SAMPLE, "doc1")
         assert SAMPLE.count(b"<TLINK ") == 4
