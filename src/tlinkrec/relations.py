@@ -8,17 +8,17 @@ relation; composition results are emitted in canonical form (SIMULTANEOUS,
 IS_INCLUDED, INCLUDES).
 
 Everything else is read off endpoint graphs, through one kernel,
-_endpoint_order, which gives reachability and strict precedence for a stack
-of labelled graphs.  At import it builds TRIANGLE[a, b, c], the label
-triples that three intervals p, q, r can realise on pq, qr and pr: a graph
-of three entities is realisable iff no endpoint strictly precedes itself
-(Allen 1983; Vilain & Kautz 1986).  compose, dump_table and the program's
-label table read TRIANGLE, so no entry is hand-typed.  entailed_labels()
-runs the kernel on a stack of event graphs, as pair_stack() numbers them,
-and decides consistency and entailment exactly; closure() is its one-graph
-form.  TimeML has no label for two overlapping intervals, so a pair that may
-overlap is entailed no label, and an unlabelled pair is never assumed not
-to overlap.
+_endpoint_order, which gives reachability and the INCONSISTENT flags for a
+stack of labelled graphs; strict precedence is reach that does not go back.
+At import it builds TRIANGLE[a, b, c], the label triples that three
+intervals p, q, r can realise on pq, qr and pr: a graph of three entities is
+realisable iff no endpoint strictly precedes itself (Allen 1983; Vilain &
+Kautz 1986).  compose, dump_table and the program's label table read
+TRIANGLE, so no entry is hand-typed.  entailed_labels() runs the kernel on a
+stack of event graphs, as pair_stack() numbers them, and decides consistency
+and entailment exactly; closure() is its one-graph form.  TimeML has no
+label for two overlapping intervals, so a pair that may overlap is entailed
+no label, and an unlabelled pair is never assumed not to overlap.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ _ALLEN_ENDPOINTS = {
 # relates nothing), and 1, 2, 3 are <, =, >.  As base-4 digits a grid's four
 # codes give it one number, which _GRID_LABEL decodes to the label's ordinal,
 # or to 0 for a grid with no label (overlaps, or a cell not entailed).
-_LABEL_CELLS = np.zeros((len(RelType) + 1, 4), dtype=np.int64)
+_LABEL_CELLS = np.zeros((len(RelType) + 1, 4), dtype=np.int8)
 for _r in NON_NONE:
     _LABEL_CELLS[_r] = [" <=>".index(c) for c in _ALLEN_ENDPOINTS[collapse(_r)]]
 _GRID_LABEL = np.zeros(4 ** 4, dtype=np.int64)
@@ -141,65 +141,132 @@ def relation_from_intervals(x: Tuple[int, int], y: Tuple[int, int]) -> Optional[
     return RelType(label) if label else None
 
 
+def _components(n: int, rows: np.ndarray) -> np.ndarray:
+    """Each of n nodes' component, as its least node index; two nodes are
+    connected when they share a row of rows, an (m, w) array of node indices.
+
+    A label is never above its node and always names a node of its component.
+    Each round lowers, for every row, the label of each label its nodes hold
+    to the row's least label, and then replaces every label by its label's
+    (pointer jumping), which halves the chains of labels; it stops at the
+    first round that changes nothing.  Then every label is its own label and
+    a row's nodes hold one label, so a component holds one, its least node.
+    """
+    # Flat, column by column: ufunc.at with a value array of the index's
+    # shape takes numpy's fast path, and a broadcast value does not (at
+    # numpy 2.4.6, a (3, m) index with an (m,) value also crashed once m
+    # passed a few thousand).
+    width = rows.shape[1]
+    label, nodes = np.arange(n), rows.T.ravel()
+    while True:
+        low, held = label.copy(), label[nodes]
+        np.minimum.at(low, held, np.tile(np.minimum.reduce(held.reshape(width, -1)), width))
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
 def _endpoint_order(n: int, linked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Reachability and strict precedence in a stack of endpoint graphs.
+    """Reachability in a stack of endpoint graphs, and which are INCONSISTENT.
 
     linked is (k, m, 3): graph g's m rows (i, j, ordinal) label pairs of its
     entities 0..n-1.  Node i is entity i's start and node n + i its end.  A
     graph has a strict edge from each start to its end, and per labelled
     pair (NONE labels nothing) a strict edge for each endpoint < and a
-    non-strict edge each way for each endpoint =.  Returns the (k, 2n, 2n)
-    bool arrays reach, the reflexive-transitive closure of all edges, and
-    before, where u strictly precedes v iff a path from u to v takes a
-    strict edge: reach . strict . reach.
+    non-strict edge each way for each endpoint =.  Returns reach, the
+    (c, 2n, 2n) bool reflexive-transitive closure of the edges of the c
+    graphs that are not INCONSISTENT, in stack order, and the (k,) flags of
+    the INCONSISTENT graphs, those where a strict edge (u, v) has
+    reach[v, u], that is, lies on a cycle.  Every non-strict edge goes both
+    ways, so in the other graphs u strictly precedes v iff reach[u, v] and
+    not reach[v, u].
 
-    reach is the fixpoint of repeated squaring, in float32: a product sums
-    0/1 entries over at most 2n nodes, which stays exact below 2**24.
+    Nodes joined by '=' edges are merged into classes first (_components),
+    numbered from 0 within each graph, and the stack is padded to the most
+    classes of any graph left in it.  The class graph's edges are all
+    strict, and its reach is the fixpoint of repeated squaring, in float32:
+    a product sums 0/1 entries over at most 2n classes, which stays exact
+    below 2**24.  Reach only grows, so a cycle found early is a real one:
+    the flags are checked before the first squaring (where a strict edge
+    inside one class shows) and after each, and a graph leaves the stack
+    once it is flagged.
     """
-    size = 2 * n
-    strict = np.zeros((len(linked), size, size), dtype=np.float32)
-    strict[:, np.arange(n), np.arange(n, size)] = 1
-    # Cell c of a pair's grid relates endpoint c // 2 of i to endpoint c % 2
-    # of j; xy and yx index the cell's edge each way in the flattened stack.
+    k, size = len(linked), 2 * n
+    # Node g * size + u is node u of graph g.  Cell c of a pair's grid
+    # relates endpoint c // 2 of i, x, to endpoint c % 2 of j, y.
     cells = _LABEL_CELLS[linked[..., 2]]
-    x = linked[..., :1] + n * np.array([0, 0, 1, 1])
-    y = linked[..., 1:2] + n * np.array([0, 1, 0, 1])
-    graph = np.arange(len(linked))[:, None, None] * size * size
-    xy, yx = graph + x * size + y, graph + y * size + x
-    lt, eq, gt = cells == 1, cells == 2, cells == 3
-    strict.flat[xy[lt]] = strict.flat[yx[gt]] = 1
-    reach = np.maximum(np.eye(size, dtype=np.float32), strict)
-    reach.flat[xy[eq]] = reach.flat[yx[eq]] = 1
-    # Clipped in place, and strict dropped once used: a stack holds k of
-    # each (2n, 2n) float32 array, so every live temporary counts.
-    settled = False
-    while not settled:
+    offset = np.arange(k)[:, None, None] * size
+    x = offset + linked[..., :1] + n * np.array([0, 0, 1, 1])
+    y = offset + linked[..., 1:2] + n * np.array([0, 1, 0, 1])
+    # The strict edges tail -> head, each in graph owner: each start to its
+    # end, each < (code 1) as x -> y and each > (code 3) as y -> x.  When n
+    # is 0 there are none, so owner divides no edge by size 0.
+    gt, strict, eq = cells == 3, cells % 2 == 1, cells == 2
+    starts = (offset[:, 0] + np.arange(n)).ravel()
+    tail = np.concatenate([starts, np.where(gt, y, x)[strict]])
+    head = np.concatenate([starts + n, np.where(gt, x, y)[strict]])
+    owner = tail // size
+    # Each node's class, numbered from 0 within its graph.
+    label = _components(k * size, np.stack([x[eq], y[eq]], axis=1))
+    del x, y  # (k, m, 4) each: on a dense stack, nearly reach's size
+    root = label == np.arange(k * size)
+    classes = root.reshape(k, size).sum(axis=1)
+    number = (np.cumsum(root) - 1)[label] - np.repeat(np.cumsum(classes) - classes, size)
+    tail, head = number[tail], number[head]
+    width = classes.max(initial=0)
+    reach = np.zeros((k, width, width), dtype=np.float32)
+    reach[:, np.arange(width), np.arange(width)] = 1
+    reach[owner, tail, head] = 1
+    alive = np.arange(k)  # the graph of each layer of reach
+    inconsistent = np.zeros(k, dtype=bool)
+    while True:
+        cyclic = np.zeros(len(alive), dtype=bool)
+        cyclic[owner[reach.reshape(-1)[(owner * width + head) * width + tail] > 0]] = True
+        if cyclic.any():
+            inconsistent[alive[cyclic]] = True
+            kept = ~cyclic
+            alive = alive[kept]
+            width = classes[alive].max(initial=0)
+            reach = reach[kept, :width, :width]
+            on = kept[owner]
+            owner, tail, head = (np.cumsum(kept) - 1)[owner[on]], tail[on], head[on]
+        # Clipped in place: a stack holds k of each (width, width) float32
+        # array, so every live temporary counts.
         squared = reach @ reach
         np.minimum(squared, 1, out=squared)
-        settled = np.array_equal(squared, reach)
+        if np.array_equal(squared, reach):
+            break
         reach = squared
-    before = reach @ strict
-    del strict
-    return reach > 0, before @ reach > 0
+    # reach[g, u, v] is the class reach at (class of u, class of v): rows
+    # gathered, then columns, as the rows of the transpose.
+    graph, node_class = np.arange(len(alive))[:, None], number.reshape(k, size)[alive]
+    reach = (reach > 0)[graph, node_class].transpose(0, 2, 1)[graph, node_class]
+    return reach.transpose(0, 2, 1), inconsistent
 
 
 def _triangle_table() -> np.ndarray:
     """TRIANGLE[a, b, c] (ordinals - 1): a on pq, b on qr and c on pr are
     jointly realisable, that is, their endpoint graph has no strict cycle.
 
-    Built one pq label at a time, as a stack of 15 x 15 three-entity graphs.
+    A synonym has its canonical label's grid, so the graphs are built over
+    the 11 canonical labels and NONE only, and each label reads its
+    canonical synonym's entries.  The 12 ** 3 graphs are closed in six
+    stacks, two pq grids each: one stack of them all would raise the
+    import's peak memory by about 1 MB, and each kernel call has a fixed
+    cost, which one stack per pq grid would pay twelve times.
     """
-    size = len(RelType)
-    # Graph i of the stack links p, q, r = 0, 1, 2 by pq, qr and pr, with
-    # the ordinals of the i-th (b, c) pair on qr and pr.
-    linked = np.empty((size * size, 3, 3), dtype=np.int64)
+    grids = [*CANONICAL_LABELS, RelType.NONE]
+    size = len(grids)
+    # Graph i links p, q, r = 0, 1, 2 by pq, qr and pr with the i-th triple
+    # of grids, in C order.
+    linked = np.empty((size ** 3, 3, 3), dtype=np.int64)
     linked[:, :, :2] = [[0, 1], [1, 2], [0, 2]]
-    linked[:, 1:, 2] = np.indices((size, size)).reshape(2, -1).T + 1
-    table = np.empty((size,) * 3, dtype=bool)
-    for a in RelType:
-        linked[:, 0, 2] = a
-        before = _endpoint_order(3, linked)[1]
-        table[a - 1] = ~before.diagonal(axis1=1, axis2=2).any(axis=1).reshape(size, size)
+    linked[:, :, 2] = np.array(grids)[np.indices((size,) * 3).reshape(3, -1).T]
+    inconsistent = np.concatenate([_endpoint_order(3, stack)[1]
+                                   for stack in np.split(linked, 6)])
+    at = [grids.index(collapse(r)) for r in RelType]
+    table = ~inconsistent.reshape((size,) * 3)[np.ix_(at, at, at)]
     table.flags.writeable = False  # one copy for every reader
     return table
 
@@ -288,19 +355,20 @@ class EventGraph:
 Closure = EventGraph | _Inconsistent
 
 
-def pair_stack(graphs: Sequence[EventGraph], index: Dict[str, int]) -> np.ndarray:
-    """The (k, m, 3) rows (i, j, ordinal) of k graphs' edges, their nodes
-    numbered by index, for _endpoint_order; m is the most edges of any graph,
-    and the rows a graph lacks are (0, 0, NONE), which relates nothing."""
+def pair_stack(graphs: Sequence[EventGraph], indexes: Sequence[Dict[str, int]]) -> np.ndarray:
+    """The (k, m, 3) rows (i, j, ordinal) of k graphs' edges, each graph's
+    nodes numbered by its index in indexes, for _endpoint_order; m is the
+    most edges of any graph, and the rows a graph lacks are (0, 0, NONE),
+    which relates nothing."""
     sizes = [len(g) for g in graphs]
     linked = np.zeros((len(graphs), max(sizes, default=0), 3), dtype=np.int64)
     linked[..., 2] = RelType.NONE
     # Every graph's edges in one pass each for endpoints and labels, filling
     # graph k's first sizes[k] rows.
     filled = np.arange(linked.shape[1]) < np.array(sizes, dtype=np.int64)[:, None]
-    ends = chain.from_iterable(chain.from_iterable(g._edges for g in graphs))
-    linked[filled, :2] = np.fromiter(map(index.__getitem__, ends), np.int64,
-                                     2 * sum(sizes)).reshape(-1, 2)
+    ends = chain.from_iterable(map(index.__getitem__, chain.from_iterable(g._edges))
+                               for g, index in zip(graphs, indexes))
+    linked[filled, :2] = np.fromiter(ends, np.int64, 2 * sum(sizes)).reshape(-1, 2)
     linked[filled, 2] = np.fromiter(chain.from_iterable(g._edges.values() for g in graphs),
                                     np.int64, sum(sizes))
     return linked
@@ -325,23 +393,24 @@ def entailed_labels(n: int, linked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     (an entity is SIMULTANEOUS with itself), and the (k,) INCONSISTENT
     flags; an INCONSISTENT graph's ordinals are all 0.
     """
-    reach, before = _endpoint_order(n, linked)
-    inconsistent = before.diagonal(axis1=1, axis2=2).any(axis=1)
+    reach, inconsistent = _endpoint_order(n, linked)
+    back = reach.transpose(0, 2, 1)
+    before = reach & ~back
     # Codes and grid numbers (at most 4 ** 4 - 1) fit uint8: small temporaries.
-    point = (before.view(np.uint8) + np.uint8(2) * (reach & reach.transpose(0, 2, 1))
+    point = (before.view(np.uint8) + np.uint8(2) * (reach & back)
              + np.uint8(3) * before.transpose(0, 2, 1))
-    # A strict cycle makes some pair both < and >, a code off the grid.
-    point[inconsistent] = 0
     grid = (64 * point[:, :n, :n] + 16 * point[:, :n, n:]
             + 4 * point[:, n:, :n] + point[:, n:, n:])
-    return _GRID_LABEL[grid], inconsistent
+    labels = np.zeros((len(linked), n, n), dtype=_GRID_LABEL.dtype)
+    labels[~inconsistent] = _GRID_LABEL[grid]
+    return labels, inconsistent
 
 
 def closure(g: EventGraph) -> Closure:
     """The labels g entails (see entailed_labels), or INCONSISTENT."""
     nodes = sorted(g.nodes)
     index = {node: i for i, node in enumerate(nodes)}
-    (labels,), (inconsistent,) = entailed_labels(len(nodes), pair_stack([g], index))
+    (labels,), (inconsistent,) = entailed_labels(len(nodes), pair_stack([g], [index]))
     if inconsistent:
         return INCONSISTENT
     out = EventGraph(g.nodes)

@@ -9,12 +9,12 @@ TimeML label expresses) is entailed nothing.  An inconsistent side has no
 closure: it entails only its own stored labels, and it is flagged.
 
 score_runs scores any number of system runs against one reference run.  Per
-document it builds the reference's graph once, stacks it with every
-system's graph, and closes the whole stack in one kernel call over the union
-of their nodes; each system's relations are counted by array lookups into
-the reference's labels, and the reference's into each system's.  score_run
-and temporal_awareness are its one-system cases.  Documents are not stacked
-together: each is its own call.
+document it builds the reference's graph once and numbers the union of its
+and every system's nodes.  Documents of similar node counts are stacked
+together, so a call's documents are closed in a few kernel calls, one or
+more per bucket of sizes; each system's relations are counted by array
+lookups into its reference's labels, and the reference's into each
+system's.  score_run and temporal_awareness are its one-system cases.
 """
 
 from __future__ import annotations
@@ -74,54 +74,86 @@ _INVERTED = np.array([0] + [invert(r) for r in RelType])
 _COLLAPSED = np.array([0] + [collapse(r) for r in RelType])
 _VERIFIES = ((_COLLAPSED[:, None] == _COLLAPSED)
              & (np.arange(len(RelType) + 1) != RelType.NONE))
+# The most entries, k * (2n) ** 2, of one stack of k graphs over n
+# entities that scoring closes, unless one document alone has more: 8 MB of
+# float32 reach.  The benchmark corpora's largest stack has 219,040.
+STACK_ENTRIES = 1 << 21
 
 
-def _document_awareness(reference: EventGraph, systems: Sequence[EventGraph], *,
-                        collapse_identity: bool) -> List[AwarenessCounts]:
-    """Each system graph's counts against one reference graph.
+def _awareness(documents: Sequence[Sequence[EventGraph]], *,
+               collapse_identity: bool) -> List[List[AwarenessCounts]]:
+    """Per document, each system graph's counts against its reference graph.
 
-    The reference and every system are closed in one entailed_labels call
-    over the union of their nodes.  Each system's relations are looked up in
-    the reference's table, and the reference's relations in each system's:
-    a side's table is its closure or, if it is INCONSISTENT, its stored
-    labels.  A relation verifies when the table holds its label up to
-    synonyms; NONE never verifies.  With collapse_identity off, IDENTITY
-    verifies only against a stored IDENTITY (the closure cannot keep the
-    synonyms apart).
+    A document is its reference graph followed by its system graphs, the
+    same number in every document; its nodes are the union of its graphs'.
+    The documents are bucketed by (2n).bit_length() of their node count n,
+    so that one large document does not pad the small ones.  Each bucket
+    is closed in one entailed_labels call, or in several when its stack
+    would exceed STACK_ENTRIES, each over its own documents' most nodes.
+    Each system's relations are looked up in its reference's table, and the
+    reference's relations in each system's: a side's table is its closure
+    or, if it is INCONSISTENT, its stored labels.  A relation verifies when
+    the table holds its label up to synonyms; NONE never verifies.  With
+    collapse_identity off, IDENTITY verifies only against a stored IDENTITY
+    (the closure cannot keep the synonyms apart).
     """
-    graphs = [reference, *systems]
-    nodes = sorted(set().union(*(g.nodes for g in graphs)))
-    index = {node: i for i, node in enumerate(nodes)}
-    linked = pair_stack(graphs, index)
-    entailed, inconsistent = entailed_labels(len(nodes), linked)
+    nodes = [sorted(set().union(*(g.nodes for g in graphs))) for graphs in documents]
+    buckets: Dict[int, List[int]] = {}
+    for d, doc_nodes in enumerate(nodes):
+        buckets.setdefault((2 * len(doc_nodes)).bit_length(), []).append(d)
+    counts: List[List[AwarenessCounts]] = [[] for _ in documents]
+    for key in sorted(buckets):
+        bucket = buckets[key]
+        n = max(len(nodes[d]) for d in bucket)
+        per_call = max(1, STACK_ENTRIES // max(1, len(documents[0]) * (2 * n) ** 2))
+        for start in range(0, len(bucket), per_call):
+            chunk = bucket[start:start + per_call]
+            for d, doc_counts in zip(chunk, _stack_awareness(
+                    [documents[d] for d in chunk], [nodes[d] for d in chunk],
+                    collapse_identity=collapse_identity)):
+                counts[d] = doc_counts
+    return counts
+
+
+def _stack_awareness(documents: Sequence[Sequence[EventGraph]],
+                     nodes: Sequence[Sequence[str]], *,
+                     collapse_identity: bool) -> List[List[AwarenessCounts]]:
+    """_awareness in one entailed_labels call; nodes holds each document's
+    nodes in the order they are numbered."""
+    per_doc = len(documents[0])
+    indexes = [{node: i for i, node in enumerate(doc_nodes)} for doc_nodes in nodes]
+    linked = pair_stack([g for graphs in documents for g in graphs],
+                        [index for index in indexes for _ in range(per_doc)])
+    entailed, inconsistent = entailed_labels(max(map(len, nodes)), linked)
     i, j, rel = linked.transpose(2, 0, 1)
-    graph = np.arange(len(graphs))[:, None]
+    graph = np.arange(len(linked))[:, None]
     stored = np.zeros_like(entailed)
     stored[graph, i, j], stored[graph, j, i] = rel, _INVERTED[rel]
     table = np.where(inconsistent[:, None, None], stored, entailed)
-    # Row 0 of owner holds each system's relations, row 1 the reference's,
-    # once per system; other is the graph whose table each is looked up in.
-    owner = np.zeros((2, len(systems)), dtype=np.intp)
-    owner[0] = graph[1:, 0]
-    other = owner[::-1, :, None]
-    i, j, rel = linked[owner].transpose(3, 0, 1, 2)
+    # Row 0 of owner holds each document's systems' graphs, row 1 its
+    # reference's, once per system; other is the graph whose table each is
+    # looked up in.
+    reference = np.arange(0, len(linked), per_doc)[:, None]
+    owner = np.stack(np.broadcast_arrays(reference + np.arange(1, per_doc), reference))
+    other = owner[::-1, ..., None]
+    i, j, rel = linked[owner].transpose(4, 0, 1, 2, 3)
     verified = _VERIFIES[table[other, i, j], rel]
     if not collapse_identity:
         verified = np.where(rel == RelType.IDENTITY,
                             stored[other, i, j] == RelType.IDENTITY, verified)
-    verified_sys, verified_ref = verified.sum(axis=2).tolist()
-    inconsistent_ref, *inconsistent_sys = inconsistent.tolist()
-    return [AwarenessCounts(v_sys, len(g), v_ref, len(reference), inconsistent_ref, flag)
-            for v_sys, v_ref, g, flag in zip(verified_sys, verified_ref, systems,
-                                             inconsistent_sys)]
+    verified_sys, verified_ref = verified.sum(axis=3).tolist()
+    flags = inconsistent.reshape(len(documents), per_doc).tolist()
+    return [[AwarenessCounts(v_sys, len(system), v_ref, len(ref), ref_flag, sys_flag)
+             for v_sys, v_ref, system, sys_flag in zip(doc_sys, doc_ref, systems, sys_flags)]
+            for doc_sys, doc_ref, (ref, *systems), (ref_flag, *sys_flags)
+            in zip(verified_sys, verified_ref, documents, flags)]
 
 
 def temporal_awareness(reference: EventGraph, system: EventGraph, *,
                        collapse_identity: bool = True) -> AwarenessCounts:
     """Precision/recall counts of a system graph against a reference graph:
-    the one-system case of the per-document stack that score_runs closes."""
-    return _document_awareness(reference, [system],
-                               collapse_identity=collapse_identity)[0]
+    the one-document, one-system case of score_runs."""
+    return _awareness([[reference, system]], collapse_identity=collapse_identity)[0][0]
 
 
 @dataclass
@@ -156,10 +188,11 @@ def score_runs(reference_run: ClassifierRun, system_runs: Sequence[ClassifierRun
                doc_filter: Optional[Set[str]] = None, *,
                collapse_identity: bool = True,
                average: str = "micro") -> List[ScoreReport]:
-    """One report per system run, each document scored in one kernel call.
+    """One report per system run, its documents in sorted order.
 
     A document's reference graph is built once and closed with every
-    system's graph in one stack.  Documents in the filter but missing from a
+    system's graph, and the documents are closed together in a few kernel
+    calls (see _awareness).  Documents in the filter but missing from a
     system run score against an empty system graph.
     """
     if average not in ("micro", "macro"):
@@ -171,11 +204,10 @@ def score_runs(reference_run: ClassifierRun, system_runs: Sequence[ClassifierRun
     if not system_runs:
         return []
     reports = [ScoreReport(average=average) for _ in system_runs]
-    for doc in docs:
-        counts = _document_awareness(
-            build_graph(reference_run.documents[doc]),
-            [build_graph(run.documents.get(doc, [])) for run in system_runs],
-            collapse_identity=collapse_identity)
+    documents = [[build_graph(reference_run.documents[doc]),
+                  *(build_graph(run.documents.get(doc, [])) for run in system_runs)]
+                 for doc in docs]
+    for doc, counts in zip(docs, _awareness(documents, collapse_identity=collapse_identity)):
         for report, doc_counts in zip(reports, counts):
             report.per_document[doc] = doc_counts
     return reports

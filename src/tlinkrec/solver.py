@@ -92,11 +92,11 @@ milp call gets the time that is left, and HiGHS enforces it inside the
 solve.  Elimination takes no time limit; ENUMERATION_BOUND bounds each table
 it builds.
 
-Components are found in numpy (_components), and scipy is imported only for
-a milp call: milp imports scipy.optimize on its first call, and the rows it
-is given are built by BinaryProgram.rows and partition_rows, which import
-scipy.sparse.  A solve in which every touched component has a plan imports no
-scipy module.
+Components are found in numpy (relations._components, which also finds the
+closure kernel's '=' classes), and scipy is imported only for a milp call:
+milp imports scipy.optimize on its first call, and the rows it is given are
+built by BinaryProgram.rows and partition_rows, which import scipy.sparse.  A
+solve in which every touched component has a plan imports no scipy module.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .model import N_LABELS, BinaryProgram, _allowed, partition_rows, row_name
-from .relations import RelType
+from .relations import RelType, _components
 
 OBJ_TOL = 1e-9
 NO_INCUMBENT = "time limit reached before any incumbent was found"
@@ -212,31 +212,6 @@ def _by_owner(values: np.ndarray, owner: np.ndarray) -> List[np.ndarray]:
     order = np.argsort(owner, kind="stable")
     parts = np.split(values[order], np.flatnonzero(np.diff(owner[order])) + 1)
     return parts if len(values) else []
-
-
-def _components(n: int, tri: np.ndarray) -> np.ndarray:
-    """Each of n arcs' component, as its least arc index; two arcs are
-    connected when they share a row of tri, an (m, 3) array of arc indices.
-
-    A label is never above its arc and always names an arc of its component.
-    Each round lowers, for every row, the label of each label its arcs hold
-    to the row's least label, and then replaces every label by its label's
-    (pointer jumping), which halves the chains of labels; it stops at the
-    first round that changes nothing.  Then every label is its own label and
-    a row's arcs hold one label, so a component holds one, its least arc.
-    """
-    # Flat, column by column: ufunc.at with a value array of the index's
-    # shape takes numpy's fast path, and a broadcast value does not (at
-    # numpy 2.4.6, a (3, m) index with an (m,) value also crashed once m
-    # passed a few thousand).
-    label, arcs = np.arange(n), tri.T.ravel()
-    while True:
-        low, held = label.copy(), label[arcs]
-        np.minimum.at(low, held, np.tile(np.minimum.reduce(held.reshape(3, -1)), 3))
-        low = low[low]
-        if np.array_equal(low, label):
-            return label
-        label = low
 
 
 def milp(*args, **kwargs):

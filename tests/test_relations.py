@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlinkrec.relations import (
@@ -22,6 +22,7 @@ from tlinkrec.relations import (
     pair_stack,
     relation_from_intervals,
 )
+from tlinkrec.relations import _GRID_LABEL, _LABEL_CELLS, _endpoint_order
 
 from point_oracle import oracle_composition_table, oracle_inverse_table, rel_between
 from referees import (is_consistent_labeling, model_closure,
@@ -263,7 +264,7 @@ def test_path_consistency_referee_matches_model_enumerator():
 def stacked(graphs, nodes):
     """entailed_labels of the graphs, stacked, over the sorted nodes."""
     index = {node: i for i, node in enumerate(nodes)}
-    return entailed_labels(len(nodes), pair_stack(graphs, index))
+    return entailed_labels(len(nodes), pair_stack(graphs, [index] * len(graphs)))
 
 
 def before_cycle(n=3):
@@ -300,7 +301,7 @@ class TestStackedDecode:
             (plain,), _ = stacked([g], nodes)
             wider = sorted(nodes + ["a", "n2x", "z"])
             index = {node: i for i, node in enumerate(wider)}
-            padded = np.concatenate([pair_stack([g], index),
+            padded = np.concatenate([pair_stack([g], [index]),
                                      np.tile([0, 0, RelType.NONE], (1, 4, 1))], axis=1)
             (labels,), (flag,) = entailed_labels(len(wider), padded)
             at = [index[node] for node in nodes]
@@ -323,6 +324,116 @@ class TestStackedDecode:
         for own, g in zip(labels[::2], neighbours):
             assert np.array_equal(own, stacked([g], nodes)[0][0])
             assert own.any()
+
+
+def squaring_endpoint_order(n, linked):
+    """The closure kernel before '=' classes and early drops, copied verbatim
+    (as _endpoint_order) as the referee for the kernel that replaced it:
+    reach and before = reach . strict . reach, over every graph."""
+    size = 2 * n
+    strict = np.zeros((len(linked), size, size), dtype=np.float32)
+    strict[:, np.arange(n), np.arange(n, size)] = 1
+    # Cell c of a pair's grid relates endpoint c // 2 of i to endpoint c % 2
+    # of j; xy and yx index the cell's edge each way in the flattened stack.
+    cells = _LABEL_CELLS[linked[..., 2]]
+    x = linked[..., :1] + n * np.array([0, 0, 1, 1])
+    y = linked[..., 1:2] + n * np.array([0, 1, 0, 1])
+    graph = np.arange(len(linked))[:, None, None] * size * size
+    xy, yx = graph + x * size + y, graph + y * size + x
+    lt, eq, gt = cells == 1, cells == 2, cells == 3
+    strict.flat[xy[lt]] = strict.flat[yx[gt]] = 1
+    reach = np.maximum(np.eye(size, dtype=np.float32), strict)
+    reach.flat[xy[eq]] = reach.flat[yx[eq]] = 1
+    # Clipped in place, and strict dropped once used: a stack holds k of
+    # each (2n, 2n) float32 array, so every live temporary counts.
+    settled = False
+    while not settled:
+        squared = reach @ reach
+        np.minimum(squared, 1, out=squared)
+        settled = np.array_equal(squared, reach)
+        reach = squared
+    before = reach @ strict
+    del strict
+    return reach > 0, before @ reach > 0
+
+
+def squaring_entailed_labels(n, linked):
+    """entailed_labels over squaring_endpoint_order, copied verbatim."""
+    reach, before = squaring_endpoint_order(n, linked)
+    inconsistent = before.diagonal(axis1=1, axis2=2).any(axis=1)
+    # Codes and grid numbers (at most 4 ** 4 - 1) fit uint8: small temporaries.
+    point = (before.view(np.uint8) + np.uint8(2) * (reach & reach.transpose(0, 2, 1))
+             + np.uint8(3) * before.transpose(0, 2, 1))
+    # A strict cycle makes some pair both < and >, a code off the grid.
+    point[inconsistent] = 0
+    grid = (64 * point[:, :n, :n] + 16 * point[:, :n, n:]
+            + 4 * point[:, n:, :n] + point[:, n:, n:])
+    return _GRID_LABEL[grid], inconsistent
+
+
+STRICT_LABELS = [r for r in RelType if r not in (RelType.SIMULTANEOUS, RelType.IDENTITY,
+                                                 RelType.NONE)]
+
+
+@st.composite
+def linked_stacks(draw):
+    """(n, linked): a stack of 0-5 graphs over n = 0-7 entities, as
+    pair_stack builds it, with 0-2 padding rows (0, 0, NONE) past the most
+    rows of any graph.  A graph is random labelled pairs, possibly
+    INCONSISTENT, after one of: nothing; a pure '=' cycle, a chain of
+    SIMULTANEOUS or IDENTITY closed back to its start; or such a chain with
+    another label between two of its entities, a strict edge inside an '='
+    class, which is INCONSISTENT."""
+    n = draw(st.integers(0, 7))
+    graphs = []
+    for _ in range(draw(st.integers(0, 5))):
+        rows = []
+        shape = draw(st.sampled_from(["random", "equal cycle", "strict in class"]))
+        if n >= 2 and shape != "random":
+            chain = draw(st.permutations(range(n)))[:draw(st.integers(2, n))]
+            rows += [(p, q, draw(st.sampled_from([RelType.SIMULTANEOUS, RelType.IDENTITY])))
+                     for p, q in zip(chain, chain[1:])]
+            ends = draw(st.permutations(chain))[:2]
+            rows.append((chain[-1], chain[0], RelType.SIMULTANEOUS) if shape == "equal cycle"
+                        else (*ends, draw(st.sampled_from(STRICT_LABELS))))
+        if n >= 2:
+            pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda pq: pq[0] != pq[1])
+            rows += [(p, q, rel) for (p, q), rel in draw(st.lists(
+                st.tuples(pair, st.sampled_from(list(RelType))), max_size=8))]
+        graphs.append(draw(st.permutations(rows)))
+    linked = np.zeros((len(graphs), max(map(len, graphs), default=0)
+                       + draw(st.integers(0, 2)), 3), dtype=np.int64)
+    linked[..., 2] = RelType.NONE
+    for g, rows in enumerate(graphs):
+        linked[g, :len(rows)] = np.reshape(rows, (-1, 3))
+    return n, linked
+
+
+@settings(max_examples=400, deadline=None)
+@given(linked_stacks())
+@example((0, np.zeros((0, 0, 3), dtype=np.int64)))
+@example((3, np.zeros((0, 2, 3), dtype=np.int64)))
+@example((0, np.full((2, 1, 3), RelType.NONE, dtype=np.int64)))
+@example((3, np.array([[[0, 1, RelType.SIMULTANEOUS], [1, 2, RelType.IDENTITY],
+                        [2, 0, RelType.SIMULTANEOUS]],
+                       [[0, 1, RelType.SIMULTANEOUS], [1, 2, RelType.SIMULTANEOUS],
+                        [0, 2, RelType.BEGINS]]])))
+def test_kernel_matches_the_squaring_kernel(stack):
+    """The same labels and flags as the kernel that squared every graph's
+    whole endpoint graph; and on every graph that is not INCONSISTENT, its
+    reach, and its before as the reach that does not go back."""
+    n, linked = stack
+    labels, inconsistent = entailed_labels(n, linked)
+    old_labels, old_inconsistent = squaring_entailed_labels(n, linked)
+    assert labels.dtype == old_labels.dtype and labels.shape == (len(linked), n, n)
+    assert np.array_equal(labels, old_labels)
+    assert np.array_equal(inconsistent, old_inconsistent)
+    reach, flags = _endpoint_order(n, linked)
+    old_reach, old_before = squaring_endpoint_order(n, linked)
+    assert np.array_equal(flags, inconsistent)
+    assert np.array_equal(reach, old_reach[~flags])
+    assert np.array_equal(reach & ~reach.transpose(0, 2, 1), old_before[~flags])
 
 
 def random_model_graph(rng, n_nodes, density=0.6, avoid_overlap=True):

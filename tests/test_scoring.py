@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tlinkrec.relations import EventGraph, RelType, relation_from_intervals
+from tlinkrec import scoring
+from tlinkrec.relations import EventGraph, RelType, entailed_labels, relation_from_intervals
 from tlinkrec.scoring import (
     ScoreReport,
     build_graph,
@@ -20,7 +21,7 @@ from tlinkrec.scoring import (
 from tlinkrec.timeml import ClassifierRun, EntityKind, EntityRef, TLink
 
 from referees import awareness_referee
-from test_relations import random_model_graph
+from test_relations import random_model, random_model_graph
 
 
 def ev(i, doc="d1"):
@@ -395,6 +396,94 @@ class TestScoreRun:
         report = ScoreReport()
         assert report.precision == 0.0 and report.f1 == 0.0
         assert ScoreReport(average="macro").precision == 0.0
+
+
+class TestStackedDocuments:
+    """score_runs closes a call's documents together, bucketed by
+    (2n).bit_length() of their node count n and split at STACK_ENTRIES; each
+    (document, system) must score as temporal_awareness scores it alone."""
+
+    # Node counts per document, not in document order: 3 | 4, 6, 7 | 8 lie
+    # in the buckets of 2n = 6, 8-15 and 16, and d5 has no node at all.
+    SIZES = {"d3": 4, "d0": 7, "d5": 0, "d2": 8, "d1": 3, "d4": 6}
+
+    @classmethod
+    def corpus(cls):
+        """A reference run of complete interval-model graphs, in which n0 and
+        n1 are SIMULTANEOUS, and three system runs that drop some of their
+        pairs and relabel others, to the label's synonym or to any label
+        (which may make them INCONSISTENT); s1 lacks d4."""
+        rng = random.Random(32)
+        reference, systems = run_of("ref", {}), [run_of(f"s{s}", {}) for s in range(3)]
+        for doc, n in cls.SIZES.items():
+            intervals = random_model(rng, n, density=0.0)[0]
+            intervals[1:2] = intervals[:1]
+            g = EventGraph()
+            for i, j in combinations(range(n), 2):
+                g.set_relation(f"n{i}", f"n{j}",
+                               relation_from_intervals(intervals[i], intervals[j]))
+            reference.documents[doc] = links_of(g)
+            for s, run in enumerate(systems):
+                if (doc, s) == ("d4", 1):
+                    continue
+                h = EventGraph()
+                for p, q, rel in g.edges():
+                    draw = rng.random()
+                    if draw < 0.8:
+                        h.set_relation(p, q, rel if draw < 0.4 else SYNONYM.get(rel, rel)
+                                       if draw < 0.6 else rng.choice(list(RelType)))
+                run.documents[doc] = links_of(h)
+        return reference, systems
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(n, k) of each entailed_labels call that scoring makes."""
+        made = []
+
+        def recording(n, linked):
+            made.append((n, len(linked)))
+            return entailed_labels(n, linked)
+
+        monkeypatch.setattr(scoring, "entailed_labels", recording)
+        return made
+
+    # Each document stacks 4 graphs: 784 entries at n = 7, so a bound of
+    # 1,600 splits the 4-7 bucket into d0 + d3, then d4, each closed over
+    # its own most nodes.
+    @pytest.mark.parametrize("entries, expected_calls", [
+        (None, [(0, 4), (3, 4), (7, 12), (8, 4)]),
+        (1600, [(0, 4), (3, 4), (7, 8), (6, 4), (8, 4)])])
+    @pytest.mark.parametrize("collapse_identity", [True, False])
+    @pytest.mark.parametrize("average", ["micro", "macro"])
+    def test_counts_match_one_call_per_document(self, monkeypatch, calls, entries,
+                                                expected_calls, collapse_identity, average):
+        if entries is not None:
+            monkeypatch.setattr(scoring, "STACK_ENTRIES", entries)
+        reference, systems = self.corpus()
+        reports = score_runs(reference, systems, collapse_identity=collapse_identity,
+                             average=average)
+        assert calls == expected_calls
+        for system, report in zip(systems, reports):
+            assert list(report.per_document) == sorted(self.SIZES)
+            expected = {doc: temporal_awareness(
+                build_graph(links), build_graph(system.documents.get(doc, [])),
+                collapse_identity=collapse_identity)
+                for doc, links in reference.documents.items()}
+            assert report == ScoreReport(expected, average)
+        counts = [c for report in reports for c in report.per_document.values()]
+        assert any(c.inconsistent_sys for c in counts)
+        assert reports[1].per_document["d4"].total_sys == 0
+
+    def test_the_corpus_tells_the_identity_modes_apart(self):
+        reference, systems = self.corpus()
+        assert score_runs(reference, systems) != \
+            score_runs(reference, systems, collapse_identity=False)
+
+    def test_empty_doc_filter_scores_nothing(self, calls):
+        reference, systems = self.corpus()
+        reports = score_runs(reference, systems, set())
+        assert [report.per_document for report in reports] == [{}, {}, {}]
+        assert calls == []
 
 
 class TestOutput:
