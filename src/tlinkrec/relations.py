@@ -2,10 +2,13 @@
 
 The 14 TimeML relation labels (plus an artificial NONE) are grounded in the
 interval algebra: every label maps to a basic interval relation, expressed as
-order constraints between the four interval endpoints.  SIMULTANEOUS/IDENTITY
-and IS_INCLUDED/DURING (and their inverses) denote the same interval
-relation; composition results are emitted in canonical form (SIMULTANEOUS,
-IS_INCLUDED, INCLUDES).
+order constraints between the four interval endpoints.  One table,
+_ALLEN_ENDPOINTS, gives each label that grid of four relations, and the rest
+of the vocabulary is derived from it: labels that share a grid are synonyms
+(SIMULTANEOUS/IDENTITY, IS_INCLUDED/DURING and INCLUDES/DURING_INV), the
+lowest ordinal among them canonical, and a label's converse has the grid
+that swaps the two intervals.  Composition results are emitted in canonical
+form (SIMULTANEOUS, IS_INCLUDED, INCLUDES).
 
 Everything else is read off endpoint graphs, through one kernel,
 _endpoint_order, which gives reachability and the INCONSISTENT flags for a
@@ -52,34 +55,45 @@ class RelType(enum.IntEnum):
 
 NON_NONE = tuple(r for r in RelType if r is not RelType.NONE)
 
-_INVERSE = {
-    RelType.BEFORE: RelType.AFTER,
-    RelType.AFTER: RelType.BEFORE,
-    RelType.IBEFORE: RelType.IAFTER,
-    RelType.IAFTER: RelType.IBEFORE,
-    RelType.INCLUDES: RelType.IS_INCLUDED,
-    RelType.IS_INCLUDED: RelType.INCLUDES,
-    RelType.DURING: RelType.DURING_INV,
-    RelType.DURING_INV: RelType.DURING,
-    RelType.BEGINS: RelType.BEGUN_BY,
-    RelType.BEGUN_BY: RelType.BEGINS,
-    RelType.ENDS: RelType.ENDED_BY,
-    RelType.ENDED_BY: RelType.ENDS,
-    RelType.SIMULTANEOUS: RelType.SIMULTANEOUS,
-    RelType.IDENTITY: RelType.IDENTITY,
-    RelType.NONE: RelType.NONE,
+# --- endpoint semantics ----------------------------------------------------
+#
+# Each label is one basic interval relation between x = (x1, x2) and
+# y = (y1, y2): the relations x1?y1, x1?y2, x2?y1 and x2?y2, each one of <, =
+# and >.  This grid table is the one place the labels are defined; NONE has
+# no grid, and Allen's overlaps and overlapped-by have no label.  Labels that
+# share a grid are synonyms, and the lowest ordinal among them is canonical.
+# A label's converse has the grid that swaps x and y: cells 1 and 2 change
+# places, and < and > turn around.  It is that grid's canonical label if the
+# label is canonical, and its synonym if not; NONE is its own converse.
+
+_ALLEN_ENDPOINTS = {
+    RelType.BEFORE: "<<<<",
+    RelType.AFTER: ">>>>",
+    RelType.IBEFORE: "<<=<",
+    RelType.IAFTER: ">=>>",
+    RelType.INCLUDES: "<<>>",
+    RelType.IS_INCLUDED: "><><",
+    RelType.DURING: "><><",
+    RelType.DURING_INV: "<<>>",
+    RelType.BEGINS: "=<><",
+    RelType.BEGUN_BY: "=<>>",
+    RelType.ENDS: "><>=",
+    RelType.ENDED_BY: "<<>=",
+    RelType.SIMULTANEOUS: "=<>=",
+    RelType.IDENTITY: "=<>=",
 }
 
-# Synonyms collapse onto the canonical label carrying the same interval relation.
-_COLLAPSE = {
-    RelType.DURING: RelType.IS_INCLUDED,
-    RelType.DURING_INV: RelType.INCLUDES,
-    RelType.IDENTITY: RelType.SIMULTANEOUS,
-}
-
-CANONICAL_LABELS = tuple(
-    r for r in NON_NONE if r not in _COLLAPSE
-)
+# Each grid's labels in ordinal order, so the canonical one first.
+_SHARING: Dict[str, list] = {}
+for _r in NON_NONE:
+    _SHARING.setdefault(_ALLEN_ENDPOINTS[_r], []).append(_r)
+CANONICAL_LABELS = tuple(same[0] for same in _SHARING.values())
+_INVERSE = {RelType.NONE: RelType.NONE}
+_CANONICAL = {}
+for _grid, _same in _SHARING.items():
+    _turned = (_grid[0] + _grid[2] + _grid[1] + _grid[3]).translate(str.maketrans("<>", "><"))
+    for _r, _converse in zip(_same, _SHARING[_turned], strict=True):
+        _INVERSE[_r], _CANONICAL[_r] = _converse, _same[0]
 
 
 def invert(r: RelType) -> RelType:
@@ -89,29 +103,8 @@ def invert(r: RelType) -> RelType:
 
 def collapse(r: RelType) -> RelType:
     """Map a label onto its canonical synonym (identity for most labels)."""
-    return _COLLAPSE.get(r, r)
+    return _CANONICAL.get(r, r)
 
-
-# --- endpoint semantics ----------------------------------------------------
-#
-# Each canonical label is one basic interval relation between x = (x1, x2)
-# and y = (y1, y2): the relations x1?y1, x1?y2, x2?y1 and x2?y2, each one of
-# <, = and >.  A synonym has its canonical label's grid, and NONE has none.
-# Allen's overlaps and overlapped-by have no TimeML label.
-
-_ALLEN_ENDPOINTS = {
-    RelType.BEFORE: "<<<<",
-    RelType.AFTER: ">>>>",
-    RelType.IBEFORE: "<<=<",
-    RelType.IAFTER: ">=>>",
-    RelType.INCLUDES: "<<>>",
-    RelType.IS_INCLUDED: "><><",
-    RelType.BEGINS: "=<><",
-    RelType.BEGUN_BY: "=<>>",
-    RelType.ENDS: "><>=",
-    RelType.ENDED_BY: "<<>=",
-    RelType.SIMULTANEOUS: "=<>=",
-}
 
 # The endpoint relations as codes: 0 is "not entailed" (or NONE's, which
 # relates nothing), and 1, 2, 3 are <, =, >.  As base-4 digits a grid's four
@@ -119,7 +112,7 @@ _ALLEN_ENDPOINTS = {
 # or to 0 for a grid with no label (overlaps, or a cell not entailed).
 _LABEL_CELLS = np.zeros((len(RelType) + 1, 4), dtype=np.int8)
 for _r in NON_NONE:
-    _LABEL_CELLS[_r] = [" <=>".index(c) for c in _ALLEN_ENDPOINTS[collapse(_r)]]
+    _LABEL_CELLS[_r] = [" <=>".index(c) for c in _ALLEN_ENDPOINTS[_r]]
 _GRID_LABEL = np.zeros(4 ** 4, dtype=np.int64)
 for _r in CANONICAL_LABELS:
     _GRID_LABEL[_LABEL_CELLS[_r] @ 4 ** np.arange(3, -1, -1)] = _r
@@ -350,11 +343,6 @@ class EventGraph:
         )
 
 
-# What closure returns.  Not typing.Union: typing caches that object for the
-# process, and it would keep this module's globals alive after a re-import.
-Closure = EventGraph | _Inconsistent
-
-
 def pair_stack(graphs: Sequence[EventGraph], indexes: Sequence[Dict[str, int]]) -> np.ndarray:
     """The (k, m, 3) rows (i, j, ordinal) of k graphs' edges, each graph's
     nodes numbered by its index in indexes, for _endpoint_order; m is the
@@ -406,7 +394,7 @@ def entailed_labels(n: int, linked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return labels, inconsistent
 
 
-def closure(g: EventGraph) -> Closure:
+def closure(g: EventGraph) -> EventGraph | _Inconsistent:
     """The labels g entails (see entailed_labels), or INCONSISTENT."""
     nodes = sorted(g.nodes)
     index = {node: i for i, node in enumerate(nodes)}

@@ -19,6 +19,7 @@ system's.  score_run and temporal_awareness are its one-system cases.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, TextIO, Tuple
@@ -223,14 +224,17 @@ def score_run(reference_run: ClassifierRun, system_run: ClassifierRun,
 
 
 def write_csv(report: ScoreReport, sink: TextIO) -> None:
-    sink.write("doc_id,precision,recall,f1,verified_sys,total_sys,"
-               "verified_ref,total_ref\n")
+    """One row per document, by id, then the ALL row; a document id that
+    holds a comma, a quote or a line break is quoted."""
+    rows = csv.writer(sink, lineterminator="\n")
+    rows.writerow(["doc_id", "precision", "recall", "f1", "verified_sys", "total_sys",
+                   "verified_ref", "total_ref"])
     for doc in sorted(report.per_document):
         c = report.per_document[doc]
-        sink.write(f"{doc},{c.precision:.4f},{c.recall:.4f},{c.f1:.4f},"
-                   f"{c.verified_sys},{c.total_sys},{c.verified_ref},{c.total_ref}\n")
-    sink.write(f"ALL,{report.precision:.4f},{report.recall:.4f},"
-               f"{report.f1:.4f},,,,\n")
+        rows.writerow([doc, f"{c.precision:.4f}", f"{c.recall:.4f}", f"{c.f1:.4f}",
+                       c.verified_sys, c.total_sys, c.verified_ref, c.total_ref])
+    rows.writerow(["ALL", f"{report.precision:.4f}", f"{report.recall:.4f}",
+                   f"{report.f1:.4f}", "", "", "", ""])
 
 
 def format_score_table(rows: List[Tuple[str, float, float, float]]) -> str:

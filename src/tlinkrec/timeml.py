@@ -2,7 +2,11 @@
 
 Only the elements needed for TLINK reconciliation are read: TIMEX3,
 MAKEINSTANCE, and TLINK.  Everything else (SIGNAL, SLINK/ALINK, event
-attributes) is ignored.  Input is UTF-8.
+attributes) is ignored.  A document's bytes are decoded as its XML
+declaration or byte-order mark says, and as UTF-8 when it has neither; bytes
+that do not decode raise TimeMLParseError with their line and column, a data
+error.  The weights, split, ensembles and config files that read_lines reads
+are UTF-8, and any other raises ConfigurationError.
 """
 
 from __future__ import annotations
@@ -90,17 +94,20 @@ class ParsedDocument:
 
 _INPUT_LABELS = {r.name: r for r in RelType if r is not RelType.NONE}
 
+# The TLINK attributes that name a link's source, then its target, each as
+# (event instance, timex); a timex attribute also names the DCT.
+_END_ATTRS = (("eventInstanceID", "timeID"), ("relatedToEventInstance", "relatedToTime"))
+
 
 def parse_timeml(data: Union[bytes, str], document: str = "") -> ParsedDocument:
     """Parse one TimeML document into its TLinks.
 
     TLINKs with an unknown relType or an unresolvable endpoint are recorded in
-    the skipped list rather than failing the parse.  Malformed XML raises
-    TimeMLParseError with line/column, and so does a TIMEX3 tid that is also
-    a MAKEINSTANCE eiid, because entities are scored and written by id alone.
+    the skipped list rather than failing the parse.  Malformed XML, bytes
+    that do not decode included, raises TimeMLParseError with line/column,
+    and so does a TIMEX3 tid that is also a MAKEINSTANCE eiid, because
+    entities are scored and written by id alone.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -131,12 +138,13 @@ def parse_timeml(data: Union[bytes, str], document: str = "") -> ParsedDocument:
         raise TimeMLParseError(f"{document or '<input>'}: id {shared[0]!r} names "
                                "both a TIMEX3 and a MAKEINSTANCE")
 
-    def resolve(elem, attrs) -> Optional[EntityRef]:
-        for attr, table in attrs:
-            value = elem.get(attr)
-            if value is not None:
-                return table.get(value)
-        return None
+    def resolve(elem, end: int) -> Optional[EntityRef]:
+        """The entity a TLINK's source (end 0) or target (end 1) names: by
+        its event-instance attribute if it has one, else by its timex one
+        (None, with neither attribute, names no entity)."""
+        event_attr, timex_attr = _END_ATTRS[end]
+        value = elem.get(event_attr)
+        return timexes.get(elem.get(timex_attr)) if value is None else events.get(value)
 
     links: List[TLink] = []
     skipped: List[SkippedItem] = []
@@ -156,12 +164,7 @@ def parse_timeml(data: Union[bytes, str], document: str = "") -> ParsedDocument:
         if rel is None:
             skip(f"unknown relType {rel_name}")
             continue
-        source = resolve(
-            elem, [("eventInstanceID", events), ("timeID", timexes)]
-        )
-        target = resolve(
-            elem, [("relatedToEventInstance", events), ("relatedToTime", timexes)]
-        )
+        source, target = resolve(elem, 0), resolve(elem, 1)
         if source is None or target is None:
             skip("unresolved endpoint id")
             continue
@@ -186,8 +189,13 @@ def canonical_votes(links: Iterable[TLink]) -> Dict[CanonicalArc, RelType]:
 
 def read_lines(path: Union[str, Path]) -> Iterator[Tuple[str, str]]:
     """`(path:line, content)` for each line of a UTF-8 file that is not blank
-    once its `#` comment is stripped; a leading byte-order mark is dropped."""
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+    once its `#` comment is stripped; a leading byte-order mark is dropped.
+    A file that is not UTF-8 raises ConfigurationError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from exc
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield f"{path}:{lineno}", line
@@ -306,17 +314,15 @@ def write_timeml(entities: Iterable[EntityRef], links: Iterable[TLink],
             if ent.kind is EntityKind.DCT:
                 attrs["functionInDocument"] = "CREATION_TIME"
             ET.SubElement(root, "TIMEX3", attrs)
+    (source_event, source_timex), (target_event, target_timex) = _END_ATTRS
     for i, link in enumerate(links, 1):
-        attrs = {"lid": f"l{i}", "relType": link.rel.name}
-        if link.source.kind is EntityKind.EVENT_INSTANCE:
-            attrs["eventInstanceID"] = link.source.id
-        else:
-            attrs["timeID"] = link.source.id
-        if link.target.kind is EntityKind.EVENT_INSTANCE:
-            attrs["relatedToEventInstance"] = link.target.id
-        else:
-            attrs["relatedToTime"] = link.target.id
-        ET.SubElement(root, "TLINK", attrs)
+        source_attr = (source_event if link.source.kind is EntityKind.EVENT_INSTANCE
+                       else source_timex)
+        target_attr = (target_event if link.target.kind is EntityKind.EVENT_INSTANCE
+                       else target_timex)
+        ET.SubElement(root, "TLINK", {"lid": f"l{i}", "relType": link.rel.name,
+                                      source_attr: link.source.id,
+                                      target_attr: link.target.id})
     tree = ET.ElementTree(root)
     ET.indent(tree)
     tree.write(path, encoding="utf-8", xml_declaration=True)

@@ -509,6 +509,56 @@ class TestMainExitCodes:
             "data error: d1: the members give id 'x1' two kinds, "
             "TIMEX and EVENT_INSTANCE\n")
 
+    @pytest.mark.parametrize("command", ["score", "reconcile", "experiment"])
+    def test_undeclared_latin1_document_exits_2(self, corpus_root, tmp_path, capsys,
+                                                command):
+        # Without an XML declaration a document is UTF-8, so its Latin-1
+        # byte is malformed input, named by line and column.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_root, corpus)
+        doc = corpus / "reference" / "synth_000.tml"
+        body = doc.read_text(encoding="utf-8").split("\n", 1)[1]
+        assert body.startswith("<TimeML>\n")
+        doc.write_bytes(body.replace("<TimeML>", "<TimeML><!-- caf\xe9 -->", 1)
+                        .encode("latin-1"))
+        (tmp_path / "ens.txt").write_text("alpha\n")
+        args = {"score": ["--system", str(corpus / "reference"),
+                          "--reference", str(corpus / "reference")],
+                "reconcile": ["--corpus", str(corpus), "--members", "alpha",
+                              "--out", str(tmp_path / "o")],
+                "experiment": ["--corpus", str(corpus), "--procedure", "1",
+                               "--ensembles", str(tmp_path / "ens.txt")]}
+        with pytest.raises(SystemExit) as err:
+            main([command, *args[command]])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: synth_000: line 1, column 16: not well-formed")
+
+    def test_declared_latin1_document_is_read(self, corpus_root, tmp_path, capsys):
+        ref = tmp_path / "reference"
+        shutil.copytree(corpus_root / "reference", ref)
+        doc = ref / "synth_000.tml"
+        body = doc.read_text(encoding="utf-8").split("\n", 1)[1]
+        doc.write_bytes(('<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+                         + body.replace("<TimeML>", "<TimeML><!-- caf\xe9 -->", 1))
+                        .encode("latin-1"))
+        main(["score", "--system", str(ref), "--reference", str(ref)])  # exit 0
+        assert capsys.readouterr().out.splitlines()[-1] == "ALL,1.0000,1.0000,1.0000,,,,"
+
+    @pytest.mark.parametrize("option", ["--weights", "--split", "--ensembles", "--config"])
+    def test_line_file_not_utf8_exits_1(self, corpus_root, tmp_path, capsys, option):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("# caf\xe9\n".encode("latin-1"))
+        (tmp_path / "ens.txt").write_text("alpha\n")
+        files = {"--ensembles": tmp_path / "ens.txt", option: bad}
+        group = ["--config", str(files.pop("--config"))] if option == "--config" else []
+        with pytest.raises(SystemExit) as err:
+            main([*group, "experiment", "--corpus", str(corpus_root), "--procedure", "1",
+                  *(arg for opt, path in files.items() for arg in (opt, str(path)))])
+        assert err.value.code == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {bad}: not UTF-8 (byte 5: invalid continuation byte)\n")
+
     def test_missing_weights_file_exits_1(self, corpus_root, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(corpus_root, corpus)

@@ -37,6 +37,50 @@ def inverted(rs):
     return frozenset(invert(r) for r in rs)
 
 
+# The converse and synonym facts, typed out once here, so that a change in
+# how relations.py gets them shows as a changed label.
+CONVERSES = {
+    "BEFORE": "AFTER", "AFTER": "BEFORE",
+    "IBEFORE": "IAFTER", "IAFTER": "IBEFORE",
+    "INCLUDES": "IS_INCLUDED", "IS_INCLUDED": "INCLUDES",
+    "DURING": "DURING_INV", "DURING_INV": "DURING",
+    "BEGINS": "BEGUN_BY", "BEGUN_BY": "BEGINS",
+    "ENDS": "ENDED_BY", "ENDED_BY": "ENDS",
+    "SIMULTANEOUS": "SIMULTANEOUS", "IDENTITY": "IDENTITY",
+    "NONE": "NONE",
+}
+SYNONYMS = {"DURING": "IS_INCLUDED", "DURING_INV": "INCLUDES",
+            "IDENTITY": "SIMULTANEOUS"}
+
+intervals = st.lists(st.integers(0, 7), min_size=2, max_size=2,
+                     unique=True).map(sorted).map(tuple)
+
+
+class TestVocabulary:
+    def test_every_converse(self):
+        assert {r.name: invert(r).name for r in RelType} == CONVERSES
+
+    def test_synonyms_and_canonical_labels(self):
+        assert {r.name: collapse(r).name for r in RelType
+                if collapse(r) is not r} == SYNONYMS
+        assert [r.name for r in CANONICAL_LABELS] == [
+            r.name for r in NON_NONE if r.name not in SYNONYMS]
+
+    @pytest.mark.parametrize("r", list(RelType))
+    def test_collapse_commutes_with_invert(self, r):
+        assert collapse(invert(r)) is invert(collapse(r))
+
+    @settings(max_examples=200)
+    @given(intervals, intervals)
+    def test_swapped_intervals_give_the_converse(self, x, y):
+        rel = relation_from_intervals(x, y)
+        back = relation_from_intervals(y, x)
+        if rel is None:  # overlaps and overlapped-by have no label
+            assert back is None
+        else:
+            assert back is invert(rel)
+
+
 class TestInvert:
     def test_before_after(self):
         assert invert(RelType.BEFORE) is RelType.AFTER

@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 from itertools import combinations
@@ -497,6 +498,17 @@ class TestOutput:
         assert lines[1].startswith("d1,0.6667,0.6667,")
         assert lines[-1].startswith("ALL,0.6667,")
         assert len(lines) == 4
+
+    def test_document_id_with_a_comma_is_quoted(self):
+        ref, sys = TestScoreRun().two_doc_runs()
+        report = score_run(ref, sys)
+        report.per_document["a,b"] = report.per_document.pop("d1")
+        sink = io.StringIO()
+        write_csv(report, sink)
+        rows = list(csv.reader(io.StringIO(sink.getvalue())))
+        assert [len(row) for row in rows] == [8, 8, 8, 8]
+        assert [row[0] for row in rows] == ["doc_id", "a,b", "d2", "ALL"]
+        assert sink.getvalue().splitlines()[1].startswith('"a,b",0.6667,')
 
     def test_format_score_table(self):
         text = format_score_table([("C2,C4", 0.39, 0.32, 0.50)])

@@ -118,6 +118,21 @@ class TestParse:
             parse_timeml(b"<TimeML><TLINK", "bad")
         assert "line" in str(err.value) and "column" in str(err.value)
 
+    LATIN = ('<TimeML><MAKEINSTANCE eiid="ei1" eventID="e1"/><TIMEX3 tid="t\xe9"/>'
+             '<TLINK lid="l1" relType="BEFORE" eventInstanceID="ei1" relatedToTime="t\xe9"/>'
+             '</TimeML>')
+
+    @pytest.mark.parametrize("data", [
+        LATIN,
+        LATIN.encode("utf-8"),
+        LATIN.encode("utf-8-sig"),
+        LATIN.encode("utf-16"),
+        ('<?xml version="1.0" encoding="ISO-8859-1"?>' + LATIN).encode("latin-1"),
+    ], ids=["str", "utf-8", "utf-8-bom", "utf-16-bom", "latin-1-declared"])
+    def test_bytes_decoded_by_declaration_or_bom(self, data):
+        (link,) = parse_timeml(data, "d").links
+        assert link.target == EntityRef(EntityKind.TIMEX, "t\xe9", "d")
+
     def test_timex_and_event_sharing_an_id_rejected(self):
         # Scoring and the writer know an entity by its id alone.
         shared = SAMPLE.replace(b'tid="t1"', b'tid="ei2"')
@@ -331,3 +346,39 @@ class TestLoadCorpus:
         assert parsed.links == [TLink(ev(1, "d1"), ev(2, "d1"), RelType.BEFORE),
                                 TLink(ev(2, "d1"), dct, RelType.AFTER)]
         assert parsed.links[1].target.kind is EntityKind.DCT
+
+
+class TestWrite:
+    # write_timeml's bytes for links from an event to a timex, a timex to an
+    # event, the DCT to an event and an event to an event, on ids that need
+    # escaping in an attribute.
+    GOLDEN = (
+        b"<?xml version='1.0' encoding='utf-8'?>\n<TimeML>\n"
+        b'  <TIMEX3 tid="t0&amp;&lt;&gt;&quot;" type="DATE" value=""'
+        b' functionInDocument="CREATION_TIME" />\n'
+        b'  <TIMEX3 tid="t1&#10;&#09;&#13;" type="DATE" value="" />\n'
+        b'  <MAKEINSTANCE eiid="ei1&quot;&amp;&lt;&#10;&gt;"'
+        b' eventID="e1&quot;&amp;&lt;&#10;&gt;" />\n'
+        b'  <MAKEINSTANCE eiid="x&#09;&#13;&amp;&gt;" eventID="x&#09;&#13;&amp;&gt;" />\n'
+        b'  <TLINK lid="l1" relType="BEFORE" eventInstanceID="ei1&quot;&amp;&lt;&#10;&gt;"'
+        b' relatedToTime="t1&#10;&#09;&#13;" />\n'
+        b'  <TLINK lid="l2" relType="IBEFORE" timeID="t1&#10;&#09;&#13;"'
+        b' relatedToEventInstance="x&#09;&#13;&amp;&gt;" />\n'
+        b'  <TLINK lid="l3" relType="DURING_INV" timeID="t0&amp;&lt;&gt;&quot;"'
+        b' relatedToEventInstance="ei1&quot;&amp;&lt;&#10;&gt;" />\n'
+        b'  <TLINK lid="l4" relType="IDENTITY" eventInstanceID="x&#09;&#13;&amp;&gt;"'
+        b' relatedToEventInstance="ei1&quot;&amp;&lt;&#10;&gt;" />\n'
+        b"</TimeML>"
+    )
+
+    def test_golden_bytes_and_roundtrip(self, tmp_path):
+        dct = EntityRef(EntityKind.DCT, 't0&<>"', "d")
+        timex = EntityRef(EntityKind.TIMEX, "t1\n\t\r", "d")
+        ev1 = EntityRef(EntityKind.EVENT_INSTANCE, 'ei1"&<\n>', "d")
+        ev2 = EntityRef(EntityKind.EVENT_INSTANCE, "x\t\r&>", "d")
+        links = [TLink(ev1, timex, RelType.BEFORE), TLink(timex, ev2, RelType.IBEFORE),
+                 TLink(dct, ev1, RelType.DURING_INV), TLink(ev2, ev1, RelType.IDENTITY)]
+        write_timeml([ev2, timex, ev1, dct], links, tmp_path / "d.tml")
+        data = (tmp_path / "d.tml").read_bytes()
+        assert data == self.GOLDEN
+        assert parse_timeml(data, "d").links == links
