@@ -52,11 +52,13 @@ largest table has at most ENUMERATION_BOUND entries:
    bucket table over the bound.
 _eliminate carries a plan out with one list of factors per step, its
 bucket: a factor or message goes to the bucket of the first step that
-eliminates one of its arcs, and decoding re-reads the same list.  Every
-table it builds spans a step's arcs and others, so the bound the planner
-checks bounds every table.  The first two ways depend on the component
-alone, and so do their labels.  The components that neither table way fits
-go to one call of the HiGHS MIP solver through scipy.optimize.milp: the
+eliminates one of its arcs.  Each bucket is summed once, to its step's
+table, and decoding reads the tables kept, so a plan holds all of them
+until it is decoded.  Every table spans a step's arcs and others, so the
+bound the planner checks bounds every table.  The first two ways depend on
+the component alone, and so do their labels.  The components that neither
+table way fits go to one call of the HiGHS MIP solver through
+scipy.optimize.milp: the
 domain columns of their arcs, one partition row per arc over them, and the
 active rows restricted to those columns.  milp gets the active rows, not
 every row of the active triangles: on 2 documents of 100-110 events at
@@ -293,18 +295,19 @@ def _bucket_table(axes: Sequence[int], factors: Sequence[Factor]) -> np.ndarray:
     """The sum of factors, each a (scope, table) pair with its scope in arc
     order, on one axis per arc of axes, in that order.
 
-    The factors are added in the order given, which must be ascending in
-    the position of their last arc in axes: each is added once that axis is
-    in place, so a table over every arc in arc order sums the arcs' weights
-    in arc order.  A mask holds only 0 and -inf, so wherever it is added it
-    leaves every finite sum as it was and makes -inf each cell where it is
-    -inf.
+    The factors are added in the order of the position of each one's last
+    arc in axes, and in the order given among those that share it: each is
+    added once that axis is in place, so a table over every arc in arc order
+    sums the arcs' weights in arc order.  A mask holds only 0 and -inf, so
+    wherever it is added it leaves every finite sum as it was and makes -inf
+    each cell where it is -inf.
     """
     at = {arc: i for i, arc in enumerate(axes)}
+    placed = sorted((([at[arc] for arc in scope], table) for scope, table in factors),
+                    key=lambda factor: max(factor[0]))
     value = np.zeros(())
-    for scope, table in factors:
+    for where, table in placed:
         # table on axes up to its scope's last, 1 wide off its scope
-        where = [at[arc] for arc in scope]
         shape = [1] * (max(where) + 1)
         for i, width in zip(where, table.shape):
             shape[i] = width
@@ -315,46 +318,36 @@ def _bucket_table(axes: Sequence[int], factors: Sequence[Factor]) -> np.ndarray:
     return value
 
 
-def _eliminate(factors: Sequence[Factor], widths: Sequence[int],
-               steps: Sequence[Step]) -> List[int]:
-    """Each arc's position in its domain, of widths[arc] labels, in an
-    optimum of the sum of the factors, _factor_tables's weights and masks.
+def _eliminate(factors: Sequence[Factor], steps: Sequence[Step]) -> List[int]:
+    """Each arc's position in its domain in an optimum of the sum of the
+    factors, _factor_tables's weights and masks.
 
     steps is _plan's, and each step keeps one list of factors, its bucket.
     A factor goes to the bucket of the first step that eliminates one of
-    its arcs, and a bucket is sorted, stably, by the position of each
-    factor's last arc among the step's arcs and others, as _bucket_table
-    needs.  A step's table spans its arcs and then its others, and the
-    maximum over its arcs is a message, a new factor on the others, which
-    goes to the first later step among them.  Only the last step has no
-    others, and only it may hold more than one arc.  Decoding runs through
-    the steps in reverse: the last step's arcs take the first maximum of its
-    table in C order, and each earlier step's arc the first maximum of its
-    bucket given the arcs decoded before it, whose factors are summed in the
-    order its table summed them.
+    its arcs.  A step's table is its bucket's sum over its arcs and then its
+    others, and the maximum over its arc is a message, a new factor on the
+    others, which goes to the first later step among them; only the last
+    step has no others, and only it may hold more than one arc.  Decoding
+    runs through the steps in reverse and reads the tables kept: each
+    step's arcs take the first maximum, in C order, of its table at the
+    positions decoded for its others.  Those cells are the bucket's sum
+    there, so decoding sums no factor.
     """
     step_of = {arc: i for i, (arcs, _) in enumerate(steps) for arc in arcs}
     buckets: List[List[Factor]] = [[] for _ in steps]
     for factor in factors:
         buckets[min(map(step_of.__getitem__, factor[0]))].append(factor)
+    tables = []
     for (arcs, others), bucket in zip(steps, buckets):
-        at = {arc: i for i, arc in enumerate((*arcs, *others))}
-        bucket.sort(key=lambda factor: max(map(at.__getitem__, factor[0])))
-        value = _bucket_table((*arcs, *others), bucket)
+        tables.append(_bucket_table((*arcs, *others), bucket))
         if others:
             buckets[min(map(step_of.__getitem__, others))].append(
-                (others, value.reshape(-1, *value.shape[len(arcs):]).max(axis=0)))
-    position = [0] * len(widths)
-    best = value.argmax()
-    for arc in reversed(steps[-1][0]):
-        best, position[arc] = divmod(best, widths[arc])
-    for ((arc,), _), bucket in zip(steps[-2::-1], buckets[-2::-1]):
-        value = np.zeros(())
-        for scope, table in bucket:
-            value = value + table[tuple(slice(None) if other == arc else position[other]
-                                        for other in scope)]
-        position[arc] = int(value.argmax())
-    return position
+                (others, tables[-1].max(axis=0)))
+    position: Dict[int, int] = {}
+    for (arcs, others), table in zip(steps[::-1], tables[::-1]):
+        sub = table[(..., *map(position.__getitem__, others))]
+        position.update(zip(arcs, np.unravel_index(sub.argmax(), sub.shape)))
+    return [position[arc] for arc in range(len(position))]
 
 
 def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Solution:
@@ -418,7 +411,7 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
             # Each arc's domain labels first, NONE first and then ascending.
             choices = _NONE_FIRST[np.argsort(~ordered, axis=1, kind="stable")]
             factors = _factor_tables(program, arcs, choices, widths, scopes)
-            labels[arcs] = choices[np.arange(len(arcs)), _eliminate(factors, widths, steps)]
+            labels[arcs] = choices[np.arange(len(arcs)), _eliminate(factors, steps)]
         stats.rounds += 1
         stats.active_rows, stats.coupled_arcs = len(keys), len(np.unique(tri))
         if not wide.any():

@@ -5,8 +5,9 @@ MAKEINSTANCE, and TLINK.  Everything else (SIGNAL, SLINK/ALINK, event
 attributes) is ignored.  A document's bytes are decoded as its XML
 declaration or byte-order mark says, and as UTF-8 when it has neither; bytes
 that do not decode raise TimeMLParseError with their line and column, a data
-error.  The weights, split, ensembles and config files that read_lines reads
-are UTF-8, and any other raises ConfigurationError.
+error, and so does a declared encoding that cannot be read.  The weights,
+split, ensembles and config files that read_lines reads are UTF-8, and any
+other raises ConfigurationError.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
+from xml.parsers import expat
 
 from .errors import ConfigurationError, DataError, TimeMLParseError
 from .relations import RelType, invert
@@ -103,18 +105,24 @@ def parse_timeml(data: Union[bytes, str], document: str = "") -> ParsedDocument:
     """Parse one TimeML document into its TLinks.
 
     TLINKs with an unknown relType or an unresolvable endpoint are recorded in
-    the skipped list rather than failing the parse.  Malformed XML, bytes
-    that do not decode included, raises TimeMLParseError with line/column,
-    and so does a TIMEX3 tid that is also a MAKEINSTANCE eiid, because
-    entities are scored and written by id alone.
+    the skipped list rather than failing the parse.  Bytes are read in the
+    encoding that their XML declaration or byte-order mark names, else as
+    UTF-8.  TimeMLParseError is raised for malformed XML, bytes that do not
+    decode included, naming its line and column once; for a declared
+    encoding that cannot be read (unknown, not a text encoding, or
+    multi-byte, which expat does not support); and for a TIMEX3 tid that is
+    also a MAKEINSTANCE eiid, because entities are scored and written by id
+    alone.
     """
+    name = document or "<input>"
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
         line, col = exc.position
         raise TimeMLParseError(
-            f"{document or '<input>'}: line {line}, column {col}: {exc.msg}"
-        ) from exc
+            f"{name}: line {line}, column {col}: {expat.ErrorString(exc.code)}") from exc
+    except (LookupError, ValueError) as exc:
+        raise TimeMLParseError(f"{name}: declared encoding cannot be read: {exc}") from exc
 
     timexes: Dict[str, EntityRef] = {}
     events: Dict[str, EntityRef] = {}
@@ -135,7 +143,7 @@ def parse_timeml(data: Union[bytes, str], document: str = "") -> ParsedDocument:
                 events[eiid] = EntityRef(EntityKind.EVENT_INSTANCE, eiid, document)
     shared = sorted(timexes.keys() & events.keys())
     if shared:
-        raise TimeMLParseError(f"{document or '<input>'}: id {shared[0]!r} names "
+        raise TimeMLParseError(f"{name}: id {shared[0]!r} names "
                                "both a TIMEX3 and a MAKEINSTANCE")
 
     def resolve(elem, end: int) -> Optional[EntityRef]:

@@ -14,6 +14,11 @@ to 9 places, and the solve's rounds and milp_cols) must equal the digest in
 tests/data/answers.json.  No component of these corpora reaches milp, which
 the test checks, so the digests do not depend on the HiGHS version.
 
+A fourth corpus, dense30, is 30 documents of the dense shape, reconciled in
+the default mode only: in strict mode its solve reaches milp (5,775
+columns), so its digest would follow the HiGHS version.  Its one digest is
+DENSE30_DEFAULT below.
+
 A change meant to keep every answer (a refactor or a speed-up) leaves the
 file as it is, and this test shows that it did.  Re-record the file only for
 a change meant to change answers, such as a new tie rule among equal optima
@@ -21,6 +26,8 @@ or a new way of solving a component, and name the digests that moved and why
 in that change's notes:
 
     PYTHONPATH=src python tests/test_answers.py
+
+which also prints dense30's digest, for DENSE30_DEFAULT.
 """
 
 from __future__ import annotations
@@ -47,11 +54,13 @@ CORPORA = {
     "many-small": (50, (4, 8), 0.6, False),
     "sparse": (4, (60, 90), 0.08, True),
 }
+SHAPES = {**CORPORA, "dense30": (30, (20, 30), 0.4, False)}
 MODES = {"default": False, "strict": True}
+DENSE30_DEFAULT = "7d58da52ae0b4ed4c0ec6cd310f7477ce8754bd87fa50ab05478e8bdf427224b"
 
 
 def generate(name: str, root: Path) -> Path:
-    docs, events, density, _ = CORPORA[name]
+    docs, events, density, _ = SHAPES[name]
     synthetic.generate_corpus(
         root / name, seed=CONTENT_SEED, n_docs=docs,
         classifiers=[synthetic.SyntheticClassifier(c, rate) for c, rate in CLASSIFIERS],
@@ -61,7 +70,7 @@ def generate(name: str, root: Path) -> Path:
 
 def solutions(name: str, corpus_root: Path, strict: bool):
     """(part name, Solution) for every part of the corpus's one solve, in order."""
-    if CORPORA[name][3]:
+    if SHAPES[name][3]:
         config = ExperimentConfig(corpus_root=corpus_root, none_breaks_triangles=strict)
         sweep = enumerate_ensembles(EnsembleSpec(("alpha",)), set(MEMBERS))
         return [(f"{row.result.run.name}/{doc}", row.result.solutions[doc])
@@ -96,10 +105,19 @@ def test_answers_match_the_recorded_digest(corpora, name, mode):
     assert digest(parts) == json.loads(ANSWERS.read_text())[name][mode]
 
 
+def test_dense30_default_answers_match_the_pinned_digest(tmp_path):
+    parts = solutions("dense30", generate("dense30", tmp_path), strict=False)
+    assert len(parts) == 30 and all(solution.proven_optimal for _, solution in parts)
+    assert all(solution.stats.milp_cols == 0 for _, solution in parts)
+    assert digest(parts) == DENSE30_DEFAULT
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         answers = {name: {mode: digest(solutions(name, generate(name, Path(tmp)), strict))
                           for mode, strict in MODES.items()}
                    for name in CORPORA}
+        dense30 = digest(solutions("dense30", generate("dense30", Path(tmp)), strict=False))
     ANSWERS.write_text(json.dumps(answers, indent=2) + "\n")
     print(ANSWERS.read_text(), end="")
+    print(f"dense30 default: {dense30}")

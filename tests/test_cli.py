@@ -509,17 +509,33 @@ class TestMainExitCodes:
             "data error: d1: the members give id 'x1' two kinds, "
             "TIMEX and EVENT_INSTANCE\n")
 
-    @pytest.mark.parametrize("command", ["score", "reconcile", "experiment"])
+    # XML declarations that leave a Latin-1 document unreadable, by test id
+    # suffix, and the error each gives after the document's name.
+    UNREADABLE = {
+        "": ("", "line 1, column 16: not well-formed (invalid token)"),
+        "-bogus": ('<?xml version="1.0" encoding="bogus"?>\n',
+                   "declared encoding cannot be read: unknown encoding: bogus"),
+        "-shift_jis": ('<?xml version="1.0" encoding="shift_jis"?>\n',
+                       "declared encoding cannot be read: multi-byte encodings are not "
+                       "supported"),
+    }
+
+    @pytest.mark.parametrize("command, case", [
+        pytest.param(command, case, id=command + case) for case in UNREADABLE
+        for command in ("score", "reconcile", "experiment")])
     def test_undeclared_latin1_document_exits_2(self, corpus_root, tmp_path, capsys,
-                                                command):
+                                                command, case):
         # Without an XML declaration a document is UTF-8, so its Latin-1
-        # byte is malformed input, named by line and column.
+        # byte is malformed input, named once by line and column.  A
+        # declared encoding that is unknown or multi-byte cannot be read at
+        # all.  Each is a data error.
+        declaration, error = self.UNREADABLE[case]
         corpus = tmp_path / "corpus"
         shutil.copytree(corpus_root, corpus)
         doc = corpus / "reference" / "synth_000.tml"
         body = doc.read_text(encoding="utf-8").split("\n", 1)[1]
         assert body.startswith("<TimeML>\n")
-        doc.write_bytes(body.replace("<TimeML>", "<TimeML><!-- caf\xe9 -->", 1)
+        doc.write_bytes((declaration + body.replace("<TimeML>", "<TimeML><!-- caf\xe9 -->", 1))
                         .encode("latin-1"))
         (tmp_path / "ens.txt").write_text("alpha\n")
         args = {"score": ["--system", str(corpus / "reference"),
@@ -531,8 +547,7 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as err:
             main([command, *args[command]])
         assert err.value.code == 2
-        assert capsys.readouterr().err.startswith(
-            "data error: synth_000: line 1, column 16: not well-formed")
+        assert capsys.readouterr().err == f"data error: synth_000: {error}\n"
 
     def test_declared_latin1_document_is_read(self, corpus_root, tmp_path, capsys):
         ref = tmp_path / "reference"

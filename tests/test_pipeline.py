@@ -256,7 +256,9 @@ class TestReconcile:
     def test_dense_document_reconciles_without_milp(self, tmp_path, monkeypatch, strict):
         # The reconcile-dense shape: content seed 7, 20-30 events at density
         # 0.4.  Its components are narrow, so each is solved by a table plan
-        # in both modes, and HiGHS is never called.
+        # in both modes, and the solve never calls HiGHS.  Some of them are
+        # bucket plans over more arcs than brute force can referee, so the
+        # objective is refereed by one milp call on the full program.
         members = ["alpha", "beta", "gamma"]
         generate_corpus(tmp_path, seed=7, n_docs=1, n_events=(20, 30), arc_density=0.4,
                         classifiers=[SyntheticClassifier(name, rate) for name, rate in
@@ -271,7 +273,9 @@ class TestReconcile:
         [(doc, solution)] = result.solutions.items()
         assert solution.proven_optimal and solution.stats.milp_cols == 0
         assert solution.stats.active_rows > 0
-        assert verify(build_ip(result.votes[doc], none_breaks_triangles=strict), solution)
+        program = build_ip(result.votes[doc], none_breaks_triangles=strict)
+        assert verify(program, solution)
+        assert abs(solution.objective_value - full_milp_solve(program).objective_value) <= 1e-6
         labels = " ".join(solution.assignment[arc].name for arc in range(len(solution.assignment)))
         assert hashlib.sha256(labels.encode()).hexdigest() == self.DENSE_LABELS[strict]
 

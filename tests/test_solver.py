@@ -710,21 +710,22 @@ class TestElimination:
     neither, by milp."""
 
     @settings(max_examples=200, deadline=None)
-    @given(bucket=buckets())
-    def test_bucket_table_sums_its_factors_in_list_order(self, bucket):
-        # Sorted as _eliminate sorts a bucket, by the position of each
-        # factor's last arc in axes.  A mask adds 0 or -inf, so each finite
-        # cell is the weights' sum in list order, bit for bit, and a cell is
-        # -inf exactly where some mask is.
+    @given(bucket=buckets(), presorted=st.booleans())
+    def test_bucket_table_sums_its_factors_in_list_order(self, bucket, presorted):
+        # The factors are given in the drawn order or already sorted, and
+        # either way they are summed in the stable sorted order of the list,
+        # by the position of each factor's last arc in axes.  A mask adds 0
+        # or -inf, so each finite cell is the weights' sum in that order, bit
+        # for bit, and a cell is -inf exactly where some mask is.
         axes, widths, factors = bucket
         at = {arc: i for i, arc in enumerate(axes)}
-        factors.sort(key=lambda factor: max(at[arc] for arc in factor[0]))
-        table = solver._bucket_table(axes, factors)
+        ordered = sorted(factors, key=lambda factor: max(at[arc] for arc in factor[0]))
+        table = solver._bucket_table(axes, ordered if presorted else factors)
         assert table.shape == tuple(widths[arc] for arc in axes)
         for cell in itertools.product(*map(range, table.shape)):
             label = {arc: cell[at[arc]] for arc in axes}
             total, masked = 0.0, False
-            for scope, factor in factors:
+            for scope, factor in ordered:
                 value = factor[tuple(label[arc] for arc in scope)]
                 if np.isfinite(factor).all():
                     total = total + value

@@ -114,9 +114,19 @@ class TestParse:
         assert parsed.links == [] and parsed.skipped == []
 
     def test_malformed_xml(self):
+        # The position is named once, before expat's reason.
         with pytest.raises(TimeMLParseError) as err:
             parse_timeml(b"<TimeML><TLINK", "bad")
-        assert "line" in str(err.value) and "column" in str(err.value)
+        assert str(err.value) == "bad: line 1, column 8: unclosed token"
+
+    @pytest.mark.parametrize("encoding", ["bogus", "rot13", "shift_jis", "utf-32", "big5"])
+    def test_unreadable_declared_encoding(self, encoding):
+        # An unknown codec, one that is not a text encoding, and a multi-byte
+        # one, which expat does not support: each is a parse error, named by
+        # its document.
+        data = f'<?xml version="1.0" encoding="{encoding}"?><TimeML/>'.encode("ascii")
+        with pytest.raises(TimeMLParseError, match="^bad: declared encoding cannot be read: "):
+            parse_timeml(data, "bad")
 
     LATIN = ('<TimeML><MAKEINSTANCE eiid="ei1" eventID="e1"/><TIMEX3 tid="t\xe9"/>'
              '<TLINK lid="l1" relType="BEFORE" eventInstanceID="ei1" relatedToTime="t\xe9"/>'
