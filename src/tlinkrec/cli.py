@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 configuration error, 2 data error.
+Exit codes: 0 success, 1 configuration error, 2 data error, 3 solve error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import click
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, SolveError
 from .model import build_ip, collect_arcs, export_lp
 from .pipeline import (
     EnsembleSpec,
@@ -155,9 +155,8 @@ def reconcile_cmd(corpus_root, members, weights_path, out_dir, strict, time_limi
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "scores.csv", "w", encoding="utf-8") as fh:
         write_csv(report, fh)
-    if corpus.skipped:
-        with open(out / "skipped.txt", "w", encoding="utf-8") as fh:
-            write_skipped_report(corpus.skipped, fh)
+    with open(out / "skipped.txt", "w", encoding="utf-8") as fh:
+        write_skipped_report(corpus.skipped, fh)
     click.echo(f"F1 {report.f1:.4f}  P {report.precision:.4f}  R {report.recall:.4f}")
 
 
@@ -272,7 +271,9 @@ def experiment_cmd(corpus_root, procedure, ensembles_path, weights_path, split_p
               show_default=True, help="name:flip-rate pairs, comma-separated.")
 @click.option("--density", type=float, default=0.6, show_default=True)
 def gen_synthetic_cmd(out_dir, seed, docs, classifiers, density):
-    """Generate a fixed-seed synthetic corpus."""
+    """Generate a fixed-seed synthetic corpus into a new or empty directory."""
+    if Path(out_dir).is_dir() and any(Path(out_dir).iterdir()):
+        raise ConfigurationError(f"--out {out_dir} exists and is not empty")
     specs = []
     for part in classifiers.split(","):
         name, _, rate = part.partition(":")
@@ -309,6 +310,9 @@ def main(argv=None):
     except DataError as exc:
         click.echo(f"data error: {exc}", err=True)
         sys.exit(2)
+    except SolveError as exc:
+        click.echo(f"solve error: {exc}", err=True)
+        sys.exit(3)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-ConfigurationError maps to CLI exit code 1, DataError to exit code 2.
+ConfigurationError maps to CLI exit code 1, DataError to exit code 2 and
+SolveError to exit code 3.
 """
 
 
@@ -20,3 +21,9 @@ class DataError(ReconciliationError):
 
 class TimeMLParseError(DataError):
     """Malformed TimeML input; carries file/line/column context in the message."""
+
+
+class SolveError(ReconciliationError, RuntimeError):
+    """A solve that gave no answer to write: the time limit passed before an
+    incumbent that keeps every row, a re-solve broke its own row, HiGHS
+    failed, or a solution failed verification."""

@@ -19,7 +19,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SolveError
 from .model import VoteTable, build_ip, collect_arcs
 from .relations import RelType
 from .scoring import ScoreReport, format_score_table, score_runs
@@ -107,7 +107,7 @@ def reconcile_ensembles(corpus: Corpus, ensembles: Sequence[Sequence[str]],
     Messages name a part "<ensemble>/<document>", the ensemble by its run
     name (the members joined by "+"), or "<document>" alone when
     name_ensembles is false.  Every solution is checked against its part's
-    full program before it is recorded; a violated row raises RuntimeError.
+    full program before it is recorded; a violated row raises SolveError.
     """
     results: List[ReconcileResult] = []
     tables: Dict[_Part, VoteTable] = {}
@@ -135,7 +135,7 @@ def reconcile_ensembles(corpus: Corpus, ensembles: Sequence[Sequence[str]],
     for part, solution in solve_documents(programs, time_limit).items():
         problems = violations(programs[part], solution)
         if problems:
-            raise RuntimeError(f"{part}: solution fails verification: {problems[0]}")
+            raise SolveError(f"{part}: solution fails verification: {problems[0]}")
         if not solution.proven_optimal:
             log.warning("%s: optimality not proven within the time limit; "
                         "writing the best incumbent (objective %.6f)",

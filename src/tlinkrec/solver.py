@@ -111,6 +111,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from .errors import SolveError
 from .model import N_LABELS, BinaryProgram, _allowed, partition_rows, row_name
 from .relations import RelType, _components
 
@@ -164,7 +165,7 @@ class SolverStats:
     milp_cols: int = 0
 
 
-class RowError(RuntimeError):
+class RowError(SolveError):
     """A solve that stopped at a row; key is that row's (k, a, b).  The
     message is prefix plus the subclass's text, with the row's name."""
 
@@ -355,8 +356,8 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
 
     Raises NoIncumbent when the time limit passes before an incumbent that
     satisfies the full program is found, OwnRowViolated when a re-solve
-    returns labels that break one of its own rows, and RuntimeError when
-    HiGHS fails.
+    returns labels that break one of its own rows, and SolveError, their
+    base, when HiGHS fails.
     """
     if not time_limit > 0:  # also rejects NaN
         raise ValueError("time_limit must be positive")
@@ -439,7 +440,7 @@ def solve(program: BinaryProgram, time_limit: float = DEFAULT_TIME_LIMIT) -> Sol
         if res.status == 1 and res.x is None:
             raise NoIncumbent(broken[0])
         if res.status not in (0, 1):
-            raise RuntimeError(f"MIP solve failed: {res.message}")
+            raise SolveError(f"MIP solve failed: {res.message}")
         stats.nodes_explored += res.mip_node_count
         proven = proven and res.status == 0
         x = np.zeros(inside.shape)

@@ -18,7 +18,7 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, TextIO, Tuple, Union
 from xml.parsers import expat
 
 from .errors import ConfigurationError, DataError, TimeMLParseError
@@ -124,62 +124,40 @@ def parse_timeml(data: Union[bytes, str], document: str = "") -> ParsedDocument:
     except (LookupError, ValueError) as exc:
         raise TimeMLParseError(f"{name}: declared encoding cannot be read: {exc}") from exc
 
+    # The last element of an id wins; one without an id names no entity.
     timexes: Dict[str, EntityRef] = {}
-    events: Dict[str, EntityRef] = {}
-    for elem in root.iter():
-        if elem.tag == "TIMEX3":
-            tid = elem.get("tid", "")
-            if not tid:
-                continue
-            kind = (
-                EntityKind.DCT
-                if elem.get("functionInDocument") == "CREATION_TIME"
-                else EntityKind.TIMEX
-            )
-            timexes[tid] = EntityRef(kind, tid, document)
-        elif elem.tag == "MAKEINSTANCE":
-            eiid = elem.get("eiid", "")
-            if eiid:
-                events[eiid] = EntityRef(EntityKind.EVENT_INSTANCE, eiid, document)
+    for elem in root.iter("TIMEX3"):
+        tid = elem.get("tid")
+        if tid:
+            dct = elem.get("functionInDocument") == "CREATION_TIME"
+            timexes[tid] = EntityRef(EntityKind.DCT if dct else EntityKind.TIMEX, tid, document)
+    events = {eiid: EntityRef(EntityKind.EVENT_INSTANCE, eiid, document)
+              for eiid in (elem.get("eiid") for elem in root.iter("MAKEINSTANCE")) if eiid}
     shared = sorted(timexes.keys() & events.keys())
     if shared:
         raise TimeMLParseError(f"{name}: id {shared[0]!r} names "
                                "both a TIMEX3 and a MAKEINSTANCE")
 
-    def resolve(elem, end: int) -> Optional[EntityRef]:
-        """The entity a TLINK's source (end 0) or target (end 1) names: by
-        its event-instance attribute if it has one, else by its timex one
-        (None, with neither attribute, names no entity)."""
-        event_attr, timex_attr = _END_ATTRS[end]
-        value = elem.get(event_attr)
-        return timexes.get(elem.get(timex_attr)) if value is None else events.get(value)
-
+    # Each end is named by its event-instance attribute if it has one, else
+    # by its timex one; with neither it names no entity.
+    (source_event, source_timex), (target_event, target_timex) = _END_ATTRS
     links: List[TLink] = []
     skipped: List[SkippedItem] = []
-    tlink_count = 0
-    for elem in root.iter("TLINK"):
-        tlink_count += 1
-        ref = elem.get("lid") or f"#{tlink_count}"
-
-        def skip(reason):
-            skipped.append(SkippedItem(document, ref, reason))
-
+    for n, elem in enumerate(root.iter("TLINK"), 1):
         rel_name = (elem.get("relType") or "").upper()
-        if not rel_name:
-            skip("missing relType")
-            continue
         rel = _INPUT_LABELS.get(rel_name)
-        if rel is None:
-            skip(f"unknown relType {rel_name}")
-            continue
-        source, target = resolve(elem, 0), resolve(elem, 1)
-        if source is None or target is None:
-            skip("unresolved endpoint id")
-            continue
-        if source == target:
-            skip("self-loop")
-            continue
-        links.append(TLink(source, target, rel))
+        eiid = elem.get(source_event)
+        source = timexes.get(elem.get(source_timex)) if eiid is None else events.get(eiid)
+        eiid = elem.get(target_event)
+        target = timexes.get(elem.get(target_timex)) if eiid is None else events.get(eiid)
+        reason = ("missing relType" if not rel_name
+                  else f"unknown relType {rel_name}" if rel is None
+                  else "unresolved endpoint id" if source is None or target is None
+                  else "self-loop" if source == target else None)
+        if reason:
+            skipped.append(SkippedItem(document, elem.get("lid") or f"#{n}", reason))
+        else:
+            links.append(TLink(source, target, rel))
     return ParsedDocument(links, skipped)
 
 

@@ -14,10 +14,11 @@ to 9 places, and the solve's rounds and milp_cols) must equal the digest in
 tests/data/answers.json.  No component of these corpora reaches milp, which
 the test checks, so the digests do not depend on the HiGHS version.
 
-A fourth corpus, dense30, is 30 documents of the dense shape, reconciled in
-the default mode only: in strict mode its solve reaches milp (5,775
-columns), so its digest would follow the HiGHS version.  Its one digest is
-DENSE30_DEFAULT below.
+A fourth corpus, dense30, is 30 documents of the dense shape.  Its digest
+is pinned in the default mode only, as DENSE30_DEFAULT below: in strict mode
+its solve reaches milp (5,775 columns), so its labels would follow which of
+the equal optima the HiGHS version returns.  Its strict objective total does
+not, so that is pinned instead, as DENSE30_STRICT_OBJECTIVE within 1e-6.
 
 A change meant to keep every answer (a refactor or a speed-up) leaves the
 file as it is, and this test shows that it did.  Re-record the file only for
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -57,6 +59,7 @@ CORPORA = {
 SHAPES = {**CORPORA, "dense30": (30, (20, 30), 0.4, False)}
 MODES = {"default": False, "strict": True}
 DENSE30_DEFAULT = "7d58da52ae0b4ed4c0ec6cd310f7477ce8754bd87fa50ab05478e8bdf427224b"
+DENSE30_STRICT_OBJECTIVE = 7941.3
 
 
 def generate(name: str, root: Path) -> Path:
@@ -110,6 +113,14 @@ def test_dense30_default_answers_match_the_pinned_digest(tmp_path):
     assert len(parts) == 30 and all(solution.proven_optimal for _, solution in parts)
     assert all(solution.stats.milp_cols == 0 for _, solution in parts)
     assert digest(parts) == DENSE30_DEFAULT
+
+
+def test_dense30_strict_objective_reached_through_milp(tmp_path):
+    parts = solutions("dense30", generate("dense30", tmp_path), strict=True)
+    assert len(parts) == 30 and all(solution.proven_optimal for _, solution in parts)
+    assert all(solution.stats.milp_cols > 0 for _, solution in parts)
+    total = math.fsum(solution.objective_value for _, solution in parts)
+    assert abs(total - DENSE30_STRICT_OBJECTIVE) <= 1e-6
 
 
 if __name__ == "__main__":

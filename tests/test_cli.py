@@ -51,6 +51,10 @@ class TestReconcileCommand:
               "--out", str(tmp_path / "out")])
         assert (tmp_path / "out" / "skipped.txt").read_text() == (
             "alpha/synth_000 l1 unknown relType BOGUS\n")
+        # A clean rerun into the same --out leaves no stale line behind.
+        main(["reconcile", "--corpus", str(corpus_root), "--members", "alpha,beta",
+              "--out", str(tmp_path / "out")])
+        assert (tmp_path / "out" / "skipped.txt").read_text() == ""
 
     def test_unknown_member_is_config_error(self, runner, corpus_root, tmp_path):
         result = runner.invoke(cli, [
@@ -417,6 +421,23 @@ class TestGenSyntheticCommand:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
+    def test_non_empty_out_exits_1_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        main(["gen-synthetic", "--out", str(out), "--docs", "4"])
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["gen-synthetic", "--out", str(out), "--docs", "2", "--classifiers", "a"])
+        assert err.value.code == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: --out {out} exists and is not empty\n")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_empty_existing_out_is_used(self, tmp_path, capsys):
+        main(["gen-synthetic", "--out", str(tmp_path), "--docs", "2"])
+        assert "wrote 2 documents for 3 classifiers" in capsys.readouterr().out
+        assert (tmp_path / "weights.txt").exists()
+
 
 class TestDumpTable:
     def test_grid(self, runner):
@@ -641,6 +662,33 @@ class TestMainExitCodes:
         assert err.value.code == 1
         assert "--time-limit" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["reconcile", "experiment"])
+    def test_failed_solve_exits_3_with_one_line(self, corpus_root, tmp_path, capsys,
+                                                command):
+        # So short a limit passes before round 1's broken rows are re-solved.
+        args = (["--members", "alpha,beta"] if command == "reconcile" else
+                ["--procedure", "2", "--ensembles", str(tmp_path / "ensembles.txt")])
+        (tmp_path / "ensembles.txt").write_text("alpha,beta\n")
+        with pytest.raises(SystemExit) as err:
+            main([command, "--corpus", str(corpus_root), *args, "--time-limit", "1e-9",
+                  "--out", str(tmp_path / "o")])
+        assert err.value.code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(r"solve error: (alpha\+beta/)?synth_\d+: time limit reached "
+                            r"before any incumbent was found; row t\d+_\d+_\d+ is still broken",
+                            lines[0]), lines
+
+    def test_failed_verification_exits_3(self, corpus_root, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("tlinkrec.pipeline.violations",
+                            lambda program, solution: ["row t0_1_1 broken"])
+        with pytest.raises(SystemExit) as err:
+            main(["reconcile", "--corpus", str(corpus_root), "--members", "alpha,beta",
+                  "--out", str(tmp_path / "o")])
+        assert err.value.code == 3
+        assert capsys.readouterr().err == (
+            "solve error: synth_000: solution fails verification: row t0_1_1 broken\n")
 
     def test_success_returns(self, corpus_root, capsys):
         main(["dump-composition-table"])

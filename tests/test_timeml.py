@@ -85,6 +85,37 @@ class TestParse:
         assert parsed.skipped == [SkippedItem("d", "l1", "self-loop"),
                                   SkippedItem("d", "#2", "missing relType")]
 
+    def test_first_failed_check_names_the_reason(self):
+        # Checked in order: missing relType, unknown relType, unresolved
+        # endpoint, self-loop; each TLINK below also fails every later check.
+        parsed = parse_timeml(
+            b'<TimeML><MAKEINSTANCE eiid="ei1" eventID="e1"/>'
+            b'<TLINK lid="l1" eventInstanceID="ei9" relatedToEventInstance="ei9"/>'
+            b'<TLINK relType="bogus" eventInstanceID="ei9" relatedToEventInstance="ei9"/>'
+            b'<TLINK lid="" relType="after" eventInstanceID="ei9" '
+            b'relatedToEventInstance="ei9"/>'
+            b'<TLINK lid="l4" relType="BEFORE" eventInstanceID="ei1" '
+            b'relatedToEventInstance="ei1"/></TimeML>', "d")
+        assert parsed.links == []
+        assert parsed.skipped == [SkippedItem("d", "l1", "missing relType"),
+                                  SkippedItem("d", "#2", "unknown relType BOGUS"),
+                                  SkippedItem("d", "#3", "unresolved endpoint id"),
+                                  SkippedItem("d", "l4", "self-loop")]
+
+    def test_last_element_of_an_id_wins(self):
+        # t0 is the DCT only by its second TIMEX3; an event attribute never
+        # names a timex, nor a timex attribute an event.
+        parsed = parse_timeml(
+            b'<TimeML><TIMEX3 tid="t0"/><MAKEINSTANCE eiid="ei1" eventID="e1"/>'
+            b'<TIMEX3 tid="t0" functionInDocument="CREATION_TIME"/>'
+            b'<MAKEINSTANCE eiid="ei1" eventID="e2"/>'
+            b'<TLINK lid="l1" relType="BEFORE" eventInstanceID="ei1" relatedToTime="t0"/>'
+            b'<TLINK lid="l2" relType="BEFORE" eventInstanceID="t0" relatedToTime="ei1"/>'
+            b'</TimeML>', "d")
+        assert parsed.links == [TLink(ev(1, "d"), EntityRef(EntityKind.DCT, "t0", "d"),
+                                      RelType.BEFORE)]
+        assert parsed.skipped == [SkippedItem("d", "l2", "unresolved endpoint id")]
+
     def test_timex_without_tid_is_ignored(self):
         # A TIMEX3 with no tid names no entity, not the empty id, so a TLINK
         # whose timeID is empty names none either.
