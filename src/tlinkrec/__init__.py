@@ -27,6 +27,7 @@ from .timeml import (
     Corpus,
     EntityKind,
     EntityRef,
+    LinkTable,
     TLink,
     canonicalize,
     load_corpus,

@@ -1,6 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 solve error.
+An --out directory may be written again, but reconcile and experiment refuse
+one (a configuration error, before any solve) that holds an output file of
+theirs, a timeml/*.tml or a *.csv or procedure*.txt, that this run would not
+write; gen-synthetic refuses any --out that is not empty.  No command
+removes a file.
 """
 
 from __future__ import annotations
@@ -8,7 +13,7 @@ from __future__ import annotations
 import logging
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import click
 
@@ -133,6 +138,19 @@ def _report_inconsistent(report: ScoreReport, system: str = "system",
                            err=True)
 
 
+def _refuse_stale(out: Path, patterns: Iterable[str], written: Set[str]) -> None:
+    """ConfigurationError when out holds a file matching one of patterns
+    that this run would not write, named relative to out; it would look like
+    this run's output.  No file is removed."""
+    stale = sorted(path.relative_to(out).as_posix() for pattern in patterns
+                   for path in out.glob(pattern) if path.is_file())
+    stale = [name for name in stale if name not in written]
+    if stale:
+        raise ConfigurationError(
+            f"--out {out} holds {len(stale)} file(s) that this run would not write, "
+            f"first {stale[0]}; remove them or choose another --out")
+
+
 @cli.command("reconcile")
 @click.option("--corpus", "corpus_root", required=True,
               type=click.Path(exists=True, file_okay=False))
@@ -146,9 +164,13 @@ def _report_inconsistent(report: ScoreReport, system: str = "system",
 def reconcile_cmd(corpus_root, members, weights_path, out_dir, strict, time_limit):
     """Reconcile an ensemble and write TimeML output plus a score CSV."""
     corpus = load_corpus(corpus_root, weights_path)
-    result = reconcile(corpus, _members(members), time_limit=time_limit,
-                       none_breaks_triangles=strict)
+    names = _members(members)
+    check_members(corpus, names)
     out = Path(out_dir)
+    _refuse_stale(out, ["timeml/*.tml"], {f"timeml/{doc}.tml" for name in names
+                                          for doc in corpus.runs[name].documents})
+    result = reconcile(corpus, names, time_limit=time_limit,
+                       none_breaks_triangles=strict)
     write_reconciled(result, out / "timeml")
     report = score_run(corpus.reference, result.run)
     _report_inconsistent(report)
@@ -207,7 +229,7 @@ def export_lp_cmd(corpus_root, members, weights_path, doc_id, out_path, strict):
     names = _members(members)
     check_members(corpus, names)
     votes = collect_arcs([corpus.runs[n] for n in names], doc_id)
-    if not votes.arcs:
+    if not len(votes.arcs):
         raise DataError(f"no classifier annotates document {doc_id!r}")
     program = build_ip(votes, none_breaks_triangles=strict)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
@@ -238,6 +260,9 @@ def experiment_cmd(corpus_root, procedure, ensembles_path, weights_path, split_p
                    weights_source, out_dir, strict, time_limit):
     """Run experiment procedure 1 or 2 over a file of ensembles."""
     ensembles = _read_ensembles(ensembles_path)
+    if out_dir:
+        _refuse_stale(Path(out_dir), ["*.csv", "procedure*.txt"],
+                      {f"procedure{procedure}.txt", *(f"{stem}.csv" for stem in ensembles)})
     config = ExperimentConfig(
         corpus_root=Path(corpus_root),
         split=_split_from_file(split_path),

@@ -1,5 +1,10 @@
 """Per-document weighted-assignment integer program over classifier votes.
 
+A document's votes are its VoteTable: collect_arcs merges the members' link
+tables in one pass, numbering their entities' union in entity order, so an
+arc is a pair of integer ends (lo, hi) into that union, and its row of
+alpha holds the F1-sum weight of each label.
+
 Variables x_<arc>_<ordinal> are binary; each arc carries exactly one of the 15
 labels (partition rows), and every fully present arc triangle gets one row per
 ordered non-NONE label pair (a, b) that restricts pr: choosing a on pq and b
@@ -23,13 +28,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, BinaryIO, Dict, Iterable, List, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, BinaryIO, Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from .errors import DataError
 from .relations import TRIANGLE, RelType
-from .timeml import CanonicalArc, ClassifierRun, EntityKind, canonical_votes
+from .timeml import CanonicalArc, ClassifierRun, EntityKind, EntityRef
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -39,49 +45,86 @@ N_LABELS = len(RelType)  # 15
 
 @dataclass
 class VoteTable:
-    """Index set A of one document plus the per-arc, per-label weight matrix."""
+    """Index set A of one document plus the per-arc, per-label weight matrix.
+
+    collect_arcs gives the arcs in arc order.  Arcs given as CanonicalArcs,
+    in any order, as callers that write them by hand do (the tests and the
+    benchmark's self-tests), are stored as integer ends into entities, which
+    are then those arcs' entities.
+    """
 
     document: str
-    arcs: List[CanonicalArc]
+    arcs: np.ndarray  # shape (|A|, 2): int64 (lo, hi) into entities, lo < hi
     alpha: np.ndarray  # shape (|A|, 15); column ordinal-1
+    entities: Tuple[EntityRef, ...] = ()  # in entity order
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.arcs, np.ndarray):
+            arcs = list(self.arcs)
+            self.entities = tuple(sorted({ent for arc in arcs for ent in arc}))
+            number = {ent: i for i, ent in enumerate(self.entities)}
+            self.arcs = np.array([(number[lo], number[hi]) for lo, hi in arcs],
+                                 dtype=np.int64).reshape(-1, 2)
 
 
-def collect_arcs(runs: Iterable[ClassifierRun], document: str) -> VoteTable:
-    """Union of the runs' canonical arcs with F1-sum weights per label.
-
-    Entities are written and scored by id alone, so an id that two runs
-    give different kinds raises DataError.
-    """
-    votes_per_run = [
-        (run.f1_weight, canonical_votes(run.documents.get(document, ())))
-        for run in runs
-    ]
-    arcs = sorted({arc for _, votes in votes_per_run for arc in votes})
+def _check_kinds(document: str, arcs: Iterable[CanonicalArc]) -> None:
+    """DataError for the first id, in arc order, that two arcs give two kinds."""
     kinds: Dict[str, EntityKind] = {}
     for ent in (ent for arc in arcs for ent in arc):
         if kinds.setdefault(ent.id, ent.kind) is not ent.kind:
             raise DataError(f"{document}: the members give id {ent.id!r} two kinds, "
                             f"{kinds[ent.id].name} and {ent.kind.name}")
-    index = {arc: i for i, arc in enumerate(arcs)}
-    alpha = np.zeros((len(arcs), N_LABELS))
-    for weight, votes in votes_per_run:
-        for arc, rel in votes.items():
-            alpha[index[arc], rel.value - 1] += weight
-    return VoteTable(document, arcs, alpha)
 
 
-def enumerate_triangles(arcs: Sequence[CanonicalArc]) -> np.ndarray:
+def collect_arcs(runs: Iterable[ClassifierRun], document: str) -> VoteTable:
+    """Union of the runs' arcs with F1-sum weights per label.
+
+    The members' tables are merged in one pass: the union of their entities
+    is numbered in entity order, every row's ends are renumbered into it,
+    the arcs are the distinct lo * n + hi keys, and np.add.at adds each
+    row's run weight to its arc's label, member by member in order.
+    Entities are written and scored by id alone, so an id that two runs
+    give different kinds raises DataError.
+    """
+    members = [(run.f1_weight, run.documents[document]) for run in runs
+               if document in run.documents]
+    entities = tuple(sorted(set().union(*(table.entities for _, table in members))))
+    sizes = [len(table) for _, table in members]
+    if not sum(sizes):
+        return VoteTable(document, np.zeros((0, 2), dtype=np.int64), np.zeros((0, N_LABELS)),
+                         entities)
+    n = len(entities)
+    number = {ent: i for i, ent in enumerate(entities)}
+    ends = np.fromiter(chain.from_iterable(map(number.__getitem__, table.entities)
+                                           for _, table in members), np.int64)
+    # Each row's first entry in ends: its member's entities start there.
+    counts = [len(table.entities) for _, table in members]
+    first = np.repeat(np.cumsum(counts) - counts, sizes)
+    rows = np.concatenate([table.rows for _, table in members])
+    keys, arc = np.unique(ends[first + rows[:, 0]] * n + ends[first + rows[:, 1]],
+                          return_inverse=True)
+    arcs = np.column_stack(np.divmod(keys, n))
+    if len({ent.id for ent in entities}) < n:
+        _check_kinds(document, (CanonicalArc(entities[lo], entities[hi])
+                                for lo, hi in arcs.tolist()))
+    alpha = np.zeros((len(keys), N_LABELS))
+    np.add.at(alpha.reshape(-1), arc.reshape(-1) * N_LABELS + rows[:, 2] - 1,
+              np.repeat([weight for weight, _ in members], sizes))
+    return VoteTable(document, arcs, alpha, entities)
+
+
+def enumerate_triangles(arcs: np.ndarray) -> np.ndarray:
     """Every node triple p < q < r whose three pairwise arcs are all present.
 
+    arcs is a VoteTable's (m, 2) array of (lo, hi) node indexes, lo < hi.
     Returns a (T, 3) int array of arc indices (pq, qr, pr) in (p, q, r)
-    order.  arc_at[p, q] is the index of arc pq, or -1 for no arc; arcs are
-    canonical, so only cells with p < q are filled, and every stored arc
-    direction matches the traversal.
+    order.  arc_at[p, q] is the index of arc pq, or -1 for no arc; only
+    cells with p < q are filled, so every stored arc direction matches the
+    traversal.
     """
-    node = {ent: i for i, ent in enumerate(sorted({ent for arc in arcs for ent in arc}))}
-    arc_at = np.full((len(node), len(node)), -1, dtype=np.int64)
-    for i, (lo, hi) in enumerate(arcs):
-        arc_at[node[lo], node[hi]] = i
+    n = int(arcs.max(initial=-1)) + 1
+    arc_at = np.full((n, n), -1, dtype=np.int64)
+    arc_at[arcs[:, 0], arcs[:, 1]] = np.arange(len(arcs))
     p, q = np.nonzero(arc_at >= 0)
     t, r = np.nonzero((arc_at[p] >= 0) & (arc_at[q] >= 0))
     return np.column_stack((arc_at[p[t], q[t]], arc_at[q[t], r], arc_at[p[t], r]))

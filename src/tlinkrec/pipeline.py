@@ -8,6 +8,10 @@ weighing documents, not the ensemble, so each experiment weighs each one once.
 An experiment reconciles all its ensembles in one reconcile_ensembles call,
 so one solve covers every (ensemble, document) program, and it scores its
 members, then its ensembles, each in one score_runs call.
+
+A reconciled document is a link table like any run's: the vote table's
+entities, and one row for each arc whose solved label is not NONE, in arc
+order.  write_reconciled writes it as TimeML, so it scores like any run.
 """
 
 from __future__ import annotations
@@ -19,12 +23,14 @@ from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .errors import ConfigurationError, SolveError
 from .model import VoteTable, build_ip, collect_arcs
 from .relations import RelType
 from .scoring import ScoreReport, format_score_table, score_runs
 from .solver import DEFAULT_TIME_LIMIT, Solution, solve_documents, violations
-from .timeml import ClassifierRun, Corpus, TLink, load_corpus, write_timeml
+from .timeml import ClassifierRun, Corpus, LinkTable, load_corpus, write_timeml
 
 log = logging.getLogger(__name__)
 
@@ -140,14 +146,14 @@ def reconcile_ensembles(corpus: Corpus, ensembles: Sequence[Sequence[str]],
             log.warning("%s: optimality not proven within the time limit; "
                         "writing the best incumbent (objective %.6f)",
                         part, solution.objective_value)
-        links = [
-            TLink(arc.lo, arc.hi, solution.assignment[i])
-            for i, arc in enumerate(tables[part].arcs)
-            if solution.assignment[i] is not RelType.NONE
-        ]
+        votes = tables[part]
+        labels = np.fromiter(map(solution.assignment.__getitem__, range(len(votes.arcs))),
+                             dtype=np.int64, count=len(votes.arcs))
+        labelled = labels != RelType.NONE
         result = results[part.ensemble]
-        result.run.documents[part.doc] = links
-        result.votes[part.doc] = tables[part]
+        result.run.documents[part.doc] = LinkTable(votes.entities, np.column_stack(
+            (votes.arcs[labelled], labels[labelled])))
+        result.votes[part.doc] = votes
         result.solutions[part.doc] = solution
     return results
 
@@ -273,6 +279,5 @@ def write_reconciled(result: ReconcileResult, out_dir: Path) -> None:
     """Write reconciled output back as TimeML so it scores like any run."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for doc, links in sorted(result.run.documents.items()):
-        entities = [ent for arc in result.votes[doc].arcs for ent in arc]
-        write_timeml(entities, links, out_dir / f"{doc}.tml")
+    for doc, table in sorted(result.run.documents.items()):
+        write_timeml(table.entities, table.links(), out_dir / f"{doc}.tml")

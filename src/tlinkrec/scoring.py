@@ -8,42 +8,36 @@ the graph gives the pair that label, so a pair that may overlap (which no
 TimeML label expresses) is entailed nothing.  An inconsistent side has no
 closure: it entails only its own stored labels, and it is flagged.
 
-score_runs scores any number of system runs against one reference run.  Per
-document it builds the reference's graph once and numbers the union of its
-and every system's nodes.  Documents of similar node counts are stacked
-together, so a call's documents are closed in a few kernel calls, one or
-more per bucket of sizes; each system's relations are counted by array
-lookups into its reference's labels, and the reference's into each
-system's.  score_run and temporal_awareness are its one-system cases.
+score_runs scores any number of system runs against one reference run.  A
+side is a document's link table, scored by entity id: each row is one
+relation, and a NONE row counts but never verifies.  Per document the union
+of its tables' entity ids is numbered once, and every table's rows are
+renumbered into the kernel's stack from it.  Documents of similar node
+counts are stacked together, so a call's documents are closed in a few
+kernel calls, one or more per bucket of sizes; each system's relations are
+counted by array lookups into its reference's labels, and the reference's
+into each system's.  score_run is its one-system case, and
+temporal_awareness scores two event graphs through it.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, TextIO, Tuple
 
 import numpy as np
 
-from .relations import EventGraph, RelType, collapse, entailed_labels, invert, pair_stack
-from .timeml import ClassifierRun, TLink
+from .relations import EventGraph, RelType, collapse, entailed_labels, invert
+from .timeml import ClassifierRun, EntityKind, EntityRef, LinkTable, TLink
 
 
 def f1_score(precision: float, recall: float) -> float:
     if precision + recall <= 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
-
-
-def build_graph(links: Iterable[TLink]) -> EventGraph:
-    """Event graph over raw entity ids; duplicate pairs keep the last label."""
-    g = EventGraph()
-    for link in links:
-        if link.rel is RelType.NONE:
-            continue
-        g.set_relation(link.source.id, link.target.id, link.rel)
-    return g
 
 
 @dataclass
@@ -75,57 +69,82 @@ _INVERTED = np.array([0] + [invert(r) for r in RelType])
 _COLLAPSED = np.array([0] + [collapse(r) for r in RelType])
 _VERIFIES = ((_COLLAPSED[:, None] == _COLLAPSED)
              & (np.arange(len(RelType) + 1) != RelType.NONE))
+# A system run's side of a document it has no output for.
+_NO_LINKS = LinkTable.from_links(())
 # The most entries, k * (2n) ** 2, of one stack of k graphs over n
 # entities that scoring closes, unless one document alone has more: 8 MB of
 # float32 reach.  The benchmark corpora's largest stack has 219,040.
 STACK_ENTRIES = 1 << 21
 
 
-def _awareness(documents: Sequence[Sequence[EventGraph]], *,
+def _awareness(documents: Sequence[Sequence[LinkTable]], *,
                collapse_identity: bool) -> List[List[AwarenessCounts]]:
-    """Per document, each system graph's counts against its reference graph.
+    """Per document, each system table's counts against its reference table.
 
-    A document is its reference graph followed by its system graphs, the
-    same number in every document; its nodes are the union of its graphs'.
-    The documents are bucketed by (2n).bit_length() of their node count n,
-    so that one large document does not pad the small ones.  Each bucket
-    is closed in one entailed_labels call, or in several when its stack
-    would exceed STACK_ENTRIES, each over its own documents' most nodes.
-    Each system's relations are looked up in its reference's table, and the
-    reference's relations in each system's: a side's table is its closure
-    or, if it is INCONSISTENT, its stored labels.  A relation verifies when
-    the table holds its label up to synonyms; NONE never verifies.  With
+    A document is its reference table followed by its system tables, the
+    same number in every document; its nodes are the union of its tables'
+    entity ids, each numbered once.  The documents are bucketed by
+    (2n).bit_length() of their node count n, so that one large document
+    does not pad the small ones.  Each bucket is closed in one
+    entailed_labels call, or in several when its stack would exceed
+    STACK_ENTRIES, each over its own documents' most nodes.  Each system's
+    relations are looked up in its reference's table, and the reference's
+    relations in each system's: a side's table is its closure or, if it is
+    INCONSISTENT, its stored labels.  A relation verifies when the table
+    holds its label up to synonyms; NONE never verifies.  With
     collapse_identity off, IDENTITY verifies only against a stored IDENTITY
     (the closure cannot keep the synonyms apart).
     """
-    nodes = [sorted(set().union(*(g.nodes for g in graphs))) for graphs in documents]
+    indexes = [{ident: i for i, ident in enumerate(dict.fromkeys(
+        ent.id for table in tables for ent in table.entities))} for tables in documents]
     buckets: Dict[int, List[int]] = {}
-    for d, doc_nodes in enumerate(nodes):
-        buckets.setdefault((2 * len(doc_nodes)).bit_length(), []).append(d)
+    for d, index in enumerate(indexes):
+        buckets.setdefault((2 * len(index)).bit_length(), []).append(d)
     counts: List[List[AwarenessCounts]] = [[] for _ in documents]
     for key in sorted(buckets):
         bucket = buckets[key]
-        n = max(len(nodes[d]) for d in bucket)
+        n = max(len(indexes[d]) for d in bucket)
         per_call = max(1, STACK_ENTRIES // max(1, len(documents[0]) * (2 * n) ** 2))
         for start in range(0, len(bucket), per_call):
             chunk = bucket[start:start + per_call]
             for d, doc_counts in zip(chunk, _stack_awareness(
-                    [documents[d] for d in chunk], [nodes[d] for d in chunk],
+                    [documents[d] for d in chunk], [indexes[d] for d in chunk],
                     collapse_identity=collapse_identity)):
                 counts[d] = doc_counts
     return counts
 
 
-def _stack_awareness(documents: Sequence[Sequence[EventGraph]],
-                     nodes: Sequence[Sequence[str]], *,
+def _linked(documents: Sequence[Sequence[LinkTable]],
+            indexes: Sequence[Dict[str, int]]) -> np.ndarray:
+    """The (k, m, 3) rows (i, j, ordinal) of the documents' k tables, in
+    order, for entailed_labels, each document's entities numbered by its
+    index; m is the most rows of any table, and the rows a table lacks are
+    (0, 0, NONE), which relates nothing."""
+    tables = [table for doc_tables in documents for table in doc_tables]
+    numbers = np.fromiter(chain.from_iterable(
+        map(index.__getitem__, (ent.id for ent in table.entities))
+        for doc_tables, index in zip(documents, indexes) for table in doc_tables),
+        dtype=np.int64)
+    sizes = np.array([len(table) for table in tables], dtype=np.int64)
+    counts = np.array([len(table.entities) for table in tables], dtype=np.int64)
+    # Each row's table's first entry in numbers.
+    first = np.repeat(np.cumsum(counts) - counts, sizes)
+    rows = np.concatenate([table.rows for table in tables])
+    linked = np.zeros((len(tables), sizes.max(), 3), dtype=np.int64)
+    linked[..., 2] = RelType.NONE
+    linked[np.arange(linked.shape[1]) < sizes[:, None]] = np.column_stack(
+        (numbers[first + rows[:, 0]], numbers[first + rows[:, 1]], rows[:, 2]))
+    return linked
+
+
+def _stack_awareness(documents: Sequence[Sequence[LinkTable]],
+                     indexes: Sequence[Dict[str, int]], *,
                      collapse_identity: bool) -> List[List[AwarenessCounts]]:
-    """_awareness in one entailed_labels call; nodes holds each document's
-    nodes in the order they are numbered."""
+    """_awareness in one entailed_labels call; indexes holds each document's
+    node number of each entity id."""
     per_doc = len(documents[0])
-    indexes = [{node: i for i, node in enumerate(doc_nodes)} for doc_nodes in nodes]
-    linked = pair_stack([g for graphs in documents for g in graphs],
-                        [index for index in indexes for _ in range(per_doc)])
-    entailed, inconsistent = entailed_labels(max(map(len, nodes)), linked)
+    linked = _linked(documents, indexes)
+    entailed, inconsistent = entailed_labels(max(map(len, indexes)), linked)
     i, j, rel = linked.transpose(2, 0, 1)
     graph = np.arange(len(linked))[:, None]
     stored = np.zeros_like(entailed)
@@ -153,8 +172,12 @@ def _stack_awareness(documents: Sequence[Sequence[EventGraph]],
 def temporal_awareness(reference: EventGraph, system: EventGraph, *,
                        collapse_identity: bool = True) -> AwarenessCounts:
     """Precision/recall counts of a system graph against a reference graph:
-    the one-document, one-system case of score_runs."""
-    return _awareness([[reference, system]], collapse_identity=collapse_identity)[0][0]
+    the one-document, one-system case of score_runs, each graph's edges a
+    table's rows between event instances named by its nodes."""
+    tables = [LinkTable.from_links(
+        TLink(EntityRef(EntityKind.EVENT_INSTANCE, p), EntityRef(EntityKind.EVENT_INSTANCE, q),
+              rel) for p, q, rel in g.edges()) for g in (reference, system)]
+    return _awareness([tables], collapse_identity=collapse_identity)[0][0]
 
 
 @dataclass
@@ -191,10 +214,10 @@ def score_runs(reference_run: ClassifierRun, system_runs: Sequence[ClassifierRun
                average: str = "micro") -> List[ScoreReport]:
     """One report per system run, its documents in sorted order.
 
-    A document's reference graph is built once and closed with every
-    system's graph, and the documents are closed together in a few kernel
-    calls (see _awareness).  Documents in the filter but missing from a
-    system run score against an empty system graph.
+    A document's reference table is closed with every system's table, and
+    the documents are closed together in a few kernel calls (see
+    _awareness).  Documents in the filter but missing from a system run
+    score against an empty system table.
     """
     if average not in ("micro", "macro"):
         raise ValueError(f"unknown averaging mode {average!r}")
@@ -205,8 +228,8 @@ def score_runs(reference_run: ClassifierRun, system_runs: Sequence[ClassifierRun
     if not system_runs:
         return []
     reports = [ScoreReport(average=average) for _ in system_runs]
-    documents = [[build_graph(reference_run.documents[doc]),
-                  *(build_graph(run.documents.get(doc, [])) for run in system_runs)]
+    documents = [[reference_run.documents[doc],
+                  *(run.documents.get(doc, _NO_LINKS) for run in system_runs)]
                  for doc in docs]
     for doc, counts in zip(docs, _awareness(documents, collapse_identity=collapse_identity)):
         for report, doc_counts in zip(reports, counts):

@@ -1,4 +1,4 @@
-"""Parsing of TimeML-subset documents and classifier run directories.
+"""TimeML-subset documents and classifier run directories, read and written.
 
 Only the elements needed for TLINK reconciliation are read: TIMEX3,
 MAKEINSTANCE, and TLINK.  Everything else (SIGNAL, SLINK/ALINK, event
@@ -8,6 +8,14 @@ that do not decode raise TimeMLParseError with their line and column, a data
 error, and so does a declared encoding that cannot be read.  The weights,
 split, ensembles and config files that read_lines reads are UTF-8, and any
 other raises ConfigurationError.
+
+A document is one LinkTable from the moment it is parsed until it is
+written: the sorted tuple of the entities its links touch, in entity order,
+and an (m, 3) int64 array of (lo, hi, ordinal) rows, one per arc, in arc
+order.  parse_timeml canonicalizes each TLINK as it reads it, and the last
+label given an arc wins; LinkTable.from_links does the same for TLinks.
+write_timeml formats a document with plain strings, byte for byte as
+ElementTree writes it indented.
 """
 
 from __future__ import annotations
@@ -17,9 +25,12 @@ import logging
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, NamedTuple, TextIO, Tuple, Union
 from xml.parsers import expat
+
+import numpy as np
 
 from .errors import ConfigurationError, DataError, TimeMLParseError
 from .relations import RelType, invert
@@ -46,8 +57,7 @@ class EntityRef(NamedTuple):
     document: str = ""
 
 
-@dataclass(frozen=True)
-class TLink:
+class TLink(NamedTuple):
     source: EntityRef
     target: EntityRef
     rel: RelType
@@ -75,6 +85,51 @@ def canonicalize(link: TLink) -> Tuple[CanonicalArc, RelType]:
     raise ValueError(f"degenerate TLink on {link.source}")
 
 
+# RelType by ordinal; index 0 is no label.
+_RELTYPES = (None, *RelType)
+
+
+class LinkTable:
+    """One document's links: entities, the sorted tuple of the entities they
+    touch, and rows, an (m, 3) int64 array of (lo, hi, ordinal), one row
+    per arc entities[lo] < entities[hi], in arc order.
+
+    A table that reconciliation writes keeps its vote table's entities, so
+    it may hold entities that no row touches.  len() is the number of rows.
+    """
+
+    __slots__ = ("entities", "rows")
+
+    def __init__(self, entities: Tuple[EntityRef, ...], rows: np.ndarray):
+        self.entities = entities
+        self.rows = rows
+
+    @classmethod
+    def from_links(cls, links: Iterable[TLink]) -> LinkTable:
+        """The table of links, each canonicalized; an arc keeps its last label."""
+        votes = dict(map(canonicalize, links))
+        entities = tuple(sorted({ent for arc in votes for ent in arc}))
+        number = {ent: i for i, ent in enumerate(entities)}
+        rows = [(number[lo], number[hi], rel) for (lo, hi), rel in sorted(votes.items())]
+        return cls(entities, np.array(rows, dtype=np.int64).reshape(-1, 3))
+
+    def links(self) -> List[TLink]:
+        """One TLink per row, from lo to hi, in arc order."""
+        entities = self.entities
+        return [TLink(entities[lo], entities[hi], _RELTYPES[rel])
+                for lo, hi, rel in self.rows.tolist()]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, LinkTable) and self.entities == other.entities
+                and np.array_equal(self.rows, other.rows))
+
+    def __repr__(self) -> str:
+        return f"LinkTable({self.entities!r}, {self.rows.tolist()!r})"
+
+
 @dataclass(frozen=True)
 class SkippedItem:
     document: str
@@ -90,8 +145,11 @@ class SkippedItem:
 
 @dataclass
 class ParsedDocument:
-    links: List[TLink]
+    table: LinkTable
     skipped: List[SkippedItem]
+    # Each TLINK that gave an already predicted arc another label, with that
+    # label, in document order.
+    duplicates: List[Tuple[CanonicalArc, RelType]]
 
 
 _INPUT_LABELS = {r.name: r for r in RelType if r is not RelType.NONE}
@@ -102,7 +160,7 @@ _END_ATTRS = (("eventInstanceID", "timeID"), ("relatedToEventInstance", "related
 
 
 def parse_timeml(data: Union[bytes, str], document: str = "") -> ParsedDocument:
-    """Parse one TimeML document into its TLinks.
+    """Parse one TimeML document into its link table.
 
     TLINKs with an unknown relType or an unresolvable endpoint are recorded in
     the skipped list rather than failing the parse.  Bytes are read in the
@@ -131,46 +189,77 @@ def parse_timeml(data: Union[bytes, str], document: str = "") -> ParsedDocument:
         if tid:
             dct = elem.get("functionInDocument") == "CREATION_TIME"
             timexes[tid] = EntityRef(EntityKind.DCT if dct else EntityKind.TIMEX, tid, document)
-    events = {eiid: EntityRef(EntityKind.EVENT_INSTANCE, eiid, document)
-              for eiid in (elem.get("eiid") for elem in root.iter("MAKEINSTANCE")) if eiid}
-    shared = sorted(timexes.keys() & events.keys())
+    events = sorted({eiid for eiid in (elem.get("eiid") for elem in root.iter("MAKEINSTANCE"))
+                     if eiid})
+    shared = sorted(timexes.keys() & set(events))
     if shared:
         raise TimeMLParseError(f"{name}: id {shared[0]!r} names "
                                "both a TIMEX3 and a MAKEINSTANCE")
+    # Each entity's place in entity order, so that a link is canonicalized
+    # by comparing two ints and its arc is the int lo * size + hi.
+    declared = sorted(timexes.values())
+    timex_at = {ent.id: i for i, ent in enumerate(declared)}
+    event_at = {eiid: i for i, eiid in enumerate(events, len(declared))}
+    declared += (EntityRef(EntityKind.EVENT_INSTANCE, eiid, document) for eiid in events)
+    size = len(declared)
 
     # Each end is named by its event-instance attribute if it has one, else
     # by its timex one; with neither it names no entity.
     (source_event, source_timex), (target_event, target_timex) = _END_ATTRS
-    links: List[TLink] = []
+    votes: Dict[int, RelType] = {}
+    touched = set()
+    duplicates: List[Tuple[int, RelType]] = []
     skipped: List[SkippedItem] = []
     for n, elem in enumerate(root.iter("TLINK"), 1):
         rel_name = (elem.get("relType") or "").upper()
         rel = _INPUT_LABELS.get(rel_name)
         eiid = elem.get(source_event)
-        source = timexes.get(elem.get(source_timex)) if eiid is None else events.get(eiid)
+        source = timex_at.get(elem.get(source_timex)) if eiid is None else event_at.get(eiid)
         eiid = elem.get(target_event)
-        target = timexes.get(elem.get(target_timex)) if eiid is None else events.get(eiid)
+        target = timex_at.get(elem.get(target_timex)) if eiid is None else event_at.get(eiid)
         reason = ("missing relType" if not rel_name
                   else f"unknown relType {rel_name}" if rel is None
                   else "unresolved endpoint id" if source is None or target is None
                   else "self-loop" if source == target else None)
         if reason:
             skipped.append(SkippedItem(document, elem.get("lid") or f"#{n}", reason))
+            continue
+        if source < target:
+            arc = source * size + target
         else:
-            links.append(TLink(source, target, rel))
-    return ParsedDocument(links, skipped)
+            arc, rel = target * size + source, invert(rel)
+        if votes.setdefault(arc, rel) is not rel:
+            duplicates.append((arc, rel))
+            votes[arc] = rel
+        touched.add(source)
+        touched.add(target)
+
+    rows = np.fromiter(chain.from_iterable((*divmod(arc, size), votes[arc])
+                                           for arc in sorted(votes)),
+                       dtype=np.int64, count=3 * len(votes)).reshape(-1, 3)
+    ends = sorted(touched)
+    if len(ends) < size:  # the table numbers only the entities its links touch
+        number = np.zeros(size, dtype=np.int64)
+        number[ends] = np.arange(len(ends))
+        rows[:, :2] = number[rows[:, :2]]
+    return ParsedDocument(
+        LinkTable(tuple(map(declared.__getitem__, ends)), rows), skipped,
+        [(CanonicalArc(declared[arc // size], declared[arc % size]), rel)
+         for arc, rel in duplicates])
 
 
 @dataclass
 class ClassifierRun:
     name: str
     f1_weight: float
-    documents: Dict[str, List[TLink]] = field(default_factory=dict)
+    documents: Dict[str, LinkTable] = field(default_factory=dict)
 
 
-def canonical_votes(links: Iterable[TLink]) -> Dict[CanonicalArc, RelType]:
-    """One prediction per arc; duplicates keep the last occurrence."""
-    return dict(map(canonicalize, links))
+def canonical_votes(table: LinkTable) -> Dict[CanonicalArc, RelType]:
+    """The table's label of each arc, in arc order."""
+    entities = table.entities
+    return {CanonicalArc(entities[lo], entities[hi]): _RELTYPES[rel]
+            for lo, hi, rel in table.rows.tolist()}
 
 
 def read_lines(path: Union[str, Path]) -> Iterator[Tuple[str, str]]:
@@ -231,7 +320,7 @@ def load_run_dir(directory: Path, name: str, weight: float,
 
     Raises DataError when the directory holds no `.tml` file.  Logs one
     warning per TLINK that gives an already predicted pair another label; the
-    last label is the one canonical_votes keeps.
+    last label is the one the table keeps.
     """
     paths = sorted(directory.glob("*.tml"))
     if not paths:
@@ -239,14 +328,11 @@ def load_run_dir(directory: Path, name: str, weight: float,
     run = ClassifierRun(name, weight)
     for path in paths:
         parsed = parse_timeml(path.read_bytes(), path.stem)
-        run.documents[path.stem] = parsed.links
+        run.documents[path.stem] = parsed.table
         skipped.extend(replace(item, run=name) for item in parsed.skipped)
-        votes: Dict[CanonicalArc, RelType] = {}
-        for arc, rel in map(canonicalize, parsed.links):
-            if votes.setdefault(arc, rel) is not rel:
-                log.warning("%s/%s: duplicate prediction on %s-%s, keeping %s",
-                            name, path.stem, arc.lo.id, arc.hi.id, rel.name)
-                votes[arc] = rel
+        for arc, rel in parsed.duplicates:
+            log.warning("%s/%s: duplicate prediction on %s-%s, keeping %s",
+                        name, path.stem, arc.lo.id, arc.hi.id, rel.name)
     return run
 
 
@@ -287,28 +373,38 @@ def write_skipped_report(skipped: Iterable[SkippedItem], sink: TextIO) -> None:
         sink.write(f"{item.where} {item.ref} {item.reason}\n")
 
 
+# What ElementTree writes for each character an attribute value must escape.
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                               "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
+
+
 def write_timeml(entities: Iterable[EntityRef], links: Iterable[TLink],
                  path: Union[str, Path]) -> None:
-    """Write a minimal TimeML-subset document that parse_timeml round-trips."""
-    root = ET.Element("TimeML")
+    """Write a minimal TimeML-subset document that parse_timeml round-trips.
+
+    The entities come once each, in entity order, then one TLINK per link,
+    in order, from its source to its target.  The bytes are those that
+    ElementTree writes for these elements, indented by ET.indent, with an
+    XML declaration; an empty document is `<TimeML />`.
+    """
+    lines = []
     for ent in sorted(set(entities)):
+        ident = ent.id.translate(_ATTR_ESCAPES)
         if ent.kind is EntityKind.EVENT_INSTANCE:
-            eid = "e" + ent.id[2:] if ent.id.startswith("ei") else ent.id
-            ET.SubElement(root, "MAKEINSTANCE", eiid=ent.id, eventID=eid)
+            eid = "e" + ident[2:] if ident.startswith("ei") else ident
+            lines.append(f'  <MAKEINSTANCE eiid="{ident}" eventID="{eid}" />')
         else:
-            attrs = {"tid": ent.id, "type": "DATE", "value": ""}
-            if ent.kind is EntityKind.DCT:
-                attrs["functionInDocument"] = "CREATION_TIME"
-            ET.SubElement(root, "TIMEX3", attrs)
+            dct = ' functionInDocument="CREATION_TIME"' if ent.kind is EntityKind.DCT else ""
+            lines.append(f'  <TIMEX3 tid="{ident}" type="DATE" value=""{dct} />')
     (source_event, source_timex), (target_event, target_timex) = _END_ATTRS
-    for i, link in enumerate(links, 1):
-        source_attr = (source_event if link.source.kind is EntityKind.EVENT_INSTANCE
-                       else source_timex)
-        target_attr = (target_event if link.target.kind is EntityKind.EVENT_INSTANCE
-                       else target_timex)
-        ET.SubElement(root, "TLINK", {"lid": f"l{i}", "relType": link.rel.name,
-                                      source_attr: link.source.id,
-                                      target_attr: link.target.id})
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    tree.write(path, encoding="utf-8", xml_declaration=True)
+    event = EntityKind.EVENT_INSTANCE
+    for i, (source, target, rel) in enumerate(links, 1):
+        lines.append(
+            f'  <TLINK lid="l{i}" relType="{rel.name}" '
+            f'{source_event if source.kind is event else source_timex}='
+            f'"{source.id.translate(_ATTR_ESCAPES)}" '
+            f'{target_event if target.kind is event else target_timex}='
+            f'"{target.id.translate(_ATTR_ESCAPES)}" />')
+    body = "<TimeML>\n" + "\n".join(lines) + "\n</TimeML>" if lines else "<TimeML />"
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
+        fh.write("<?xml version='1.0' encoding='utf-8'?>\n" + body)

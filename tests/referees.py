@@ -21,13 +21,18 @@ Both decode labels with point_oracle and share no code with the package.
 awareness_referee() counts temporal awareness one edge at a time, with
 EventGraph.get against path_consistency_closure(), so it referees
 scoring.temporal_awareness's array lookups and its stacked kernel call.
+elementtree_write_timeml() builds the document that timeml.write_timeml
+formats as ElementTree elements and writes it with ElementTree, so it
+referees the string writer's bytes.
 """
 
 from __future__ import annotations
 
 import time
+import xml.etree.ElementTree as ET
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple, Union
+from pathlib import Path
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -43,6 +48,7 @@ from tlinkrec.relations import (
 )
 from tlinkrec.scoring import AwarenessCounts
 from tlinkrec.solver import Solution, SolverStats
+from tlinkrec.timeml import EntityKind, EntityRef, TLink
 
 from point_oracle import CANONICAL, LABEL_OF_GRID, rel_between
 
@@ -391,3 +397,29 @@ def awareness_referee(reference: EventGraph, system: EventGraph, *,
     return AwarenessCounts(verified_sys, len(list(system.edges())), verified_ref,
                            len(list(reference.edges())), inconsistent_ref,
                            inconsistent_sys)
+
+
+def elementtree_write_timeml(entities: Iterable[EntityRef], links: Iterable[TLink],
+                             path: Union[str, Path]) -> None:
+    """write_timeml's document, built and written by ElementTree."""
+    root = ET.Element("TimeML")
+    for ent in sorted(set(entities)):
+        if ent.kind is EntityKind.EVENT_INSTANCE:
+            eid = "e" + ent.id[2:] if ent.id.startswith("ei") else ent.id
+            ET.SubElement(root, "MAKEINSTANCE", eiid=ent.id, eventID=eid)
+        else:
+            attrs = {"tid": ent.id, "type": "DATE", "value": ""}
+            if ent.kind is EntityKind.DCT:
+                attrs["functionInDocument"] = "CREATION_TIME"
+            ET.SubElement(root, "TIMEX3", attrs)
+    for i, link in enumerate(links, 1):
+        source_attr = ("eventInstanceID" if link.source.kind is EntityKind.EVENT_INSTANCE
+                       else "timeID")
+        target_attr = ("relatedToEventInstance"
+                       if link.target.kind is EntityKind.EVENT_INSTANCE else "relatedToTime")
+        ET.SubElement(root, "TLINK", {"lid": f"l{i}", "relType": link.rel.name,
+                                      source_attr: link.source.id,
+                                      target_attr: link.target.id})
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    tree.write(path, encoding="utf-8", xml_declaration=True)

@@ -129,8 +129,9 @@ def test_criterion_3_consistency_of_solved_documents(synth_corpus):
             bad.append(doc)
             continue
         g = EventGraph()
-        for i, arc in enumerate(votes.arcs):
-            g.set_relation(arc.lo.id, arc.hi.id, solution.assignment[i])
+        for i, (lo, hi) in enumerate(votes.arcs.tolist()):
+            g.set_relation(votes.entities[lo].id, votes.entities[hi].id,
+                           solution.assignment[i])
         if not is_consistent_labeling(g):
             bad.append(doc)
     report(3, n_docs >= 50 and not bad,

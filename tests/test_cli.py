@@ -1,5 +1,6 @@
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -437,6 +438,83 @@ class TestGenSyntheticCommand:
         main(["gen-synthetic", "--out", str(tmp_path), "--docs", "2"])
         assert "wrote 2 documents for 3 classifiers" in capsys.readouterr().out
         assert (tmp_path / "weights.txt").exists()
+
+
+def tree_bytes(root):
+    return {p: p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+class TestStaleOut:
+    """reconcile and experiment refuse an --out holding an output file that
+    the run would not write, before solving; no file is removed."""
+
+    def test_reconcile_four_then_two_documents(self, corpus_root, tmp_path, capsys,
+                                               monkeypatch):
+        two = tmp_path / "two"
+        shutil.copytree(corpus_root, two)
+        for path in two.rglob("synth_00[23].tml"):
+            path.unlink()
+        out = tmp_path / "out"
+        main(["reconcile", "--corpus", str(corpus_root), "--members", "alpha,beta",
+              "--out", str(out)])
+        before = tree_bytes(out)
+        assert len(list((out / "timeml").glob("*.tml"))) == 4
+        capsys.readouterr()
+        monkeypatch.setattr(cli_module, "reconcile", None)  # no solve may start
+        with pytest.raises(SystemExit) as err:
+            main(["reconcile", "--corpus", str(two), "--members", "alpha,beta",
+                  "--out", str(out)])
+        assert err.value.code == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: --out {out} holds 2 file(s) that this run would not "
+            "write, first timeml/synth_002.tml; remove them or choose another --out\n")
+        assert tree_bytes(out) == before
+
+    def test_experiment_two_then_one_ensemble(self, corpus_root, tmp_path, capsys):
+        ens = tmp_path / "ens.txt"
+        ens.write_text("a: alpha\nb: beta\n")
+        out = tmp_path / "out"
+        args = ["experiment", "--corpus", str(corpus_root), "--procedure", "1",
+                "--ensembles", str(ens), "--out", str(out)]
+        main(args)
+        before = tree_bytes(out)
+        assert sorted(p.name for p in before) == ["a.csv", "b.csv", "procedure1.txt"]
+        ens.write_text("a: alpha\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 1
+        assert capsys.readouterr() == ("", (
+            f"configuration error: --out {out} holds 1 file(s) that this run would not "
+            "write, first b.csv; remove them or choose another --out\n"))
+        assert tree_bytes(out) == before
+        # Another procedure would leave procedure1.txt beside its own table.
+        ens.write_text("a: alpha\nb: beta\n")
+        with pytest.raises(SystemExit) as err:
+            main(args[:4] + ["2"] + args[5:])
+        assert err.value.code == 1
+        assert "first procedure1.txt;" in capsys.readouterr().err
+        assert tree_bytes(out) == before
+
+    def test_rerun_writing_the_same_files_succeeds(self, corpus_root, tmp_path, capsys):
+        ens = tmp_path / "ens.txt"
+        ens.write_text("a: alpha\nb: beta\n")
+        rec, exp = tmp_path / "rec", tmp_path / "exp"
+        (rec / "timeml").mkdir(parents=True)
+        exp.mkdir()
+        # Files that are not a command's outputs are left alone.
+        for path in (rec / "notes.csv", rec / "timeml" / "notes.txt", exp / "notes.txt"):
+            path.write_text("mine\n")
+        for _ in range(2):
+            main(["reconcile", "--corpus", str(corpus_root), "--members", "alpha,beta",
+                  "--out", str(rec)])
+            main(["experiment", "--corpus", str(corpus_root), "--procedure", "1",
+                  "--ensembles", str(ens), "--out", str(exp)])
+        assert sorted(p.name for p in rec.iterdir()) == [
+            "notes.csv", "scores.csv", "skipped.txt", "timeml"]
+        assert sorted(p.name for p in exp.iterdir()) == [
+            "a.csv", "b.csv", "notes.txt", "procedure1.txt"]
+        assert (rec / "timeml" / "notes.txt").read_text() == "mine\n"
 
 
 class TestDumpTable:

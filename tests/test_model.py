@@ -21,9 +21,10 @@ from tlinkrec.model import (
 )
 from tlinkrec.relations import RelType, collapse, compose
 from tlinkrec.solver import Solution, violations
-from tlinkrec.timeml import CanonicalArc, ClassifierRun, EntityKind, EntityRef, TLink
+from tlinkrec.timeml import CanonicalArc, ClassifierRun, EntityKind, EntityRef, LinkTable, TLink
 
 from point_oracle import oracle_composition_table
+from tables import arcs_of
 
 
 def ev(i):
@@ -35,7 +36,7 @@ def arc(i, j):
 
 
 def run_of(name, weight, links):
-    return ClassifierRun(name, weight, {"doc": links})
+    return ClassifierRun(name, weight, {"doc": LinkTable.from_links(links)})
 
 
 class TestCollectArcs:
@@ -43,7 +44,7 @@ class TestCollectArcs:
         r1 = run_of("cleartk-2", 0.3624, [TLink(ev(1), ev(2), RelType.BEFORE)])
         r2 = run_of("UT-4", 0.2882, [TLink(ev(1), ev(2), RelType.BEFORE)])
         votes = collect_arcs([r1, r2], "doc")
-        assert votes.arcs == [arc(1, 2)]
+        assert arcs_of(votes) == [arc(1, 2)]
         assert votes.alpha[0, RelType.BEFORE.value - 1] == pytest.approx(0.6506)
 
     def test_disagreeing_labels_stay_separate(self):
@@ -57,14 +58,14 @@ class TestCollectArcs:
         r1 = run_of("a", 0.5, [TLink(ev(1), ev(2), RelType.BEFORE)])
         r2 = run_of("b", 0.25, [TLink(ev(2), ev(3), RelType.AFTER)])
         votes = collect_arcs([r1, r2], "doc")
-        assert votes.arcs == [arc(1, 2), arc(2, 3)]
+        assert arcs_of(votes) == [arc(1, 2), arc(2, 3)]
         assert (votes.alpha > 0).sum() == 2
 
     def test_reversed_votes_merge_onto_one_arc(self):
         r1 = run_of("a", 0.5, [TLink(ev(1), ev(2), RelType.BEFORE)])
         r2 = run_of("b", 0.25, [TLink(ev(2), ev(1), RelType.AFTER)])
         votes = collect_arcs([r1, r2], "doc")
-        assert votes.arcs == [arc(1, 2)]
+        assert arcs_of(votes) == [arc(1, 2)]
         assert votes.alpha[0, RelType.BEFORE.value - 1] == 0.75
 
     def test_weight_conservation(self):
@@ -73,12 +74,12 @@ class TestCollectArcs:
         r2 = run_of("b", 0.25, [TLink(ev(1), ev(2), RelType.AFTER)])
         votes = collect_arcs([r1, r2], "doc")
         sums = votes.alpha.sum(axis=1)
-        assert sums[list(votes.arcs).index(arc(1, 2))] == pytest.approx(0.75)
-        assert sums[list(votes.arcs).index(arc(1, 3))] == pytest.approx(0.5)
+        assert sums[arcs_of(votes).index(arc(1, 2))] == pytest.approx(0.75)
+        assert sums[arcs_of(votes).index(arc(1, 3))] == pytest.approx(0.5)
 
     def test_empty_document(self):
         votes = collect_arcs([run_of("a", 0.5, [])], "doc")
-        assert votes.arcs == [] and votes.alpha.shape == (0, 15)
+        assert votes.arcs.shape == (0, 2) and votes.alpha.shape == (0, 15)
 
     def test_id_given_two_kinds_rejected(self):
         # Written by id alone, the two x1 would be one entity, and a TLINK
@@ -91,19 +92,42 @@ class TestCollectArcs:
                 r"^doc: the members give id 'x1' two kinds, TIMEX and EVENT_INSTANCE$")):
             collect_arcs([r1, r2], "doc")
 
+    def test_two_kinds_named_in_arc_order(self):
+        # In arc order x1 is first an event, as the DCT's arc names it; the
+        # DCT y of b's last arc is met after that, so x1 is the id named.
+        def ref(kind, ident):
+            return EntityRef(kind, ident, "doc")
+        r1 = run_of("a", 0.5, [TLink(ref(EntityKind.DCT, "t0"),
+                                     ref(EntityKind.EVENT_INSTANCE, "x1"), RelType.BEFORE)])
+        r2 = run_of("b", 0.5, [
+            TLink(ref(EntityKind.TIMEX, "t1"), ref(EntityKind.TIMEX, "x1"), RelType.BEFORE),
+            TLink(ref(EntityKind.TIMEX, "t1"), ref(EntityKind.EVENT_INSTANCE, "y"), RelType.AFTER),
+            TLink(ref(EntityKind.DCT, "y"), ref(EntityKind.EVENT_INSTANCE, "z"), RelType.AFTER)])
+        with pytest.raises(DataError, match=(
+                r"^doc: the members give id 'x1' two kinds, EVENT_INSTANCE and TIMEX$")):
+            collect_arcs([r1, r2], "doc")
+
+    def test_run_without_the_document_votes_nothing(self):
+        r1 = run_of("a", 0.5, [TLink(ev(1), ev(2), RelType.BEFORE)])
+        absent = ClassifierRun("b", 0.25, {})
+        votes = collect_arcs([absent, r1], "doc")
+        assert arcs_of(votes) == [arc(1, 2)] and votes.entities == (ev(1), ev(2))
+        assert votes.alpha[0, RelType.BEFORE - 1] == 0.5 and votes.alpha.sum() == 0.5
+        assert votes.arcs.dtype == np.int64
+
 
 class TestEnumerateTriangles:
     def test_single_triangle(self):
-        tri = enumerate_triangles([arc(1, 2), arc(2, 3), arc(1, 3)])
+        tri = enumerate_triangles(VoteTable("doc", [arc(1, 2), arc(2, 3), arc(1, 3)], None).arcs)
         assert tri.tolist() == [[0, 1, 2]]  # (pq, qr, pr) arc indices
 
     def test_open_path_has_no_triangle(self):
-        tri = enumerate_triangles([arc(1, 2), arc(2, 3)])
+        tri = enumerate_triangles(VoteTable("doc", [arc(1, 2), arc(2, 3)], None).arcs)
         assert tri.shape == (0, 3)
 
     def test_four_clique(self):
         arcs = [arc(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
-        tri = enumerate_triangles(arcs)
+        tri = enumerate_triangles(VoteTable("doc", arcs, None).arcs)
         assert len(tri) == 4
 
     @settings(max_examples=200, deadline=None)
@@ -123,7 +147,9 @@ class TestEnumerateTriangles:
         expected = [(index[p, q], index[q, r], index[p, r])
                     for p, q, r in combinations(entities, 3)
                     if {(p, q), (q, r), (p, r)} <= index.keys()]
-        tri = enumerate_triangles(arcs)
+        index_of = {ent: i for i, ent in enumerate(entities)}
+        tri = enumerate_triangles(np.array([(index_of[a.lo], index_of[a.hi]) for a in arcs],
+                                           dtype=np.int64).reshape(-1, 2))
         assert tri.dtype == np.int64 and tri.shape == (len(expected), 3)
         assert tri.tolist() == [list(t) for t in expected]
 

@@ -27,15 +27,16 @@ from tlinkrec.pipeline import (
     run_procedure_two,
     write_reconciled,
 )
-from tlinkrec.relations import EventGraph, RelType, closure, INCONSISTENT
-from tlinkrec.scoring import build_graph, score_run, temporal_awareness
+from tlinkrec.relations import RelType, closure, INCONSISTENT
+from tlinkrec.scoring import score_run, temporal_awareness
 from tlinkrec.solver import Solution, solve, verify, violations
 from tlinkrec.synthetic import SyntheticClassifier, generate_corpus
-from tlinkrec.timeml import (ClassifierRun, Corpus, EntityKind, EntityRef, TLink,
+from tlinkrec.timeml import (ClassifierRun, Corpus, EntityKind, EntityRef, LinkTable, TLink,
                              canonical_votes, load_corpus, parse_timeml, write_timeml)
 
-from referees import (awareness_referee, brute_force_solve, full_milp_solve,
-                      is_consistent_labeling, path_consistency_closure)
+from referees import (awareness_referee, brute_force_solve, elementtree_write_timeml,
+                      full_milp_solve, is_consistent_labeling, path_consistency_closure)
+from tables import arcs_of, table_graph
 
 
 CLASSIFIERS = [
@@ -79,6 +80,27 @@ class TestSynthetic:
         generate_corpus(b, seed=4, n_docs=4, classifiers=CLASSIFIERS)
         assert tree_digest(a) != tree_digest(b)
 
+    # The files generate_corpus writes at content seed 7 in the benchmark's
+    # three shapes (see tests/test_answers.py), through write_timeml;
+    # tests/test_answers.py and the benchmark's corpus fingerprint rest on
+    # these bytes.  Recorded when write_timeml was ElementTree's writer.
+    PINNED = {
+        "dense": ((3, (20, 30), 0.4),
+                  "83049ee00261589b164cb5245eb56bb8ca5edec91a74362435e21b014af48c7f"),
+        "many-small": ((50, (4, 8), 0.6),
+                       "9cba509eff83cea8226d8fa75aef310eadd485e4499400e64cb5868130e8c8dc"),
+        "sparse": ((4, (60, 90), 0.08),
+                   "5c73763c89f6a36787f0ec12f574d1dd4cc3e8a3b0a0108c2f5b1e99faabecb9"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(PINNED))
+    def test_benchmark_shapes_pinned(self, tmp_path, shape):
+        (docs, events, density), digest = self.PINNED[shape]
+        generate_corpus(tmp_path, seed=7, n_docs=docs, n_events=events, arc_density=density,
+                        classifiers=[SyntheticClassifier(name, rate) for name, rate in
+                                     (("alpha", 0.1), ("beta", 0.25), ("gamma", 0.4))])
+        assert tree_digest(tmp_path) == digest
+
     def test_layout(self, corpus_root):
         assert sorted(p.name for p in (corpus_root / "runs").iterdir()) == \
             ["alpha", "beta", "gamma"]
@@ -86,8 +108,8 @@ class TestSynthetic:
         assert (corpus_root / "weights.txt").exists()
 
     def test_reference_is_consistent(self, corpus):
-        for doc, links in corpus.reference.documents.items():
-            assert closure(build_graph(links)) is not INCONSISTENT, doc
+        for doc, table in corpus.reference.documents.items():
+            assert closure(table_graph(table)) is not INCONSISTENT, doc
 
 
 class TestReconcile:
@@ -99,9 +121,9 @@ class TestReconcile:
         report = score_run(corpus.reference, result.run)
         assert report.f1 == pytest.approx(1.0)
         assert sorted(result.run.documents) == corpus.documents
-        for doc, links in corpus.reference.documents.items():
+        for doc, table in corpus.reference.documents.items():
             assert canonical_votes(result.run.documents[doc]) == \
-                canonical_votes(links), doc
+                canonical_votes(table), doc
 
     def test_noisy_ensemble_beats_worst_member(self, corpus):
         result = reconcile(corpus, ["alpha", "beta", "gamma"])
@@ -111,11 +133,8 @@ class TestReconcile:
 
     def test_output_is_triangle_consistent(self, corpus):
         result = reconcile(corpus, ["alpha", "beta", "gamma"])
-        for doc, links in result.run.documents.items():
-            g = EventGraph()
-            for link in links:
-                g.set_relation(link.source.id, link.target.id, link.rel)
-            assert is_consistent_labeling(g), doc
+        for doc, table in result.run.documents.items():
+            assert is_consistent_labeling(table_graph(table)), doc
 
     def test_strict_mode_is_exact_and_links_every_closed_path(self, corpus):
         # Strict mode forbids NONE on pr under two linked arcs, so every
@@ -129,7 +148,7 @@ class TestReconcile:
             assert verify(program, solution), doc
             assert solution.objective_value == pytest.approx(
                 full_milp_solve(program).objective_value, rel=0, abs=1e-9), doc
-            arcs = result.votes[doc].arcs
+            arcs = arcs_of(result.votes[doc])
             written = canonical_votes(result.run.documents[doc])
             for pq, qr, pr in program.triangles.tolist():
                 if arcs[pq] in written and arcs[qr] in written:
@@ -210,12 +229,13 @@ class TestReconcile:
         def doc(name, rel_13):
             e1, e2, e3 = (EntityRef(EntityKind.EVENT_INSTANCE, f"ei{i}", name)
                           for i in (1, 2, 3))
-            return [TLink(e1, e2, RelType.BEFORE), TLink(e2, e3, RelType.BEFORE),
-                    TLink(e1, e3, rel_13)]
+            return LinkTable.from_links([TLink(e1, e2, RelType.BEFORE),
+                                         TLink(e2, e3, RelType.BEFORE), TLink(e1, e3, rel_13)])
 
         run = ClassifierRun("m", 1.0, {"d0": doc("d0", RelType.BEFORE),
                                        "d1": doc("d1", RelType.AFTER)})
-        return Corpus({"m": run}, ClassifierRun("ref", 1.0, {"d0": [], "d1": []}))
+        empty = LinkTable.from_links([])
+        return Corpus({"m": run}, ClassifierRun("ref", 1.0, {"d0": empty, "d1": empty}))
 
     def test_own_row_error_names_the_document_and_its_row(self, monkeypatch):
         # milp returns the argmax point again.
@@ -287,7 +307,7 @@ class TestReconcile:
         for doc in docs:
             beta = set(canonical_votes(corpus.runs["beta"].documents[doc]))
             assert set(canonical_votes(result.run.documents[doc])) <= beta
-            only_alpha += len(set(result.votes[doc].arcs) - beta)
+            only_alpha += len(set(arcs_of(result.votes[doc])) - beta)
         assert only_alpha > 0
 
     def test_one_solve_with_the_pooled_time_limit(self, corpus, monkeypatch):
@@ -317,7 +337,8 @@ class TestReconcile:
         members = ["alpha", "beta", "gamma"]
         docs = corpus.documents[:3]
         empty = docs[1] + "_empty"
-        runs = {name: dataclasses.replace(run, documents={**run.documents, empty: []})
+        runs = {name: dataclasses.replace(run, documents={**run.documents,
+                                                          empty: LinkTable.from_links([])})
                 for name, run in corpus.runs.items()}
         with_empty = dataclasses.replace(corpus, runs=runs)
         calls = []
@@ -335,13 +356,14 @@ class TestReconcile:
         for (c, rows), (c_without, rows_without) in zip(with_calls, calls):
             assert np.array_equal(c, c_without)
             assert np.array_equal(rows, rows_without)
-        assert result.run.documents[empty] == []
-        assert result.votes[empty].arcs == [] and result.solutions[empty].assignment == {}
+        assert result.run.documents[empty] == LinkTable.from_links([])
+        assert result.votes[empty].arcs.shape == (0, 2)
+        assert result.solutions[empty].assignment == {}
         assert violations(build_ip(result.votes[empty]), result.solutions[empty]) == []
         for doc in docs:
             assert result.solutions[doc].assignment == without.solutions[doc].assignment
         write_reconciled(result, tmp_path)
-        assert parse_timeml((tmp_path / f"{empty}.tml").read_bytes(), empty).links == []
+        assert len(parse_timeml((tmp_path / f"{empty}.tml").read_bytes(), empty).table) == 0
 
     def test_no_documents_no_solve(self, corpus, monkeypatch):
         calls = []
@@ -355,10 +377,33 @@ class TestReconcile:
         write_reconciled(result, tmp_path / "out")
         files = list((tmp_path / "out").glob("*.tml"))
         assert len(files) == 1
-        from tlinkrec.timeml import parse_timeml
         parsed = parse_timeml(files[0].read_bytes(), files[0].stem)
-        assert canonical_votes(parsed.links) == \
+        assert canonical_votes(parsed.table) == \
             canonical_votes(result.run.documents[corpus.documents[0]])
+
+    def test_written_document_lists_every_entity_of_its_votes(self, tmp_path):
+        # ei3's only arc is voted by a weight-0 member, so it comes out NONE
+        # and no TLINK touches ei3; the document still declares it, as it
+        # declares every entity of its vote table's arcs.
+        e1, e2, e3 = (EntityRef(EntityKind.EVENT_INSTANCE, f"ei{i}", "d0") for i in (1, 2, 3))
+        dct = EntityRef(EntityKind.DCT, "t0", "d0")
+        runs = {"zero": ClassifierRun("zero", 0.0, {"d0": LinkTable.from_links(
+                    [TLink(e3, e1, RelType.AFTER), TLink(dct, e2, RelType.BEFORE)])}),
+                "half": ClassifierRun("half", 0.5, {"d0": LinkTable.from_links(
+                    [TLink(e2, e1, RelType.AFTER), TLink(e2, dct, RelType.AFTER)])})}
+        corpus = Corpus(runs, ClassifierRun("ref", 1.0, {"d0": LinkTable.from_links([])}))
+        result = reconcile(corpus, ["zero", "half"])
+        table = result.run.documents["d0"]
+        assert table.entities == result.votes["d0"].entities == (dct, e1, e2, e3)
+        assert table.links() == [TLink(dct, e2, RelType.BEFORE), TLink(e1, e2, RelType.BEFORE)]
+        write_reconciled(result, tmp_path / "out")
+        # The bytes that ElementTree wrote for the vote arcs' entities and the
+        # non-NONE labels in arc order.
+        elementtree_write_timeml([ent for arc in arcs_of(result.votes["d0"]) for ent in arc],
+                                 table.links(), tmp_path / "referee.tml")
+        data = (tmp_path / "out" / "d0.tml").read_bytes()
+        assert data == (tmp_path / "referee.tml").read_bytes()
+        assert b'<MAKEINSTANCE eiid="ei3" eventID="e3" />' in data
 
 
 class TestWeightsAndSplit:
@@ -398,33 +443,33 @@ class TestWeightsAndSplit:
 
 
 @pytest.fixture
-def scored_graphs(monkeypatch):
-    """Every graph scoring builds, in call order: per document, its
-    reference graph, then each system's graph."""
-    graphs = []
+def scored_tables(monkeypatch):
+    """Every document scoring scores, in call order: its reference table,
+    then each system's table."""
+    documents = []
+    real_awareness = scoring._awareness
 
-    def recording_build_graph(links):
-        graphs.append(build_graph(links))
-        return graphs[-1]
+    def recording_awareness(tables, **kwargs):
+        documents.extend(tables)
+        return real_awareness(tables, **kwargs)
 
-    monkeypatch.setattr(scoring, "build_graph", recording_build_graph)
-    return graphs
+    monkeypatch.setattr(scoring, "_awareness", recording_awareness)
+    return documents
 
 
 class TestReferenceClosures:
     SWEEP = enumerate_ensembles(EnsembleSpec(("alpha",)), {"alpha", "beta", "gamma"})
 
     def test_every_closure_of_an_experiment_matches_naive_closure(
-            self, corpus, corpus_root, scored_graphs):
+            self, corpus, corpus_root, scored_tables):
         rows = run_procedure_two(ExperimentConfig(corpus_root), self.SWEEP)
         s1, s2 = default_split(corpus.documents)
-        # Per document, one reference graph and then one graph per system:
+        # Per document, one reference table and then one table per system:
         # 3 members on the 3 S1 documents, then 4 ensembles on the 3 S2 ones.
-        assert len(scored_graphs) == 3 * (1 + 3) + 3 * (1 + 4)
-        groups = ([scored_graphs[4 * d:4 * d + 4] for d in range(3)]
-                  + [scored_graphs[12 + 5 * d:17 + 5 * d] for d in range(3)])
-        assert [group[0] for group in groups] == \
-            [build_graph(corpus.reference.documents[doc]) for doc in s1 + s2]
+        assert [len(tables) for tables in scored_tables] == [1 + 3] * 3 + [1 + 4] * 3
+        assert [tables[0] for tables in scored_tables] == \
+            [corpus.reference.documents[doc] for doc in s1 + s2]
+        groups = [[table_graph(table) for table in tables] for tables in scored_tables]
         for ref, *systems in groups:
             assert closure(ref) == path_consistency_closure(ref)
             for sys in systems:
@@ -728,12 +773,12 @@ class TestStackedExperiment:
         # stack is n/d0, n/d1, m/d0, m/d1, so its broken row is m/d1's t0_1_1.
         m = TestReconcile.second_document_breaks_its_triangle().runs["m"]
         n = ClassifierRun("n", 1.0, {"d0": m.documents["d0"], "d1": m.documents["d0"]})
-        for where, run in [("reference", ClassifierRun("ref", 1.0, {"d0": [], "d1": []})),
+        empty = LinkTable.from_links([])
+        for where, run in [("reference", ClassifierRun("ref", 1.0, {"d0": empty, "d1": empty})),
                            ("runs/m", m), ("runs/n", n)]:
             (tmp_path / where).mkdir(parents=True)
-            for doc, links in run.documents.items():
-                write_timeml([e for link in links for e in (link.source, link.target)], links,
-                             tmp_path / where / f"{doc}.tml")
+            for doc, table in run.documents.items():
+                write_timeml(table.entities, table.links(), tmp_path / where / f"{doc}.tml")
         (tmp_path / "weights.txt").write_text("m 1.0\nn 1.0\n")
         monkeypatch.setattr(solver, "ENUMERATION_BOUND", 0)  # every component to milp
         monkeypatch.setattr(solver, "milp", lambda c, **kwargs: OptimizeResult(

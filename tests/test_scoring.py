@@ -11,7 +11,6 @@ from tlinkrec import scoring
 from tlinkrec.relations import EventGraph, RelType, entailed_labels, relation_from_intervals
 from tlinkrec.scoring import (
     ScoreReport,
-    build_graph,
     f1_score,
     format_score_table,
     score_run,
@@ -19,9 +18,10 @@ from tlinkrec.scoring import (
     temporal_awareness,
     write_csv,
 )
-from tlinkrec.timeml import ClassifierRun, EntityKind, EntityRef, TLink
+from tlinkrec.timeml import ClassifierRun, EntityKind, EntityRef, LinkTable, TLink
 
 from referees import awareness_referee
+from tables import table_graph
 from test_relations import random_model, random_model_graph
 
 
@@ -45,19 +45,38 @@ class TestF1:
         assert f1_score(0.0, 0.0) == 0.0
 
 
-class TestBuildGraph:
-    def test_basic(self):
-        g = build_graph([TLink(ev(1), ev(2), RelType.BEFORE)])
-        assert g.get("ei1", "ei2") is RelType.BEFORE
+def side(run, doc):
+    """The graph of run's table for doc, or an empty graph if it has none."""
+    return table_graph(run.documents[doc]) if doc in run.documents else EventGraph()
 
-    def test_none_dropped(self):
-        g = build_graph([TLink(ev(1), ev(2), RelType.NONE)])
-        assert len(g) == 0
+
+class TestTableSides:
+    """A run's document is scored as its link table's rows, by entity id."""
+
+    @staticmethod
+    def counts(reference_links, system_links):
+        reference = run_of("ref", {"d": LinkTable.from_links(reference_links)})
+        system = run_of("sys", {"d": LinkTable.from_links(system_links)})
+        return score_run(reference, system).per_document["d"]
+
+    def test_basic(self):
+        counts = self.counts([TLink(ev(1), ev(2), RelType.BEFORE)],
+                             [TLink(ev(2), ev(1), RelType.AFTER)])
+        assert (counts.verified_sys, counts.total_sys) == (1, 1)
+        assert (counts.verified_ref, counts.total_ref) == (1, 1)
+
+    def test_none_row_counts_but_never_verifies(self):
+        # As an event graph's NONE edge does in temporal_awareness.
+        counts = self.counts([TLink(ev(1), ev(2), RelType.NONE)],
+                             [TLink(ev(1), ev(2), RelType.NONE)])
+        assert (counts.verified_sys, counts.total_sys) == (0, 1)
+        assert (counts.verified_ref, counts.total_ref) == (0, 1)
 
     def test_duplicate_last_wins(self):
-        g = build_graph([TLink(ev(1), ev(2), RelType.BEFORE),
-                         TLink(ev(2), ev(1), RelType.BEFORE)])
-        assert g.get("ei1", "ei2") is RelType.AFTER
+        counts = self.counts([TLink(ev(1), ev(2), RelType.BEFORE),
+                              TLink(ev(2), ev(1), RelType.BEFORE)],
+                             [TLink(ev(1), ev(2), RelType.AFTER)])
+        assert (counts.verified_sys, counts.total_sys) == (1, 1)
 
 
 class TestTemporalAwareness:
@@ -259,10 +278,11 @@ def run_of(name, docs):
 
 
 def links_of(g):
-    """g's labelled pairs as TLinks between event instances, NONE included."""
+    """g's labelled pairs as the table of TLinks between event instances,
+    NONE included."""
     def entity(name):
         return EntityRef(EntityKind.EVENT_INSTANCE, name)
-    return [TLink(entity(p), entity(q), rel) for p, q, rel in g.edges()]
+    return LinkTable.from_links(TLink(entity(p), entity(q), rel) for p, q, rel in g.edges())
 
 
 @st.composite
@@ -314,12 +334,11 @@ def test_stacked_counts_match_the_per_edge_referee(runs, collapse_identity):
     reference, systems = runs
     reports = score_runs(reference, systems, collapse_identity=collapse_identity)
     assert len(reports) == len(systems)
-    for doc, links in reference.documents.items():
-        ref = build_graph(links)
+    for doc in reference.documents:
+        ref = side(reference, doc)
         for system, report in zip(systems, reports):
             assert report.per_document[doc] == awareness_referee(
-                ref, build_graph(system.documents.get(doc, [])),
-                collapse_identity=collapse_identity)
+                ref, side(system, doc), collapse_identity=collapse_identity)
 
 
 class TestScoreRun:
@@ -341,7 +360,8 @@ class TestScoreRun:
                    TLink(ev(2, "d2"), ev(3, "d2"), RelType.AFTER),
                    TLink(ev(1, "d2"), ev(4, "d2"), RelType.BEFORE)],
         }
-        return run_of("ref", ref), run_of("sys", sys)
+        return (run_of("ref", {doc: LinkTable.from_links(links) for doc, links in ref.items()}),
+                run_of("sys", {doc: LinkTable.from_links(links) for doc, links in sys.items()}))
 
     def test_micro_average(self):
         ref, sys = self.two_doc_runs()
@@ -467,9 +487,8 @@ class TestStackedDocuments:
         for system, report in zip(systems, reports):
             assert list(report.per_document) == sorted(self.SIZES)
             expected = {doc: temporal_awareness(
-                build_graph(links), build_graph(system.documents.get(doc, [])),
-                collapse_identity=collapse_identity)
-                for doc, links in reference.documents.items()}
+                side(reference, doc), side(system, doc), collapse_identity=collapse_identity)
+                for doc in reference.documents}
             assert report == ScoreReport(expected, average)
         counts = [c for report in reports for c in report.per_document.values()]
         assert any(c.inconsistent_sys for c in counts)

@@ -2,6 +2,8 @@ import io
 import logging
 from itertools import combinations, permutations
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from tlinkrec.timeml import (
     CanonicalArc,
     EntityKind,
     EntityRef,
+    LinkTable,
     SkippedItem,
     TLink,
     canonical_votes,
@@ -23,6 +26,8 @@ from tlinkrec.timeml import (
     write_skipped_report,
     write_timeml,
 )
+
+from referees import elementtree_write_timeml
 
 SAMPLE = b"""<?xml version="1.0" ?>
 <TimeML>
@@ -48,17 +53,21 @@ def ev(i, doc="doc1"):
 
 class TestParse:
     def test_basic_tlink(self):
+        # ei1 BEFORE t0 is read canonically, from the DCT, which comes first
+        # in entity order; t1 and ei9 reach no link, so no entity of the
+        # table is theirs.
         parsed = parse_timeml(SAMPLE, "doc1")
-        link = parsed.links[0]
-        assert link.source == ev(1)
-        assert link.target == EntityRef(EntityKind.DCT, "t0", "doc1")
-        assert link.rel is RelType.BEFORE
+        dct = EntityRef(EntityKind.DCT, "t0", "doc1")
+        assert parsed.table.entities == (dct, ev(1), ev(2))
+        assert parsed.table.rows.tolist() == [[0, 1, RelType.AFTER], [1, 2, RelType.IS_INCLUDED]]
+        assert parsed.table.links() == [TLink(dct, ev(1), RelType.AFTER),
+                                         TLink(ev(1), ev(2), RelType.IS_INCLUDED)]
+        assert parsed.table.rows.dtype == np.int64
 
     def test_dct_tagged(self):
         # l2 names t1; with a known relType it parses, so t1 reaches a link.
         parsed = parse_timeml(SAMPLE.replace(b'"OVERLAP"', b'"BEFORE"'), "doc1")
-        kinds = {e.id: e.kind for link in parsed.links
-                 for e in (link.source, link.target)}
+        kinds = {e.id: e.kind for e in parsed.table.entities}
         assert kinds["t0"] is EntityKind.DCT
         assert kinds["t1"] is EntityKind.TIMEX
         assert kinds["ei1"] is EntityKind.EVENT_INSTANCE
@@ -81,7 +90,7 @@ class TestParse:
             b'<TLINK lid="l1" relType="BEFORE" eventInstanceID="ei1" '
             b'relatedToEventInstance="ei1"/>'
             b'<TLINK eventInstanceID="ei1" relatedToTime="t0"/></TimeML>', "d")
-        assert parsed.links == []
+        assert len(parsed.table) == 0
         assert parsed.skipped == [SkippedItem("d", "l1", "self-loop"),
                                   SkippedItem("d", "#2", "missing relType")]
 
@@ -96,7 +105,7 @@ class TestParse:
             b'relatedToEventInstance="ei9"/>'
             b'<TLINK lid="l4" relType="BEFORE" eventInstanceID="ei1" '
             b'relatedToEventInstance="ei1"/></TimeML>', "d")
-        assert parsed.links == []
+        assert len(parsed.table) == 0
         assert parsed.skipped == [SkippedItem("d", "l1", "missing relType"),
                                   SkippedItem("d", "#2", "unknown relType BOGUS"),
                                   SkippedItem("d", "#3", "unresolved endpoint id"),
@@ -112,8 +121,8 @@ class TestParse:
             b'<TLINK lid="l1" relType="BEFORE" eventInstanceID="ei1" relatedToTime="t0"/>'
             b'<TLINK lid="l2" relType="BEFORE" eventInstanceID="t0" relatedToTime="ei1"/>'
             b'</TimeML>', "d")
-        assert parsed.links == [TLink(ev(1, "d"), EntityRef(EntityKind.DCT, "t0", "d"),
-                                      RelType.BEFORE)]
+        assert parsed.table.links() == [TLink(EntityRef(EntityKind.DCT, "t0", "d"), ev(1, "d"),
+                                              RelType.AFTER)]
         assert parsed.skipped == [SkippedItem("d", "l2", "unresolved endpoint id")]
 
     def test_timex_without_tid_is_ignored(self):
@@ -124,7 +133,7 @@ class TestParse:
             b'<MAKEINSTANCE eiid="ei1" eventID="e1"/>'
             b'<TLINK lid="l1" relType="BEFORE" timeID="" '
             b'relatedToEventInstance="ei1"/></TimeML>', "d")
-        assert parsed.links == []
+        assert len(parsed.table) == 0
         assert parsed.skipped == [SkippedItem("d", "l1", "unresolved endpoint id")]
 
     def test_tlink_without_a_source_attribute_skipped(self):
@@ -132,17 +141,17 @@ class TestParse:
         parsed = parse_timeml(
             b'<TimeML><TIMEX3 tid="t0"/><MAKEINSTANCE eiid="ei1" eventID="e1"/>'
             b'<TLINK lid="l1" relType="BEFORE" relatedToTime="t0"/></TimeML>', "d")
-        assert parsed.links == []
+        assert len(parsed.table) == 0
         assert parsed.skipped == [SkippedItem("d", "l1", "unresolved endpoint id")]
 
     def test_conservation(self):
         parsed = parse_timeml(SAMPLE, "doc1")
         assert SAMPLE.count(b"<TLINK ") == 4
-        assert len(parsed.links) + len(parsed.skipped) == 4
+        assert len(parsed.table) + len(parsed.skipped) == 4
 
     def test_no_tlinks(self):
         parsed = parse_timeml(b"<TimeML><TIMEX3 tid='t0'/></TimeML>", "d")
-        assert parsed.links == [] and parsed.skipped == []
+        assert len(parsed.table) == 0 and parsed.skipped == []
 
     def test_malformed_xml(self):
         # The position is named once, before expat's reason.
@@ -171,8 +180,8 @@ class TestParse:
         ('<?xml version="1.0" encoding="ISO-8859-1"?>' + LATIN).encode("latin-1"),
     ], ids=["str", "utf-8", "utf-8-bom", "utf-16-bom", "latin-1-declared"])
     def test_bytes_decoded_by_declaration_or_bom(self, data):
-        (link,) = parse_timeml(data, "d").links
-        assert link.target == EntityRef(EntityKind.TIMEX, "t\xe9", "d")
+        (link,) = parse_timeml(data, "d").table.links()
+        assert link.source == EntityRef(EntityKind.TIMEX, "t\xe9", "d")
 
     def test_timex_and_event_sharing_an_id_rejected(self):
         # Scoring and the writer know an entity by its id alone.
@@ -184,7 +193,7 @@ class TestParse:
     def test_determinism(self):
         a = parse_timeml(SAMPLE, "doc1")
         b = parse_timeml(SAMPLE, "doc1")
-        assert a.links == b.links and a.skipped == b.skipped
+        assert a.table == b.table and a.skipped == b.skipped
 
     def test_skipped_report_format(self, tmp_path):
         parsed = parse_timeml(SAMPLE, "doc1")
@@ -226,9 +235,43 @@ class TestCanonicalize:
         links = [TLink(ev(1), ev(2), RelType.BEFORE),
                  TLink(ev(2), ev(1), RelType.BEFORE)]
         with caplog.at_level(logging.WARNING):
-            votes = canonical_votes(links)
+            votes = canonical_votes(LinkTable.from_links(links))
         assert votes == {CanonicalArc(ev(1), ev(2)): RelType.AFTER}
         assert caplog.text == ""  # load_run_dir warns, once per load
+
+
+class TestLinkTable:
+    def test_from_links_canonicalizes_and_keeps_the_last_label(self):
+        timex = EntityRef(EntityKind.TIMEX, "t1", "doc1")
+        table = LinkTable.from_links([TLink(ev(2), ev(1), RelType.BEFORE),
+                                      TLink(ev(1), timex, RelType.INCLUDES),
+                                      TLink(ev(1), ev(2), RelType.IBEFORE)])
+        assert table.entities == (timex, ev(1), ev(2))
+        assert table.rows.tolist() == [[0, 1, RelType.IS_INCLUDED], [1, 2, RelType.IBEFORE]]
+        assert len(table) == 2
+        assert table.links() == [TLink(timex, ev(1), RelType.IS_INCLUDED),
+                                 TLink(ev(1), ev(2), RelType.IBEFORE)]
+        assert LinkTable.from_links(table.links()) == table
+
+    def test_a_none_link_is_a_row(self):
+        # NONE relates nothing, but it is the label last given the arc.
+        table = LinkTable.from_links([TLink(ev(1), ev(2), RelType.BEFORE),
+                                      TLink(ev(2), ev(1), RelType.NONE)])
+        assert canonical_votes(table) == {CanonicalArc(ev(1), ev(2)): RelType.NONE}
+
+    def test_empty(self):
+        table = LinkTable.from_links([])
+        assert table.entities == () and table.rows.shape == (0, 3) and len(table) == 0
+        assert table.links() == [] and canonical_votes(table) == {}
+
+    def test_equality_compares_entities_and_rows(self):
+        links = [TLink(ev(1), ev(2), RelType.BEFORE)]
+        assert LinkTable.from_links(links) == LinkTable.from_links(links)
+        assert LinkTable.from_links(links) != LinkTable.from_links(
+            [TLink(ev(1), ev(2), RelType.AFTER)])
+        assert LinkTable.from_links(links) != LinkTable.from_links(
+            [TLink(ev(1), ev(3), RelType.BEFORE)])
+        assert LinkTable.from_links(links) != links
 
 
 class TestEntityOrder:
@@ -340,6 +383,59 @@ class TestLoadCorpus:
         assert [r.getMessage() for r in caplog.records] == [
             "c1/d1: duplicate prediction on ei1-ei2, keeping AFTER"]
 
+    # An A, B, A duplicate on ei1-ei2, the ei3-t1 arc given again from its
+    # other end with another label, and again on l10 with the same meaning
+    # (no warning), every skip reason, and a declared timex, t9, that no link
+    # touches.
+    CRAFTED = (
+        '<TimeML>'
+        '<TIMEX3 tid="t0" functionInDocument="CREATION_TIME"/><TIMEX3 tid="t1"/>'
+        '<TIMEX3 tid="t9"/>'
+        '<MAKEINSTANCE eiid="ei1" eventID="e1"/><MAKEINSTANCE eiid="ei2" eventID="e2"/>'
+        '<MAKEINSTANCE eiid="ei3" eventID="e3"/>'
+        '<TLINK lid="l1" relType="BEFORE" eventInstanceID="ei1" relatedToEventInstance="ei2"/>'
+        '<TLINK lid="l2" relType="AFTER" eventInstanceID="ei1" relatedToEventInstance="ei2"/>'
+        '<TLINK lid="l3" relType="BEFORE" eventInstanceID="ei1" relatedToEventInstance="ei2"/>'
+        '<TLINK lid="l4" relType="INCLUDES" eventInstanceID="ei3" relatedToTime="t1"/>'
+        '<TLINK lid="l5" relType="INCLUDES" timeID="t1" relatedToEventInstance="ei3"/>'
+        '<TLINK lid="l6" eventInstanceID="ei1" relatedToTime="t0"/>'
+        '<TLINK lid="l7" relType="OVERLAP" eventInstanceID="ei1" relatedToTime="t0"/>'
+        '<TLINK relType="BEFORE" eventInstanceID="ei7" relatedToTime="t0"/>'
+        '<TLINK lid="l9" relType="BEFORE" eventInstanceID="ei2" relatedToEventInstance="ei2"/>'
+        '<TLINK lid="l10" relType="AFTER" eventInstanceID="ei2" relatedToEventInstance="ei1"/>'
+        '<TLINK lid="l11" relType="before" eventInstanceID="ei1" relatedToTime="t0"/>'
+        '</TimeML>')
+
+    def test_crafted_document_warnings_skips_and_table(self, tmp_path, caplog):
+        # The lines that the TLink-list reader logged and wrote for the same
+        # corpus, recorded before the link table replaced it.
+        for where in ("reference", "runs/alpha"):
+            (tmp_path / where).mkdir(parents=True)
+            (tmp_path / where / "d1.tml").write_text(self.CRAFTED)
+        (tmp_path / "weights.txt").write_text("alpha 0.5\n")
+        with caplog.at_level(logging.WARNING):
+            corpus = load_corpus(tmp_path)
+        skips = ["l6: missing relType", "l7: unknown relType OVERLAP",
+                 "#8: unresolved endpoint id", "l9: self-loop"]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{run}/d1: duplicate prediction on {arc}, keeping {rel}"
+            for run in ("reference", "alpha")
+            for arc, rel in [("ei1-ei2", "AFTER"), ("ei1-ei2", "BEFORE"), ("t1-ei3", "INCLUDES")]
+        ] + [f"{run}/d1: skipped TLINK {skip}" for run in ("reference", "alpha")
+             for skip in skips]
+        report = io.StringIO()
+        write_skipped_report(corpus.skipped, report)
+        assert report.getvalue().splitlines() == [
+            f"{run}/d1 {skip.replace(':', '', 1)}" for run in ("reference", "alpha")
+            for skip in skips]
+        d = "d1"
+        dct, t1 = EntityRef(EntityKind.DCT, "t0", d), EntityRef(EntityKind.TIMEX, "t1", d)
+        for run in (corpus.reference, corpus.runs["alpha"]):
+            assert run.documents[d].links() == [
+                TLink(dct, ev(1, d), RelType.AFTER),
+                TLink(t1, EntityRef(EntityKind.EVENT_INSTANCE, "ei3", d), RelType.INCLUDES),
+                TLink(ev(1, d), ev(2, d), RelType.BEFORE)]
+
     def test_missing_weight_is_fatal(self, tmp_path):
         docs = {"d1": doc_payload("d1")}
         make_corpus(tmp_path, {"c1": docs}, docs, ["other 0.5"])
@@ -384,9 +480,10 @@ class TestLoadCorpus:
         links.append(TLink(ev(2, "d1"), dct, RelType.AFTER))
         write_timeml(entities, links, tmp_path / "d1.tml")
         parsed = parse_timeml((tmp_path / "d1.tml").read_bytes(), "d1")
-        assert parsed.links == [TLink(ev(1, "d1"), ev(2, "d1"), RelType.BEFORE),
-                                TLink(ev(2, "d1"), dct, RelType.AFTER)]
-        assert parsed.links[1].target.kind is EntityKind.DCT
+        assert parsed.table == LinkTable.from_links(links)
+        assert parsed.table.links() == [TLink(dct, ev(2, "d1"), RelType.BEFORE),
+                                        TLink(ev(1, "d1"), ev(2, "d1"), RelType.BEFORE)]
+        assert parsed.table.entities[0].kind is EntityKind.DCT
 
 
 class TestWrite:
@@ -422,4 +519,33 @@ class TestWrite:
         write_timeml([ev2, timex, ev1, dct], links, tmp_path / "d.tml")
         data = (tmp_path / "d.tml").read_bytes()
         assert data == self.GOLDEN
-        assert parse_timeml(data, "d").links == links
+        assert parse_timeml(data, "d").table == LinkTable.from_links(links)
+
+    IDS = ['t&<>"\'', "t\n\r\t", "t\u00e9\u4e2d", "t]]>", "ei&1", "ei\u00fc]]>\n", "x'\"<"]
+
+    @pytest.mark.parametrize("case", ["escapes", "kinds", "empty"])
+    def test_bytes_equal_elementtree(self, tmp_path, case):
+        # ids that need escaping or none, non-ASCII, "]]>"; a DCT, timexes
+        # and events, each way round; and an empty document.
+        dct = EntityRef(EntityKind.DCT, self.IDS[0], "d")
+        timexes = [EntityRef(EntityKind.TIMEX, ident, "d") for ident in self.IDS[1:4]]
+        events = [EntityRef(EntityKind.EVENT_INSTANCE, ident, "d") for ident in self.IDS[4:]]
+        entities = [dct, *timexes, *events]
+        if case == "escapes":
+            links = [TLink(a, b, rel) for (a, b), rel in zip(
+                permutations(entities, 2), [r for r in RelType if r is not RelType.NONE] * 3)]
+        elif case == "kinds":
+            entities = [EntityRef(EntityKind.DCT, "t0", "d"), ev(1, "d"), ev(12, "d"),
+                        EntityRef(EntityKind.TIMEX, "t1", "d"), ev(2, "d")]
+            links = [TLink(entities[i], entities[j], RelType.BEFORE)
+                     for i, j in [(1, 0), (0, 2), (3, 4), (4, 3), (2, 1)]]
+        else:
+            entities, links = [], []
+        write_timeml(entities + entities[:2], links, tmp_path / "new.tml")
+        elementtree_write_timeml(entities + entities[:2], links, tmp_path / "referee.tml")
+        data = (tmp_path / "new.tml").read_bytes()
+        assert data == (tmp_path / "referee.tml").read_bytes()
+        if case == "empty":
+            assert data == b"<?xml version='1.0' encoding='utf-8'?>\n<TimeML />"
+        else:
+            assert parse_timeml(data, "d").table == LinkTable.from_links(links)
