@@ -26,6 +26,7 @@ from .pipeline import (
     check_members,
     format_experiment_table,
     reconcile,
+    reconciled_documents,
     run_procedure_one,
     run_procedure_two,
     write_reconciled,
@@ -167,8 +168,8 @@ def reconcile_cmd(corpus_root, members, weights_path, out_dir, strict, time_limi
     names = _members(members)
     check_members(corpus, names)
     out = Path(out_dir)
-    _refuse_stale(out, ["timeml/*.tml"], {f"timeml/{doc}.tml" for name in names
-                                          for doc in corpus.runs[name].documents})
+    _refuse_stale(out, ["timeml/*.tml"],
+                  {f"timeml/{doc}.tml" for doc in reconciled_documents(corpus, names)})
     result = reconcile(corpus, names, time_limit=time_limit,
                        none_breaks_triangles=strict)
     write_reconciled(result, out / "timeml")

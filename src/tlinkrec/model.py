@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DataError
 from .relations import TRIANGLE, RelType
-from .timeml import CanonicalArc, ClassifierRun, EntityKind, EntityRef
+from .timeml import CanonicalArc, ClassifierRun, EntityKind, EntityRef, merged_rows
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -80,36 +80,31 @@ def collect_arcs(runs: Iterable[ClassifierRun], document: str) -> VoteTable:
     """Union of the runs' arcs with F1-sum weights per label.
 
     The members' tables are merged in one pass: the union of their entities
-    is numbered in entity order, every row's ends are renumbered into it,
-    the arcs are the distinct lo * n + hi keys, and np.add.at adds each
-    row's run weight to its arc's label, member by member in order.
+    is numbered in entity order, merged_rows renumbers every row's ends
+    into it, the arcs are the distinct lo * n + hi keys, and np.add.at adds
+    each row's run weight to its arc's label, member by member in order.
     Entities are written and scored by id alone, so an id that two runs
     give different kinds raises DataError.
     """
-    members = [(run.f1_weight, run.documents[document]) for run in runs
-               if document in run.documents]
-    entities = tuple(sorted(set().union(*(table.entities for _, table in members))))
-    sizes = [len(table) for _, table in members]
+    members = [run for run in runs if document in run.documents]
+    tables = [run.documents[document] for run in members]
+    entities = tuple(sorted(set().union(*(table.entities for table in tables))))
+    sizes = [len(table) for table in tables]
     if not sum(sizes):
         return VoteTable(document, np.zeros((0, 2), dtype=np.int64), np.zeros((0, N_LABELS)),
                          entities)
     n = len(entities)
     number = {ent: i for i, ent in enumerate(entities)}
-    ends = np.fromiter(chain.from_iterable(map(number.__getitem__, table.entities)
-                                           for _, table in members), np.int64)
-    # Each row's first entry in ends: its member's entities start there.
-    counts = [len(table.entities) for _, table in members]
-    first = np.repeat(np.cumsum(counts) - counts, sizes)
-    rows = np.concatenate([table.rows for _, table in members])
-    keys, arc = np.unique(ends[first + rows[:, 0]] * n + ends[first + rows[:, 1]],
-                          return_inverse=True)
+    rows = merged_rows(tables, np.fromiter(chain.from_iterable(
+        map(number.__getitem__, table.entities) for table in tables), np.int64))
+    keys, arc = np.unique(rows[:, 0] * n + rows[:, 1], return_inverse=True)
     arcs = np.column_stack(np.divmod(keys, n))
     if len({ent.id for ent in entities}) < n:
         _check_kinds(document, (CanonicalArc(entities[lo], entities[hi])
                                 for lo, hi in arcs.tolist()))
     alpha = np.zeros((len(keys), N_LABELS))
     np.add.at(alpha.reshape(-1), arc.reshape(-1) * N_LABELS + rows[:, 2] - 1,
-              np.repeat([weight for weight, _ in members], sizes))
+              np.repeat([run.f1_weight for run in members], sizes))
     return VoteTable(document, arcs, alpha, entities)
 
 

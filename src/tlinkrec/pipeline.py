@@ -9,7 +9,9 @@ An experiment reconciles all its ensembles in one reconcile_ensembles call,
 so one solve covers every (ensemble, document) program, and it scores its
 members, then its ensembles, each in one score_runs call.
 
-A reconciled document is a link table like any run's: the vote table's
+A reconcile writes every document of any member's run, within its document
+filter (reconciled_documents, which the CLI also asks before it writes).  A
+reconciled document is a link table like any run's: the vote table's
 entities, and one row for each arc whose solved label is not NONE, in arc
 order.  write_reconciled writes it as TimeML, so it scores like any run.
 """
@@ -85,6 +87,14 @@ class ReconcileResult:
     solutions: Dict[str, Solution] = field(default_factory=dict)
 
 
+def reconciled_documents(corpus: Corpus, members: Sequence[str],
+                         doc_filter: Optional[Set[str]] = None) -> List[str]:
+    """The documents that reconciling members writes, sorted: each document
+    of any member's run, and only those in doc_filter when it is given."""
+    docs = sorted({doc for name in members for doc in corpus.runs[name].documents})
+    return docs if doc_filter is None else [doc for doc in docs if doc in doc_filter]
+
+
 class _Part(NamedTuple):
     """One ensemble's program for one document, in a shared solve.  The
     ensemble is its position, so two ensembles of the same members stay two
@@ -127,12 +137,9 @@ def reconcile_ensembles(corpus: Corpus, ensembles: Sequence[Sequence[str]],
                     raise ConfigurationError(f"no weight for ensemble member {name!r}")
                 run = replace(run, f1_weight=weights[name])
             member_runs.append(run)
-        docs = sorted({d for run in member_runs for d in run.documents})
-        if doc_filter is not None:
-            docs = [d for d in docs if d in doc_filter]
         result = ReconcileResult(ClassifierRun("+".join(members), 1.0))
         prefix = f"{result.run.name}/" if name_ensembles else ""
-        for doc in docs:
+        for doc in reconciled_documents(corpus, members, doc_filter):
             tables[_Part(len(results), doc, prefix + doc)] = collect_arcs(member_runs, doc)
         results.append(result)
 
@@ -147,8 +154,7 @@ def reconcile_ensembles(corpus: Corpus, ensembles: Sequence[Sequence[str]],
                         "writing the best incumbent (objective %.6f)",
                         part, solution.objective_value)
         votes = tables[part]
-        labels = np.fromiter(map(solution.assignment.__getitem__, range(len(votes.arcs))),
-                             dtype=np.int64, count=len(votes.arcs))
+        labels = solution.ordinals(len(votes.arcs))
         labelled = labels != RelType.NONE
         result = results[part.ensemble]
         result.run.documents[part.doc] = LinkTable(votes.entities, np.column_stack(

@@ -17,17 +17,18 @@ At import it builds TRIANGLE[a, b, c], the label triples that three
 intervals p, q, r can realise on pq, qr and pr: a graph of three entities is
 realisable iff no endpoint strictly precedes itself (Allen 1983; Vilain &
 Kautz 1986).  compose, dump_table and the program's label table read
-TRIANGLE, so no entry is hand-typed.  entailed_labels() runs the kernel on a
-stack of event graphs, as pair_stack() numbers them, and decides consistency
-and entailment exactly; closure() is its one-graph form.  TimeML has no
-label for two overlapping intervals, so a pair that may overlap is entailed
-no label, and an unlabelled pair is never assumed not to overlap.
+TRIANGLE, so no entry is hand-typed.  linked_stack() is the one place that
+pads graphs' (i, j, ordinal) rows into the kernel's stack: scoring fills it
+from link tables, and closure() from one event graph.  entailed_labels()
+runs the kernel on such a stack and decides consistency and entailment
+exactly; closure() is its one-graph form.  TimeML has no label for two
+overlapping intervals, so a pair that may overlap is entailed no label, and
+an unlabelled pair is never assumed not to overlap.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -343,22 +344,15 @@ class EventGraph:
         )
 
 
-def pair_stack(graphs: Sequence[EventGraph], indexes: Sequence[Dict[str, int]]) -> np.ndarray:
-    """The (k, m, 3) rows (i, j, ordinal) of k graphs' edges, each graph's
-    nodes numbered by its index in indexes, for _endpoint_order; m is the
-    most edges of any graph, and the rows a graph lacks are (0, 0, NONE),
-    which relates nothing."""
-    sizes = [len(g) for g in graphs]
-    linked = np.zeros((len(graphs), max(sizes, default=0), 3), dtype=np.int64)
+def linked_stack(rows: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """_endpoint_order's (k, m, 3) stack of k graphs.  rows holds every
+    graph's (i, j, ordinal) rows, one graph after another, and sizes each
+    graph's row count; m is the most rows of any graph, and the rows a graph
+    lacks are (0, 0, NONE), which relates nothing."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    linked = np.zeros((len(sizes), sizes.max(initial=0), 3), dtype=np.int64)
     linked[..., 2] = RelType.NONE
-    # Every graph's edges in one pass each for endpoints and labels, filling
-    # graph k's first sizes[k] rows.
-    filled = np.arange(linked.shape[1]) < np.array(sizes, dtype=np.int64)[:, None]
-    ends = chain.from_iterable(map(index.__getitem__, chain.from_iterable(g._edges))
-                               for g, index in zip(graphs, indexes))
-    linked[filled, :2] = np.fromiter(ends, np.int64, 2 * sum(sizes)).reshape(-1, 2)
-    linked[filled, 2] = np.fromiter(chain.from_iterable(g._edges.values() for g in graphs),
-                                    np.int64, sum(sizes))
+    linked[np.arange(linked.shape[1]) < sizes[:, None]] = rows
     return linked
 
 
@@ -398,7 +392,9 @@ def closure(g: EventGraph) -> EventGraph | _Inconsistent:
     """The labels g entails (see entailed_labels), or INCONSISTENT."""
     nodes = sorted(g.nodes)
     index = {node: i for i, node in enumerate(nodes)}
-    (labels,), (inconsistent,) = entailed_labels(len(nodes), pair_stack([g], [index]))
+    rows = np.array([(index[p], index[q], rel) for (p, q), rel in g._edges.items()],
+                    dtype=np.int64).reshape(-1, 3)
+    (labels,), (inconsistent,) = entailed_labels(len(nodes), linked_stack(rows, [len(rows)]))
     if inconsistent:
         return INCONSISTENT
     out = EventGraph(g.nodes)

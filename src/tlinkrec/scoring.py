@@ -11,13 +11,14 @@ closure: it entails only its own stored labels, and it is flagged.
 score_runs scores any number of system runs against one reference run.  A
 side is a document's link table, scored by entity id: each row is one
 relation, and a NONE row counts but never verifies.  Per document the union
-of its tables' entity ids is numbered once, and every table's rows are
-renumbered into the kernel's stack from it.  Documents of similar node
-counts are stacked together, so a call's documents are closed in a few
-kernel calls, one or more per bucket of sizes; each system's relations are
-counted by array lookups into its reference's labels, and the reference's
-into each system's.  score_run is its one-system case, and
-temporal_awareness scores two event graphs through it.
+of its tables' entity ids is numbered once; timeml.merged_rows renumbers
+every table's rows from it, and relations.linked_stack pads them into the
+kernel's stack.  Documents of similar node counts are stacked together, so
+a call's documents are closed in a few kernel calls, one or more per bucket
+of sizes; each system's relations are counted by array lookups into its
+reference's labels, and the reference's into each system's.  score_run is
+its one-system case, and temporal_awareness scores two event graphs
+through it.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, TextIO, Tuple
 
 import numpy as np
 
-from .relations import EventGraph, RelType, collapse, entailed_labels, invert
-from .timeml import ClassifierRun, EntityKind, EntityRef, LinkTable, TLink
+from .relations import EventGraph, RelType, collapse, entailed_labels, invert, linked_stack
+from .timeml import ClassifierRun, EntityKind, EntityRef, LinkTable, TLink, merged_rows
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -114,36 +115,19 @@ def _awareness(documents: Sequence[Sequence[LinkTable]], *,
     return counts
 
 
-def _linked(documents: Sequence[Sequence[LinkTable]],
-            indexes: Sequence[Dict[str, int]]) -> np.ndarray:
-    """The (k, m, 3) rows (i, j, ordinal) of the documents' k tables, in
-    order, for entailed_labels, each document's entities numbered by its
-    index; m is the most rows of any table, and the rows a table lacks are
-    (0, 0, NONE), which relates nothing."""
+def _stack_awareness(documents: Sequence[Sequence[LinkTable]],
+                     indexes: Sequence[Dict[str, int]], *,
+                     collapse_identity: bool) -> List[List[AwarenessCounts]]:
+    """_awareness in one entailed_labels call; indexes holds each document's
+    node number of each entity id.  The stack is every document's tables,
+    in order, their rows renumbered by their document's index."""
+    per_doc = len(documents[0])
     tables = [table for doc_tables in documents for table in doc_tables]
     numbers = np.fromiter(chain.from_iterable(
         map(index.__getitem__, (ent.id for ent in table.entities))
         for doc_tables, index in zip(documents, indexes) for table in doc_tables),
         dtype=np.int64)
-    sizes = np.array([len(table) for table in tables], dtype=np.int64)
-    counts = np.array([len(table.entities) for table in tables], dtype=np.int64)
-    # Each row's table's first entry in numbers.
-    first = np.repeat(np.cumsum(counts) - counts, sizes)
-    rows = np.concatenate([table.rows for table in tables])
-    linked = np.zeros((len(tables), sizes.max(), 3), dtype=np.int64)
-    linked[..., 2] = RelType.NONE
-    linked[np.arange(linked.shape[1]) < sizes[:, None]] = np.column_stack(
-        (numbers[first + rows[:, 0]], numbers[first + rows[:, 1]], rows[:, 2]))
-    return linked
-
-
-def _stack_awareness(documents: Sequence[Sequence[LinkTable]],
-                     indexes: Sequence[Dict[str, int]], *,
-                     collapse_identity: bool) -> List[List[AwarenessCounts]]:
-    """_awareness in one entailed_labels call; indexes holds each document's
-    node number of each entity id."""
-    per_doc = len(documents[0])
-    linked = _linked(documents, indexes)
+    linked = linked_stack(merged_rows(tables, numbers), [len(table) for table in tables])
     entailed, inconsistent = entailed_labels(max(map(len, indexes)), linked)
     i, j, rel = linked.transpose(2, 0, 1)
     graph = np.arange(len(linked))[:, None]

@@ -107,6 +107,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -195,6 +196,12 @@ class Solution:
     objective_value: float
     proven_optimal: bool
     stats: SolverStats = field(default_factory=SolverStats)
+
+    def ordinals(self, arcs: int) -> np.ndarray:
+        """The (arcs,) ordinals of the labels of arcs 0..arcs-1, 0 for an
+        arc that assignment leaves out; other keys are not read."""
+        # RelType is an IntEnum, so each label converts to its ordinal in C.
+        return np.fromiter(map(self.assignment.get, range(arcs), repeat(0)), np.int64, arcs)
 
 
 def _solution(program: BinaryProgram, labels: np.ndarray, proven: bool,
@@ -479,27 +486,35 @@ def solve_documents(programs: Mapping[Hashable, BinaryProgram],
         k, a, b = err.key
         i = int(np.searchsorted(triangles, k, side="right")) - 1
         raise type(err)((k - triangles[i], a, b), f"{keys[i]}: ") from err
-    # RelType is an IntEnum, so each label converts to its ordinal in C.
-    labels = np.fromiter(map(whole.assignment.__getitem__, range(arcs[-1])), dtype=np.int64,
-                         count=arcs[-1]) - 1
+    labels = whole.ordinals(arcs[-1]) - 1
     return {key: _solution(p, labels[lo:hi], whole.proven_optimal, whole.stats)
             for key, p, lo, hi in zip(keys, parts, arcs, arcs[1:])}
 
 
 def violations(program: BinaryProgram, solution: Solution) -> List[str]:
-    """Violated rows and objective mismatches; triangles are checked only
-    when every arc carries a label."""
-    labels, x = np.full(program.num_vars // N_LABELS, -1), np.zeros(program.num_vars)
-    for arc, rel in solution.assignment.items():
-        labels[arc] = rel.value - 1
-        x[arc * N_LABELS + rel.value - 1] = 1.0
-    problems = [f"partition row p{i} sums to 0, expected 1"
-                for i in np.flatnonzero(labels < 0)]
+    """Violated rows and objective mismatches.
+
+    An assignment that is not a map from arcs 0..|A|-1 to labels is not
+    read further: each key that is not an arc, and each value that is not a
+    label, is a problem.  Triangles are checked only when every arc carries
+    a label, and the objective is recomputed from the arcs that carry one.
+    """
+    arcs, assignment = program.num_vars // N_LABELS, solution.assignment
+    problems = [f"key {key!r} is not an arc 0..{arcs - 1}"
+                for key in sorted(assignment.keys() - range(arcs), key=repr)]
+    if set(map(type, assignment.values())) - {RelType}:
+        problems += [f"arc {arc!r} holds {rel!r}, which is not a label"
+                     for arc, rel in assignment.items() if type(rel) is not RelType]
+    if problems:
+        return problems
+    labels = solution.ordinals(arcs) - 1
+    problems = [f"partition row p{i} sums to 0, expected 1" for i in np.flatnonzero(labels < 0)]
     if not problems:
         problems = [f"triangle row {row_name(*key)} violated: lhs 2 > 1"
                     for key in program.broken_rows(labels)]
-    recomputed = float(program.objective @ x)
-    if abs(recomputed - solution.objective_value) > OBJ_TOL:
+    chosen = (np.arange(arcs) * N_LABELS + labels)[labels >= 0]
+    recomputed = float(program.objective[chosen].sum())
+    if not abs(recomputed - solution.objective_value) <= OBJ_TOL:  # a NaN too
         problems.append(
             f"objective mismatch: stored {solution.objective_value!r}, "
             f"recomputed {recomputed!r}"

@@ -14,8 +14,10 @@ written: the sorted tuple of the entities its links touch, in entity order,
 and an (m, 3) int64 array of (lo, hi, ordinal) rows, one per arc, in arc
 order.  parse_timeml canonicalizes each TLINK as it reads it, and the last
 label given an arc wins; LinkTable.from_links does the same for TLinks.
-write_timeml formats a document with plain strings, byte for byte as
-ElementTree writes it indented.
+merged_rows is the one place that puts several tables' rows into one entity
+numbering: a vote table's union of its members' entities, or a scored
+document's entity ids.  write_timeml formats a document with plain strings,
+byte for byte as ElementTree writes it indented.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, NamedTuple, TextIO, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, TextIO, Tuple, Union
 from xml.parsers import expat
 
 import numpy as np
@@ -128,6 +130,23 @@ class LinkTable:
 
     def __repr__(self) -> str:
         return f"LinkTable({self.entities!r}, {self.rows.tolist()!r})"
+
+
+def merged_rows(tables: Sequence[LinkTable], numbers: np.ndarray) -> np.ndarray:
+    """Every table's rows, one table after another, each end renumbered.
+
+    numbers holds each table's entities' new numbers, one table after
+    another, so a row's end e becomes numbers[c + e], where c counts the
+    entities of the tables before its own.  The rows are a new array:
+    tables are shared between ensembles and runs, so none is written.
+    """
+    sizes = [len(table) for table in tables]
+    counts = [len(table.entities) for table in tables]
+    # Each row's table's first entry in numbers.
+    first = np.repeat(np.cumsum(counts) - counts, sizes)
+    rows = np.concatenate([table.rows for table in tables])
+    rows[:, :2] = numbers[first[:, None] + rows[:, :2]]
+    return rows
 
 
 @dataclass(frozen=True)

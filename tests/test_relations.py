@@ -19,7 +19,7 @@ from tlinkrec.relations import (
     dump_table,
     entailed_labels,
     invert,
-    pair_stack,
+    linked_stack,
     relation_from_intervals,
 )
 from tlinkrec.relations import _GRID_LABEL, _LABEL_CELLS, _endpoint_order
@@ -305,10 +305,21 @@ def test_path_consistency_referee_matches_model_enumerator():
     assert 10 < inconsistent < 140
 
 
+def graph_rows(g, index):
+    """g's (i, j, ordinal) rows, its nodes numbered by index."""
+    return [(index[p], index[q], rel) for p, q, rel in g.edges()]
+
+
+def stack_of(rows):
+    """linked_stack of graphs given as lists of rows."""
+    return linked_stack(np.reshape([row for graph in rows for row in graph], (-1, 3)),
+                        [len(graph) for graph in rows])
+
+
 def stacked(graphs, nodes):
     """entailed_labels of the graphs, stacked, over the sorted nodes."""
     index = {node: i for i, node in enumerate(nodes)}
-    return entailed_labels(len(nodes), pair_stack(graphs, [index] * len(graphs)))
+    return entailed_labels(len(nodes), stack_of([graph_rows(g, index) for g in graphs]))
 
 
 def before_cycle(n=3):
@@ -345,7 +356,7 @@ class TestStackedDecode:
             (plain,), _ = stacked([g], nodes)
             wider = sorted(nodes + ["a", "n2x", "z"])
             index = {node: i for i, node in enumerate(wider)}
-            padded = np.concatenate([pair_stack([g], [index]),
+            padded = np.concatenate([stack_of([graph_rows(g, index)]),
                                      np.tile([0, 0, RelType.NONE], (1, 4, 1))], axis=1)
             (labels,), (flag,) = entailed_labels(len(wider), padded)
             at = [index[node] for node in nodes]
@@ -355,6 +366,27 @@ class TestStackedDecode:
             off_diagonal = ~np.eye(len(wider), dtype=bool)
             assert not (labels[extra] * off_diagonal[extra]).any()
             assert not (labels[:, extra] * off_diagonal[:, extra]).any()
+
+    def test_linked_stack_closes_graphs_of_zero_one_and_several_rows_as_alone(self):
+        one = EventGraph()
+        one.set_relation("n1", "n3", RelType.IBEFORE)
+        several = chain_graph(RelType.BEFORE, RelType.INCLUDES, RelType.ENDS)
+        graphs = [EventGraph(), one, several, before_cycle(), EventGraph(["n2"])]
+        nodes = ["n0", "n1", "n2", "n3"]
+        index = {node: i for i, node in enumerate(nodes)}
+        rows = [graph_rows(g, index) for g in graphs]
+        linked = stack_of(rows)
+        assert linked.shape == (5, 3, 3)
+        for graph, size in zip(linked, map(len, rows)):
+            assert (graph[size:] == [0, 0, RelType.NONE]).all()
+        labels, inconsistent = entailed_labels(len(nodes), linked)
+        assert inconsistent.tolist() == [False, False, False, True, False]
+        for g, graph, own, flag in zip(graphs, rows, labels, inconsistent):
+            alone = np.array(graph, dtype=np.int64).reshape(1, -1, 3)
+            (alone_labels,), (alone_flag,) = entailed_labels(len(nodes), alone)
+            assert np.array_equal(own, alone_labels) and flag == alone_flag
+        assert stack_of([]).shape == (0, 0, 3)
+        assert stack_of([[], []]).shape == (2, 0, 3)
 
     def test_inconsistent_graph_decodes_to_zeros_beside_its_neighbours(self):
         # A strict cycle gives codes off the label grid; they must not reach it.
@@ -422,7 +454,7 @@ STRICT_LABELS = [r for r in RelType if r not in (RelType.SIMULTANEOUS, RelType.I
 @st.composite
 def linked_stacks(draw):
     """(n, linked): a stack of 0-5 graphs over n = 0-7 entities, as
-    pair_stack builds it, with 0-2 padding rows (0, 0, NONE) past the most
+    linked_stack builds it, with 0-2 padding rows (0, 0, NONE) past the most
     rows of any graph.  A graph is random labelled pairs, possibly
     INCONSISTENT, after one of: nothing; a pure '=' cycle, a chain of
     SIMULTANEOUS or IDENTITY closed back to its start; or such a chain with
@@ -446,12 +478,8 @@ def linked_stacks(draw):
             rows += [(p, q, rel) for (p, q), rel in draw(st.lists(
                 st.tuples(pair, st.sampled_from(list(RelType))), max_size=8))]
         graphs.append(draw(st.permutations(rows)))
-    linked = np.zeros((len(graphs), max(map(len, graphs), default=0)
-                       + draw(st.integers(0, 2)), 3), dtype=np.int64)
-    linked[..., 2] = RelType.NONE
-    for g, rows in enumerate(graphs):
-        linked[g, :len(rows)] = np.reshape(rows, (-1, 3))
-    return n, linked
+    padding = np.tile([0, 0, RelType.NONE], (len(graphs), draw(st.integers(0, 2)), 1))
+    return n, np.concatenate([stack_of(graphs), padding], axis=1)
 
 
 @settings(max_examples=400, deadline=None)

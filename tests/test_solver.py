@@ -498,6 +498,46 @@ class TestVerify:
         bad = Solution(sol.assignment, sol.objective_value + 0.5, True)
         assert any("objective mismatch" in v for v in violations(program, bad))
 
+    def test_nan_objective_is_a_mismatch(self):
+        program = self.base()
+        bad = Solution(solve(program).assignment, float("nan"), True)
+        assert not verify(program, bad)
+        assert violations(program, bad)[0].startswith("objective mismatch")
+
+
+class TestVerifyAssignmentShape:
+    """An assignment must map arcs 0..|A|-1 to labels; anything else is
+    refused, and never read as another arc's label."""
+
+    def triangle(self):
+        """The arcs pq, qr and pr, given in that order, each voted BEFORE."""
+        return build_ip(votes_of([arc(1, 2), arc(2, 3), arc(1, 3)],
+                                 {i: {RelType.BEFORE: 1.0} for i in range(3)}))
+
+    def test_negative_key_does_not_wrap_onto_the_last_arc(self):
+        # Read as an index, -1 is arc 2, where BEFORE mends the triangle and
+        # weighs 1 more: the objective 3 matched that reading.
+        program = self.triangle()
+        bad = Solution({0: RelType.BEFORE, 1: RelType.BEFORE, 2: RelType.AFTER,
+                        -1: RelType.BEFORE}, 3.0, True)
+        assert not verify(program, bad)
+        assert violations(program, bad) == ["key -1 is not an arc 0..2"]
+
+    @pytest.mark.parametrize("key", [3, 10 ** 6, "0", 1.5, None])
+    def test_key_past_the_arcs_or_not_an_int_is_a_problem(self, key):
+        program = self.triangle()
+        assignment = {i: RelType.BEFORE for i in range(3)}
+        assignment[key] = RelType.BEFORE
+        assert violations(program, Solution(assignment, 3.0, True)) == [
+            f"key {key!r} is not an arc 0..2"]
+
+    @pytest.mark.parametrize("value", ["BEFORE", 1, None, 1.0])
+    def test_value_that_is_not_a_label_is_a_problem(self, value):
+        program = self.triangle()
+        assignment = {0: RelType.BEFORE, 1: value, 2: RelType.BEFORE, 7: RelType.AFTER}
+        assert violations(program, Solution(assignment, 3.0, True)) == [
+            "key 7 is not an arc 0..2", f"arc 1 holds {value!r}, which is not a label"]
+
 
 class TestLazySeparationProperty:
     """solve() against the full program's referees, on tables up to 7 nodes

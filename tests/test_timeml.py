@@ -21,6 +21,7 @@ from tlinkrec.timeml import (
     canonical_votes,
     canonicalize,
     load_corpus,
+    merged_rows,
     parse_timeml,
     read_weights,
     write_skipped_report,
@@ -272,6 +273,34 @@ class TestLinkTable:
         assert LinkTable.from_links(links) != LinkTable.from_links(
             [TLink(ev(1), ev(3), RelType.BEFORE)])
         assert LinkTable.from_links(links) != links
+
+
+class TestMergedRows:
+    def tables(self):
+        timex = EntityRef(EntityKind.TIMEX, "t1", "doc1")
+        return [LinkTable.from_links([TLink(ev(1), ev(2), RelType.BEFORE),
+                                      TLink(ev(2), ev(3), RelType.INCLUDES)]),
+                LinkTable.from_links([]),
+                LinkTable.from_links([TLink(timex, ev(3), RelType.AFTER)])]
+
+    def test_rows_renumbered_one_table_after_another(self):
+        tables = self.tables()
+        # The entities' union in entity order: t1, ei1, ei2, ei3.
+        numbers = np.array([1, 2, 3, 0, 3])
+        assert merged_rows(tables, numbers).tolist() == [
+            [1, 2, RelType.BEFORE], [2, 3, RelType.INCLUDES], [0, 3, RelType.AFTER]]
+
+    @pytest.mark.parametrize("which", [[0], [2], [0, 1, 2], [1]])
+    def test_no_table_rows_written(self, which):
+        # Tables are shared between ensembles and runs, and a renumbering that
+        # moved every end would change each later reader's table.
+        tables = [self.tables()[i] for i in which]
+        before = [table.rows.copy() for table in tables]
+        total = sum(len(table.entities) for table in tables)
+        rows = merged_rows(tables, np.arange(total)[::-1] + 10)
+        for table, kept in zip(tables, before):
+            assert np.array_equal(table.rows, kept)
+            assert not np.shares_memory(rows, table.rows)
 
 
 class TestEntityOrder:
